@@ -91,6 +91,26 @@ impl Variables {
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
+
+    /// Point every name that `prev` also holds at `prev`'s allocation, so
+    /// states decoded one by one share names along their chain the way
+    /// builder-derived states do. Names already shared cost one pointer
+    /// compare each.
+    pub(crate) fn share_names_with(&mut self, prev: &Variables) {
+        let mut theirs = prev.entries.iter().map(|(k, _)| k).peekable();
+        for (name, _) in &mut self.entries {
+            // Both lists are sorted: skip the predecessor's smaller names.
+            while theirs
+                .next_if(|p| !Arc::ptr_eq(p, name) && ***p < **name)
+                .is_some()
+            {}
+            if let Some(p) = theirs.next_if(|p| Arc::ptr_eq(p, name) || ***p == **name) {
+                if !Arc::ptr_eq(p, name) {
+                    *name = Arc::clone(p);
+                }
+            }
+        }
+    }
 }
 
 impl Serialize for Variables {
@@ -106,11 +126,17 @@ impl Serialize for Variables {
 
 impl Deserialize for Variables {
     fn from_value(v: &serde::value::Value) -> Result<Self, serde::DeError> {
-        // A BTreeMap sorts and dedups (last value wins) exactly like `set`.
-        let map = std::collections::BTreeMap::<String, i64>::from_value(v)?;
-        Ok(Variables {
-            entries: map.into_iter().map(|(k, v)| (Arc::from(k), v)).collect(),
-        })
+        let serde::value::Value::Object(pairs) = v else {
+            return Err(serde::DeError::expected("object", "Variables", v));
+        };
+        // `set` sorts and dedups (last value wins), one allocation per name.
+        let mut vars = Variables {
+            entries: Vec::with_capacity(pairs.len()),
+        };
+        for (name, value) in pairs {
+            vars.set(name, i64::from_value(value).map_err(|e| e.context(name))?);
+        }
+        Ok(vars)
     }
 }
 
@@ -211,6 +237,48 @@ mod tests {
         let v = Variables::from_pairs([("x", 1), ("x", 2)]);
         assert_eq!(v.get("x"), Some(2));
         assert_eq!(v.len(), 1);
+    }
+
+    #[test]
+    fn decoding_sorts_and_keeps_the_last_duplicate() {
+        let v: Variables = serde_json::from_str(r#"{"z":1,"a":2,"z":3}"#).unwrap();
+        assert_eq!(v.iter().collect::<Vec<_>>(), vec![("a", 2), ("z", 3)]);
+        let err = serde_json::from_str::<Variables>(r#"{"a":"x"}"#).unwrap_err();
+        assert!(err.to_string().starts_with("a: "), "{err}");
+        assert!(serde_json::from_str::<Variables>("[1]").is_err());
+    }
+
+    #[test]
+    fn decoded_trace_shares_names_along_each_chain() {
+        let cfg = crate::generator::CsConfig::default();
+        let dep = crate::generator::cs_workload(&cfg, 3);
+        let back = crate::trace::from_json(&crate::trace::to_json(&dep)).unwrap();
+        let mut shared = 0;
+        for p in back.processes() {
+            for pair in back.states_of(p).windows(2) {
+                let (prev, next) = (&pair[0].vars.entries, &pair[1].vars.entries);
+                for (b, _) in next {
+                    if let Some((a, _)) = prev.iter().find(|(a, _)| a == b) {
+                        assert!(Arc::ptr_eq(a, b), "`{b}` is a fresh copy on {p:?}");
+                        shared += 1;
+                    }
+                }
+            }
+        }
+        assert!(shared > 0);
+    }
+
+    #[test]
+    fn share_names_with_skips_names_the_predecessor_lacks() {
+        let prev = Variables::from_pairs([("b", 1), ("d", 2)]);
+        let mut next = Variables::from_pairs([("a", 0), ("b", 5), ("c", 0), ("d", 6)]);
+        next.share_names_with(&prev);
+        assert_eq!(
+            next,
+            Variables::from_pairs([("a", 0), ("b", 5), ("c", 0), ("d", 6)])
+        );
+        assert!(Arc::ptr_eq(&next.entries[1].0, &prev.entries[0].0));
+        assert!(Arc::ptr_eq(&next.entries[3].0, &prev.entries[1].0));
     }
 
     #[test]
