@@ -136,6 +136,39 @@ pub struct ControlledDeposet<'a> {
     ext_clocks: ShardedClocks,
 }
 
+/// A cycle of the extended relation `→ ∪ C→` over `dep`'s states, in order
+/// (each state precedes the next, and the last precedes the first).
+///
+/// # Panics
+/// Panics if the extended relation is acyclic.
+fn interference_cycle(dep: &Deposet, control: &ControlRelation) -> Vec<StateId> {
+    let offsets = dep.offsets();
+    let node = |s: StateId| offsets[s.process.index()] + s.idx();
+    let mut g = Dag::new(offsets[dep.process_count()]);
+    for p in dep.processes() {
+        for k in 0..dep.len_of(p).saturating_sub(1) {
+            g.add_edge(offsets[p.index()] + k, offsets[p.index()] + k + 1);
+        }
+    }
+    for m in dep.messages() {
+        g.add_edge(node(m.from), node(m.to));
+    }
+    for &(x, y) in control.pairs() {
+        g.add_edge(node(x), node(y));
+    }
+    let err = g
+        .topo_sort()
+        .expect_err("the extended clock fill found a cycle");
+    err.cycle
+        .iter()
+        .map(|&v| {
+            let v = v as usize;
+            let p = offsets.partition_point(|&o| o <= v) - 1;
+            StateId::new(p, (v - offsets[p]) as u32)
+        })
+        .collect()
+}
+
 impl<'a> ControlledDeposet<'a> {
     /// Validate `control` against `dep` and compute extended clocks.
     pub fn new(dep: &'a Deposet, control: ControlRelation) -> Result<Self, ControlError> {
@@ -150,33 +183,11 @@ impl<'a> ControlledDeposet<'a> {
         let offsets = dep.offsets();
         let n = dep.process_count();
         let total = offsets[n];
-        let mut g = Dag::new(total);
-        for p in dep.processes() {
-            for k in 0..dep.len_of(p).saturating_sub(1) {
-                g.add_edge(offsets[p.index()] + k, offsets[p.index()] + k + 1);
-            }
-        }
         let node = |s: StateId| offsets[s.process.index()] + s.idx();
-        let locate = |v: usize| -> StateId {
-            let p = offsets.partition_point(|&o| o <= v) - 1;
-            StateId::new(p, (v - offsets[p]) as u32)
-        };
-        for m in dep.messages() {
-            g.add_edge(node(m.from), node(m.to));
-        }
-        for &(x, y) in control.pairs() {
-            g.add_edge(node(x), node(y));
-        }
-        // The Dag is built purely for cycle *diagnostics* — the sharded
-        // fill detects cycles too, but cannot name the offending states.
-        g.topo_sort().map_err(|e| ControlError::Interference {
-            cycle: e.cycle.iter().map(|&v| locate(v as usize)).collect(),
-        })?;
         // Extended Fidge–Mattern clocks under the base deposet's shard
         // plan: the same sharded DP as the base store, with control pairs
         // as extra merge edges (cross-shard ones resolve in the frontier
-        // rounds alongside the messages). The Dag pre-check above already
-        // rejected cycles with a witness, so the fill cannot fail.
+        // rounds alongside the messages).
         let mut edges: Vec<(u32, u32)> = dep
             .messages()
             .iter()
@@ -188,8 +199,13 @@ impl<'a> ControlledDeposet<'a> {
                 .iter()
                 .map(|&(x, y)| (node(y) as u32, node(x) as u32)),
         );
-        let ext_clocks = fill_sharded(dep.shard_plan(), offsets, &edges)
-            .expect("extended causality is acyclic (checked above)");
+        let Some(ext_clocks) = fill_sharded(dep.shard_plan(), offsets, &edges) else {
+            // The fill detects a cycle but cannot name it; only then is the
+            // explicit graph built, to extract the offending states.
+            return Err(ControlError::Interference {
+                cycle: interference_cycle(dep, &control),
+            });
+        };
         assert_eq!(ext_clocks.total_allocated_words(), n * total);
         Ok(ControlledDeposet {
             base: dep,
@@ -346,19 +362,48 @@ mod tests {
         assert!(c2.concurrent(StateId::new(1usize, 0), StateId::new(0usize, 0)));
     }
 
+    /// `ControlledDeposet::new` rejects `rel` with a cycle in which every
+    /// consecutive pair, the last back to the first included, is a local
+    /// step, a message or a control pair.
+    fn assert_genuine_cycle(d: &Deposet, rel: ControlRelation) {
+        let cycle = match ControlledDeposet::new(d, rel.clone()) {
+            Err(ControlError::Interference { cycle }) => cycle,
+            other => panic!("expected interference, got {other:?}"),
+        };
+        assert!(!cycle.is_empty());
+        for (k, &x) in cycle.iter().enumerate() {
+            let y = cycle[(k + 1) % cycle.len()];
+            let local = x.process == y.process && x.index + 1 == y.index;
+            let message = d.messages().iter().any(|m| (m.from, m.to) == (x, y));
+            let control = rel.pairs().contains(&(x, y));
+            assert!(
+                local || message || control,
+                "{x} → {y} in cycle {cycle:?} is no edge of the extended relation"
+            );
+        }
+    }
+
     #[test]
     fn interfering_relation_is_rejected_with_cycle() {
         let d = grid2();
         let mut rel = ControlRelation::empty();
         rel.push(StateId::new(1usize, 1), StateId::new(0usize, 1));
         rel.push(StateId::new(0usize, 1), StateId::new(1usize, 1));
-        let err = ControlledDeposet::new(&d, rel).unwrap_err();
-        match err {
-            ControlError::Interference { cycle } => {
-                assert!(!cycle.is_empty());
-            }
-            other => panic!("expected interference, got {other:?}"),
+        assert_genuine_cycle(&d, rel);
+
+        // A longer cycle: three control pairs chained by local steps, one
+        // per process.
+        let mut b = DeposetBuilder::new(3);
+        for p in 0..3 {
+            b.internal(p, &[]);
+            b.internal(p, &[]);
         }
+        let d3 = b.finish().unwrap();
+        let mut rel = ControlRelation::empty();
+        rel.push(StateId::new(0usize, 2), StateId::new(1usize, 1));
+        rel.push(StateId::new(1usize, 2), StateId::new(2usize, 0));
+        rel.push(StateId::new(2usize, 1), StateId::new(0usize, 0));
+        assert_genuine_cycle(&d3, rel);
     }
 
     #[test]
@@ -371,8 +416,7 @@ mod tests {
         let d = b.finish().unwrap();
         let mut rel = ControlRelation::empty();
         rel.push(StateId::new(1usize, 1), StateId::new(0usize, 0));
-        let err = ControlledDeposet::new(&d, rel).unwrap_err();
-        assert!(matches!(err, ControlError::Interference { .. }));
+        assert_genuine_cycle(&d, rel);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! re-evaluated the local predicates per call, and the verification sweep
 //! walked cloned predicate trees state by state. A [`PredicateEngine`]
 //! builds the [`IntervalIndex`] (per-state truth bitmap + false intervals,
-//! constructed in parallel per process) exactly once and answers every
+//! one sequential pass over the processes) exactly once and answers every
 //! question from it:
 //!
 //! * [`control`](PredicateEngine::control) — the paper's Figure 2 off-line

@@ -244,22 +244,17 @@ impl FaultSweepReport {
 /// state, and both detector candidate queues plus the crash windows are
 /// derived from those two columns (the detectors then run on the queues via
 /// [`pctl_detect::possibly_from_queues`], with no further predicate
-/// evaluation). Per-process columns are independent, so the scan fans out
-/// over [`pctl_deposet::par::ordered_map`] with a deterministic merge.
+/// evaluation). The scan is one sequential loop over the processes: a run
+/// audit is a few thousand states, far below what a thread spawn pays for;
+/// callers auditing many runs fan out over the runs instead.
 pub fn sweep_faulty_run(dep: &Deposet, witness: &LocalPredicate) -> FaultSweepReport {
     let _prof = pctl_prof::span("sweep_faulty_run");
-    struct Column {
-        unwitnessed: Vec<u32>,
-        clean: Vec<u32>,
-        windows: Vec<DownWindow>,
-    }
-    let procs: Vec<ProcessId> = dep.processes().collect();
-    let columns: Vec<Column> = pctl_deposet::par::ordered_map(&procs, |_, &p| {
-        let mut col = Column {
-            unwitnessed: Vec::new(),
-            clean: Vec::new(),
-            windows: Vec::new(),
-        };
+    let n = dep.process_count();
+    let mut unwitnessed_queues = Vec::with_capacity(n);
+    let mut clean_queues = Vec::with_capacity(n);
+    let mut down_windows = Vec::new();
+    for p in dep.processes() {
+        let (mut unwitnessed, mut clean) = (Vec::new(), Vec::new());
         let mut open: Option<u32> = None;
         for (k, s) in dep.states_of(p).iter().enumerate() {
             let wit = witness.eval(s);
@@ -267,15 +262,15 @@ pub fn sweep_faulty_run(dep: &Deposet, witness: &LocalPredicate) -> FaultSweepRe
             // Queue membership: ¬lᵢ ∨ downᵢ (unwitnessed), ¬lᵢ ∧ ¬downᵢ
             // (clean violation).
             if !wit || is_down {
-                col.unwitnessed.push(k as u32);
+                unwitnessed.push(k as u32);
             }
             if !wit && !is_down {
-                col.clean.push(k as u32);
+                clean.push(k as u32);
             }
             match (is_down, open) {
                 (true, None) => open = Some(k as u32),
                 (false, Some(from)) => {
-                    col.windows.push(DownWindow {
+                    down_windows.push(DownWindow {
                         process: p,
                         from,
                         to: Some(k as u32),
@@ -286,22 +281,14 @@ pub fn sweep_faulty_run(dep: &Deposet, witness: &LocalPredicate) -> FaultSweepRe
             }
         }
         if let Some(from) = open {
-            col.windows.push(DownWindow {
+            down_windows.push(DownWindow {
                 process: p,
                 from,
                 to: None,
             });
         }
-        col
-    });
-
-    let mut unwitnessed_queues = Vec::with_capacity(columns.len());
-    let mut clean_queues = Vec::with_capacity(columns.len());
-    let mut down_windows = Vec::new();
-    for c in columns {
-        unwitnessed_queues.push(c.unwitnessed);
-        clean_queues.push(c.clean);
-        down_windows.extend(c.windows);
+        unwitnessed_queues.push(unwitnessed);
+        clean_queues.push(clean);
     }
     FaultSweepReport {
         unwitnessed_cut: pctl_detect::possibly_from_queues(dep, &unwitnessed_queues),

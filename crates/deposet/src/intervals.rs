@@ -7,11 +7,9 @@
 //! Extraction happens once per (deposet, predicate) pair so that predicate
 //! evaluation cost is paid once. The scanning itself lives in the
 //! computation [`crate::store`] (`truth_of_process` + `intervals_from_truth`);
-//! extraction composes the two per process, fanned out with
-//! [`crate::par::ordered_map`].
+//! extraction composes the two per process, in one sequential loop.
 
 use crate::model::Deposet;
-use crate::par::ordered_map;
 use crate::predicate::{DisjunctivePredicate, LocalPredicate};
 use pctl_causality::{ProcessId, StateId};
 use serde::{Deserialize, Serialize};
@@ -80,16 +78,21 @@ impl FalseIntervals {
             dep.process_count(),
             "disjunctive predicate arity must equal process count"
         );
-        let procs: Vec<ProcessId> = dep.processes().collect();
-        let per_proc = ordered_map(&procs, |_, &p| extract_one(dep, p, pred.local(p)));
+        let per_proc = dep
+            .processes()
+            .map(|p| extract_one(dep, p, pred.local(p)))
+            .collect();
         FalseIntervals { per_proc }
     }
 
     /// Extract from explicit per-process local predicates.
     pub fn extract_each(dep: &Deposet, locals: &[LocalPredicate]) -> Self {
         assert_eq!(locals.len(), dep.process_count());
-        let procs: Vec<ProcessId> = dep.processes().collect();
-        let per_proc = ordered_map(&procs, |i, &p| extract_one(dep, p, &locals[i]));
+        let per_proc = dep
+            .processes()
+            .zip(locals)
+            .map(|(p, local)| extract_one(dep, p, local))
+            .collect();
         FalseIntervals { per_proc }
     }
 

@@ -18,7 +18,7 @@
 //!   algorithm actually manipulates;
 //! * the computation [`store`] — the single home of the Lemma 2
 //!   crossable/overlap primitives and a precomputed truth/interval index,
-//!   built per process in parallel via [`par::ordered_map`];
+//!   built by one sequential pass over the processes;
 //! * the [`shard`] layer — per-shard clock-arena slabs under a
 //!   [`shard::ShardPlan`], with a level-synchronised frontier-round DP that
 //!   scales construction toward multi-million-state computations;

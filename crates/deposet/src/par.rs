@@ -1,9 +1,11 @@
 //! Deterministic scoped-thread fan-out.
 //!
-//! The computation store and the engines on top of it parallelize only
-//! *embarrassingly parallel* layers — per-process interval construction,
-//! per-seed verification sweeps, per-scenario bench fan-out. Every use goes
-//! through [`ordered_map`], which guarantees the merged output is in input
+//! Only *coarse*, embarrassingly parallel layers fan out — per-seed
+//! verification sweeps, per-scenario bench fan-out, the sharded clock DP.
+//! The per-process loops inside one computation's builds (interval index,
+//! false-interval extraction, the fault audit's column scan) stay
+//! sequential: at the sizes they run at, a thread spawn costs more than
+//! the loop. [`ordered_map`] guarantees the merged output is in input
 //! order regardless of thread scheduling: results are produced per
 //! contiguous chunk and stitched back by chunk index, so a parallel run is
 //! bit-identical to the sequential one (the determinism argument in

@@ -23,8 +23,15 @@
 //!   the message is still in flight).
 //!
 //! Running off the top of any chain means no satisfying cut exists above
-//! the start. The sweep is monotone (`J((i,k)) ≥ J((i,k-1))`), so the whole
-//! J-matrix costs one pass of amortised closures.
+//! the start. The sweep is monotone (`J((i,k)) ≥ J((i,k-1))`) and the
+//! incoming cut is already closed, so each closure is a worklist seeded
+//! with process `i` alone: only a process whose frontier *moved* has its
+//! one clock row read, at O(n) entries per raise (plus one pass over the
+//! channel constraints each time the worklist drains, when the predicate
+//! has any). Frontiers only rise during one process's sweep, so a sweep
+//! makes at most `S` raises and costs O(n·S) clock reads in the worst
+//! case — and in practice far less, since a conjunction over a few
+//! processes leaves the other frontiers where they are.
 //!
 //! The resulting [`SlicedDeposet`] is itself a columnar store: the J-matrix
 //! lives in a [`ClockArena`] (one row per local state), surviving states
@@ -59,63 +66,113 @@ struct Slicer<'a, C: CausalStore + ?Sized> {
     /// Send-side states of messages still in flight — empty unless the
     /// predicate constrains channels.
     in_flight: &'a [StateId],
+    /// Worklist of processes whose frontier moved since its clock row was
+    /// last read, with its membership bitmap. Both are empty between
+    /// closures.
+    work: Vec<usize>,
+    queued: Vec<bool>,
 }
 
-impl<C: CausalStore + ?Sized> Slicer<'_, C> {
+impl<'a, C: CausalStore + ?Sized> Slicer<'a, C> {
+    /// # Panics
+    /// Panics if `conj` does not match the store's shape.
+    fn new(
+        store: &'a C,
+        conj: &'a [Vec<bool>],
+        delivered: &'a [(StateId, StateId)],
+        in_flight: &'a [StateId],
+    ) -> Self {
+        let n = store.process_count();
+        assert_eq!(conj.len(), n, "conjunct truth columns per process");
+        let lens: Vec<u32> = (0..n)
+            .map(|i| store.len_of(ProcessId(i as u32)) as u32)
+            .collect();
+        for (col, &len) in conj.iter().zip(&lens) {
+            assert_eq!(col.len(), len as usize, "truth column length");
+        }
+        Slicer {
+            store,
+            n,
+            lens,
+            conj,
+            delivered,
+            in_flight,
+            work: Vec::with_capacity(n),
+            queued: vec![false; n],
+        }
+    }
+
+    fn push(&mut self, j: usize) {
+        if !self.queued[j] {
+            self.queued[j] = true;
+            self.work.push(j);
+        }
+    }
+
+    /// Empty the worklist after a failed closure.
+    fn fail(&mut self) -> bool {
+        for j in self.work.drain(..) {
+            self.queued[j] = false;
+        }
+        false
+    }
+
     /// Close `cut` upward to the least satisfying cut ≥ the input, or
     /// return `false` when none exists. Every raise is forced: any
     /// satisfying cut ≥ the input is also ≥ the raised cut.
-    #[allow(clippy::needless_range_loop)] // cut[i] is mutated while cut[j] is read across processes
-    fn closure_up(&self, cut: &mut [u32]) -> bool {
+    ///
+    /// Precondition: every process outside `dirty` sits on a conjunct-true
+    /// state whose clock row is ≤ `cut` — true of a closed cut with only
+    /// the `dirty` components raised. The worklist starts as `dirty`;
+    /// popping `j` skips it to its next conjunct-true state and reads the
+    /// one clock row of `(j, cut[j])`, queueing every process that row
+    /// raises. The channel rules run whenever the worklist drains. Each
+    /// raise costs O(n) clock reads, and a process that never moves is
+    /// never read.
+    fn closure_up_from(&mut self, cut: &mut [u32], dirty: impl IntoIterator<Item = usize>) -> bool {
+        debug_assert!(self.work.is_empty());
+        for j in dirty {
+            self.push(j);
+        }
         loop {
-            let mut changed = false;
-            for i in 0..self.n {
-                let mut k = cut[i];
-                while k < self.lens[i] && !self.conj[i][k as usize] {
+            while let Some(j) = self.work.pop() {
+                self.queued[j] = false;
+                let (col, len) = (&self.conj[j], self.lens[j]);
+                let mut k = cut[j];
+                while k < len && !col[k as usize] {
                     k += 1;
                 }
-                if k >= self.lens[i] {
-                    return false;
+                if k >= len {
+                    return self.fail();
                 }
-                if k != cut[i] {
-                    cut[i] = k;
-                    changed = true;
-                }
-            }
-            for j in 0..self.n {
-                let sj = StateId::new(ProcessId(j as u32), cut[j]);
-                for i in 0..self.n {
-                    if i == j {
-                        continue;
-                    }
+                cut[j] = k;
+                let sj = StateId::new(ProcessId(j as u32), k);
+                for i in (0..self.n).filter(|&i| i != j) {
                     let e = self.store.clock_entry(sj, ProcessId(i as u32));
                     if e > cut[i] {
                         cut[i] = e;
-                        changed = true;
+                        self.push(i);
                     }
                 }
             }
             for &(from, to) in self.delivered {
-                let fp = from.process.index();
                 let tp = to.process.index();
-                if cut[fp] > from.index && cut[tp] < to.index {
+                if cut[from.process.index()] > from.index && cut[tp] < to.index {
                     cut[tp] = to.index;
-                    changed = true;
+                    self.push(tp);
                 }
             }
-            for &from in self.in_flight {
-                if cut[from.process.index()] > from.index {
-                    return false;
-                }
-            }
-            if !changed {
-                return true;
+            if self.work.is_empty() {
+                return self
+                    .in_flight
+                    .iter()
+                    .all(|from| cut[from.process.index()] <= from.index);
             }
         }
     }
 
     /// Close `cut` downward to the greatest satisfying cut ≤ the input, or
-    /// return `false` when none exists. Dual of [`Slicer::closure_up`];
+    /// return `false` when none exists. Dual of [`Slicer::closure_up_from`];
     /// a consistency violation forces the *knowing* frontier down by one.
     #[allow(clippy::needless_range_loop)] // cut[i] is mutated while cut[j] is read across processes
     fn closure_down(&self, cut: &mut [u32]) -> bool {
@@ -239,7 +296,6 @@ impl SlicedDeposet {
     ///
     /// # Panics
     /// Panics if `conj` does not match the store's shape.
-    #[allow(clippy::needless_range_loop)] // cut[i] is mutated while cut[j] is read across processes
     pub fn build_from_parts<C: CausalStore + ?Sized>(
         store: &C,
         conj: &[Vec<bool>],
@@ -247,60 +303,61 @@ impl SlicedDeposet {
         in_flight: &[StateId],
     ) -> Self {
         let _prof = pctl_prof::span("slice_build");
-        let n = store.process_count();
-        assert_eq!(conj.len(), n, "conjunct truth columns per process");
-        let lens: Vec<u32> = (0..n)
-            .map(|i| store.len_of(ProcessId(i as u32)) as u32)
-            .collect();
-        for i in 0..n {
-            assert_eq!(conj[i].len(), lens[i] as usize, "truth column length");
-        }
-        let slicer = Slicer {
-            store,
-            n,
-            lens: lens.clone(),
-            conj,
-            delivered,
-            in_flight,
-        };
-
-        let mut offsets = vec![0usize; n + 1];
-        for i in 0..n {
-            offsets[i + 1] = offsets[i] + lens[i] as usize;
-        }
-        let total = offsets[n];
+        let mut slicer = Slicer::new(store, conj, delivered, in_flight);
+        let n = slicer.n;
+        let lens = slicer.lens.clone();
+        let total: usize = lens.iter().map(|&l| l as usize).sum();
 
         // min/max satisfying cuts: closures from ⊥ and ⊤.
         let mut lo = vec![0u32; n];
         let min_cut = slicer
-            .closure_up(&mut lo)
+            .closure_up_from(&mut lo, 0..n)
             .then(|| GlobalState::from_indices(lo));
         let mut hi: Vec<u32> = lens.iter().map(|&l| l - 1).collect();
         let max_cut = (min_cut.is_some() && slicer.closure_down(&mut hi))
             .then(|| GlobalState::from_indices(hi));
 
-        // J-matrix by per-process monotone sweep.
+        // J-matrix by per-process monotone sweep: J((i,k)) closes J((i,k-1))
+        // with component i raised to k, so only i is dirty. Once a closure
+        // fails, no satisfying cut lies above any later state of i either.
         let mut j = ClockArena::zeroed(n, total);
         let mut j_exists = vec![false; total];
+        let mut row = 0;
         for i in 0..n {
-            let mut prev: Option<Vec<u32>> = min_cut.as_ref().map(|g| g.indices().to_vec());
+            let mut cut = min_cut.as_ref().map(|g| g.indices().to_vec());
             for k in 0..lens[i] {
-                prev = prev.take().and_then(|mut c| {
-                    if c[i] < k {
-                        c[i] = k;
-                        if !slicer.closure_up(&mut c) {
-                            return None;
-                        }
+                if let Some(c) = cut.as_mut().filter(|c| c[i] < k) {
+                    c[i] = k;
+                    if !slicer.closure_up_from(c, [i]) {
+                        cut = None;
                     }
-                    Some(c)
-                });
-                if let Some(c) = &prev {
-                    let row = offsets[i] + k as usize;
+                }
+                if let Some(c) = &cut {
                     j.merge_from(row, c);
                     j_exists[row] = true;
                 }
+                row += 1;
             }
         }
+        Self::assemble(lens, j, j_exists, min_cut, max_cut)
+    }
+
+    /// Derive the classes, skeleton and frontier runs from a finished
+    /// J-matrix (rows in chain order, valid where `j_exists`).
+    #[allow(clippy::needless_range_loop)] // rows of other processes are located through offsets[q]
+    fn assemble(
+        lens: Vec<u32>,
+        j: ClockArena,
+        j_exists: Vec<bool>,
+        min_cut: Option<GlobalState>,
+        max_cut: Option<GlobalState>,
+    ) -> Self {
+        let n = lens.len();
+        let mut offsets = vec![0usize; n + 1];
+        for i in 0..n {
+            offsets[i + 1] = offsets[i] + lens[i] as usize;
+        }
+        let total = offsets[n];
 
         // Surviving states → classes by J-value (first-seen order), then
         // skeleton edges: chain edges between consecutive surviving runs
@@ -755,6 +812,283 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The slicer's closure before the worklist: every round re-reads all
+    /// n² clock entries until nothing moves. Kept only as the reference
+    /// the worklist closure is checked against.
+    #[allow(clippy::needless_range_loop)] // cut[i] is mutated while cut[j] is read across processes
+    fn closure_up_round_robin<C: CausalStore + ?Sized>(
+        sl: &Slicer<'_, C>,
+        cut: &mut [u32],
+    ) -> bool {
+        loop {
+            let mut changed = false;
+            for i in 0..sl.n {
+                let mut k = cut[i];
+                while k < sl.lens[i] && !sl.conj[i][k as usize] {
+                    k += 1;
+                }
+                if k >= sl.lens[i] {
+                    return false;
+                }
+                if k != cut[i] {
+                    cut[i] = k;
+                    changed = true;
+                }
+            }
+            for j in 0..sl.n {
+                let sj = StateId::new(ProcessId(j as u32), cut[j]);
+                for i in 0..sl.n {
+                    if i == j {
+                        continue;
+                    }
+                    let e = sl.store.clock_entry(sj, ProcessId(i as u32));
+                    if e > cut[i] {
+                        cut[i] = e;
+                        changed = true;
+                    }
+                }
+            }
+            for &(from, to) in sl.delivered {
+                let fp = from.process.index();
+                let tp = to.process.index();
+                if cut[fp] > from.index && cut[tp] < to.index {
+                    cut[tp] = to.index;
+                    changed = true;
+                }
+            }
+            for &from in sl.in_flight {
+                if cut[from.process.index()] > from.index {
+                    return false;
+                }
+            }
+            if !changed {
+                return true;
+            }
+        }
+    }
+
+    /// The slice as built before the worklist closure: the min cut and
+    /// every `J((i, k))` by round-robin closure of the previous sweep cut.
+    fn reference_slice<C: CausalStore + ?Sized>(
+        store: &C,
+        conj: &[Vec<bool>],
+        delivered: &[(StateId, StateId)],
+        in_flight: &[StateId],
+    ) -> SlicedDeposet {
+        let slicer = Slicer::new(store, conj, delivered, in_flight);
+        let (n, lens) = (slicer.n, slicer.lens.clone());
+        let total: usize = lens.iter().map(|&l| l as usize).sum();
+        let mut lo = vec![0u32; n];
+        let min_cut =
+            closure_up_round_robin(&slicer, &mut lo).then(|| GlobalState::from_indices(lo));
+        let mut hi: Vec<u32> = lens.iter().map(|&l| l - 1).collect();
+        let max_cut = (min_cut.is_some() && slicer.closure_down(&mut hi))
+            .then(|| GlobalState::from_indices(hi));
+        let mut j = ClockArena::zeroed(n, total);
+        let mut j_exists = vec![false; total];
+        let mut row = 0;
+        for i in 0..n {
+            let mut prev: Option<Vec<u32>> = min_cut.as_ref().map(|g| g.indices().to_vec());
+            for k in 0..lens[i] {
+                prev = prev.take().and_then(|mut c| {
+                    if c[i] < k {
+                        c[i] = k;
+                        if !closure_up_round_robin(&slicer, &mut c) {
+                            return None;
+                        }
+                    }
+                    Some(c)
+                });
+                if let Some(c) = &prev {
+                    j.merge_from(row, c);
+                    j_exists[row] = true;
+                }
+                row += 1;
+            }
+        }
+        SlicedDeposet::assemble(lens, j, j_exists, min_cut, max_cut)
+    }
+
+    /// `conj[i][k]`: the violation's conjunction on `i` in state `(i, k)`.
+    fn conj_columns<'s>(
+        n: usize,
+        violation: &RegularPredicate,
+        states_of: impl Fn(ProcessId) -> Vec<&'s crate::state::LocalState>,
+    ) -> Vec<Vec<bool>> {
+        let by_proc = violation.conjuncts_by_process(n);
+        (0..n)
+            .map(|i| {
+                states_of(ProcessId(i as u32))
+                    .into_iter()
+                    .map(|s| by_proc[i].iter().all(|c| c.eval(s)))
+                    .collect()
+            })
+            .collect()
+    }
+
+    fn assert_same_slice(got: &SlicedDeposet, want: &SlicedDeposet, what: &str) {
+        assert_eq!(got.min_cut(), want.min_cut(), "{what}: min_cut");
+        assert_eq!(got.max_cut(), want.max_cut(), "{what}: max_cut");
+        assert_eq!(got.class_count(), want.class_count(), "{what}: class count");
+        for i in 0..want.process_count() {
+            let p = ProcessId(i as u32);
+            assert_eq!(got.len_of(p), want.len_of(p), "{what}: chain length");
+            for k in 0..want.len_of(p) as u32 {
+                let s = StateId::new(p, k);
+                assert_eq!(got.j_cut(s), want.j_cut(s), "{what}: J({s:?})");
+                assert_eq!(got.class_of(s), want.class_of(s), "{what}: class of {s:?}");
+            }
+        }
+        assert_eq!(got.skeleton(), want.skeleton(), "{what}: skeleton");
+        assert_eq!(
+            got.frontier_intervals(),
+            want.frontier_intervals(),
+            "{what}: frontier intervals"
+        );
+    }
+
+    /// Violations over the workload's variable: a pair conjunction (the
+    /// off-line debugging loop's `cs₀ ∧ cs₁` shape), the same with empty
+    /// channels, a conjunct on every process, and empty channels alone.
+    fn violations(n: usize, var: &str, holds: bool) -> Vec<RegularPredicate> {
+        let lit = |i: usize| {
+            let l = if holds {
+                LocalPredicate::var(var)
+            } else {
+                LocalPredicate::not_var(var)
+            };
+            RegularPredicate::local(i, l)
+        };
+        let pair = RegularPredicate::And(vec![lit(0), lit(1)]);
+        vec![
+            pair.clone(),
+            RegularPredicate::And(vec![pair, RegularPredicate::ChannelsEmpty]),
+            RegularPredicate::And((0..n).map(lit).collect()),
+            RegularPredicate::And(vec![lit(n / 2), RegularPredicate::ChannelsEmpty]),
+            RegularPredicate::ChannelsEmpty,
+        ]
+    }
+
+    #[test]
+    fn worklist_closure_matches_round_robin_at_scale() {
+        use crate::generator::{
+            cs_workload, pipelined_workload, random_deposet, CsConfig, RandomConfig,
+        };
+        let mut cases: Vec<(String, Deposet, &str, bool)> = Vec::new();
+        for (seed, n) in [(1u64, 8usize), (2, 16), (3, 32)] {
+            let cfg = CsConfig {
+                processes: n,
+                sections_per_process: 4,
+                max_cs_len: 3,
+                max_gap_len: 3,
+            };
+            cases.push((
+                format!("pipelined n={n}"),
+                pipelined_workload(&cfg, seed),
+                "cs",
+                true,
+            ));
+            cases.push((format!("cs n={n}"), cs_workload(&cfg, seed), "cs", true));
+            // ¬cs everywhere: the all-processes conjunct is satisfiable.
+            cases.push((
+                format!("cs ¬cs n={n}"),
+                cs_workload(&cfg, seed),
+                "cs",
+                false,
+            ));
+            let rcfg = RandomConfig {
+                processes: n,
+                events: 12 * n,
+                ..RandomConfig::default()
+            };
+            cases.push((
+                format!("random n={n}"),
+                random_deposet(&rcfg, seed),
+                "ok",
+                false,
+            ));
+            cases.push((
+                format!("random ok n={n}"),
+                random_deposet(&rcfg, seed),
+                "ok",
+                true,
+            ));
+        }
+        let (mut empty, mut partial) = (0, 0);
+        for (name, dep, var, holds) in &cases {
+            let n = dep.process_count();
+            for violation in violations(n, var, *holds) {
+                let what = format!("{name}, {violation}");
+                let conj = conj_columns(n, &violation, |p| dep.states_of(p).iter().collect());
+                let delivered: Vec<(StateId, StateId)> = if violation.uses_channels() {
+                    dep.messages().iter().map(|m| (m.from, m.to)).collect()
+                } else {
+                    Vec::new()
+                };
+                let got = SlicedDeposet::build(dep, &violation).unwrap();
+                let want = reference_slice(dep, &conj, &delivered, &[]);
+                assert_same_slice(&got, &want, &what);
+                empty += usize::from(got.is_empty());
+                // A sweep that fails part-way leaves rows without J.
+                partial += usize::from(!got.is_empty() && got.j_exists.contains(&false));
+            }
+        }
+        assert!(
+            empty > 0 && partial > 0,
+            "{empty} empty, {partial} partial slices"
+        );
+    }
+
+    #[test]
+    fn worklist_closure_matches_round_robin_with_in_flight_sends() {
+        use crate::generator::{random_deposet, RandomConfig};
+        use crate::session::{linearize, SessionStore};
+        let mut with_in_flight = 0;
+        for (seed, n) in [(11u64, 8usize), (12, 12), (13, 16)] {
+            let dep = random_deposet(
+                &RandomConfig {
+                    processes: n,
+                    events: 12 * n,
+                    send_prob: 0.5,
+                    ..RandomConfig::default()
+                },
+                seed,
+            );
+            let (init, ops) = linearize(&dep);
+            let mut store = SessionStore::new_with_init(vec![LocalPredicate::True; n], &init);
+            for (t, op) in ops.iter().enumerate() {
+                store.apply(op).unwrap();
+                if t % 7 != 6 {
+                    continue;
+                }
+                let (mut delivered, mut in_flight) = (Vec::new(), Vec::new());
+                for (from, to) in store.message_endpoints() {
+                    match to {
+                        Some(to) => delivered.push((from, to)),
+                        None => in_flight.push(from),
+                    }
+                }
+                with_in_flight += usize::from(!in_flight.is_empty());
+                for violation in violations(n, "ok", false) {
+                    if !violation.uses_channels() {
+                        continue;
+                    }
+                    let what = format!("seed {seed} prefix {t}, {violation}");
+                    let conj = conj_columns(n, &violation, |p| {
+                        (0..store.len_of(p) as u32)
+                            .map(|k| store.state(StateId::new(p, k)))
+                            .collect()
+                    });
+                    let got =
+                        SlicedDeposet::build_from_parts(&store, &conj, &delivered, &in_flight);
+                    let want = reference_slice(&store, &conj, &delivered, &in_flight);
+                    assert_same_slice(&got, &want, &what);
+                }
+            }
+        }
+        assert!(with_in_flight > 10, "prefixes must leave sends in flight");
     }
 
     #[test]

@@ -28,14 +28,15 @@
 //!
 //! [`IntervalIndex`] evaluates every local predicate exactly once per state
 //! into a flat truth bitmap (row-indexed like the clock arena) and derives
-//! the per-process false-interval lists from the same pass. Per-process
-//! columns are independent, so construction fans out over
-//! [`crate::par::ordered_map`] with a deterministic merge.
+//! the per-process false-interval lists from the same pass. The build is
+//! one sequential loop over the processes, appending each truth column in
+//! place: a few hundred predicate evaluations per trace cost less than
+//! spawning a single worker thread, and even at 10⁶ states the loop is a
+//! small share of decoding and building the computation.
 
 use crate::causal::CausalStore;
 use crate::intervals::{FalseIntervals, Interval};
 use crate::model::Deposet;
-use crate::par::ordered_map;
 use crate::predicate::{DisjunctivePredicate, LocalPredicate};
 use pctl_causality::{ProcessId, StateId};
 
@@ -225,41 +226,16 @@ impl IntervalIndex {
 
     fn build_refs(dep: &Deposet, locals: &[&LocalPredicate]) -> Self {
         let _prof = pctl_prof::span("interval_index_build");
-        // Columns are independent per process, so any grouping fans out
-        // deterministically (merge in process order — see par module docs).
-        // Under a multi-shard plan the grouping follows the shards, so the
-        // truth/interval build parallelises exactly like the clock store;
-        // single-shard plans keep the finer per-process fan-out.
-        let plan = dep.shard_plan();
-        let columns: Vec<(Vec<bool>, Vec<Interval>)> = if plan.shard_count() > 1 {
-            let shard_ids: Vec<usize> = (0..plan.shard_count()).collect();
-            let per_shard: Vec<Vec<(Vec<bool>, Vec<Interval>)>> =
-                ordered_map(&shard_ids, |_, &s| {
-                    plan.processes_of(s)
-                        .map(|p| {
-                            let p = ProcessId(p as u32);
-                            let truth = truth_of_process(dep, p, locals[p.index()]);
-                            let iv = intervals_from_truth(p, &truth);
-                            (truth, iv)
-                        })
-                        .collect()
-                });
-            per_shard.into_iter().flatten().collect()
-        } else {
-            let procs: Vec<ProcessId> = dep.processes().collect();
-            ordered_map(&procs, |i, &p| {
-                let truth = truth_of_process(dep, p, locals[i]);
-                let iv = intervals_from_truth(p, &truth);
-                (truth, iv)
-            })
-        };
         let offsets = dep.offsets().to_vec();
         let mut truth = Vec::with_capacity(*offsets.last().unwrap_or(&0));
-        let mut per_proc = Vec::with_capacity(columns.len());
-        for (col, iv) in columns {
-            truth.extend_from_slice(&col);
-            per_proc.push(iv);
-        }
+        let per_proc: Vec<Vec<Interval>> = dep
+            .processes()
+            .map(|p| {
+                let from = truth.len();
+                truth.extend(dep.states_of(p).iter().map(|s| locals[p.index()].eval(s)));
+                intervals_from_truth(p, &truth[from..])
+            })
+            .collect();
         pctl_prof::set_gauge(
             "interval_count",
             per_proc.iter().map(|iv| iv.len() as u64).sum(),

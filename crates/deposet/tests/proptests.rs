@@ -165,26 +165,30 @@ proptest! {
         }
     }
 
-    /// The (possibly parallel) fan-out inside `FalseIntervals::extract` and
-    /// `IntervalIndex::build` is bit-identical to a hand-rolled sequential
-    /// per-process construction — the determinism contract of
-    /// `par::ordered_map` observed end to end through the store.
+    /// `FalseIntervals::extract` and `IntervalIndex::build` both agree with a
+    /// hand-rolled per-process construction from the store primitives
+    /// (`truth_of_process` + `intervals_from_truth`), truth columns
+    /// included: the index's in-place column build and the extractor cannot
+    /// drift from the primitives or from each other.
     #[test]
     fn parallel_extract_is_bit_identical_to_sequential((cfg, seed) in arb_config()) {
         let dep = random_deposet(&cfg, seed);
         let pred = pctl_deposet::DisjunctivePredicate::at_least_one(dep.process_count(), "ok");
-        let sequential: Vec<Vec<pctl_deposet::Interval>> = dep
+        let sequential: Vec<(Vec<bool>, Vec<pctl_deposet::Interval>)> = dep
             .processes()
             .map(|p| {
                 let truth = pctl_deposet::store::truth_of_process(&dep, p, pred.local(p));
-                pctl_deposet::store::intervals_from_truth(p, &truth)
+                let iv = pctl_deposet::store::intervals_from_truth(p, &truth);
+                (truth, iv)
             })
             .collect();
         let extracted = pctl_deposet::FalseIntervals::extract(&dep, &pred);
         let index = pctl_deposet::IntervalIndex::build(&dep, &pred);
         for p in dep.processes() {
-            prop_assert_eq!(extracted.of(p), &sequential[p.index()][..]);
-            prop_assert_eq!(index.intervals().of(p), &sequential[p.index()][..]);
+            let (truth, iv) = &sequential[p.index()];
+            prop_assert_eq!(extracted.of(p), &iv[..]);
+            prop_assert_eq!(index.intervals().of(p), &iv[..]);
+            prop_assert_eq!(index.truths_of(p), &truth[..]);
         }
     }
 
