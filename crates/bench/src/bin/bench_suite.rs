@@ -33,8 +33,8 @@
 //!   [--strict] [--write-baseline FILE] [--prof-trace FILE]`
 
 use pctl_bench::report::{
-    Baseline, CompareReport, OfflineCase, OfflineReport, OverlapCase, ShardCase, ShardSweep,
-    SimCoreBench, SlicingBench, StreamingBench, SweepMode, SweepReport, WallStats, SCHEMA,
+    Baseline, CompareReport, OfflineCase, OfflineReport, OverlapCase, SimCoreBench, SlicingBench,
+    StreamingBench, SweepMode, SweepReport, WallStats, SCHEMA,
 };
 use pctl_core::offline::{control_intervals, Engine, OfflineOptions, SelectPolicy};
 use pctl_core::verify::sweep_faulty_run;
@@ -44,8 +44,8 @@ use pctl_deposet::generator::{
 };
 use pctl_deposet::par::{ordered_map, worker_count};
 use pctl_deposet::{
-    Deposet, DisjunctivePredicate, FalseIntervals, IntervalIndex, LocalPredicate, PredicateClass,
-    RegularPredicate, ShardPlan, SlicedDeposet,
+    Deposet, DisjunctivePredicate, FalseIntervals, LocalPredicate, PredicateClass,
+    RegularPredicate, SlicedDeposet,
 };
 use pctl_obs::prof;
 use std::path::PathBuf;
@@ -213,7 +213,6 @@ fn run_offline(smoke: bool) -> OfflineReport {
         bench: "offline".into(),
         smoke,
         cases,
-        shard_sweep: None,
         overlap: None,
         streaming: None,
         slicing: None,
@@ -393,93 +392,6 @@ fn run_sim_core(smoke: bool) -> SimCoreBench {
         wheel_high_water: r.core.wheel_high_water,
         timesteps: r.core.timesteps,
         memory_bounded,
-    }
-}
-
-// ------------------------------------------------------------ shard sweep --
-
-/// The sharded-store headline: flat (single-shard) vs explicitly sharded
-/// construction and interval-index build on a pipelined (ring-message)
-/// workload, whose messages all cross shard boundaries. Every sharded
-/// result is hard-asserted bit-identical to the flat store before anything
-/// is written; the speedup is reported honestly (a single-core runner pays
-/// the frontier-round synchronisation and wins nothing back).
-fn run_shard_sweep(smoke: bool) -> ShardSweep {
-    let (n, sections, reps) = if smoke {
-        (4usize, 6usize, 2usize)
-    } else {
-        (8, 48, 5)
-    };
-    let cfg = CsConfig {
-        processes: n,
-        sections_per_process: sections,
-        ..CsConfig::default()
-    };
-    let dep0 = pipelined_workload(&cfg, 11);
-    let states = dep0.total_states();
-    let pred = DisjunctivePredicate::at_least_one_not(n, "cs");
-    let (st, ev, ms) = dep0.into_parts();
-    let parts = Parts {
-        states: st,
-        events: ev,
-        messages: ms,
-    };
-
-    let measure = |plan: &ShardPlan| {
-        let mut c_samples = Vec::with_capacity(reps);
-        let mut i_samples = Vec::with_capacity(reps);
-        let mut result = None;
-        for _ in 0..reps {
-            let (s, e, m) = parts.clone_parts();
-            let t0 = Instant::now();
-            let dep = Deposet::from_parts_with_plan(s, e, m, Some(plan.clone()))
-                .expect("generated parts are valid");
-            c_samples.push(micros(t0.elapsed()));
-            let t1 = Instant::now();
-            let index = IntervalIndex::build(&dep, &pred);
-            i_samples.push(micros(t1.elapsed()));
-            result = Some((dep, index));
-        }
-        let (dep, index) = result.expect("reps >= 1");
-        let c_p50 = WallStats::of(&c_samples).p50_us;
-        let i_p50 = WallStats::of(&i_samples).p50_us;
-        (dep, index, c_p50, i_p50)
-    };
-
-    let (flat_dep, flat_index, flat_c, flat_i) = measure(&ShardPlan::single(n));
-    let shard_counts: Vec<usize> = if smoke { vec![2, n] } else { vec![2, 4, n] };
-    let mut cases = Vec::new();
-    for &k in &shard_counts {
-        let (dep, index, c, i) = measure(&ShardPlan::with_shards(n, k));
-        let identical = flat_dep
-            .state_ids()
-            .all(|s| dep.clock(s) == flat_dep.clock(s))
-            && index == flat_index;
-        assert!(
-            identical,
-            "sharded store (shards={k}) must be bit-identical to the flat store"
-        );
-        let sc = dep.sharded_clocks();
-        cases.push(ShardCase {
-            shards: k,
-            rounds: sc.rounds(),
-            construct_p50_us: c,
-            index_p50_us: i,
-            speedup_vs_flat: flat_c as f64 / c.max(1) as f64,
-            per_shard_words: (0..sc.shard_count())
-                .map(|s| sc.arena(s).allocated_words())
-                .collect(),
-            identical_to_flat: identical,
-        });
-    }
-    ShardSweep {
-        workload: format!("pipelined_n{n}_p{sections}"),
-        processes: n,
-        states,
-        flat_construct_p50_us: flat_c,
-        flat_index_p50_us: flat_i,
-        deterministic: cases.iter().all(|c| c.identical_to_flat),
-        cases,
     }
 }
 
@@ -894,7 +806,6 @@ fn main() {
     std::fs::create_dir_all(&args.out_dir).expect("create out dir");
 
     let mut offline = run_offline(args.smoke);
-    offline.shard_sweep = Some(run_shard_sweep(args.smoke));
     offline.overlap = Some(run_overlap(args.smoke));
     offline.streaming = Some(run_streaming(args.smoke));
     offline.slicing = Some(run_slicing(args.smoke));
@@ -907,27 +818,6 @@ fn main() {
             "  {:<24} {:<9} states={:<6} p50={}us p95={}us  {:.0} states/s",
             c.name, c.engine, c.states, c.wall.p50_us, c.wall.p95_us, c.states_per_sec
         );
-    }
-    if let Some(ss) = &offline.shard_sweep {
-        println!(
-            "  shard_sweep {} states={} flat: construct p50={}us index p50={}us (deterministic={})",
-            ss.workload,
-            ss.states,
-            ss.flat_construct_p50_us,
-            ss.flat_index_p50_us,
-            ss.deterministic
-        );
-        for c in &ss.cases {
-            println!(
-                "    shards={} rounds={} construct p50={}us ({:.2}x vs flat) index p50={}us words={:?}",
-                c.shards,
-                c.rounds,
-                c.construct_p50_us,
-                c.speedup_vs_flat,
-                c.index_p50_us,
-                c.per_shard_words
-            );
-        }
     }
     if let Some(o) = &offline.overlap {
         println!(
@@ -1069,14 +959,6 @@ fn main() {
          ({per_span_ns:.2}ns/span × {spans} spans over {seq_total_us}us)"
     );
 
-    // The gate compares the sharded construction at the highest measured
-    // shard count (the headline configuration).
-    let shard_p50 = offline
-        .shard_sweep
-        .as_ref()
-        .and_then(|s| s.cases.last())
-        .map(|c| c.construct_p50_us);
-
     if let Some(path) = &args.write_baseline {
         let b = Baseline {
             recorded: format!(
@@ -1087,7 +969,6 @@ fn main() {
             states_per_sec: sweep.sequential.states_per_sec,
             per_seed_p50_us: sweep.sequential.per_seed.p50_us,
             per_seed_p95_us: sweep.sequential.per_seed.p95_us,
-            shard_construct_p50_us: shard_p50,
             streaming_append_events_per_sec: offline
                 .streaming
                 .as_ref()
@@ -1120,7 +1001,6 @@ fn main() {
             &baseline,
             &compare_path.display().to_string(),
             &sweep.sequential,
-            shard_p50,
             offline.streaming.as_ref(),
             offline.slicing.as_ref(),
             offline.sim_core.as_ref(),

@@ -67,49 +67,6 @@ pub struct OfflineCase {
     pub feasible: bool,
 }
 
-/// One sharded construction of the `shard_sweep` headline, measured
-/// against the flat (single-shard) store on the same workload.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct ShardCase {
-    /// Shard count requested via `ShardPlan::with_shards`.
-    pub shards: usize,
-    /// Level-synchronised frontier rounds the fill needed.
-    pub rounds: usize,
-    /// Median wall time of sharded `from_parts_with_plan` (µs).
-    pub construct_p50_us: u64,
-    /// Median wall time of the sharded `IntervalIndex::build` (µs).
-    pub index_p50_us: u64,
-    /// `flat_construct_p50_us / construct_p50_us` — reported honestly; on a
-    /// single-core runner this hovers at or below 1.
-    pub speedup_vs_flat: f64,
-    /// Arena words allocated per shard (the per-shard `n·S_shard` bound,
-    /// mirrored from the `arena_allocated_words_shard*` profiler gauges).
-    pub per_shard_words: Vec<usize>,
-    /// Whether every clock and the interval index were bit-identical to the
-    /// flat store (hard-asserted by the harness before writing).
-    pub identical_to_flat: bool,
-}
-
-/// The `shard_sweep` headline: flat-vs-sharded construction and index
-/// build on one clustered (pipelined, ring-message) workload.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct ShardSweep {
-    /// Workload label, e.g. `pipelined_n8_p48`.
-    pub workload: String,
-    /// Process count `n`.
-    pub processes: usize,
-    /// Total local states.
-    pub states: usize,
-    /// Median wall time of flat (`ShardPlan::single`) construction (µs).
-    pub flat_construct_p50_us: u64,
-    /// Median wall time of the flat `IntervalIndex::build` (µs).
-    pub flat_index_p50_us: u64,
-    /// One entry per measured shard count.
-    pub cases: Vec<ShardCase>,
-    /// All cases bit-identical to the flat store.
-    pub deterministic: bool,
-}
-
 /// The pathological many-intervals `find_overlap` case: the worklist
 /// search over `T` total intervals that the quadratic rescan made `O(T·n²)`.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -132,7 +89,7 @@ pub struct OverlapCase {
 /// sustained append throughput into one session, and query latency while a
 /// concurrent writer floods the same session. Gated by `--compare` against
 /// baselines that carry the streaming fields; older baselines degrade to
-/// the sweep/shard scenarios with a note.
+/// the sweep scenarios with a note.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct StreamingBench {
     /// Workload label, e.g. `random_n4_e1200`.
@@ -252,9 +209,6 @@ pub struct OfflineReport {
     pub smoke: bool,
     /// Measured cases.
     pub cases: Vec<OfflineCase>,
-    /// Sharded-store headline (absent in reports from older harnesses).
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub shard_sweep: Option<ShardSweep>,
     /// Pathological `find_overlap` case (absent in older reports).
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub overlap: Option<OverlapCase>,
@@ -299,10 +253,6 @@ pub struct Baseline {
     pub per_seed_p50_us: u64,
     /// Baseline per-seed p95 (µs).
     pub per_seed_p95_us: u64,
-    /// Baseline sharded-construction p50 of the `shard_sweep` headline
-    /// (µs); absent in baselines recorded before the sharded store.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub shard_construct_p50_us: Option<u64>,
     /// Baseline sustained append throughput of the streaming section
     /// (events/s); absent in baselines frozen before streaming scenarios.
     #[serde(default, skip_serializing_if = "Option::is_none")]
@@ -421,7 +371,6 @@ impl CompareReport {
         baseline: &Baseline,
         baseline_path: &str,
         current: &SweepMode,
-        shard_construct_p50_us: Option<u64>,
         streaming: Option<&StreamingBench>,
         slicing: Option<&SlicingBench>,
         sim_core: Option<&SimCoreBench>,
@@ -481,19 +430,8 @@ impl CompareReport {
                 true,
             ),
         ];
-        // The shard scenario only exists when both sides carry it: baselines
-        // recorded before the sharded store compare on the four sweep
-        // scenarios exactly as before.
-        if let (Some(base), Some(cur)) = (baseline.shard_construct_p50_us, shard_construct_p50_us) {
-            cases.push(case(
-                "shard_construct_p50_us",
-                "us",
-                base as f64,
-                cur as f64,
-                true,
-            ));
-        }
-        // Streaming scenarios: same both-sides rule. A baseline frozen
+        // Streaming scenarios exist only when both sides carry them. A
+        // baseline frozen
         // before the streaming section compares on the scenarios above
         // exactly as before; once both sides carry streaming numbers the
         // daemon path is gated like any other hot path.
@@ -645,7 +583,6 @@ mod tests {
                 states_per_sec: 4e5,
                 per_seed_p50_us: 30,
                 per_seed_p95_us: 60,
-                shard_construct_p50_us: None,
                 streaming_append_events_per_sec: None,
                 streaming_append_p50_us: None,
                 streaming_query_p50_us: None,
@@ -668,7 +605,6 @@ mod tests {
             states_per_sec: 1e6,
             per_seed_p50_us: 1000,
             per_seed_p95_us: 2000,
-            shard_construct_p50_us: None,
             streaming_append_events_per_sec: None,
             streaming_append_p50_us: None,
             streaming_query_p50_us: None,
@@ -706,7 +642,6 @@ mod tests {
             None,
             None,
             None,
-            None,
             25.0,
             0.0,
             false,
@@ -720,7 +655,6 @@ mod tests {
             &baseline(),
             "b.json",
             &fast,
-            None,
             None,
             None,
             None,
@@ -740,7 +674,6 @@ mod tests {
             &baseline(),
             "b.json",
             &cur,
-            None,
             None,
             None,
             None,
@@ -768,7 +701,6 @@ mod tests {
             None,
             None,
             None,
-            None,
             25.0,
             0.0,
             false,
@@ -778,7 +710,6 @@ mod tests {
             &baseline(),
             "b.json",
             &cur,
-            None,
             None,
             None,
             None,
@@ -801,7 +732,6 @@ mod tests {
             None,
             None,
             None,
-            None,
             25.0,
             0.0,
             true,
@@ -812,70 +742,51 @@ mod tests {
     }
 
     #[test]
-    fn shard_scenario_requires_both_sides() {
+    fn committed_prerefactor_baseline_still_compares() {
+        // The committed baseline still carries the key of a retired
+        // construction scenario; unknown keys are ignored, so it parses and
+        // gates every remaining scenario.
+        let b: Baseline =
+            serde_json::from_str(include_str!("../../../docs/results/BENCH_prerefactor.json"))
+                .unwrap();
         let cur = mode(100.0, 1e6, 1000, 2000);
-        // Old baseline, new harness: no shard case.
-        let r = CompareReport::of(
-            &baseline(),
-            "b.json",
-            &cur,
-            Some(500),
-            None,
-            None,
-            None,
-            25.0,
-            0.0,
-            false,
-        );
-        assert_eq!(r.cases.len(), 4, "{r:?}");
-        // Both sides carry shard numbers: fifth scenario participates.
-        let mut b = baseline();
-        b.shard_construct_p50_us = Some(400);
         let r = CompareReport::of(
             &b,
-            "b.json",
+            "BENCH_prerefactor.json",
             &cur,
-            Some(500),
-            None,
-            None,
-            None,
+            Some(&streaming_section(5e4, 20, 40)),
+            Some(&slicing_section(20, 1, 5.0)),
+            Some(&sim_core_section(3e5)),
             25.0,
             0.0,
             false,
         );
-        assert_eq!(r.cases.len(), 5);
-        let c = r.cases.last().unwrap();
-        assert_eq!(c.scenario, "shard_construct_p50_us");
-        assert!((c.worse_pct - 25.0).abs() < 1e-9, "{c:?}");
-        assert!(!c.regressed, "exactly at threshold is not past it");
-        // And it regresses past the gate like any other scenario.
-        let r = CompareReport::of(
-            &b,
-            "b.json",
-            &cur,
-            Some(600),
-            None,
-            None,
-            None,
-            25.0,
-            0.0,
-            false,
+        let scenarios: Vec<&str> = r.cases.iter().map(|c| c.scenario.as_str()).collect();
+        assert_eq!(
+            scenarios,
+            [
+                "sweep_total_ms",
+                "sweep_states_per_sec",
+                "sweep_per_seed_p50_us",
+                "sweep_per_seed_p95_us",
+                "streaming_append_events_per_sec",
+                "streaming_append_p50_us",
+                "streaming_query_p50_us",
+                "slicing_construct_p50_us",
+                "slicing_control_p50_us",
+                "slicing_pruning_ratio",
+                "sim_core_events_per_sec",
+            ]
         );
-        assert!(!r.passed);
-        assert_eq!(r.regressions, 1, "{r:?}");
-        // A baseline with shard numbers but an old-harness run without them
-        // also degrades to four scenarios.
-        let r = CompareReport::of(&b, "b.json", &cur, None, None, None, None, 25.0, 0.0, false);
-        assert_eq!(r.cases.len(), 4);
     }
 
     #[test]
-    fn baseline_without_shard_field_parses() {
-        // Committed pre-shard baselines must keep deserializing.
+    fn baseline_with_only_sweep_fields_parses() {
+        // Baselines frozen before the optional scenarios must keep
+        // deserializing.
         let json = r#"{"recorded":"old","total_ms":1.0,"states_per_sec":2.0,
                        "per_seed_p50_us":3,"per_seed_p95_us":4}"#;
         let b: Baseline = serde_json::from_str(json).unwrap();
-        assert_eq!(b.shard_construct_p50_us, None);
         assert_eq!(b.streaming_append_events_per_sec, None);
         assert_eq!(b.streaming_append_p50_us, None);
         assert_eq!(b.streaming_query_p50_us, None);
@@ -921,7 +832,6 @@ mod tests {
             &baseline(),
             "b.json",
             &cur,
-            None,
             Some(&s),
             None,
             None,
@@ -935,18 +845,7 @@ mod tests {
         b.streaming_append_events_per_sec = Some(20_000.0);
         b.streaming_append_p50_us = Some(40);
         b.streaming_query_p50_us = Some(800);
-        let r = CompareReport::of(
-            &b,
-            "b.json",
-            &cur,
-            None,
-            Some(&s),
-            None,
-            None,
-            25.0,
-            0.0,
-            false,
-        );
+        let r = CompareReport::of(&b, "b.json", &cur, Some(&s), None, None, 25.0, 0.0, false);
         assert_eq!(r.cases.len(), 7, "{r:?}");
         assert!(r.passed, "identical streaming numbers pass: {r:?}");
         let names: Vec<&str> = r.cases.iter().map(|c| c.scenario.as_str()).collect();
@@ -959,7 +858,6 @@ mod tests {
             &b,
             "b.json",
             &cur,
-            None,
             Some(&slow),
             None,
             None,
@@ -977,18 +875,7 @@ mod tests {
         assert!(c.regressed && !c.lower_is_better, "{c:?}");
         // Injected slowdown worsens streaming scenarios too (gate
         // self-test covers the daemon path).
-        let r = CompareReport::of(
-            &b,
-            "b.json",
-            &cur,
-            None,
-            Some(&s),
-            None,
-            None,
-            25.0,
-            100.0,
-            false,
-        );
+        let r = CompareReport::of(&b, "b.json", &cur, Some(&s), None, None, 25.0, 100.0, false);
         assert_eq!(r.regressions, 7, "{r:?}");
     }
 
@@ -1009,23 +896,6 @@ mod tests {
                 control_tuples: 12,
                 feasible: true,
             }],
-            shard_sweep: Some(ShardSweep {
-                workload: "pipelined_n8_p48".into(),
-                processes: 8,
-                states: 3000,
-                flat_construct_p50_us: 120,
-                flat_index_p50_us: 40,
-                cases: vec![ShardCase {
-                    shards: 4,
-                    rounds: 3,
-                    construct_p50_us: 130,
-                    index_p50_us: 45,
-                    speedup_vs_flat: 0.92,
-                    per_shard_words: vec![6000, 6000, 6000, 6000],
-                    identical_to_flat: true,
-                }],
-                deterministic: true,
-            }),
             overlap: Some(OverlapCase {
                 workload: "pipelined_n8_p256".into(),
                 processes: 8,
@@ -1044,11 +914,10 @@ mod tests {
     }
 
     #[test]
-    fn offline_report_without_shard_sections_parses() {
+    fn offline_report_without_optional_sections_parses() {
         // Reports written by older harnesses omit the optional sections.
         let json = r#"{"schema":"pctl-bench-v1","bench":"offline","smoke":true,"cases":[]}"#;
         let r: OfflineReport = serde_json::from_str(json).unwrap();
-        assert_eq!(r.shard_sweep, None);
         assert_eq!(r.overlap, None);
         assert_eq!(r.streaming, None);
         assert_eq!(r.slicing, None);
@@ -1062,7 +931,6 @@ mod tests {
             bench: "offline".into(),
             smoke: true,
             cases: vec![],
-            shard_sweep: None,
             overlap: None,
             streaming: Some(StreamingBench {
                 workload: "random_n4_e1200".into(),
@@ -1119,7 +987,6 @@ mod tests {
             bench: "offline".into(),
             smoke: true,
             cases: vec![],
-            shard_sweep: None,
             overlap: None,
             streaming: None,
             slicing: Some(slicing_section(120, 60, 25.0)),
@@ -1141,7 +1008,6 @@ mod tests {
             "b.json",
             &cur,
             None,
-            None,
             Some(&sl),
             None,
             25.0,
@@ -1154,18 +1020,7 @@ mod tests {
         b.slicing_construct_p50_us = Some(120);
         b.slicing_control_p50_us = Some(60);
         b.slicing_pruning_ratio = Some(25.0);
-        let r = CompareReport::of(
-            &b,
-            "b.json",
-            &cur,
-            None,
-            None,
-            Some(&sl),
-            None,
-            25.0,
-            0.0,
-            false,
-        );
+        let r = CompareReport::of(&b, "b.json", &cur, None, Some(&sl), None, 25.0, 0.0, false);
         assert_eq!(r.cases.len(), 7, "{r:?}");
         assert!(r.passed, "identical slicing numbers pass: {r:?}");
         let names: Vec<&str> = r.cases.iter().map(|c| c.scenario.as_str()).collect();
@@ -1175,18 +1030,7 @@ mod tests {
         // The pruning ratio is higher-is-better: a slice that stops
         // pruning (ratio collapses toward 1) regresses the gate.
         let lax = slicing_section(120, 60, 5.0);
-        let r = CompareReport::of(
-            &b,
-            "b.json",
-            &cur,
-            None,
-            None,
-            Some(&lax),
-            None,
-            25.0,
-            0.0,
-            false,
-        );
+        let r = CompareReport::of(&b, "b.json", &cur, None, Some(&lax), None, 25.0, 0.0, false);
         assert!(!r.passed);
         assert_eq!(r.regressions, 1, "{r:?}");
         let c = r
@@ -1197,14 +1041,13 @@ mod tests {
         assert!(c.regressed && !c.lower_is_better, "{c:?}");
         // An old-harness run without a slicing section degrades to the
         // four sweep scenarios even against a slicing-aware baseline.
-        let r = CompareReport::of(&b, "b.json", &cur, None, None, None, None, 25.0, 0.0, false);
+        let r = CompareReport::of(&b, "b.json", &cur, None, None, None, 25.0, 0.0, false);
         assert_eq!(r.cases.len(), 4);
         // Injected slowdown worsens slicing scenarios too.
         let r = CompareReport::of(
             &b,
             "b.json",
             &cur,
-            None,
             None,
             Some(&sl),
             None,
@@ -1239,7 +1082,6 @@ mod tests {
             bench: "offline".into(),
             smoke: true,
             cases: vec![],
-            shard_sweep: None,
             overlap: None,
             streaming: None,
             slicing: None,
@@ -1262,7 +1104,6 @@ mod tests {
             &cur,
             None,
             None,
-            None,
             Some(&sc),
             25.0,
             0.0,
@@ -1272,18 +1113,7 @@ mod tests {
         // Re-frozen baseline: the engine-throughput scenario participates.
         let mut b = baseline();
         b.sim_core_events_per_sec = Some(1.0e7);
-        let r = CompareReport::of(
-            &b,
-            "b.json",
-            &cur,
-            None,
-            None,
-            None,
-            Some(&sc),
-            25.0,
-            0.0,
-            false,
-        );
+        let r = CompareReport::of(&b, "b.json", &cur, None, None, Some(&sc), 25.0, 0.0, false);
         assert_eq!(r.cases.len(), 5, "{r:?}");
         assert!(r.passed, "identical throughput passes: {r:?}");
         let c = r.cases.last().unwrap();
@@ -1297,7 +1127,6 @@ mod tests {
             &cur,
             None,
             None,
-            None,
             Some(&slow),
             25.0,
             0.0,
@@ -1307,13 +1136,12 @@ mod tests {
         assert_eq!(r.regressions, 1, "{r:?}");
         // Old-harness run without the section degrades against the new
         // baseline, and the injected slowdown worsens the scenario too.
-        let r = CompareReport::of(&b, "b.json", &cur, None, None, None, None, 25.0, 0.0, false);
+        let r = CompareReport::of(&b, "b.json", &cur, None, None, None, 25.0, 0.0, false);
         assert_eq!(r.cases.len(), 4);
         let r = CompareReport::of(
             &b,
             "b.json",
             &cur,
-            None,
             None,
             None,
             Some(&sc),

@@ -100,20 +100,14 @@ fn compare_gate_passes_on_own_baseline_and_fails_on_injected_regression() {
     assert_eq!(field(&cmp, "passed"), serde_json::Value::Bool(false));
     let cases = field(&cmp, "cases");
     let cases = cases.as_array().expect("cases array");
-    // The self-written baseline carries shard, streaming, slicing, and
-    // sim_core numbers, so those scenarios participate alongside the four
-    // sweep scenarios.
+    // The self-written baseline carries streaming, slicing, and sim_core
+    // numbers, so those scenarios participate alongside the four sweep
+    // scenarios.
     assert_eq!(
         cases.len(),
-        12,
-        "four sweep scenarios + shard construction + three streaming \
-         scenarios + three slicing scenarios + sim_core throughput"
-    );
-    assert!(
-        cases
-            .iter()
-            .any(|c| field(c, "scenario").as_str() == Some("shard_construct_p50_us")),
-        "shard_sweep construction is gated: {cases:?}"
+        11,
+        "four sweep scenarios + three streaming scenarios + three slicing \
+         scenarios + sim_core throughput"
     );
     for scenario in [
         "streaming_append_events_per_sec",

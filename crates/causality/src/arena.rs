@@ -14,10 +14,11 @@
 //! `copy_within` + an indexed component-wise max — no per-state allocation
 //! at all — and reads hand out [`ClockRef`] slices that borrow the arena.
 //!
-//! [`fill_fidge_mattern`] is the shared clock-assignment DP used for both
-//! base causality (message edges) and extended causality (message + control
-//! edges); the extra merge edges are passed in CSR form (see
-//! [`csr_from_edges`]).
+//! [`fill_clocks`] is the one clock fill used for both base causality
+//! (message edges) and extended causality (message + control edges): a
+//! topological sort ([`topo_order_chained`], which also detects cycles),
+//! the merge edges in CSR form ([`csr_from_edges`]) and the row DP
+//! ([`fill_fidge_mattern`]).
 
 use crate::ids::ProcessId;
 use crate::order::Causality;
@@ -184,9 +185,9 @@ impl ClockArena {
     }
 
     /// Component-wise maximum of row `dst` with an *external* clock row —
-    /// one copied out of another arena. This is the cross-shard merge step
-    /// of the sharded DP: gather buffers hold rows from foreign shards, and
-    /// the owning shard folds them in without touching foreign storage.
+    /// one copied out of another arena. The incremental per-session store
+    /// keeps one arena per process, so a receive merges its sender's row
+    /// through this without touching the sender's storage.
     ///
     /// # Panics
     /// Panics if `src.len() != width()`.
@@ -207,8 +208,7 @@ impl ClockArena {
     }
 
     /// One Fidge–Mattern DP step — the single row-kernel shared by the
-    /// flat fill ([`fill_fidge_mattern`]), the sharded fill
-    /// (`fill_sharded`'s compute phase) and the incremental per-session
+    /// batch fill ([`fill_fidge_mattern`]) and the incremental per-session
     /// append. Row `r` becomes:
     ///
     /// 1. its local predecessor `r - 1` (skipped when `chain_start`; the
@@ -219,7 +219,7 @@ impl ClockArena {
     ///    out of *other* arenas, concatenated);
     /// 4. ticked in component `p`.
     ///
-    /// Keeping this in one place is what makes "sharded ≡ flat
+    /// Keeping this in one place is what makes "stream ≡ batch
     /// bit-identical" an invariant by construction rather than by parallel
     /// maintenance of two loop bodies.
     ///
@@ -444,6 +444,21 @@ pub fn fill_fidge_mattern(
     }
 }
 
+/// The Fidge–Mattern clocks of a whole computation in one flat arena.
+///
+/// `offsets` are the per-process row starts (`n + 1` entries, state
+/// `(p, k)` at row `offsets[p] + k`); `edges` are the `(dst, src)` merge
+/// pairs — messages, plus control pairs for extended causality. Returns
+/// `None` when the chains plus `edges` contain a cycle.
+pub fn fill_clocks(offsets: &[usize], edges: &[(u32, u32)]) -> Option<ClockArena> {
+    let order = topo_order_chained(offsets, edges)?;
+    let rows = *offsets.last().expect("offsets has n+1 entries");
+    let (moff, msrc) = csr_from_edges(rows, edges);
+    let mut arena = ClockArena::zeroed(offsets.len() - 1, rows);
+    fill_fidge_mattern(&mut arena, offsets, &order, &moff, &msrc);
+    Some(arena)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -522,6 +537,17 @@ mod tests {
         let pos = |r: u32| order.iter().position(|&x| x == r).unwrap();
         assert!(pos(0) < pos(1), "chain edge 0→1");
         assert!(pos(1) < pos(2), "cross edge 1→2");
+    }
+
+    #[test]
+    fn fill_clocks_matches_the_dp_and_rejects_cycles() {
+        // P0: rows 0,1; P1: rows 2,3; message row 0 → row 3.
+        let arena = fill_clocks(&[0, 2, 4], &[(3, 0)]).expect("acyclic");
+        assert_eq!(arena.row(1).entries(), &[2, 0]);
+        assert_eq!(arena.row(3).entries(), &[1, 2]);
+        assert_eq!(arena.allocated_words(), 2 * 4);
+        assert_eq!(fill_clocks(&[0, 2, 4], &[(0, 3), (2, 1)]), None);
+        assert_eq!(fill_clocks(&[0], &[]).unwrap().allocated_words(), 0);
     }
 
     #[test]

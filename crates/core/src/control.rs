@@ -13,9 +13,9 @@
 //! under extended causality — the controlled computation's global sequences
 //! are exactly the base computation's global sequences that respect `C→`.
 
-use pctl_causality::{ClockRef, Dag, ProcessId, StateId};
-use pctl_deposet::shard::fill_sharded;
-use pctl_deposet::{Deposet, GlobalState, ShardedClocks};
+use pctl_causality::arena::fill_clocks;
+use pctl_causality::{ClockArena, ClockRef, Dag, ProcessId, StateId};
+use pctl_deposet::{Deposet, GlobalState};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashSet, VecDeque};
 use std::fmt;
@@ -124,16 +124,15 @@ impl std::error::Error for ControlError {}
 
 /// A deposet extended with a non-interfering control relation.
 ///
-/// Owns recomputed *extended* vector clocks in a [`ShardedClocks`] store
-/// under the base deposet's shard plan (same row layout and `(shard, local
-/// row)` addressing as the base store, with the control pairs threaded
-/// through the frontier-round DP as extra cross-edges); all queries
-/// (`precedes`, consistency, lattice enumeration) are under `C→ ∪ →`.
+/// Owns recomputed *extended* vector clocks in one [`ClockArena`] with the
+/// base deposet's row layout (the control pairs are extra merge edges of
+/// the same fill); all queries (`precedes`, consistency, lattice
+/// enumeration) are under `C→ ∪ →`.
 #[derive(Debug)]
 pub struct ControlledDeposet<'a> {
     base: &'a Deposet,
     control: ControlRelation,
-    ext_clocks: ShardedClocks,
+    ext_clocks: ClockArena,
 }
 
 /// A cycle of the extended relation `→ ∪ C→` over `dep`'s states, in order
@@ -184,10 +183,8 @@ impl<'a> ControlledDeposet<'a> {
         let n = dep.process_count();
         let total = offsets[n];
         let node = |s: StateId| offsets[s.process.index()] + s.idx();
-        // Extended Fidge–Mattern clocks under the base deposet's shard
-        // plan: the same sharded DP as the base store, with control pairs
-        // as extra merge edges (cross-shard ones resolve in the frontier
-        // rounds alongside the messages).
+        // Extended Fidge–Mattern clocks: the same fill as the base store,
+        // with the control pairs as extra merge edges.
         let mut edges: Vec<(u32, u32)> = dep
             .messages()
             .iter()
@@ -199,14 +196,14 @@ impl<'a> ControlledDeposet<'a> {
                 .iter()
                 .map(|&(x, y)| (node(y) as u32, node(x) as u32)),
         );
-        let Some(ext_clocks) = fill_sharded(dep.shard_plan(), offsets, &edges) else {
+        let Some(ext_clocks) = fill_clocks(offsets, &edges) else {
             // The fill detects a cycle but cannot name it; only then is the
             // explicit graph built, to extract the offending states.
             return Err(ControlError::Interference {
                 cycle: interference_cycle(dep, &control),
             });
         };
-        assert_eq!(ext_clocks.total_allocated_words(), n * total);
+        assert_eq!(ext_clocks.allocated_words(), n * total);
         Ok(ControlledDeposet {
             base: dep,
             control,
@@ -224,27 +221,16 @@ impl<'a> ControlledDeposet<'a> {
         &self.control
     }
 
-    /// The extended clock store (per-shard slabs under the base deposet's
-    /// plan).
-    pub fn ext_clocks(&self) -> &ShardedClocks {
-        &self.ext_clocks
-    }
-
-    /// Extended clock of a state (a borrowed row of its shard's extended
-    /// arena).
+    /// Extended clock of a state (a borrowed row of the extended arena).
     pub fn clock(&self, s: StateId) -> ClockRef<'_> {
-        self.ext_clocks.row(s.process, self.base.row_of(s))
+        self.ext_clocks.row(self.base.row_of(s))
     }
 
     /// `s C→∪→ t` under extended causality.
     pub fn precedes(&self, s: StateId, t: StateId) -> bool {
         s != t
-            && self
-                .ext_clocks
-                .word(s.process, self.base.row_of(s), s.process)
-                <= self
-                    .ext_clocks
-                    .word(t.process, self.base.row_of(t), s.process)
+            && self.ext_clocks.word(self.base.row_of(s), s.process)
+                <= self.ext_clocks.word(self.base.row_of(t), s.process)
     }
 
     /// Concurrency under extended causality.

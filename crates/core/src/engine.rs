@@ -129,12 +129,6 @@ impl<'a> PredicateEngine<'a> {
         self.dep
     }
 
-    /// The shard plan the computation's store (and therefore this engine's
-    /// index build) ran under.
-    pub fn shard_plan(&self) -> &pctl_deposet::ShardPlan {
-        self.dep.shard_plan()
-    }
-
     /// The predicate under control/detection.
     ///
     /// # Panics
@@ -296,46 +290,6 @@ mod tests {
                     assert!(store::set_overlaps(&dep, &inf.witness), "seed {seed}");
                 }
             }
-        }
-    }
-
-    #[test]
-    fn engine_results_are_plan_independent() {
-        use pctl_deposet::{Deposet, ShardPlan};
-        for seed in 0..8 {
-            let dep = random_deposet(
-                &RandomConfig {
-                    processes: 4,
-                    events: 30,
-                    ..RandomConfig::default()
-                },
-                seed,
-            );
-            let (st, ev, ms) = dep.clone().into_parts();
-            let sharded =
-                Deposet::from_parts_with_plan(st, ev, ms, Some(ShardPlan::with_shards(4, 2)))
-                    .unwrap();
-            let pred = DisjunctivePredicate::at_least_one(4, "ok");
-            let flat_eng = PredicateEngine::new(&dep, pred.clone());
-            let shard_eng = PredicateEngine::new(&sharded, pred);
-            assert_eq!(shard_eng.shard_plan().shard_count(), 2);
-            let opts = OfflineOptions::default();
-            assert_eq!(
-                flat_eng.control(opts),
-                shard_eng.control(opts),
-                "seed {seed}"
-            );
-            assert_eq!(
-                flat_eng.infeasibility_witness(),
-                shard_eng.infeasibility_witness(),
-                "seed {seed}"
-            );
-            assert_eq!(
-                flat_eng.detect_violation(),
-                shard_eng.detect_violation(),
-                "seed {seed}"
-            );
-            assert_eq!(flat_eng.intervals(), shard_eng.intervals(), "seed {seed}");
         }
     }
 

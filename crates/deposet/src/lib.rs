@@ -19,9 +19,6 @@
 //! * the computation [`store`] — the single home of the Lemma 2
 //!   crossable/overlap primitives and a precomputed truth/interval index,
 //!   built by one sequential pass over the processes;
-//! * the [`shard`] layer — per-shard clock-arena slabs under a
-//!   [`shard::ShardPlan`], with a level-synchronised frontier-round DP that
-//!   scales construction toward multi-million-state computations;
 //! * computation [`slice`]s for *regular* predicates (Mittal–Garg) — the
 //!   join-irreducible sub-computation containing exactly the satisfying
 //!   consistent cuts, with the [`predicate::PredicateClass`] abstraction
@@ -45,7 +42,6 @@ pub mod predicate;
 pub mod scenarios;
 pub mod sequences;
 pub mod session;
-pub mod shard;
 pub mod slice;
 pub mod state;
 pub mod store;
@@ -63,7 +59,6 @@ pub use predicate::{
 };
 pub use sequences::{GlobalSequence, SequenceError};
 pub use session::{linearize, AppendOp, SessionError, SessionStore};
-pub use shard::{ShardPlan, ShardedClocks};
 pub use slice::SlicedDeposet;
 pub use state::{LocalState, Variables};
 pub use store::IntervalIndex;

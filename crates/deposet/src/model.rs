@@ -14,10 +14,9 @@
 //! `s → t ⇔ s ≠ t ∧ V(s)[proc(s)] ≤ V(t)[proc(s)]`.
 
 use crate::event::{EventKind, Message};
-use crate::shard::{fill_sharded, ShardPlan, ShardedClocks};
 use crate::state::LocalState;
-use pctl_causality::arena::MAX_ROWS;
-use pctl_causality::{Causality, ClockRef, MsgId, ProcessId, StateId};
+use pctl_causality::arena::{fill_clocks, MAX_ROWS};
+use pctl_causality::{Causality, ClockArena, ClockRef, MsgId, ProcessId, StateId};
 use std::fmt;
 
 /// A distributed computation (see module docs).
@@ -26,14 +25,10 @@ use std::fmt;
 /// [`DeposetBuilder`](crate::builder::DeposetBuilder) or
 /// [`Deposet::from_parts`].
 ///
-/// Clocks live in a [`ShardedClocks`] store: one columnar `ClockArena` slab
-/// of exactly `n · S_shard` words per shard of a [`ShardPlan`] (`n`
-/// processes, `S` states total), with state `(p, k)` at global row
-/// `offsets[p] + k` addressed as `(shard, local row)`. Construction fills
-/// the slabs in place — shard-parallel, with cross-shard message edges
-/// resolved in frontier rounds — and never allocates per state. The default
-/// plan is [`ShardPlan::auto`]; pass an explicit plan through
-/// [`Deposet::from_parts_with_plan`].
+/// Clocks live in one columnar [`ClockArena`] of exactly `n · S` words (`n`
+/// processes, `S` states total), with state `(p, k)` at row
+/// `offsets[p] + k`. Construction fills the arena in place and never
+/// allocates per state.
 #[derive(Clone, Debug)]
 pub struct Deposet {
     states: Vec<Vec<LocalState>>,
@@ -42,7 +37,7 @@ pub struct Deposet {
     /// Flat row offsets: state `(p, k)` is row `offsets[p] + k`;
     /// `offsets[n]` is the total state count.
     offsets: Vec<usize>,
-    clocks: ShardedClocks,
+    clocks: ClockArena,
 }
 
 /// Errors detected while validating deposet structure (D1–D3 and message
@@ -131,23 +126,6 @@ impl Deposet {
         events: Vec<Vec<EventKind>>,
         messages: Vec<Message>,
     ) -> Result<Self, DeposetError> {
-        Self::from_parts_with_plan(states, events, messages, None)
-    }
-
-    /// [`from_parts`](Self::from_parts) with an explicit [`ShardPlan`]
-    /// (`None` selects [`ShardPlan::auto`]): the plan decides how the clock
-    /// store is partitioned into per-shard arena slabs and how much of
-    /// construction runs shard-parallel. Any plan yields bit-identical
-    /// clocks; the partition only affects layout and parallelism.
-    ///
-    /// # Panics
-    /// Panics if an explicit plan covers a different process count.
-    pub fn from_parts_with_plan(
-        states: Vec<Vec<LocalState>>,
-        events: Vec<Vec<EventKind>>,
-        messages: Vec<Message>,
-        plan: Option<ShardPlan>,
-    ) -> Result<Self, DeposetError> {
         let _prof = pctl_prof::span("deposet_from_parts");
         let n = states.len();
         if events.len() != n {
@@ -235,40 +213,19 @@ impl Deposet {
         // downstream) when the computation exceeds 32-bit addressing.
         ensure_addressable(total)?;
 
-        // Topological sorting and the clock DP run under the shard plan:
-        // per-shard sorts + intra-shard merges in parallel, cross-shard
-        // message edges resolved in frontier rounds (a cycle anywhere ⇒
-        // invalid). The local chains stay implicit in `offsets` and the
-        // message edges are flat `(dst, src)` pairs, so no per-state
-        // adjacency list is ever built — construction is the hot path of
-        // every multi-seed sweep.
-        let plan = plan.unwrap_or_else(|| ShardPlan::auto(n, total));
-        assert_eq!(
-            plan.process_count(),
-            n,
-            "shard plan covers a different process count"
-        );
+        // One topological sort (a cycle ⇒ invalid) and one clock DP. The
+        // local chains stay implicit in `offsets` and the message edges are
+        // flat `(dst, src)` pairs, so no per-state adjacency list is ever
+        // built — construction is the hot path of every multi-seed sweep.
         let row = |s: StateId| offsets[s.process.index()] + s.idx();
         let edges: Vec<(u32, u32)> = messages
             .iter()
             .map(|m| (row(m.to) as u32, row(m.from) as u32))
             .collect();
-        let clocks = fill_sharded(&plan, &offsets, &edges).ok_or(DeposetError::CausalityCycle)?;
-        // The O(n·S)-words storage bound the columnar layout exists for —
-        // held per shard (asserted inside the fill) and in total.
-        assert_eq!(clocks.total_allocated_words(), n * total);
-        pctl_prof::set_gauge(
-            "arena_allocated_words",
-            clocks.total_allocated_words() as u64,
-        );
-        pctl_prof::set_gauge("shard_count", clocks.shard_count() as u64);
-        pctl_prof::set_gauge("fill_rounds", clocks.rounds() as u64);
-        for s in 0..clocks.shard_count() {
-            pctl_prof::set_gauge(
-                &format!("arena_allocated_words_shard{s}"),
-                clocks.arena(s).allocated_words() as u64,
-            );
-        }
+        let clocks = fill_clocks(&offsets, &edges).ok_or(DeposetError::CausalityCycle)?;
+        // The O(n·S)-words storage bound the columnar layout exists for.
+        assert_eq!(clocks.allocated_words(), n * total);
+        pctl_prof::set_gauge("arena_allocated_words", clocks.allocated_words() as u64);
 
         Ok(Deposet {
             states,
@@ -290,18 +247,6 @@ impl Deposet {
     #[inline]
     pub fn row_of(&self, id: StateId) -> usize {
         self.offsets[id.process.index()] + id.idx()
-    }
-
-    /// The sharded columnar clock store for the whole computation.
-    #[inline]
-    pub fn sharded_clocks(&self) -> &ShardedClocks {
-        &self.clocks
-    }
-
-    /// The shard plan the clock store was built with.
-    #[inline]
-    pub fn shard_plan(&self) -> &ShardPlan {
-        self.clocks.plan()
     }
 
     /// Number of processes `n`.
@@ -372,11 +317,10 @@ impl Deposet {
         id.process.index() < self.states.len() && id.idx() < self.states[id.process.index()].len()
     }
 
-    /// The vector clock of state `id` (a borrowed row of its shard's
-    /// arena).
+    /// The vector clock of state `id` (a borrowed row of the arena).
     #[inline]
     pub fn clock(&self, id: StateId) -> ClockRef<'_> {
-        self.clocks.row(id.process, self.row_of(id))
+        self.clocks.row(self.row_of(id))
     }
 
     /// `s ≺ t`: same process and s strictly earlier (transitive closure of
@@ -392,13 +336,12 @@ impl Deposet {
     }
 
     /// `s → t`: causally precedes (happened-before). O(1): two word reads
-    /// from the sharded clock store (`V(s)[proc(s)] ≤ V(t)[proc(s)]`, each
-    /// addressed as `(shard, local row)`).
+    /// from the clock arena (`V(s)[proc(s)] ≤ V(t)[proc(s)]`).
     #[inline]
     pub fn precedes(&self, s: StateId, t: StateId) -> bool {
         s != t
-            && self.clocks.word(s.process, self.row_of(s), s.process)
-                <= self.clocks.word(t.process, self.row_of(t), s.process)
+            && self.clocks.word(self.row_of(s), s.process)
+                <= self.clocks.word(self.row_of(t), s.process)
     }
 
     /// `s →̲ t`: causally precedes or equal.
@@ -597,23 +540,6 @@ mod tests {
             }
         );
         assert!(err.to_string().contains("32-bit row addressing"), "{err}");
-    }
-
-    #[test]
-    fn explicit_shard_plan_yields_identical_clocks() {
-        use crate::shard::ShardPlan;
-        let flat = two_proc_one_msg();
-        let (st, ev, ms) = two_proc_one_msg().into_parts();
-        let sharded =
-            Deposet::from_parts_with_plan(st, ev, ms, Some(ShardPlan::with_shards(2, 2))).unwrap();
-        assert_eq!(sharded.sharded_clocks().shard_count(), 2);
-        assert_eq!(sharded.shard_plan().shard_count(), 2);
-        for s in flat.state_ids() {
-            assert_eq!(flat.clock(s), sharded.clock(s), "clock of {s}");
-            for t in flat.state_ids() {
-                assert_eq!(flat.precedes(s, t), sharded.precedes(s, t));
-            }
-        }
     }
 
     #[test]

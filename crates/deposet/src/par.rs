@@ -1,7 +1,7 @@
 //! Deterministic scoped-thread fan-out.
 //!
 //! Only *coarse*, embarrassingly parallel layers fan out — per-seed
-//! verification sweeps, per-scenario bench fan-out, the sharded clock DP.
+//! verification sweeps and per-scenario bench fan-out.
 //! The per-process loops inside one computation's builds (interval index,
 //! false-interval extraction, the fault audit's column scan) stay
 //! sequential: at the sizes they run at, a thread spawn costs more than
@@ -75,34 +75,6 @@ where
     out
 }
 
-/// Run `f` once per item with exclusive access, fanning out one scoped
-/// thread per item when more than one core is available.
-///
-/// The sharded clock DP uses this for its per-round gather/compute phases:
-/// each shard owns exactly one item (its arena or its gather buffer), the
-/// mutations are disjoint by construction, and the caller's closure only
-/// *reads* shared state — so the result is bit-identical to the sequential
-/// single-core run regardless of scheduling (same determinism argument as
-/// [`ordered_map`]).
-pub fn ordered_for_each_mut<T, F>(items: &mut [T], f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut T) + Sync,
-{
-    if worker_count(items.len()) <= 1 {
-        for (i, t) in items.iter_mut().enumerate() {
-            f(i, t);
-        }
-        return;
-    }
-    thread::scope(|s| {
-        for (i, t) in items.iter_mut().enumerate() {
-            let f = &f;
-            s.spawn(move || f(i, t));
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -138,16 +110,5 @@ mod tests {
         assert_eq!(worker_count(0), 1);
         assert!(worker_count(1) >= 1);
         assert!(worker_count(1000) >= 1);
-    }
-
-    #[test]
-    fn for_each_mut_touches_every_item_once() {
-        let mut items: Vec<u64> = (0..17).collect();
-        ordered_for_each_mut(&mut items, |i, x| *x += 100 * i as u64);
-        for (i, x) in items.iter().enumerate() {
-            assert_eq!(*x, i as u64 + 100 * i as u64);
-        }
-        let mut none: Vec<u64> = Vec::new();
-        ordered_for_each_mut(&mut none, |_, _| unreachable!());
     }
 }

@@ -192,44 +192,6 @@ proptest! {
         }
     }
 
-    /// The sharded store is bit-identical to the flat store under every
-    /// plan: same clocks, same `precedes` verdicts, same interval index.
-    /// The merges are component-wise max over the same edge multiset, so
-    /// the partition must not be observable — this is the determinism
-    /// contract of `shard::fill_sharded`.
-    #[test]
-    fn sharded_store_is_bit_identical_to_flat(
-        (cfg, seed) in arb_config(),
-        shards in 1usize..6,
-    ) {
-        let flat = random_deposet(&cfg, seed);
-        let n = flat.process_count();
-        let (st, ev, ms) = flat.clone().into_parts();
-        let sharded = Deposet::from_parts_with_plan(
-            st,
-            ev,
-            ms,
-            Some(pctl_deposet::ShardPlan::with_shards(n, shards)),
-        )
-        .expect("same parts validate under any plan");
-        let ids: Vec<StateId> = flat.state_ids().collect();
-        for &s in &ids {
-            prop_assert_eq!(sharded.clock(s), flat.clock(s), "clock of {:?}", s);
-            for &t in &ids {
-                prop_assert_eq!(
-                    sharded.precedes(s, t),
-                    flat.precedes(s, t),
-                    "precedes({:?},{:?})", s, t
-                );
-            }
-        }
-        let pred = pctl_deposet::DisjunctivePredicate::at_least_one(n, "ok");
-        prop_assert_eq!(
-            pctl_deposet::IntervalIndex::build(&sharded, &pred),
-            pctl_deposet::IntervalIndex::build(&flat, &pred)
-        );
-    }
-
     /// The worklist `find_overlap` computes the same answer — including the
     /// exact witness — as the quadratic restart-from-scratch formulation it
     /// replaced (discards are permanently justified, so the fixpoint is

@@ -27,7 +27,8 @@ pub struct Percentiles {
 /// least `p`% of the distribution at or below it.
 pub fn nearest_rank(sorted: &[u64], p: u32) -> u64 {
     assert!(!sorted.is_empty() && (1..=100).contains(&p));
-    let rank = (sorted.len() as u64 * p as u64).div_ceil(100) as usize;
+    // Widened: `len * p` overflows u64 for series past ~2^57 samples.
+    let rank = (sorted.len() as u128 * u128::from(p)).div_ceil(100) as usize;
     sorted[rank - 1]
 }
 

@@ -5,6 +5,7 @@
 //! claims (control messages per critical-section entry, response-time
 //! bounds `[2T, 2T + E_max]`, …).
 
+use pctl_obs::stats::nearest_rank;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -34,15 +35,6 @@ pub struct Summary {
     pub p95: u64,
     /// Nearest-rank 99th percentile.
     pub p99: u64,
-}
-
-/// Nearest-rank percentile (`1 ≤ p ≤ 100`) over a sorted, non-empty slice:
-/// the smallest sample with at least `p`% of the distribution at or below
-/// it.
-fn nearest_rank(sorted: &[u64], p: u32) -> u64 {
-    // Widened: `len * p` overflows u64 for series past ~2^57 samples.
-    let rank = (sorted.len() as u128 * u128::from(p)).div_ceil(100) as usize;
-    sorted[rank - 1]
 }
 
 impl Metrics {

@@ -27,8 +27,7 @@ const USAGE: &str = "\
 pctl — predicate control for active debugging of distributed programs
 
 USAGE:
-  pctl info <trace.json> [--shards N]       (N: rebuild the store under an
-               explicit shard plan and print its shape)
+  pctl info <trace.json>
   pctl detect <trace.json> (--at-least-one VAR | --at-least-one-not VAR |
                --conjunct PROC:VAR ... [--channels-empty])
   pctl control <trace.json> (--at-least-one VAR | --at-least-one-not VAR |
@@ -102,7 +101,52 @@ Repeatable --conjunct PROC:VAR flags instead build the *regular* violation
 ∧ (VAR on process PROC) — a conjunction of locals the disjunctive wire form
 cannot express — optionally ∧ channels-empty; queries then run through the
 computation-slicing engine (detect is exact, control slice-then-delegates).
---quiet suppresses diagnostic output on stderr.";
+--quiet suppresses diagnostic output on stderr. A flag the command does not
+read is an error.";
+
+/// The flags each command reads, space-separated. `main` rejects any other
+/// flag before dispatch, so a mistyped or retired flag fails loudly instead
+/// of being ignored; `--quiet` is accepted everywhere.
+const ACCEPTED_FLAGS: &[(&str, &str)] = &[
+    ("info", ""),
+    (
+        "detect",
+        "at-least-one at-least-one-not conjunct channels-empty",
+    ),
+    (
+        "control",
+        "at-least-one at-least-one-not conjunct channels-empty naive random-seed",
+    ),
+    (
+        "verify",
+        "at-least-one at-least-one-not conjunct channels-empty control limit",
+    ),
+    (
+        "replay",
+        "at-least-one at-least-one-not control trace-out events-out",
+    ),
+    ("trace", "control out remote session"),
+    ("stats", "control prom"),
+    ("dot", "control vars"),
+    (
+        "gen",
+        "workload processes sections events seed fanout hops trace-out",
+    ),
+    (
+        "serve",
+        "addr metrics max-sessions memory-budget queue-depth idle-timeout-ms \
+         snapshot-dir fault-injection no-telemetry trace-ring slow-log slow-ms \
+         slow-log-max-bytes no-flight flight-interval-ms flight-history \
+         postmortem-dir anomaly-window-ms slo-p95-us busy-spike-per-sec",
+    ),
+    (
+        "stream",
+        "at-least-one at-least-one-not conjunct channels-empty addr session limit \
+         keep-open",
+    ),
+    ("top", "addr interval-ms once"),
+    ("postmortem", ""),
+];
 
 struct Args {
     positional: Vec<String>,
@@ -126,6 +170,22 @@ impl Args {
             }
         }
         Args { positional, flags }
+    }
+
+    /// The first flag `cmd` does not read, as an error (see
+    /// [`ACCEPTED_FLAGS`]). Commands missing from the table are not checked.
+    fn check_flags(&self, cmd: &str) -> Result<(), String> {
+        let Some((_, accepted)) = ACCEPTED_FLAGS.iter().find(|(c, _)| *c == cmd) else {
+            return Ok(());
+        };
+        match self
+            .flags
+            .iter()
+            .find(|(n, _)| n != "quiet" && !accepted.split_whitespace().any(|a| a == n))
+        {
+            Some((name, _)) => Err(format!("unknown flag --{name} for 'pctl {cmd}'")),
+            None => Ok(()),
+        }
     }
 
     fn flag(&self, name: &str) -> Option<&Option<String>> {
@@ -229,25 +289,7 @@ fn predicate_class(args: &Args, dep: &Deposet) -> Result<PredicateClass, String>
 
 fn cmd_info(args: &Args) -> Result<(), String> {
     let path = args.positional.first().ok_or("info: missing trace path")?;
-    let mut dep = load_trace(path)?;
-    // --shards N rebuilds the computation store under an explicit shard
-    // plan so its shape (rounds, per-shard slabs) can be inspected; the
-    // clocks are bit-identical to the default plan by construction.
-    if args.flag("shards").is_some() {
-        let k: usize = args.num("shards", 1)?;
-        if k == 0 {
-            return Err("--shards: must be at least 1".into());
-        }
-        let n = dep.process_count();
-        let (st, ev, ms) = dep.into_parts();
-        dep = predicate_control::deposet::Deposet::from_parts_with_plan(
-            st,
-            ev,
-            ms,
-            Some(predicate_control::deposet::ShardPlan::with_shards(n, k)),
-        )
-        .map_err(|e| format!("{path}: {e}"))?;
-    }
+    let dep = load_trace(path)?;
     println!("processes : {}", dep.process_count());
     println!("states    : {}", dep.total_states());
     println!("messages  : {}", dep.messages().len());
@@ -263,24 +305,10 @@ fn cmd_info(args: &Args) -> Result<(), String> {
             vars.into_iter().collect::<Vec<_>>().join(", ")
         );
     }
-    let sc = dep.sharded_clocks();
     println!(
-        "store     : {} shard(s), {} fill round(s), {} clock words total",
-        sc.shard_count(),
-        sc.rounds(),
-        sc.total_allocated_words()
+        "store     : {} clock words",
+        dep.process_count() * dep.total_states()
     );
-    if sc.shard_count() > 1 {
-        for s in 0..sc.shard_count() {
-            let procs = dep.shard_plan().processes_of(s);
-            println!(
-                "  shard {s}: processes {}..{}, {} words",
-                procs.start,
-                procs.end,
-                sc.arena(s).allocated_words()
-            );
-        }
-    }
     match lattice::count_consistent_global_states(&dep, 2_000_000) {
         Ok(c) => println!("consistent global states: {c}"),
         Err(_) => println!("consistent global states: > 2,000,000 (not enumerated)"),
@@ -968,6 +996,10 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     };
     let args = Args::parse(&argv[1..]);
+    if let Err(e) = args.check_flags(&cmd) {
+        eprintln!("error: {e}");
+        return ExitCode::FAILURE;
+    }
     let result = match cmd.as_str() {
         "info" => cmd_info(&args),
         "detect" => cmd_detect(&args),

@@ -48,21 +48,24 @@ fn full_session_through_the_cli() {
     let info = String::from_utf8_lossy(&out.stdout).to_string();
     assert!(info.contains("processes : 3"), "{info}");
     assert!(info.contains("vars {cs}"), "{info}");
-    assert!(info.contains("store     : 1 shard(s)"), "{info}");
+    let states: usize = info
+        .lines()
+        .find_map(|l| l.strip_prefix("states    : "))
+        .and_then(|v| v.trim().parse().ok())
+        .expect("info prints the state count");
+    assert!(
+        info.contains(&format!("store     : {} clock words", 3 * states)),
+        "{info}"
+    );
 
-    // info --shards: same computation under an explicit shard plan; the
-    // derived facts (consistent-cut count) must not change.
+    // A flag the command does not read is rejected, not ignored.
     let out = pctl(&["info", trace.to_str().unwrap(), "--shards", "3"]);
-    assert!(out.status.success());
-    let sharded = String::from_utf8_lossy(&out.stdout).to_string();
-    assert!(sharded.contains("store     : 3 shard(s)"), "{sharded}");
-    assert!(sharded.contains("shard 0: processes 0..1"), "{sharded}");
-    let cuts = |s: &str| {
-        s.lines()
-            .find(|l| l.starts_with("consistent global states"))
-            .map(str::to_owned)
-    };
-    assert_eq!(cuts(&info), cuts(&sharded), "plan must be unobservable");
+    assert!(!out.status.success());
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains("unknown flag --shards"),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 
     // detect: overlapping critical sections exist in this workload
     let out = pctl(&[
@@ -106,6 +109,25 @@ fn full_session_through_the_cli() {
         String::from_utf8_lossy(&out.stderr)
     );
     assert!(String::from_utf8_lossy(&out.stdout).contains("OK"));
+
+    // A typo in a flag name fails before the command runs.
+    let out = pctl(&[
+        "verify",
+        trace.to_str().unwrap(),
+        "--control",
+        control.to_str().unwrap(),
+        "--at-least-one-not",
+        "cs",
+        "--limt",
+        "5",
+    ]);
+    assert!(!out.status.success());
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains("unknown flag --limt"),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(out.stdout.is_empty(), "verify must not run");
 
     // replay under control: bug gone
     let out = pctl(&[
