@@ -111,8 +111,9 @@ fn parse_args() -> Args {
     args
 }
 
-fn micros(d: std::time::Duration) -> u64 {
-    d.as_micros() as u64
+/// A timing sample in nanoseconds: sub-microsecond cases must not read 0.
+fn nanos(d: std::time::Duration) -> u64 {
+    d.as_nanos() as u64
 }
 
 // ---------------------------------------------------------------- offline --
@@ -136,7 +137,7 @@ fn offline_case(
         let t0 = Instant::now();
         let intervals = FalseIntervals::extract(dep, pred);
         let (res, _stats) = control_intervals(dep, &intervals, opts);
-        samples.push(micros(t0.elapsed()));
+        samples.push(nanos(t0.elapsed()));
         intervals_per_process = intervals.max_per_process();
         match res {
             Ok(rel) => {
@@ -160,7 +161,7 @@ fn offline_case(
         processes: dep.process_count(),
         intervals_per_process,
         states,
-        states_per_sec: states as f64 / (wall.p50_us.max(1) as f64 / 1e6),
+        states_per_sec: states as f64 / (wall.p50_us.max(1e-3) / 1e6),
         wall,
         control_tuples: tuples,
         feasible,
@@ -239,7 +240,7 @@ fn run_slicing(smoke: bool) -> SlicingBench {
     // to be stable against scheduler noise (the whole loop is still
     // sub-millisecond).
     let (n, sections, reps, budget) = if smoke {
-        (3usize, 3usize, 5usize, 1_000_000usize)
+        (3usize, 3usize, 20usize, 1_000_000usize)
     } else {
         (4, 8, 60, 20_000_000)
     };
@@ -258,7 +259,7 @@ fn run_slicing(smoke: bool) -> SlicingBench {
     for _ in 0..reps {
         let t0 = Instant::now();
         let s = SlicedDeposet::build(&dep, &violation).expect("violation is a valid regular class");
-        construct.push(micros(t0.elapsed()));
+        construct.push(nanos(t0.elapsed()));
         slice = Some(s);
     }
     let slice = slice.expect("reps >= 1");
@@ -283,7 +284,7 @@ fn run_slicing(smoke: bool) -> SlicingBench {
         let t0 = Instant::now();
         detected = eng.detect_violation();
         feasible = eng.control(opts).is_ok();
-        sliced.push(micros(t0.elapsed()));
+        sliced.push(nanos(t0.elapsed()));
     }
 
     // Unsliced brute force: BFS the full cut lattice for a satisfying cut.
@@ -293,7 +294,7 @@ fn run_slicing(smoke: bool) -> SlicingBench {
         let t0 = Instant::now();
         brute = lattice::possibly(&dep, budget, |d, g| violation.eval(d, g))
             .expect("within the enumeration budget");
-        unsliced.push(micros(t0.elapsed()));
+        unsliced.push(nanos(t0.elapsed()));
     }
     assert_eq!(
         detected.is_some(),
@@ -332,7 +333,7 @@ fn run_sim_core(smoke: bool) -> SimCoreBench {
     use pctl_sim::{DelayModel, SimConfig, SimTime, StopReason};
 
     let (processes, fanout, hops, reps) = if smoke {
-        (8u32, 4u32, 64u32, 2usize)
+        (8u32, 4u32, 64u32, 5usize)
     } else {
         // 64 × 16 × 9766 = 10 000 384 deliveries ≥ 10⁷.
         (64, 16, 9_766, 3)
@@ -356,7 +357,7 @@ fn run_sim_core(smoke: bool) -> SimCoreBench {
     for _ in 0..reps {
         let t0 = Instant::now();
         let r = run();
-        samples.push(micros(t0.elapsed()));
+        samples.push(nanos(t0.elapsed()));
         assert_eq!(r.stopped, StopReason::Quiescent, "ring_flood must drain");
         assert_eq!(r.core.events_dispatched, expected);
         last = Some(r);
@@ -383,7 +384,7 @@ fn run_sim_core(smoke: bool) -> SimCoreBench {
         workload: format!("ring_flood_n{processes}_f{fanout}_h{hops}"),
         processes: processes as usize,
         events: expected,
-        events_per_sec: expected as f64 / (wall.p50_us.max(1) as f64 / 1e6),
+        events_per_sec: expected as f64 / (wall.p50_us.max(1e-3) / 1e6),
         wall,
         arena_high_water: r.core.arena_high_water,
         arena_slots: r.core.arena_slots,
@@ -420,7 +421,7 @@ fn run_overlap(smoke: bool) -> OverlapCase {
     for _ in 0..reps {
         let t0 = Instant::now();
         let witness = pctl_deposet::store::find_overlap(&dep, &intervals);
-        samples.push(micros(t0.elapsed()));
+        samples.push(nanos(t0.elapsed()));
         found = witness.is_some();
     }
     OverlapCase {
@@ -449,7 +450,7 @@ fn run_streaming(smoke: bool) -> StreamingBench {
     use pctld::{Client, Config, Daemon, Response, RetryPolicy};
 
     let (n, events, queries) = if smoke {
-        (3usize, 60usize, 5usize)
+        (3usize, 200usize, 25usize)
     } else {
         (4, 1200, 40)
     };
@@ -485,7 +486,7 @@ fn run_streaming(smoke: bool) -> StreamingBench {
             Response::Ok => {}
             other => panic!("append refused mid-bench: {other:?}"),
         }
-        append_samples.push(micros(t0.elapsed()));
+        append_samples.push(nanos(t0.elapsed()));
     }
     let total = t_all.elapsed();
     assert_eq!(c.close("bench-append").expect("close"), Response::Ok);
@@ -520,7 +521,7 @@ fn run_streaming(smoke: bool) -> StreamingBench {
     while query_samples.len() < queries {
         let t0 = Instant::now();
         match c.detect("bench-load") {
-            Ok(Response::Detect { .. }) => query_samples.push(micros(t0.elapsed())),
+            Ok(Response::Detect { .. }) => query_samples.push(nanos(t0.elapsed())),
             Ok(Response::Err { .. }) => {
                 // Session not open yet; not a latency sample.
                 std::thread::sleep(std::time::Duration::from_micros(200));
@@ -633,7 +634,7 @@ fn sweep_one(parts: &Parts, witness: &LocalPredicate) -> (SweepOutcome, u64) {
     let t0 = Instant::now();
     let dep = Deposet::from_parts(states, events, messages).expect("generated parts are valid");
     let report = sweep_faulty_run(&dep, witness);
-    let us = micros(t0.elapsed());
+    let ns = nanos(t0.elapsed());
     (
         SweepOutcome {
             fully_safe: report.fully_safe(),
@@ -642,7 +643,7 @@ fn sweep_one(parts: &Parts, witness: &LocalPredicate) -> (SweepOutcome, u64) {
             clean: report.clean_violation.map(|g| g.indices().to_vec()),
             down_windows: report.down_windows.len(),
         },
-        us,
+        ns,
     )
 }
 
@@ -672,7 +673,7 @@ impl Parts {
 
 fn run_sweep(smoke: bool, baseline_path: &std::path::Path) -> (SweepReport, prof::ProfReport) {
     let (seeds, processes, events, rounds) = if smoke {
-        (3usize, 3usize, 120usize, 2usize)
+        (3usize, 3usize, 120usize, 8usize)
     } else {
         (16, 8, 6000, 3)
     };
@@ -700,30 +701,30 @@ fn run_sweep(smoke: bool, baseline_path: &std::path::Path) -> (SweepReport, prof
 
     // Sequential rounds.
     let mut seq_samples = Vec::new();
-    let mut seq_total_us = u64::MAX;
+    let mut seq_total_ns = u64::MAX;
     let mut seq_outcomes: Vec<SweepOutcome> = Vec::new();
     for _ in 0..rounds {
         let t0 = Instant::now();
         let round: Vec<(SweepOutcome, u64)> =
             parts.iter().map(|p| sweep_one(p, &witness)).collect();
-        let total = micros(t0.elapsed());
-        seq_total_us = seq_total_us.min(total);
+        let total = nanos(t0.elapsed());
+        seq_total_ns = seq_total_ns.min(total);
         seq_outcomes = round.iter().map(|(o, _)| o.clone()).collect();
-        seq_samples.extend(round.iter().map(|(_, us)| *us));
+        seq_samples.extend(round.iter().map(|(_, ns)| *ns));
     }
 
     // Parallel rounds (deterministic ordered merge).
     let threads = worker_count(parts.len());
     let mut par_samples = Vec::new();
-    let mut par_total_us = u64::MAX;
+    let mut par_total_ns = u64::MAX;
     let mut par_outcomes: Vec<SweepOutcome> = Vec::new();
     for _ in 0..rounds {
         let t0 = Instant::now();
         let round: Vec<(SweepOutcome, u64)> = ordered_map(&parts, |_, p| sweep_one(p, &witness));
-        let total = micros(t0.elapsed());
-        par_total_us = par_total_us.min(total);
+        let total = nanos(t0.elapsed());
+        par_total_ns = par_total_ns.min(total);
         par_outcomes = round.iter().map(|(o, _)| o.clone()).collect();
-        par_samples.extend(round.iter().map(|(_, us)| *us));
+        par_samples.extend(round.iter().map(|(_, ns)| *ns));
     }
 
     assert_eq!(
@@ -756,17 +757,17 @@ fn run_sweep(smoke: bool, baseline_path: &std::path::Path) -> (SweepReport, prof
     };
     let speedup = baseline
         .as_ref()
-        .map(|b| b.total_ms / sequential_ms(seq_total_us).max(1e-9));
+        .map(|b| b.total_ms / sequential_ms(seq_total_ns).max(1e-9));
 
-    let mode = |name: &str, threads: usize, samples: &[u64], total_us: u64| SweepMode {
+    let mode = |name: &str, threads: usize, samples: &[u64], total_ns: u64| SweepMode {
         mode: name.into(),
         threads,
         per_seed: WallStats::of(samples),
-        total_ms: total_us as f64 / 1e3,
-        states_per_sec: states_total as f64 / (total_us.max(1) as f64 / 1e6),
+        total_ms: total_ns as f64 / 1e6,
+        states_per_sec: states_total as f64 / (total_ns.max(1) as f64 / 1e9),
     };
-    let sequential = mode("sequential", 1, &seq_samples, seq_total_us);
-    let parallel = mode("parallel", threads, &par_samples, par_total_us);
+    let sequential = mode("sequential", 1, &seq_samples, seq_total_ns);
+    let parallel = mode("parallel", threads, &par_samples, par_total_ns);
 
     let report = SweepReport {
         schema: SCHEMA.into(),
@@ -785,18 +786,18 @@ fn run_sweep(smoke: bool, baseline_path: &std::path::Path) -> (SweepReport, prof
     (report, prof_report)
 }
 
-fn sequential_ms(total_us: u64) -> f64 {
-    total_us as f64 / 1e3
+fn sequential_ms(total_ns: u64) -> f64 {
+    total_ns as f64 / 1e6
 }
 
 /// Bound the profiler's disabled-path cost: the spans one sweep round
 /// completes, times the measured per-span disabled cost, must stay below
 /// 2% of the sweep's sequential wall time.
-fn check_disabled_overhead(prof_report: &prof::ProfReport, seq_total_us: u64) -> (f64, u64, f64) {
+fn check_disabled_overhead(prof_report: &prof::ProfReport, seq_total_ns: u64) -> (f64, u64, f64) {
     let spans = prof_report.span_count();
     let per_span_ns = prof::disabled_span_cost_ns(1_000_000);
     let overhead_ns = spans as f64 * per_span_ns;
-    let run_ns = (seq_total_us.max(1) * 1000) as f64;
+    let run_ns = seq_total_ns.max(1) as f64;
     let pct = overhead_ns / run_ns * 100.0;
     (per_span_ns, spans, pct)
 }
@@ -815,20 +816,20 @@ fn main() {
     println!("wrote {} ({} cases)", path.display(), offline.cases.len());
     for c in &offline.cases {
         println!(
-            "  {:<24} {:<9} states={:<6} p50={}us p95={}us  {:.0} states/s",
+            "  {:<24} {:<9} states={:<6} p50={:.1}us p95={:.1}us  {:.0} states/s",
             c.name, c.engine, c.states, c.wall.p50_us, c.wall.p95_us, c.states_per_sec
         );
     }
     if let Some(o) = &offline.overlap {
         println!(
-            "  overlap {} intervals={} p50={}us p95={}us found={}",
+            "  overlap {} intervals={} p50={:.1}us p95={:.1}us found={}",
             o.workload, o.intervals_total, o.wall.p50_us, o.wall.p95_us, o.found
         );
     }
     if let Some(s) = &offline.streaming {
         println!(
-            "  streaming {} append: {:.0} events/s p50={}us p95={}us  \
-             query-under-load: p50={}us p95={}us  busy_bounces={}",
+            "  streaming {} append: {:.0} events/s p50={:.1}us p95={:.1}us  \
+             query-under-load: p50={:.1}us p95={:.1}us  busy_bounces={}",
             s.workload,
             s.append_events_per_sec,
             s.append_wall.p50_us,
@@ -878,8 +879,8 @@ fn main() {
             sl.classes
         );
         println!(
-            "    construct p50={}us  sliced detect+control p50={}us  \
-             unsliced brute-force p50={}us  feasible={}",
+            "    construct p50={:.1}us  sliced detect+control p50={:.1}us  \
+             unsliced brute-force p50={:.1}us  feasible={}",
             sl.slice_construct.p50_us,
             sl.sliced_control.p50_us,
             sl.unsliced_control.p50_us,
@@ -888,7 +889,7 @@ fn main() {
     }
     if let Some(sc) = &offline.sim_core {
         println!(
-            "  sim_core {} events={} p50={}us  {:.2}M events/s  \
+            "  sim_core {} events={} p50={:.1}us  {:.2}M events/s  \
              arena hw/slots={}/{} (live bound {})  inbox hw={} wheel hw={} \
              timesteps={} memory_bounded={}",
             sc.workload,
@@ -915,14 +916,14 @@ fn main() {
         sweep.states_total
     );
     println!(
-        "  sequential: total={:.1}ms p50={}us p95={}us  {:.0} states/s",
+        "  sequential: total={:.1}ms p50={:.1}us p95={:.1}us  {:.0} states/s",
         sweep.sequential.total_ms,
         sweep.sequential.per_seed.p50_us,
         sweep.sequential.per_seed.p95_us,
         sweep.sequential.states_per_sec
     );
     println!(
-        "  parallel({}): total={:.1}ms p50={}us p95={}us  {:.0} states/s",
+        "  parallel({}): total={:.1}ms p50={:.1}us p95={:.1}us  {:.0} states/s",
         sweep.parallel.threads,
         sweep.parallel.total_ms,
         sweep.parallel.per_seed.p50_us,
@@ -948,15 +949,15 @@ fn main() {
             json.len()
         );
     }
-    let seq_total_us = (sweep.sequential.total_ms * 1e3) as u64;
-    let (per_span_ns, spans, overhead_pct) = check_disabled_overhead(&prof_report, seq_total_us);
+    let seq_total_ns = (sweep.sequential.total_ms * 1e6) as u64;
+    let (per_span_ns, spans, overhead_pct) = check_disabled_overhead(&prof_report, seq_total_ns);
     println!(
         "  disabled-span cost: {per_span_ns:.2}ns/span × {spans} spans = {overhead_pct:.4}% of sweep"
     );
     assert!(
         overhead_pct < 2.0,
         "disabled profiler overhead {overhead_pct:.4}% exceeds the 2% budget \
-         ({per_span_ns:.2}ns/span × {spans} spans over {seq_total_us}us)"
+         ({per_span_ns:.2}ns/span × {spans} spans over {seq_total_ns}ns)"
     );
 
     if let Some(path) = &args.write_baseline {

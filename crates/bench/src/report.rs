@@ -12,34 +12,37 @@ use serde::{Deserialize, Serialize};
 /// Schema tag written into every report.
 pub const SCHEMA: &str = "pctl-bench-v1";
 
-/// Wall-time summary of repeated measurements, in microseconds.
+/// Wall-time summary of repeated measurements, in fractional
+/// microseconds (sampled at nanosecond resolution, so a sub-µs case does
+/// not read 0).
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct WallStats {
     /// Number of samples.
     pub reps: usize,
     /// Smallest sample (µs).
-    pub min_us: u64,
+    pub min_us: f64,
     /// 50th percentile (µs, nearest-rank).
-    pub p50_us: u64,
+    pub p50_us: f64,
     /// 95th percentile (µs, nearest-rank).
-    pub p95_us: u64,
+    pub p95_us: f64,
     /// Largest sample (µs).
-    pub max_us: u64,
+    pub max_us: f64,
 }
 
 impl WallStats {
-    /// Summarize a series of wall times in microseconds.
+    /// Summarize a series of wall times in **nanoseconds**.
     ///
     /// # Panics
-    /// Panics if `samples` is empty.
-    pub fn of(samples: &[u64]) -> WallStats {
-        let p = Percentiles::of(samples).expect("at least one sample");
+    /// Panics if `samples_ns` is empty.
+    pub fn of(samples_ns: &[u64]) -> WallStats {
+        let p = Percentiles::of(samples_ns).expect("at least one sample");
+        let us = |ns: u64| ns as f64 / 1e3;
         WallStats {
             reps: p.count,
-            min_us: p.min,
-            p50_us: p.p50,
-            p95_us: p.p95,
-            max_us: p.max,
+            min_us: us(p.min),
+            p50_us: us(p.p50),
+            p95_us: us(p.p95),
+            max_us: us(p.max),
         }
     }
 }
@@ -250,26 +253,26 @@ pub struct Baseline {
     /// Baseline throughput (states/sec).
     pub states_per_sec: f64,
     /// Baseline per-seed p50 (µs).
-    pub per_seed_p50_us: u64,
+    pub per_seed_p50_us: f64,
     /// Baseline per-seed p95 (µs).
-    pub per_seed_p95_us: u64,
+    pub per_seed_p95_us: f64,
     /// Baseline sustained append throughput of the streaming section
     /// (events/s); absent in baselines frozen before streaming scenarios.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub streaming_append_events_per_sec: Option<f64>,
     /// Baseline per-append round-trip p50 (µs).
     #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub streaming_append_p50_us: Option<u64>,
+    pub streaming_append_p50_us: Option<f64>,
     /// Baseline `Detect`-under-load p50 (µs).
     #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub streaming_query_p50_us: Option<u64>,
+    pub streaming_query_p50_us: Option<f64>,
     /// Baseline slice-construction p50 of the `slicing` section (µs);
     /// absent in baselines frozen before the regular-predicate layer.
     #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub slicing_construct_p50_us: Option<u64>,
+    pub slicing_construct_p50_us: Option<f64>,
     /// Baseline slice-then-delegate detect + control p50 (µs).
     #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub slicing_control_p50_us: Option<u64>,
+    pub slicing_control_p50_us: Option<f64>,
     /// Baseline lattice-pruning ratio (higher is better; deterministic for
     /// a fixed workload, so any drop signals a slicing-engine change).
     #[serde(default, skip_serializing_if = "Option::is_none")]
@@ -418,15 +421,15 @@ impl CompareReport {
             case(
                 "sweep_per_seed_p50_us",
                 "us",
-                baseline.per_seed_p50_us as f64,
-                current.per_seed.p50_us as f64,
+                baseline.per_seed_p50_us,
+                current.per_seed.p50_us,
                 true,
             ),
             case(
                 "sweep_per_seed_p95_us",
                 "us",
-                baseline.per_seed_p95_us as f64,
-                current.per_seed.p95_us as f64,
+                baseline.per_seed_p95_us,
+                current.per_seed.p95_us,
                 true,
             ),
         ];
@@ -449,8 +452,8 @@ impl CompareReport {
                 cases.push(case(
                     "streaming_append_p50_us",
                     "us",
-                    base as f64,
-                    s.append_wall.p50_us as f64,
+                    base,
+                    s.append_wall.p50_us,
                     true,
                 ));
             }
@@ -458,8 +461,8 @@ impl CompareReport {
                 cases.push(case(
                     "streaming_query_p50_us",
                     "us",
-                    base as f64,
-                    s.query_under_load.p50_us as f64,
+                    base,
+                    s.query_under_load.p50_us,
                     true,
                 ));
             }
@@ -473,8 +476,8 @@ impl CompareReport {
                 cases.push(case(
                     "slicing_construct_p50_us",
                     "us",
-                    base as f64,
-                    sl.slice_construct.p50_us as f64,
+                    base,
+                    sl.slice_construct.p50_us,
                     true,
                 ));
             }
@@ -482,8 +485,8 @@ impl CompareReport {
                 cases.push(case(
                     "slicing_control_p50_us",
                     "us",
-                    base as f64,
-                    sl.sliced_control.p50_us as f64,
+                    base,
+                    sl.sliced_control.p50_us,
                     true,
                 ));
             }
@@ -550,11 +553,15 @@ mod tests {
 
     #[test]
     fn wall_stats_summarizes() {
-        let w = WallStats::of(&[5, 1, 9, 3, 7]);
+        let w = WallStats::of(&[5_000, 1_000, 9_000, 3_000, 7_000]);
         assert_eq!(w.reps, 5);
-        assert_eq!(w.min_us, 1);
-        assert_eq!(w.p50_us, 5);
-        assert_eq!(w.max_us, 9);
+        assert_eq!(w.min_us, 1.0);
+        assert_eq!(w.p50_us, 5.0);
+        assert_eq!(w.max_us, 9.0);
+        // Sub-microsecond cases keep their resolution instead of reading 0.
+        let fast = WallStats::of(&[400, 600, 800]);
+        assert_eq!(fast.p50_us, 0.6);
+        assert!(fast.min_us > 0.0);
     }
 
     #[test]
@@ -581,8 +588,8 @@ mod tests {
                 recorded: "pre-refactor".into(),
                 total_ms: 0.09,
                 states_per_sec: 4e5,
-                per_seed_p50_us: 30,
-                per_seed_p95_us: 60,
+                per_seed_p50_us: 30.0,
+                per_seed_p95_us: 60.0,
                 streaming_append_events_per_sec: None,
                 streaming_append_p50_us: None,
                 streaming_query_p50_us: None,
@@ -603,8 +610,8 @@ mod tests {
             recorded: "test".into(),
             total_ms: 100.0,
             states_per_sec: 1e6,
-            per_seed_p50_us: 1000,
-            per_seed_p95_us: 2000,
+            per_seed_p50_us: 1000.0,
+            per_seed_p95_us: 2000.0,
             streaming_append_events_per_sec: None,
             streaming_append_p50_us: None,
             streaming_query_p50_us: None,
@@ -615,7 +622,7 @@ mod tests {
         }
     }
 
-    fn mode(total_ms: f64, sps: f64, p50: u64, p95: u64) -> SweepMode {
+    fn mode(total_ms: f64, sps: f64, p50: f64, p95: f64) -> SweepMode {
         SweepMode {
             mode: "sequential".into(),
             threads: 1,
@@ -634,7 +641,7 @@ mod tests {
     #[test]
     fn compare_passes_within_threshold_in_both_directions() {
         // 10% worse on time, 10% worse on throughput: under a 25% gate.
-        let cur = mode(110.0, 0.9e6, 1100, 2200);
+        let cur = mode(110.0, 0.9e6, 1100.0, 2200.0);
         let r = CompareReport::of(
             &baseline(),
             "b.json",
@@ -650,7 +657,7 @@ mod tests {
         assert_eq!(r.regressions, 0);
         assert_eq!(r.cases.len(), 4);
         // A faster run must never "regress" the lower-is-better scenarios.
-        let fast = mode(50.0, 2e6, 500, 900);
+        let fast = mode(50.0, 2e6, 500.0, 900.0);
         let r = CompareReport::of(
             &baseline(),
             "b.json",
@@ -669,7 +676,7 @@ mod tests {
     #[test]
     fn compare_flags_regressions_past_threshold() {
         // 50% slower end to end.
-        let cur = mode(150.0, 0.6e6, 1600, 3100);
+        let cur = mode(150.0, 0.6e6, 1600.0, 3100.0);
         let r = CompareReport::of(
             &baseline(),
             "b.json",
@@ -693,7 +700,7 @@ mod tests {
         // Bit-identical to the baseline, but with a 100% injected slowdown:
         // every scenario must trip a 25% gate, including the
         // higher-is-better throughput one (which gets *divided*).
-        let cur = mode(100.0, 1e6, 1000, 2000);
+        let cur = mode(100.0, 1e6, 1000.0, 2000.0);
         let clean = CompareReport::of(
             &baseline(),
             "b.json",
@@ -724,7 +731,7 @@ mod tests {
 
     #[test]
     fn compare_report_roundtrips() {
-        let cur = mode(150.0, 0.6e6, 1600, 3100);
+        let cur = mode(150.0, 0.6e6, 1600.0, 3100.0);
         let r = CompareReport::of(
             &baseline(),
             "b.json",
@@ -749,13 +756,13 @@ mod tests {
         let b: Baseline =
             serde_json::from_str(include_str!("../../../docs/results/BENCH_prerefactor.json"))
                 .unwrap();
-        let cur = mode(100.0, 1e6, 1000, 2000);
+        let cur = mode(100.0, 1e6, 1000.0, 2000.0);
         let r = CompareReport::of(
             &b,
             "BENCH_prerefactor.json",
             &cur,
-            Some(&streaming_section(5e4, 20, 40)),
-            Some(&slicing_section(20, 1, 5.0)),
+            Some(&streaming_section(5e4, 20.0, 40.0)),
+            Some(&slicing_section(20.0, 1.0, 5.0)),
             Some(&sim_core_section(3e5)),
             25.0,
             0.0,
@@ -796,7 +803,7 @@ mod tests {
         assert_eq!(b.sim_core_events_per_sec, None);
     }
 
-    fn streaming_section(eps: f64, append_p50: u64, query_p50: u64) -> StreamingBench {
+    fn streaming_section(eps: f64, append_p50: f64, query_p50: f64) -> StreamingBench {
         StreamingBench {
             workload: "random_n4_e1200".into(),
             processes: 4,
@@ -804,17 +811,17 @@ mod tests {
             append_events_per_sec: eps,
             append_wall: WallStats {
                 reps: 3,
-                min_us: append_p50 / 2,
+                min_us: append_p50 / 2.0,
                 p50_us: append_p50,
-                p95_us: append_p50 * 2,
-                max_us: append_p50 * 3,
+                p95_us: append_p50 * 2.0,
+                max_us: append_p50 * 3.0,
             },
             query_under_load: WallStats {
                 reps: 3,
-                min_us: query_p50 / 2,
+                min_us: query_p50 / 2.0,
                 p50_us: query_p50,
-                p95_us: query_p50 * 2,
-                max_us: query_p50 * 3,
+                p95_us: query_p50 * 2.0,
+                max_us: query_p50 * 3.0,
             },
             busy_bounces: 0,
             append_events_per_sec_telemetry_off: Some(eps * 1.02),
@@ -824,8 +831,8 @@ mod tests {
 
     #[test]
     fn streaming_scenarios_require_both_sides() {
-        let cur = mode(100.0, 1e6, 1000, 2000);
-        let s = streaming_section(20_000.0, 40, 800);
+        let cur = mode(100.0, 1e6, 1000.0, 2000.0);
+        let s = streaming_section(20_000.0, 40.0, 800.0);
         // Pre-streaming baseline: no streaming cases even though the run
         // measured them.
         let r = CompareReport::of(
@@ -843,8 +850,8 @@ mod tests {
         // Frozen streaming baseline: all three scenarios participate.
         let mut b = baseline();
         b.streaming_append_events_per_sec = Some(20_000.0);
-        b.streaming_append_p50_us = Some(40);
-        b.streaming_query_p50_us = Some(800);
+        b.streaming_append_p50_us = Some(40.0);
+        b.streaming_query_p50_us = Some(800.0);
         let r = CompareReport::of(&b, "b.json", &cur, Some(&s), None, None, 25.0, 0.0, false);
         assert_eq!(r.cases.len(), 7, "{r:?}");
         assert!(r.passed, "identical streaming numbers pass: {r:?}");
@@ -853,7 +860,7 @@ mod tests {
         assert!(names.contains(&"streaming_append_p50_us"));
         assert!(names.contains(&"streaming_query_p50_us"));
         // Throughput is higher-is-better: halving it regresses past 25%.
-        let slow = streaming_section(10_000.0, 40, 800);
+        let slow = streaming_section(10_000.0, 40.0, 800.0);
         let r = CompareReport::of(
             &b,
             "b.json",
@@ -951,7 +958,7 @@ mod tests {
         assert_eq!(back, r);
     }
 
-    fn slicing_section(construct_p50: u64, control_p50: u64, ratio: f64) -> SlicingBench {
+    fn slicing_section(construct_p50: f64, control_p50: f64, ratio: f64) -> SlicingBench {
         SlicingBench {
             workload: "cs_n4_p6".into(),
             processes: 4,
@@ -963,19 +970,19 @@ mod tests {
             classes: 30,
             slice_construct: WallStats {
                 reps: 5,
-                min_us: construct_p50 / 2,
+                min_us: construct_p50 / 2.0,
                 p50_us: construct_p50,
-                p95_us: construct_p50 * 2,
-                max_us: construct_p50 * 3,
+                p95_us: construct_p50 * 2.0,
+                max_us: construct_p50 * 3.0,
             },
             sliced_control: WallStats {
                 reps: 5,
-                min_us: control_p50 / 2,
+                min_us: control_p50 / 2.0,
                 p50_us: control_p50,
-                p95_us: control_p50 * 2,
-                max_us: control_p50 * 3,
+                p95_us: control_p50 * 2.0,
+                max_us: control_p50 * 3.0,
             },
-            unsliced_control: WallStats::of(&[control_p50 * 20]),
+            unsliced_control: WallStats::of(&[(control_p50 * 20e3) as u64]),
             feasible: true,
         }
     }
@@ -989,7 +996,7 @@ mod tests {
             cases: vec![],
             overlap: None,
             streaming: None,
-            slicing: Some(slicing_section(120, 60, 25.0)),
+            slicing: Some(slicing_section(120.0, 60.0, 25.0)),
             sim_core: None,
         };
         let json = serde_json::to_string_pretty(&r).unwrap();
@@ -999,8 +1006,8 @@ mod tests {
 
     #[test]
     fn slicing_scenarios_require_both_sides() {
-        let cur = mode(100.0, 1e6, 1000, 2000);
-        let sl = slicing_section(120, 60, 25.0);
+        let cur = mode(100.0, 1e6, 1000.0, 2000.0);
+        let sl = slicing_section(120.0, 60.0, 25.0);
         // Pre-slicing baseline: no slicing cases even though the run
         // measured them.
         let r = CompareReport::of(
@@ -1017,8 +1024,8 @@ mod tests {
         assert_eq!(r.cases.len(), 4, "{r:?}");
         // Re-frozen baseline: all three slicing scenarios participate.
         let mut b = baseline();
-        b.slicing_construct_p50_us = Some(120);
-        b.slicing_control_p50_us = Some(60);
+        b.slicing_construct_p50_us = Some(120.0);
+        b.slicing_control_p50_us = Some(60.0);
         b.slicing_pruning_ratio = Some(25.0);
         let r = CompareReport::of(&b, "b.json", &cur, None, Some(&sl), None, 25.0, 0.0, false);
         assert_eq!(r.cases.len(), 7, "{r:?}");
@@ -1029,7 +1036,7 @@ mod tests {
         assert!(names.contains(&"slicing_pruning_ratio"));
         // The pruning ratio is higher-is-better: a slice that stops
         // pruning (ratio collapses toward 1) regresses the gate.
-        let lax = slicing_section(120, 60, 5.0);
+        let lax = slicing_section(120.0, 60.0, 5.0);
         let r = CompareReport::of(&b, "b.json", &cur, None, Some(&lax), None, 25.0, 0.0, false);
         assert!(!r.passed);
         assert_eq!(r.regressions, 1, "{r:?}");
@@ -1094,7 +1101,7 @@ mod tests {
 
     #[test]
     fn sim_core_scenario_requires_both_sides() {
-        let cur = mode(100.0, 1e6, 1000, 2000);
+        let cur = mode(100.0, 1e6, 1000.0, 2000.0);
         let sc = sim_core_section(1.0e7);
         // Pre-actor-core baseline: no sim_core case even though the run
         // measured one.

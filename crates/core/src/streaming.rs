@@ -36,9 +36,11 @@ use pctl_deposet::{
 };
 
 /// Memoized query results for one store version (`appended_ops`). Every
-/// slot is filled lazily on first use and dropped wholesale when the store
-/// grows — queries between appends are answered without recomputing
-/// anything (the ROADMAP's PR-6 follow-up).
+/// slot is filled lazily on first use. When the store grows, a found
+/// violation (`detect == Some(Some(cut))`) is kept — see
+/// [`StreamEngine::refresh`] for why it stays the answer — and every other
+/// slot is dropped; queries between appends are answered without
+/// recomputing anything.
 #[derive(Default)]
 struct QueryCache {
     version: u64,
@@ -148,12 +150,29 @@ impl StreamEngine {
         DisjunctivePredicate::new(self.store.locals().to_vec())
     }
 
-    /// Drop the cache if the store has grown past the cached version.
+    /// Move the cache to the current store version, keeping a found
+    /// violation and dropping everything else.
+    ///
+    /// A found violation is the *least* consistent cut satisfying the
+    /// violation, and it stays the least one as the computation grows:
+    /// the satisfying cuts (`∧ᵢ ¬lᵢ`, or a regular class) are closed under
+    /// meet, and appends never change what is already there — a state's
+    /// truth and causal past are fixed when it is appended, and for
+    /// `ChannelsEmpty` a send inside a cut whose receive is not inside it
+    /// stays that way, since a later receive lands past the cut. So every
+    /// cut of the old prefix satisfies the violation after the append iff
+    /// it did before, and a cut of the longer prefix below the old least
+    /// cut is a cut of the old prefix. A `None` answer is recomputed.
     fn refresh(&mut self) {
         let v = self.store.appended_ops();
         if self.cache.version != v {
+            let detect = match self.cache.detect.take() {
+                Some(Some(cut)) => Some(Some(cut)),
+                _ => None,
+            };
             self.cache = QueryCache {
                 version: v,
+                detect,
                 ..QueryCache::default()
             };
         }
@@ -260,7 +279,7 @@ impl StreamEngine {
     /// where every local predicate is false (disjunctive), or the slice's
     /// least satisfying cut (regular). Candidate truth is read off the
     /// incremental columns — no predicate re-evaluation. Memoized per
-    /// prefix.
+    /// prefix, and a found violation is kept across appends.
     pub fn detect_violation(&mut self) -> Option<GlobalState> {
         self.refresh();
         if let Some(d) = &self.cache.detect {

@@ -17,8 +17,8 @@ use pctl_core::offline::OfflineOptions;
 use pctl_core::{PredicateEngine, StreamEngine};
 use pctl_deposet::generator::{random_deposet, RandomConfig};
 use pctl_deposet::{
-    linearize, CausalStore, Deposet, DisjunctivePredicate, IntervalIndex, LocalPredicate,
-    PredicateClass, ProcessId, RegularPredicate, StateId,
+    linearize, AppendOp, CausalStore, Deposet, DisjunctivePredicate, GlobalState, IntervalIndex,
+    LocalPredicate, PredicateClass, ProcessId, RegularPredicate, StateId,
 };
 use proptest::prelude::*;
 
@@ -121,19 +121,34 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Query memoization: repeating a query between appends answers from
-    /// the cache (hit counter advances, verdicts unchanged), and any append
-    /// invalidates it (the next query recomputes against a fresh batch
-    /// rebuild — the memoized path can never go stale).
+    /// the cache (hit counter advances, verdicts unchanged). An append
+    /// drops every memoized answer except a found violation: control and
+    /// the witness are recomputed, detect is recomputed while it answered
+    /// `None` and kept once it found a cut. Every answer, kept or fresh,
+    /// equals a fresh batch rebuild of the prefix — the memoized path can
+    /// never go stale.
     #[test]
-    fn query_cache_hits_between_appends_and_invalidates_on_append((cfg, seed) in arb_config()) {
+    fn query_cache_hits_between_appends_and_keeps_only_a_found_violation((cfg, seed) in arb_config()) {
         let dep = random_deposet(&cfg, seed);
         let pred = DisjunctivePredicate::at_least_one(dep.process_count(), "ok");
         let (init, ops) = linearize(&dep);
         let mut stream = StreamEngine::new_with_init(pred.locals().to_vec(), &init);
         let opts = OfflineOptions::default();
+        let mut found = None;
         for (k, op) in ops.iter().enumerate() {
             stream.apply(op).unwrap();
+            let hits_before_detect = stream.cache_hits();
             let d1 = stream.detect_violation();
+            // Only a found violation survives the append.
+            prop_assert_eq!(
+                stream.cache_hits(),
+                hits_before_detect + u64::from(found.is_some()),
+                "prefix {}", k + 1
+            );
+            if found.is_some() {
+                prop_assert_eq!(&d1, &found, "prefix {}: kept violation", k + 1);
+            }
+            found = d1.clone();
             let c1 = stream.control(opts);
             let w1 = stream.infeasibility_witness();
             let hits_before = stream.cache_hits();
@@ -193,6 +208,68 @@ proptest! {
             );
             if let Ok(rel) = stream.control(opts) {
                 prop_assert!(stream.verify(&rel, 500_000).is_ok(), "prefix {}", k + 1);
+            }
+        }
+    }
+}
+
+/// Detect on a fresh engine that replays `ops` — nothing is kept from an
+/// earlier prefix.
+fn replayed_detect(
+    class: &PredicateClass,
+    init: &[Vec<(String, i64)>],
+    ops: &[AppendOp],
+) -> Option<GlobalState> {
+    let mut fresh = StreamEngine::for_class(class.clone(), Some(init)).unwrap();
+    for op in ops {
+        fresh.apply(op).unwrap();
+    }
+    fresh.detect_violation()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A found violation is kept across appends, and at every prefix the
+    /// kept answer equals a fresh `StreamEngine` replayed over that
+    /// prefix: for a regular class with `ChannelsEmpty` and for the
+    /// disjunctive class. The fresh stream is the oracle, not a batch
+    /// snapshot — a snapshot demotes in-flight sends to internal events,
+    /// which changes what `ChannelsEmpty` sees.
+    #[test]
+    fn kept_violation_equals_fresh_replay_at_every_prefix((cfg, seed) in arb_config()) {
+        let dep = random_deposet(&cfg, seed);
+        let n = dep.process_count();
+        // `¬ok` on every even process, with every channel empty.
+        let mut terms: Vec<RegularPredicate> = (0..n)
+            .filter(|i| i % 2 == 0)
+            .map(|i| RegularPredicate::local(i, LocalPredicate::not_var("ok")))
+            .collect();
+        terms.push(RegularPredicate::ChannelsEmpty);
+        let classes = [
+            PredicateClass::regular(n as u32, RegularPredicate::And(terms)),
+            PredicateClass::disjunctive(DisjunctivePredicate::at_least_one(n, "ok")),
+        ];
+        let (init, ops) = linearize(&dep);
+        for class in &classes {
+            let mut stream = StreamEngine::for_class(class.clone(), Some(&init)).unwrap();
+            let mut found = stream.detect_violation();
+            prop_assert_eq!(&found, &replayed_detect(class, &init, &[]), "{}: prefix 0", class);
+            for (k, op) in ops.iter().enumerate() {
+                stream.apply(op).unwrap();
+                let hits = stream.cache_hits();
+                let kept = found.is_some();
+                let got = stream.detect_violation();
+                prop_assert_eq!(stream.cache_hits(), hits + u64::from(kept), "{}: prefix {}", class, k + 1);
+                if kept {
+                    prop_assert_eq!(&got, &found, "{}: prefix {}: kept", class, k + 1);
+                }
+                prop_assert_eq!(
+                    &got,
+                    &replayed_detect(class, &init, &ops[..=k]),
+                    "{}: prefix {}", class, k + 1
+                );
+                found = got;
             }
         }
     }

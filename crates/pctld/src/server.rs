@@ -6,15 +6,28 @@
 //! One accept-loop thread; one thread per connection (blocking reads
 //! through a [`FrameDecoder`]); one worker thread per session owning that
 //! session's [`StreamEngine`]. Connection threads never touch an engine —
-//! they enqueue commands onto the session's **bounded** queue and the
+//! they enqueue commands onto the session's **bounded** mailbox and the
 //! worker applies them in FIFO order, which gives each client
 //! read-your-writes: a query enqueued after appends observes them.
+//!
+//! ## Batching
+//!
+//! The worker runs per batch, not per command. A connection thread wakes
+//! it only when the mailbox goes from empty to non-empty, when it reaches
+//! half of [`Config::queue_depth`], or when a query, `Trace` or `Close`
+//! arrives; each wake-up takes the whole mailbox. While only appends are
+//! pending and the mailbox is below half full, the worker lingers up to
+//! [`APPEND_LINGER`] for more before applying them. The contract: an
+//! `Append` is acked on enqueue, and it is applied within the linger
+//! bound, or before the next query or close on that session — whichever
+//! comes first. Queue-wait telemetry and the per-session append
+//! percentiles include that deliberate delay.
 //!
 //! ## Robustness surface
 //!
 //! * **Backpressure** — `Append` is acked on *enqueue*; when the bounded
-//!   queue is full the daemon answers [`Response::Busy`] with a retry hint
-//!   instead of buffering without bound.
+//!   mailbox is full the daemon answers [`Response::Busy`] with a retry
+//!   hint instead of buffering without bound.
 //! * **Degradation ladder** — under session-count or memory pressure the
 //!   daemon first evicts *idle* sessions (LRU by last activity, snapshots
 //!   flushed), then refuses **new** sessions ([`ErrorKind::Capacity`]);
@@ -22,8 +35,9 @@
 //!   budget it refuses appends ([`ErrorKind::Budget`]) rather than dying.
 //! * **Panic isolation** — each command runs under `catch_unwind`; a panic
 //!   poisons only the owning session (engine dropped, memory released,
-//!   [`ErrorKind::Poisoned`] tombstone until closed). The accept loop and
-//!   every other session keep running.
+//!   [`ErrorKind::Poisoned`] tombstone until closed, and every command
+//!   left in the batch or the mailbox answered with it). The accept loop
+//!   and every other session keep running.
 //! * **Hostile input** — malformed JSON in a well-framed payload gets a
 //!   structured error on the same connection; an oversized/corrupt frame
 //!   declaration closes only that connection (framing cannot resync).
@@ -52,8 +66,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -67,7 +80,8 @@ pub struct Config {
     pub max_sessions: usize,
     /// Hard cap on estimated bytes across all session stores.
     pub memory_budget: usize,
-    /// Bounded per-session command-queue depth (backpressure threshold).
+    /// Bounded per-session command-queue depth (backpressure threshold;
+    /// at least 1). Half of it queued wakes the session worker early.
     pub queue_depth: usize,
     /// A session is evictable once inactive this long.
     pub idle_timeout: Duration,
@@ -161,6 +175,11 @@ impl Default for Config {
     }
 }
 
+/// How long a woken session worker waits for more appends when only
+/// appends are pending and its mailbox is below half full. Bounds how long
+/// an acked `Append` can stay unapplied while no query or close follows.
+pub const APPEND_LINGER: Duration = Duration::from_millis(1);
+
 /// Per-session append-latency window: enough samples for a stable p95
 /// without unbounded growth (`Stats` percentiles are exact over this
 /// window, nearest-rank).
@@ -180,37 +199,145 @@ enum QueryKind {
     Sleep(u64),
 }
 
-/// A command on a session's bounded queue.
+/// A command on a session's bounded mailbox.
 enum Cmd {
     /// Already acked to the client; errors become the session's sticky
     /// error. The `Instant` is the enqueue time, stamped by the
     /// connection thread — the worker splits total append latency into
-    /// queue wait (enqueue → dequeue) and store apply from it.
+    /// queue wait (enqueue → apply start) and store apply from it.
     Apply(AppendOp, Instant),
     Query(QueryKind, mpsc::Sender<Response>),
     /// Flush + exit; the reply confirms the worker is done with its store.
     Close(mpsc::Sender<Response>),
 }
 
+/// Why [`Mailbox::push`] refused a command.
+enum PushError {
+    /// `queue_depth` commands are already waiting.
+    Full,
+    /// The session is being closed.
+    Closing,
+    /// The worker has exited after a panic; nothing reads the mailbox.
+    Gone,
+}
+
+/// A session's bounded command queue, woken per batch (see the module
+/// docs): connection threads push, the worker takes everything at once.
+struct Mailbox {
+    state: Mutex<MailState>,
+    wake: Condvar,
+    /// Client commands that may wait at once (`Config::queue_depth`).
+    depth: usize,
+    /// Queue length at which an append wakes the worker (`depth / 2`).
+    wake_at: usize,
+}
+
+const MAILBOX_LOCK: &str = "no code panics while holding a mailbox lock";
+
+#[derive(Default)]
+struct MailState {
+    queue: VecDeque<Cmd>,
+    /// A non-`Apply` command is waiting: the worker must not linger.
+    urgent: bool,
+    /// The worker is blocked on `wake` (only then is a notify needed).
+    idle: bool,
+    /// `Close` is queued; nothing more is accepted.
+    closing: bool,
+    /// The worker exited after a panic.
+    gone: bool,
+}
+
+impl Mailbox {
+    fn new(depth: usize) -> Mailbox {
+        let depth = depth.max(1);
+        Mailbox {
+            state: Mutex::new(MailState::default()),
+            wake: Condvar::new(),
+            depth,
+            wake_at: (depth / 2).max(1),
+        }
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, MailState> {
+        self.state.lock().expect(MAILBOX_LOCK)
+    }
+
+    /// Commands waiting to be taken by the worker.
+    fn len(&self) -> usize {
+        self.lock().queue.len()
+    }
+
+    /// Enqueue one command. `Close` is exempt from the depth bound, so a
+    /// close never waits behind a full mailbox; it is the last command
+    /// the mailbox accepts.
+    fn push(&self, cmd: Cmd) -> Result<(), PushError> {
+        let mut st = self.lock();
+        if st.gone {
+            return Err(PushError::Gone);
+        }
+        if st.closing {
+            return Err(PushError::Closing);
+        }
+        let apply = matches!(cmd, Cmd::Apply(..));
+        let close = matches!(cmd, Cmd::Close(_));
+        if !close && st.queue.len() >= self.depth {
+            return Err(PushError::Full);
+        }
+        st.queue.push_back(cmd);
+        st.urgent |= !apply;
+        st.closing |= close;
+        let len = st.queue.len();
+        let wake = st.idle && (!apply || len == 1 || len == self.wake_at);
+        drop(st);
+        if wake {
+            self.wake.notify_one();
+        }
+        Ok(())
+    }
+
+    /// Block until a command is waiting, linger up to [`APPEND_LINGER`]
+    /// while only a few appends are, then swap the whole queue into
+    /// `batch` (which the worker hands back empty, keeping its buffer).
+    fn take(&self, batch: &mut VecDeque<Cmd>) {
+        let mut st = self.lock();
+        while st.queue.is_empty() {
+            st.idle = true;
+            st = self.wake.wait(st).expect(MAILBOX_LOCK);
+            st.idle = false;
+        }
+        let deadline = Instant::now() + APPEND_LINGER;
+        while !st.urgent && st.queue.len() < self.wake_at {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                break;
+            }
+            st.idle = true;
+            st = self.wake.wait_timeout(st, left).expect(MAILBOX_LOCK).0;
+            st.idle = false;
+        }
+        st.urgent = false;
+        std::mem::swap(&mut st.queue, batch);
+    }
+
+    /// Mark the worker gone and hand back everything still queued; later
+    /// pushes fail with [`PushError::Gone`].
+    fn abandon(&self) -> VecDeque<Cmd> {
+        let mut st = self.lock();
+        st.gone = true;
+        std::mem::take(&mut st.queue)
+    }
+}
+
 /// Registry entry shared between connection threads and the worker.
-///
-/// The worker itself holds an `Arc` to this struct, so the command sender
-/// lives behind `Mutex<Option<..>>` rather than directly: [`close_session`]
-/// *takes* it, which guarantees the channel disconnects once in-flight
-/// clones drop and the worker's `recv()` loop exits — joining the worker
-/// can therefore never deadlock on a sender the worker itself keeps alive.
-///
-/// [`close_session`]: Inner::close_session
 struct SessionShared {
     name: String,
-    tx: Mutex<Option<SyncSender<Cmd>>>,
+    mailbox: Mailbox,
     worker: Mutex<Option<JoinHandle<()>>>,
     poisoned: AtomicBool,
     /// First append failure; wedges the session until closed.
     sticky_error: Mutex<Option<String>>,
     last_active: Mutex<Instant>,
     approx_bytes: AtomicUsize,
-    queue_len: AtomicUsize,
     /// Appends accepted (enqueued) for this session.
     appends: AtomicU64,
     /// Recent append latencies (enqueue → applied), microseconds, bounded
@@ -231,23 +358,8 @@ impl SessionShared {
         *self.last_active.lock().unwrap() = Instant::now();
     }
 
-    fn push_latency(&self, us: u64) {
-        let mut lat = self.lat_us.lock().unwrap();
-        if lat.len() == LATENCY_WINDOW {
-            lat.pop_front();
-        }
-        lat.push_back(us);
-    }
-
     fn idle_for(&self) -> Duration {
         self.last_active.lock().unwrap().elapsed()
-    }
-
-    /// A transient clone of the command sender (`None` once the session is
-    /// closing). Callers drop the clone right after enqueueing, so a taken
-    /// sender still disconnects promptly.
-    fn sender(&self) -> Option<SyncSender<Cmd>> {
-        self.tx.lock().unwrap().clone()
     }
 }
 
@@ -639,7 +751,7 @@ impl Inner {
                     name: sess.name.clone(),
                     appends: sess.appends.load(Ordering::SeqCst),
                     approx_bytes: sess.approx_bytes.load(Ordering::SeqCst) as u64,
-                    queue_depth: sess.queue_len.load(Ordering::SeqCst) as u64,
+                    queue_depth: sess.mailbox.len() as u64,
                     idle_ms: sess.idle_for().as_millis() as u64,
                     p50_us: pct.as_ref().map_or(0, |p| p.p50),
                     p95_us: pct.as_ref().map_or(0, |p| p.p95),
@@ -747,7 +859,7 @@ impl Inner {
                 "pctld_queue_depth",
                 "Commands waiting on each session's bounded queue",
                 &[("session", sess.name.as_str())],
-                sess.queue_len.load(Ordering::SeqCst) as f64,
+                sess.mailbox.len() as f64,
             );
         }
         if self.telemetry.enabled {
@@ -787,7 +899,7 @@ impl Inner {
     ) {
         let queue_depth = session
             .and_then(|n| self.sessions.lock().unwrap().get(n).cloned())
-            .map_or(0, |s| s.queue_len.load(Ordering::SeqCst) as u64);
+            .map_or(0, |s| s.mailbox.len() as u64);
         let outcome = match resp {
             Response::Busy { .. } => "busy".to_owned(),
             Response::Err { kind, .. } => format!("err:{kind:?}"),
@@ -820,30 +932,11 @@ impl Inner {
     /// the global gauge. Returns whether the worker drained cleanly.
     fn close_session(&self, name: &str) -> Option<bool> {
         let sess = self.sessions.lock().unwrap().remove(name)?;
-        // Take the session's sender so the channel is guaranteed to
-        // disconnect: even if Cmd::Close never fits into a full queue (a
-        // stalled worker behind a long query), the worker drains the queue,
-        // sees the disconnect, flushes, and exits — join() always returns.
-        let cmd_tx = sess.tx.lock().unwrap().take();
+        // `Close` skips the depth bound, so it queues even behind a full
+        // mailbox and a stalled worker; only a worker that already exited
+        // (poisoned) refuses it, and then there is nothing to wait for.
         let (tx, rx) = mpsc::channel();
-        let mut queued = false;
-        if let Some(cmd_tx) = cmd_tx {
-            // Prefer an explicit Close (it confirms the flush); retry
-            // briefly against a full queue before falling back to the
-            // disconnect path above.
-            for _ in 0..200 {
-                match cmd_tx.try_send(Cmd::Close(tx.clone())) {
-                    Ok(()) => {
-                        sess.queue_len.fetch_add(1, Ordering::SeqCst);
-                        queued = true;
-                        break;
-                    }
-                    Err(TrySendError::Full(_)) => std::thread::sleep(Duration::from_millis(5)),
-                    Err(TrySendError::Disconnected(_)) => break, // worker already gone
-                }
-            }
-        }
-        if queued {
+        if sess.mailbox.push(Cmd::Close(tx)).is_ok() {
             let _ = rx.recv_timeout(Duration::from_secs(10));
         }
         let handle = sess.worker.lock().unwrap().take();
@@ -962,12 +1055,8 @@ impl Inner {
         let Some(sess) = self.sessions.lock().unwrap().get(name).cloned() else {
             return (Vec::new(), 1);
         };
-        let Some(cmd_tx) = sess.sender() else {
-            return (Vec::new(), 1);
-        };
         let (tx, rx) = mpsc::channel();
-        if cmd_tx.try_send(Cmd::Query(QueryKind::Trace, tx)).is_ok() {
-            sess.queue_len.fetch_add(1, Ordering::SeqCst);
+        if sess.mailbox.push(Cmd::Query(QueryKind::Trace, tx)).is_ok() {
             if let Ok(Response::Trace {
                 events, processes, ..
             }) = rx.recv_timeout(Duration::from_secs(1))
@@ -1414,16 +1503,14 @@ fn spawn_session(
     processes: u32,
     inner: &Arc<Inner>,
 ) -> std::io::Result<Arc<SessionShared>> {
-    let (tx, rx) = sync_channel(inner.cfg.queue_depth);
     let sess = Arc::new(SessionShared {
         name: name.clone(),
-        tx: Mutex::new(Some(tx)),
+        mailbox: Mailbox::new(inner.cfg.queue_depth),
         worker: Mutex::new(None),
         poisoned: AtomicBool::new(false),
         sticky_error: Mutex::new(None),
         last_active: Mutex::new(Instant::now()),
         approx_bytes: AtomicUsize::new(0),
-        queue_len: AtomicUsize::new(0),
         appends: AtomicU64::new(0),
         lat_us: Mutex::new(VecDeque::new()),
         queries: AtomicU64::new(0),
@@ -1433,7 +1520,7 @@ fn spawn_session(
     let worker_inner = Arc::clone(inner);
     let handle = std::thread::Builder::new()
         .name(format!("pctld-sess-{name}"))
-        .spawn(move || worker_loop(engine, rx, worker_sess, worker_inner, processes))?;
+        .spawn(move || worker_loop(engine, worker_sess, worker_inner, processes))?;
     *sess.worker.lock().unwrap() = Some(handle);
     Ok(sess)
 }
@@ -1461,27 +1548,31 @@ fn handle_append(name: &str, op: AppendOp, inner: &Arc<Inner>) -> Response {
             return err(ErrorKind::Budget, "daemon over hard memory budget");
         }
     }
-    let Some(tx) = sess.sender() else {
-        return err(
-            ErrorKind::UnknownSession,
-            format!("session '{name}' is closing"),
-        );
-    };
-    match tx.try_send(Cmd::Apply(op, Instant::now())) {
+    match sess.mailbox.push(Cmd::Apply(op, Instant::now())) {
         Ok(()) => {
-            sess.queue_len.fetch_add(1, Ordering::SeqCst);
             sess.touch();
             sess.appends.fetch_add(1, Ordering::SeqCst);
             inner.stats.appends_total.fetch_add(1, Ordering::SeqCst);
             Response::Ok
         }
-        Err(TrySendError::Full(_)) => {
+        Err(e) => refused(name, e, inner),
+    }
+}
+
+/// The answer to a command the session's mailbox refused.
+fn refused(name: &str, e: PushError, inner: &Inner) -> Response {
+    match e {
+        PushError::Full => {
             inner.stats.busy_total.fetch_add(1, Ordering::SeqCst);
             Response::Busy {
                 retry_after_ms: inner.cfg.retry_after_ms,
             }
         }
-        Err(TrySendError::Disconnected(_)) => err(
+        PushError::Closing => err(
+            ErrorKind::UnknownSession,
+            format!("session '{name}' is closing"),
+        ),
+        PushError::Gone => err(
             ErrorKind::Poisoned,
             "session worker exited; close and re-open",
         ),
@@ -1498,28 +1589,11 @@ fn query(name: &str, kind: QueryKind, inner: &Arc<Inner>) -> Response {
     if let Some(e) = sess.sticky_error.lock().unwrap().clone() {
         return err(ErrorKind::Append, e);
     }
-    let Some(cmd_tx) = sess.sender() else {
-        return err(
-            ErrorKind::UnknownSession,
-            format!("session '{name}' is closing"),
-        );
-    };
     let (tx, rx) = mpsc::channel();
-    match cmd_tx.try_send(Cmd::Query(kind, tx)) {
-        Ok(()) => {
-            sess.queue_len.fetch_add(1, Ordering::SeqCst);
-            sess.touch();
-        }
-        Err(TrySendError::Full(_)) => {
-            inner.stats.busy_total.fetch_add(1, Ordering::SeqCst);
-            return Response::Busy {
-                retry_after_ms: inner.cfg.retry_after_ms,
-            };
-        }
-        Err(TrySendError::Disconnected(_)) => {
-            return err(ErrorKind::Poisoned, "session worker exited")
-        }
+    if let Err(e) = sess.mailbox.push(Cmd::Query(kind, tx)) {
+        return refused(name, e, inner);
     }
+    sess.touch();
     match rx.recv_timeout(Duration::from_secs(30)) {
         Ok(resp) => resp,
         Err(_) => err(ErrorKind::Internal, "session worker did not answer"),
@@ -1609,9 +1683,61 @@ impl WorkerTelemetry {
     }
 }
 
+/// Append observations a worker holds until its next reply or the end of
+/// its batch, so the shared histograms, the latency window and the memory
+/// gauges are updated once per batch instead of once per append.
+#[derive(Default)]
+struct Held {
+    /// `(queue wait, apply)` of each applied append, in order (telemetry
+    /// on only).
+    timings: Vec<(Duration, Duration)>,
+    /// An append grew the store since the last publish.
+    grew: bool,
+}
+
+impl Held {
+    /// Publish the held timings and, given the engine, the store's size.
+    /// A poisoned worker passes `None`: its engine is not read again, and
+    /// the gauges keep only what was published, which `release_memory`
+    /// then subtracts exactly.
+    fn publish(&mut self, engine: Option<&StreamEngine>, sess: &SessionShared, inner: &Inner) {
+        if let (true, Some(engine)) = (self.grew, engine) {
+            let now = engine.store().approx_bytes();
+            let before = sess.approx_bytes.swap(now, Ordering::SeqCst);
+            inner
+                .stats
+                .approx_bytes
+                .fetch_add(now - before, Ordering::SeqCst);
+        }
+        self.grew = false;
+        if self.timings.is_empty() {
+            return;
+        }
+        let t = &inner.telemetry;
+        {
+            let mut wait = t.queue_wait_seconds.lock().unwrap();
+            for (w, _) in &self.timings {
+                wait.observe_duration(*w);
+            }
+        }
+        {
+            let mut apply = t.apply_seconds.lock().unwrap();
+            for (_, a) in &self.timings {
+                apply.observe_duration(*a);
+            }
+        }
+        let mut lat = sess.lat_us.lock().unwrap();
+        for (w, a) in self.timings.drain(..) {
+            if lat.len() == LATENCY_WINDOW {
+                lat.pop_front();
+            }
+            lat.push_back((w + a).as_micros() as u64);
+        }
+    }
+}
+
 fn worker_loop(
     mut engine: StreamEngine,
-    rx: Receiver<Cmd>,
     sess: Arc<SessionShared>,
     inner: Arc<Inner>,
     processes: u32,
@@ -1619,99 +1745,94 @@ fn worker_loop(
     let telemetry = inner.telemetry.enabled;
     let mut wt = WorkerTelemetry::new(&inner.cfg, processes);
     let mut cache_hits_seen = 0u64;
-    while let Ok(cmd) = rx.recv() {
-        sess.queue_len.fetch_sub(1, Ordering::SeqCst);
-        match cmd {
-            Cmd::Apply(op, enqueued) => {
-                if sess.sticky_error.lock().unwrap().is_some() {
-                    continue; // wedged: drop queued appends, keep answering
-                }
-                let queue_wait = enqueued.elapsed();
-                let apply_start = Instant::now();
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    let _prof = pctl_prof::span("pctld_apply");
-                    engine.apply(&op)
-                }));
-                let apply_dt = apply_start.elapsed();
-                match outcome {
-                    Ok(Ok(())) => {
-                        let now = engine.store().approx_bytes();
-                        let before = sess.approx_bytes.swap(now, Ordering::SeqCst);
-                        inner
-                            .stats
-                            .approx_bytes
-                            .fetch_add(now - before, Ordering::SeqCst);
-                        if telemetry {
-                            inner
-                                .telemetry
-                                .queue_wait_seconds
-                                .lock()
-                                .unwrap()
-                                .observe_duration(queue_wait);
-                            inner
-                                .telemetry
-                                .apply_seconds
-                                .lock()
-                                .unwrap()
-                                .observe_duration(apply_dt);
-                            sess.push_latency((queue_wait + apply_dt).as_micros() as u64);
-                            wt.record(&op);
+    let mut held = Held::default();
+    // The first append failure, mirrored into `sess.sticky_error`.
+    let mut sticky: Option<String> = None;
+    let mut batch = VecDeque::new();
+    loop {
+        sess.mailbox.take(&mut batch);
+        while let Some(cmd) = batch.pop_front() {
+            match cmd {
+                Cmd::Apply(op, enqueued) => {
+                    if sticky.is_some() {
+                        continue; // wedged: drop queued appends, keep answering
+                    }
+                    let queue_wait = enqueued.elapsed();
+                    let apply_start = Instant::now();
+                    let outcome = catch_unwind(AssertUnwindSafe(|| {
+                        let _prof = pctl_prof::span("pctld_apply");
+                        engine.apply(&op)
+                    }));
+                    let apply_dt = apply_start.elapsed();
+                    match outcome {
+                        Ok(Ok(())) => {
+                            held.grew = true;
+                            if telemetry {
+                                held.timings.push((queue_wait, apply_dt));
+                                wt.record(&op);
+                            }
+                        }
+                        Ok(Err(e)) => {
+                            let e = e.to_string();
+                            *sess.sticky_error.lock().unwrap() = Some(e.clone());
+                            sticky = Some(e);
+                        }
+                        Err(_) => {
+                            poison(&sess, &inner, &mut held, std::mem::take(&mut batch));
+                            return;
                         }
                     }
-                    Ok(Err(e)) => {
-                        *sess.sticky_error.lock().unwrap() = Some(e.to_string());
+                }
+                Cmd::Query(kind, reply) => {
+                    held.publish(Some(&engine), &sess, &inner);
+                    if let Some(e) = &sticky {
+                        // Queued behind the failing append: answer as the
+                        // connection thread answers once the error is set.
+                        let _ = reply.send(err(ErrorKind::Append, e.clone()));
+                        continue;
                     }
-                    Err(_) => {
-                        poison(&sess, &inner, &rx);
-                        return;
+                    if let QueryKind::Trace = kind {
+                        // Answered from worker-local state; no engine
+                        // involvement, so it cannot panic the session.
+                        let _ = reply.send(wt.trace_response());
+                        continue;
+                    }
+                    let outcome = catch_unwind(AssertUnwindSafe(|| run_query(&mut engine, &kind)));
+                    match outcome {
+                        Ok(resp) => {
+                            // Fold this query's cache-hit delta into the
+                            // daemon-wide counter; the engine's own count is
+                            // monotone over the session's lifetime. The
+                            // per-session mirrors feed `Stats` (and the
+                            // `pctl top` hit-rate column).
+                            let now = engine.cache_hits();
+                            inner
+                                .stats
+                                .query_cache_hits_total
+                                .fetch_add(now - cache_hits_seen, Ordering::SeqCst);
+                            cache_hits_seen = now;
+                            sess.queries.fetch_add(1, Ordering::SeqCst);
+                            sess.cache_hits.store(now, Ordering::SeqCst);
+                            let _ = reply.send(resp);
+                        }
+                        Err(_) => {
+                            let _ = reply.send(err(ErrorKind::Poisoned, "query panicked"));
+                            poison(&sess, &inner, &mut held, std::mem::take(&mut batch));
+                            return;
+                        }
                     }
                 }
-            }
-            Cmd::Query(QueryKind::Trace, reply) => {
-                // Answered from worker-local state; no engine involvement,
-                // so it cannot panic the session.
-                let _ = reply.send(wt.trace_response());
-            }
-            Cmd::Query(kind, reply) => {
-                let outcome = catch_unwind(AssertUnwindSafe(|| run_query(&mut engine, &kind)));
-                match outcome {
-                    Ok(resp) => {
-                        // Fold this query's cache-hit delta into the
-                        // daemon-wide counter; the engine's own count is
-                        // monotone over the session's lifetime. The
-                        // per-session mirrors feed `Stats` (and the
-                        // `pctl top` hit-rate column).
-                        let now = engine.cache_hits();
-                        inner
-                            .stats
-                            .query_cache_hits_total
-                            .fetch_add(now - cache_hits_seen, Ordering::SeqCst);
-                        cache_hits_seen = now;
-                        sess.queries.fetch_add(1, Ordering::SeqCst);
-                        sess.cache_hits.store(now, Ordering::SeqCst);
-                        let _ = reply.send(resp);
-                    }
-                    Err(_) => {
-                        let _ = reply.send(err(ErrorKind::Poisoned, "query panicked"));
-                        poison(&sess, &inner, &rx);
-                        return;
-                    }
+                Cmd::Close(reply) => {
+                    held.publish(Some(&engine), &sess, &inner);
+                    flush_snapshot(&engine, &sess.name, &inner);
+                    release_memory(&sess, &inner);
+                    let _ = reply.send(Response::Ok);
+                    return;
                 }
-            }
-            Cmd::Close(reply) => {
-                flush_snapshot(&engine, &sess.name, &inner);
-                release_memory(&sess, &inner);
-                let _ = reply.send(Response::Ok);
-                return;
             }
         }
+        held.publish(Some(&engine), &sess, &inner);
     }
-    // All senders gone (close_session took the registry's sender but could
-    // not enqueue Cmd::Close past a full queue): the queue above has fully
-    // drained, so flush and release the final memory accounting here —
-    // this is what keeps the global gauge exact across closes under load.
-    flush_snapshot(&engine, &sess.name, &inner);
-    release_memory(&sess, &inner);
 }
 
 /// Subtract this session's final byte estimate from the global gauge,
@@ -1727,14 +1848,16 @@ fn release_memory(sess: &SessionShared, inner: &Inner) {
 }
 
 /// Quarantine the session after a panic: flag it, count it, release its
-/// memory accounting, and answer everything still queued. The engine is
-/// dropped by the caller returning — memory is actually released.
-fn poison(sess: &Arc<SessionShared>, inner: &Arc<Inner>, rx: &Receiver<Cmd>) {
+/// memory accounting, and answer every command left in the panicking
+/// batch (`rest`) and in the mailbox, which then refuses new commands.
+/// The engine is dropped by the caller returning — memory is actually
+/// released.
+fn poison(sess: &SessionShared, inner: &Inner, held: &mut Held, rest: VecDeque<Cmd>) {
+    held.publish(None, sess, inner);
     sess.poisoned.store(true, Ordering::SeqCst);
     inner.stats.poisoned_total.fetch_add(1, Ordering::SeqCst);
     release_memory(sess, inner);
-    while let Ok(cmd) = rx.try_recv() {
-        sess.queue_len.fetch_sub(1, Ordering::SeqCst);
+    for cmd in rest.into_iter().chain(sess.mailbox.abandon()) {
         match cmd {
             Cmd::Apply(..) => {}
             Cmd::Query(_, reply) => {

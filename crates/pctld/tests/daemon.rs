@@ -186,6 +186,90 @@ fn worker_panic_poisons_only_its_session() {
 }
 
 #[test]
+fn panic_mid_batch_answers_everything_queued_behind_it() {
+    // The worker takes its whole mailbox per wake-up. When a command in
+    // the middle of that batch panics, every command after it must still
+    // be answered `Poisoned` — a dropped reply would reach the client as
+    // `Internal "did not answer"`.
+    let d = daemon(Config {
+        fault_injection: true,
+        ..Config::default()
+    });
+    let mut a = client(&d);
+    assert_eq!(
+        a.hello("mid", vec![LocalPredicate::var("ok")], None)
+            .unwrap(),
+        Response::Ok
+    );
+    let stall = std::thread::spawn(move || {
+        a.request(Request::Sleep {
+            session: "mid".into(),
+            ms: 300,
+        })
+        .unwrap()
+    });
+    std::thread::sleep(Duration::from_millis(50)); // let the stall start
+    let mut b = client(&d);
+    let crash = std::thread::spawn(move || {
+        b.request(Request::Crash {
+            session: "mid".into(),
+        })
+        .unwrap()
+    });
+    // The Detect must queue behind the Crash, in the same batch.
+    while d
+        .stats()
+        .per_session
+        .iter()
+        .all(|s| s.name != "mid" || s.queue_depth == 0)
+    {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let mut c = client(&d);
+    let detect = c.detect("mid").unwrap();
+    assert_eq!(stall.join().unwrap(), Response::Ok);
+    for resp in [crash.join().unwrap(), detect] {
+        match resp {
+            Response::Err { kind, .. } => assert_eq!(kind, ErrorKind::Poisoned),
+            other => panic!("unexpected: {other:?}"),
+        }
+    }
+    assert_eq!(d.stats().poisoned_total, 1);
+    assert_eq!(c.close("mid").unwrap(), Response::Ok);
+    assert_eq!(d.shutdown(), 0);
+}
+
+#[test]
+fn acked_append_is_applied_without_a_following_query() {
+    // The worker lingers for more appends, but only for a bounded time:
+    // an append nobody queries after is still applied (and its latency
+    // recorded) on its own.
+    let d = daemon(Config::default());
+    let mut c = client(&d);
+    assert_eq!(
+        c.hello("lone", vec![LocalPredicate::var("ok")], None)
+            .unwrap(),
+        Response::Ok
+    );
+    let op = pctl_deposet::AppendOp::Internal {
+        process: 0,
+        updates: vec![("ok".into(), 1)],
+    };
+    assert_eq!(c.append("lone", op).unwrap(), Response::Ok);
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    while d.session_append_latencies("lone").unwrap().is_empty() {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "an acked append was never applied"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert!(d.stats().approx_bytes > 0);
+    assert_eq!(c.close("lone").unwrap(), Response::Ok);
+    assert_eq!(d.shutdown(), 0);
+}
+
+#[test]
 fn fault_verbs_are_refused_unless_enabled() {
     // Crash/Sleep share the unauthenticated port with production verbs, so
     // a default-config daemon must refuse them outright.
