@@ -10,8 +10,10 @@
 //! cloning its predecessor's assignment and applying updates, so along a
 //! process's whole state chain every variable name is one shared allocation
 //! and cloning an assignment copies refcounted pointers instead of
-//! re-allocating strings. Computations with millions of states keep exactly
-//! one copy of each distinct name per chain.
+//! re-allocating strings. Decoding a trace shares names the same way: the
+//! JSON reader interns them, one allocation per distinct name in the
+//! document. Computations with millions of states keep at most one copy of
+//! each distinct name per chain.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -91,51 +93,44 @@ impl Variables {
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
-
-    /// Point every name that `prev` also holds at `prev`'s allocation, so
-    /// states decoded one by one share names along their chain the way
-    /// builder-derived states do. Names already shared cost one pointer
-    /// compare each.
-    pub(crate) fn share_names_with(&mut self, prev: &Variables) {
-        let mut theirs = prev.entries.iter().map(|(k, _)| k).peekable();
-        for (name, _) in &mut self.entries {
-            // Both lists are sorted: skip the predecessor's smaller names.
-            while theirs
-                .next_if(|p| !Arc::ptr_eq(p, name) && ***p < **name)
-                .is_some()
-            {}
-            if let Some(p) = theirs.next_if(|p| Arc::ptr_eq(p, name) || ***p == **name) {
-                if !Arc::ptr_eq(p, name) {
-                    *name = Arc::clone(p);
-                }
-            }
-        }
-    }
 }
 
 impl Serialize for Variables {
-    fn to_value(&self) -> serde::value::Value {
-        serde::value::Value::Object(
-            self.entries
-                .iter()
-                .map(|(k, v)| (k.to_string(), v.to_value()))
-                .collect(),
-        )
+    fn serialize(&self, w: &mut serde::Writer<'_>) {
+        w.begin_object();
+        for (k, v) in &self.entries {
+            w.key(k);
+            w.i64(*v);
+        }
+        w.end_object();
     }
 }
 
 impl Deserialize for Variables {
-    fn from_value(v: &serde::value::Value) -> Result<Self, serde::DeError> {
-        let serde::value::Value::Object(pairs) = v else {
-            return Err(serde::DeError::expected("object", "Variables", v));
-        };
-        // `set` sorts and dedups (last value wins), one allocation per name.
+    /// Names are interned by the reader, so every state of a decoded
+    /// trace shares one allocation per distinct name. On duplicate names
+    /// the last value wins, as in [`Variables::set`].
+    fn deserialize(r: &mut serde::Reader<'_>) -> Result<Self, serde::DeError> {
+        // Room for the usual single variable; shrunk below if more came,
+        // so a decoded state holds no spare capacity (states are scanned
+        // densely by predicate evaluation).
         let mut vars = Variables {
-            entries: Vec::with_capacity(pairs.len()),
+            entries: Vec::with_capacity(1),
         };
-        for (name, value) in pairs {
-            vars.set(name, i64::from_value(value).map_err(|e| e.context(name))?);
-        }
+        r.object("Variables", |r, name| {
+            let value = i64::deserialize(r).map_err(|e| e.context(&name))?;
+            // Encoded names come sorted: the common case appends.
+            let at = match vars.entries.last() {
+                Some((last, _)) if **last < *name => Err(vars.entries.len()),
+                _ => vars.find(&name),
+            };
+            match at {
+                Ok(i) => vars.entries[i].1 = value,
+                Err(i) => vars.entries.insert(i, (r.intern(&name), value)),
+            }
+            Ok(())
+        })?;
+        vars.entries.shrink_to_fit();
         Ok(vars)
     }
 }
@@ -266,19 +261,6 @@ mod tests {
             }
         }
         assert!(shared > 0);
-    }
-
-    #[test]
-    fn share_names_with_skips_names_the_predecessor_lacks() {
-        let prev = Variables::from_pairs([("b", 1), ("d", 2)]);
-        let mut next = Variables::from_pairs([("a", 0), ("b", 5), ("c", 0), ("d", 6)]);
-        next.share_names_with(&prev);
-        assert_eq!(
-            next,
-            Variables::from_pairs([("a", 0), ("b", 5), ("c", 0), ("d", 6)])
-        );
-        assert!(Arc::ptr_eq(&next.entries[1].0, &prev.entries[0].0));
-        assert!(Arc::ptr_eq(&next.entries[3].0, &prev.entries[1].0));
     }
 
     #[test]

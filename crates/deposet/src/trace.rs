@@ -80,17 +80,9 @@ impl Trace {
     }
 
     /// Rebuild (and re-validate) the deposet.
-    pub fn into_deposet(mut self) -> Result<Deposet, TraceError> {
+    pub fn into_deposet(self) -> Result<Deposet, TraceError> {
         if self.version != TRACE_VERSION {
             return Err(TraceError::Version(self.version));
-        }
-        // Each decoded state owns its names; share them with the
-        // predecessor so a chain keeps one copy of each (see `state`).
-        for chain in &mut self.states {
-            for i in 1..chain.len() {
-                let (done, rest) = chain.split_at_mut(i);
-                rest[0].vars.share_names_with(&done[i - 1].vars);
-            }
         }
         Deposet::from_parts(self.states, self.events, self.messages).map_err(TraceError::Invalid)
     }

@@ -8,7 +8,7 @@
 //! (capped), so a producer that outruns the session worker converges to
 //! the worker's drain rate instead of hammering the queue.
 
-use crate::frame::{encode_frame, FrameDecoder, DEFAULT_MAX_FRAME};
+use crate::frame::{encode_json_frame, FrameDecoder, DEFAULT_MAX_FRAME};
 use crate::proto::{Request, RequestEnvelope, Response, ResponseEnvelope};
 use pctl_deposet::{AppendOp, LocalPredicate, PredicateClass};
 use std::io::{Read, Write};
@@ -62,9 +62,9 @@ impl Client {
         let seq = self.next_seq;
         self.next_seq += 1;
         let env = RequestEnvelope { seq, req };
-        let json = serde_json::to_string(&env).map_err(|e| io_err(e.to_string()))?;
-        let mut wire = Vec::with_capacity(json.len() + 4);
-        encode_frame(json.as_bytes(), &mut wire);
+        // Room for a typical request in one allocation.
+        let mut wire = Vec::with_capacity(128);
+        encode_json_frame(&env, &mut wire);
         self.stream.write_all(&wire)?;
         let mut buf = [0u8; 8192];
         loop {
@@ -74,10 +74,8 @@ impl Client {
                 .map_err(|e| io_err(e.to_string()))?
             {
                 Some(payload) => {
-                    let text = std::str::from_utf8(&payload)
-                        .map_err(|_| io_err("response is not UTF-8".into()))?;
                     let resp: ResponseEnvelope =
-                        serde_json::from_str(text).map_err(|e| io_err(e.to_string()))?;
+                        serde_json::from_slice(&payload).map_err(|e| io_err(e.to_string()))?;
                     // The daemon tags unparseable requests with seq 0;
                     // surface those too instead of waiting forever.
                     if resp.seq == seq || resp.seq == 0 {

@@ -59,6 +59,19 @@ pub fn encode_frame(payload: &[u8], out: &mut Vec<u8>) {
     out.extend_from_slice(payload);
 }
 
+/// Encode `value` as one compact-JSON frame onto `out`, writing the JSON
+/// straight behind the length prefix (no intermediate string).
+///
+/// # Panics
+/// Panics if the JSON exceeds `u32::MAX` bytes, as [`encode_frame`] does.
+pub fn encode_json_frame<T: serde::Serialize + ?Sized>(value: &T, out: &mut Vec<u8>) {
+    let at = out.len();
+    out.extend_from_slice(&[0; 4]);
+    serde_json::to_writer(out, value).expect("JSON encoding is infallible");
+    let len = u32::try_from(out.len() - at - 4).expect("frame payload exceeds u32");
+    out[at..at + 4].copy_from_slice(&len.to_be_bytes());
+}
+
 /// Push-based frame decoder. Feed arbitrary byte fragments with
 /// [`push`](FrameDecoder::push); pull complete payloads with
 /// [`next_frame`](FrameDecoder::next_frame).

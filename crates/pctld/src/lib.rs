@@ -31,7 +31,7 @@ pub mod server;
 pub mod stream;
 
 pub use client::{Client, RetryPolicy};
-pub use frame::{encode_frame, FrameDecoder, FrameError, DEFAULT_MAX_FRAME};
+pub use frame::{encode_frame, encode_json_frame, FrameDecoder, FrameError, DEFAULT_MAX_FRAME};
 pub use proto::{
     ErrorKind, Request, RequestEnvelope, Response, ResponseEnvelope, SessionStat, StatsSnapshot,
 };

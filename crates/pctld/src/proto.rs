@@ -282,10 +282,20 @@ pub struct StatsSnapshot {
     /// Postmortem bundles written.
     #[serde(default)]
     pub postmortems_total: u64,
+    /// Session snapshots that could not be written to the snapshot
+    /// directory. `#[serde(default)]` for wire compatibility, and left
+    /// out of the JSON while zero, so snapshots without failures read
+    /// the same as those of older daemons.
+    #[serde(default, skip_serializing_if = "is_zero")]
+    pub snapshot_write_errors_total: u64,
     /// Per-session breakdown, sorted by session name. `#[serde(default)]`
     /// so snapshots from daemons predating this field still parse.
     #[serde(default)]
     pub per_session: Vec<SessionStat>,
+}
+
+fn is_zero(n: &u64) -> bool {
+    *n == 0
 }
 
 /// One session's slice of the [`StatsSnapshot`], as consumed by
@@ -420,6 +430,48 @@ mod tests {
         assert!(!json.contains("class"), "legacy wire form: {json}");
         let back: RequestEnvelope = serde_json::from_str(&json).unwrap();
         assert_eq!(back, env);
+    }
+
+    #[test]
+    fn default_fields_may_be_missing() {
+        // A `SessionStat` from a daemon predating the query counters.
+        let old = r#"{"name":"s","appends":3,"approx_bytes":9,"queue_depth":0,"idle_ms":1,"p50_us":4,"p95_us":8}"#;
+        let stat: SessionStat = serde_json::from_str(old).unwrap();
+        assert_eq!((stat.queries, stat.cache_hits), (0, 0));
+        assert_eq!(stat.p95_us, 8);
+        // A `StatsSnapshot` with only the fields every daemon sent.
+        let old = r#"{"sessions":1,"appends_total":2,"busy_total":0,"evictions_total":0,"sessions_refused_total":0,"appends_refused_total":0,"poisoned_total":0,"approx_bytes":5,"budget_bytes":6}"#;
+        let stats: StatsSnapshot = serde_json::from_str(old).unwrap();
+        assert_eq!(
+            stats,
+            StatsSnapshot {
+                sessions: 1,
+                appends_total: 2,
+                approx_bytes: 5,
+                budget_bytes: 6,
+                ..StatsSnapshot::default()
+            }
+        );
+        // Fields without `default` are still required.
+        let err = serde_json::from_str::<StatsSnapshot>(r#"{"sessions":1}"#).unwrap_err();
+        assert!(
+            err.to_string().contains("missing field `appends_total`"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn snapshot_write_errors_are_sent_only_when_nonzero() {
+        let mut stats = StatsSnapshot::default();
+        let json = serde_json::to_string(&stats).unwrap();
+        assert!(!json.contains("snapshot_write_errors_total"), "{json}");
+        stats.snapshot_write_errors_total = 3;
+        let json = serde_json::to_string(&stats).unwrap();
+        assert!(
+            json.contains(r#""snapshot_write_errors_total":3"#),
+            "{json}"
+        );
+        assert_eq!(serde_json::from_str::<StatsSnapshot>(&json).unwrap(), stats);
     }
 
     #[test]

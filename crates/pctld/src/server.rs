@@ -46,7 +46,7 @@
 //!   directory is configured, joins every worker, and reports how many
 //!   failed to drain cleanly.
 
-use crate::frame::{encode_frame, FrameDecoder, DEFAULT_MAX_FRAME};
+use crate::frame::{encode_json_frame, FrameDecoder, DEFAULT_MAX_FRAME};
 use crate::proto::{
     ErrorKind, Request, RequestEnvelope, Response, ResponseEnvelope, StatsSnapshot,
 };
@@ -382,6 +382,8 @@ struct Stats {
     anomalies_total: AtomicU64,
     /// Postmortem bundles successfully written.
     postmortems_total: AtomicU64,
+    /// Session snapshots that failed to reach the snapshot directory.
+    snapshot_write_errors_total: AtomicU64,
 }
 
 /// Request-telemetry state: per-verb latency histograms, the queue-wait /
@@ -775,6 +777,10 @@ impl Inner {
             frames_rejected_total: self.stats.frames_rejected_total.load(Ordering::SeqCst),
             anomalies_total: self.stats.anomalies_total.load(Ordering::SeqCst),
             postmortems_total: self.stats.postmortems_total.load(Ordering::SeqCst),
+            snapshot_write_errors_total: self
+                .stats
+                .snapshot_write_errors_total
+                .load(Ordering::SeqCst),
             per_session,
         }
     }
@@ -853,6 +859,12 @@ impl Inner {
             "Postmortem bundles written",
             &[],
             s.postmortems_total as f64,
+        );
+        exp.counter(
+            "pctld_snapshot_write_errors_total",
+            "Session snapshots that could not be written",
+            &[],
+            s.snapshot_write_errors_total as f64,
         );
         for sess in self.sessions.lock().unwrap().values() {
             exp.gauge(
@@ -1251,29 +1263,17 @@ fn serve_connection(mut stream: TcpStream, inner: Arc<Inner>) {
 }
 
 fn write_response(stream: &mut TcpStream, env: &ResponseEnvelope) -> std::io::Result<()> {
-    let json = serde_json::to_string(env)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-    let mut wire = Vec::with_capacity(json.len() + 4);
-    encode_frame(json.as_bytes(), &mut wire);
+    // Room for a typical response in one allocation.
+    let mut wire = Vec::with_capacity(128);
+    encode_json_frame(env, &mut wire);
     stream.write_all(&wire)
 }
 
 /// Decode and dispatch one frame payload. The boolean asks the connection
 /// loop to stop (after a `Shutdown` drain completed).
 fn handle_payload(payload: &[u8], inner: &Arc<Inner>) -> (ResponseEnvelope, bool) {
-    let text = match std::str::from_utf8(payload) {
-        Ok(t) => t,
-        Err(_) => {
-            return (
-                ResponseEnvelope {
-                    seq: 0,
-                    resp: err(ErrorKind::Malformed, "frame payload is not UTF-8"),
-                },
-                false,
-            )
-        }
-    };
-    let env: RequestEnvelope = match serde_json::from_str(text) {
+    // Invalid UTF-8 is a JSON error like any other malformed payload.
+    let env: RequestEnvelope = match serde_json::from_slice(payload) {
         Ok(e) => e,
         Err(e) => {
             return (
@@ -1936,7 +1936,22 @@ fn flush_snapshot(engine: &StreamEngine, name: &str, inner: &Arc<Inner>) {
         pctl_deposet::trace::to_json(&engine.snapshot())
     }));
     if let Ok(json) = outcome {
-        let _ = std::fs::create_dir_all(dir);
-        let _ = std::fs::write(dir.join(format!("{name}.json")), json);
+        let path = dir.join(format!("{name}.json"));
+        let written = std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&path, json));
+        if let Err(e) = written {
+            let before = inner
+                .stats
+                .snapshot_write_errors_total
+                .fetch_add(1, Ordering::SeqCst);
+            // Report the first failure; later ones only count, so a bad
+            // snapshot directory cannot flood stderr.
+            if before == 0 {
+                eprintln!(
+                    "pctld: cannot write snapshot {}: {e} (further failures are counted in \
+                     pctld_snapshot_write_errors_total)",
+                    path.display()
+                );
+            }
+        }
     }
 }

@@ -625,6 +625,38 @@ fn snapshots_flush_on_close_and_drain() {
 }
 
 #[test]
+fn snapshot_write_failures_are_counted_and_exported() {
+    // The snapshot directory's parent is a regular file, so neither
+    // `create_dir_all` nor the write can succeed.
+    let file = std::env::temp_dir().join(format!("pctld-snap-file-{}", std::process::id()));
+    std::fs::write(&file, b"not a directory").unwrap();
+    let d = daemon(Config {
+        snapshot_dir: Some(file.join("snaps")),
+        ..Config::default()
+    });
+    let srv = d.spawn_metrics("127.0.0.1:0").expect("metrics bind");
+    let mut c = client(&d);
+    for name in ["a", "b"] {
+        assert_eq!(
+            c.hello(name, vec![LocalPredicate::var("ok")], None)
+                .unwrap(),
+            Response::Ok
+        );
+        assert_eq!(c.close(name).unwrap(), Response::Ok);
+    }
+    assert_eq!(d.stats().snapshot_write_errors_total, 2);
+    let body = scrape(&srv);
+    pctl_obs::prom::validate_exposition(&body).expect("valid exposition");
+    assert!(
+        body.contains("pctld_snapshot_write_errors_total 2"),
+        "{body}"
+    );
+    srv.shutdown();
+    assert_eq!(d.shutdown(), 0);
+    let _ = std::fs::remove_file(&file);
+}
+
+#[test]
 fn metrics_endpoint_exports_daemon_gauges() {
     let d = daemon(Config::default());
     let mut c = client(&d);

@@ -456,4 +456,20 @@ mod tests {
         assert_eq!(a.counter_names().collect::<Vec<_>>(), vec!["c"]);
         assert_eq!(a.sample_names().collect::<Vec<_>>(), vec!["x"]);
     }
+
+    #[test]
+    fn empty_gauges_are_left_out_and_may_be_missing() {
+        let mut m = Metrics::default();
+        m.add("c", 2);
+        let json = serde_json::to_string(&m).unwrap();
+        assert_eq!(json, r#"{"counters":{"c":2},"samples":{}}"#);
+        let back: Metrics = serde_json::from_str(&json).unwrap();
+        assert_eq!(back.counter("c"), 2);
+        assert_eq!(back.gauge("g"), None);
+        m.set_gauge("g", -1);
+        let json = serde_json::to_string(&m).unwrap();
+        assert!(json.ends_with(r#","gauges":{"g":-1}}"#), "{json}");
+        let back: Metrics = serde_json::from_str(&json).unwrap();
+        assert_eq!(back.gauge("g"), Some(-1));
+    }
 }
