@@ -4,8 +4,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pctl_deposet::generator::{cs_workload, pipelined_workload, CsConfig};
+use pctl_deposet::store::{detect_disjunctive_violation, find_overlap};
 use pctl_deposet::{DisjunctivePredicate, FalseIntervals};
-use pctl_detect::{detect_disjunctive_violation, find_overlap};
 use std::time::Duration;
 
 fn bench_weak(c: &mut Criterion) {

@@ -11,7 +11,8 @@ use pctl_bench::{cell, Table};
 use pctl_core::online::{phased_system, PeerSelect, Phase};
 use pctl_core::{control_disjunctive, ControlledDeposet, OfflineOptions};
 use pctl_deposet::scenarios::replicated_servers;
-use pctl_detect::detect_disjunctive_violation;
+use pctl_deposet::store::detect_disjunctive_violation;
+use pctl_deposet::CausalStore;
 use pctl_replay::{replay, ReplayConfig};
 use pctl_sim::{DelayModel, SimConfig, Simulation};
 
@@ -37,7 +38,7 @@ fn main() {
     // C2: off-line control with availability.
     let rel_avail = control_disjunctive(dep, &fig.availability, opts).expect("feasible");
     let c2 = ControlledDeposet::new(dep, rel_avail.clone()).unwrap();
-    assert!(!c2.is_consistent(&fig.g) && !c2.is_consistent(&fig.h));
+    assert!(!fig.g.is_consistent(&c2) && !fig.h.is_consistent(&c2));
     steps.row(vec![
         cell("C2"),
         cell("control C1 with 'some server available'"),
@@ -78,8 +79,8 @@ fn main() {
 
     // C4: apply the e-before-f control back to C1.
     let c4 = ControlledDeposet::new(dep, rel_order.clone()).unwrap();
-    let g_gone = !c4.is_consistent(&fig.g);
-    let h_gone = !c4.is_consistent(&fig.h);
+    let g_gone = !fig.g.is_consistent(&c4);
+    let h_gone = !fig.h.is_consistent(&c4);
     assert!(g_gone && h_gone, "fixing bug2 must also eliminate bug1");
     steps.row(vec![
         cell("C4"),

@@ -172,6 +172,7 @@ pub fn mutually_separated(dep: &Deposet, locals: &[LocalPredicate]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pctl_deposet::lattice::consistent_global_states;
     use pctl_deposet::{DeposetBuilder, GlobalState};
 
     /// Three processes, each with one critical section, pairwise-overlapping
@@ -196,7 +197,7 @@ mod tests {
         ]);
         let rel = control_cnf(&dep, &pred, OfflineOptions::default()).expect("composable");
         let c = ControlledDeposet::new(&dep, rel).unwrap();
-        for g in c.consistent_global_states(100_000).unwrap() {
+        for g in consistent_global_states(&c, 100_000).unwrap() {
             assert!(pred.eval(&dep, &g), "violated at {g:?}");
         }
     }
@@ -213,7 +214,7 @@ mod tests {
         match control_cnf(&dep, &pred, OfflineOptions::default()) {
             Ok(rel) => {
                 let c = ControlledDeposet::new(&dep, rel).unwrap();
-                for g in c.consistent_global_states(100_000).unwrap() {
+                for g in consistent_global_states(&c, 100_000).unwrap() {
                     assert!(pred.eval(&dep, &g));
                 }
             }
@@ -283,7 +284,7 @@ mod tests {
         let pred = CnfPredicate::new(vec![CnfPredicate::pairwise_mutex(2, 0, 1, "cs")]);
         let rel = control_cnf(&dep, &pred, OfflineOptions::default()).unwrap();
         let c = ControlledDeposet::new(&dep, rel).unwrap();
-        for g in c.consistent_global_states(100_000).unwrap() {
+        for g in consistent_global_states(&c, 100_000).unwrap() {
             assert!(pred.eval(&dep, &g));
         }
     }

@@ -8,16 +8,19 @@
 //! Adding `C→` to a deposet is only meaningful when the *extended causality*
 //! `(im ∪ ; ∪ C→)⁺` remains an irreflexive partial order; a relation that
 //! creates a cycle *interferes* with `→` and is rejected with the cycle as a
-//! diagnostic. A valid combination yields a [`ControlledDeposet`], which
-//! supports the same consistency/lattice queries as the base deposet but
-//! under extended causality — the controlled computation's global sequences
-//! are exactly the base computation's global sequences that respect `C→`.
+//! diagnostic. A pair into an initial state `⊥ᵢ` is rejected too: no event
+//! enters `⊥ᵢ`, so nothing can block before it, and `⊥` stays the least
+//! consistent cut of every controlled computation. A valid combination
+//! yields a [`ControlledDeposet`], which supports the same
+//! consistency/lattice queries as the base deposet but under extended
+//! causality — the controlled computation's global sequences are exactly
+//! the base computation's global sequences that respect `C→`.
 
 use pctl_causality::arena::fill_clocks;
 use pctl_causality::{ClockArena, ClockRef, Dag, ProcessId, StateId};
-use pctl_deposet::{Deposet, GlobalState};
+use pctl_deposet::{CausalStore, Deposet};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashSet, VecDeque};
+use std::collections::HashSet;
 use std::fmt;
 
 /// An ordered multiset-free list of forced-before pairs `x C→ y`.
@@ -91,6 +94,9 @@ impl fmt::Display for ControlRelation {
 pub enum ControlError {
     /// A pair references a state outside the computation.
     UnknownState(StateId),
+    /// A pair `x C→ y` targets an initial state `y = ⊥ᵢ`: no event enters
+    /// `y`, so nothing can block before it and no run enforces the pair.
+    InitialTarget(StateId, StateId),
     /// The relation interferes with `→`: extended causality has a cycle
     /// through the listed states.
     Interference {
@@ -103,6 +109,10 @@ impl fmt::Display for ControlError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ControlError::UnknownState(s) => write!(f, "control pair references unknown state {s}"),
+            ControlError::InitialTarget(x, y) => write!(
+                f,
+                "control pair {x} C→ {y} targets an initial state: nothing can block before it"
+            ),
             ControlError::Interference { cycle } => {
                 write!(
                     f,
@@ -126,8 +136,9 @@ impl std::error::Error for ControlError {}
 ///
 /// Owns recomputed *extended* vector clocks in one [`ClockArena`] with the
 /// base deposet's row layout (the control pairs are extra merge edges of
-/// the same fill); all queries (`precedes`, consistency, lattice
-/// enumeration) are under `C→ ∪ →`.
+/// the same fill). As a [`CausalStore`] every query — `precedes`,
+/// [`GlobalState::is_consistent`](pctl_deposet::GlobalState::is_consistent),
+/// the [`lattice`](pctl_deposet::lattice) walk — is under `C→ ∪ →`.
 #[derive(Debug)]
 pub struct ControlledDeposet<'a> {
     base: &'a Deposet,
@@ -170,6 +181,10 @@ fn interference_cycle(dep: &Deposet, control: &ControlRelation) -> Vec<StateId> 
 
 impl<'a> ControlledDeposet<'a> {
     /// Validate `control` against `dep` and compute extended clocks.
+    ///
+    /// Every pair must name states of `dep` and must not close a cycle of
+    /// the extended relation; an acyclic relation must also not target an
+    /// initial state (the rule the replay enforces too).
     pub fn new(dep: &'a Deposet, control: ControlRelation) -> Result<Self, ControlError> {
         for &(x, y) in control.pairs() {
             if !dep.contains(x) {
@@ -203,6 +218,9 @@ impl<'a> ControlledDeposet<'a> {
                 cycle: interference_cycle(dep, &control),
             });
         };
+        if let Some(&(x, y)) = control.pairs().iter().find(|(_, y)| y.index == 0) {
+            return Err(ControlError::InitialTarget(x, y));
+        }
         assert_eq!(ext_clocks.allocated_words(), n * total);
         Ok(ControlledDeposet {
             base: dep,
@@ -225,81 +243,41 @@ impl<'a> ControlledDeposet<'a> {
     pub fn clock(&self, s: StateId) -> ClockRef<'_> {
         self.ext_clocks.row(self.base.row_of(s))
     }
+}
 
-    /// `s C→∪→ t` under extended causality.
-    pub fn precedes(&self, s: StateId, t: StateId) -> bool {
+/// The controlled computation as a store under extended causality
+/// `C→ ∪ →`: consistency, the lattice walk and the detectors of
+/// `pctl_deposet` run over it directly.
+impl CausalStore for ControlledDeposet<'_> {
+    #[inline]
+    fn process_count(&self) -> usize {
+        self.base.process_count()
+    }
+
+    #[inline]
+    fn len_of(&self, p: ProcessId) -> usize {
+        self.base.len_of(p)
+    }
+
+    #[inline]
+    fn precedes(&self, s: StateId, t: StateId) -> bool {
         s != t
             && self.ext_clocks.word(self.base.row_of(s), s.process)
                 <= self.ext_clocks.word(self.base.row_of(t), s.process)
     }
 
-    /// Concurrency under extended causality.
-    pub fn concurrent(&self, s: StateId, t: StateId) -> bool {
-        s != t && !self.precedes(s, t) && !self.precedes(t, s)
-    }
-
-    /// Consistency of a global state under extended causality.
-    pub fn is_consistent(&self, g: &GlobalState) -> bool {
-        let n = self.base.process_count();
-        for j in 0..n {
-            let vj = self.clock(g.state_of(ProcessId(j as u32)));
-            for i in 0..n {
-                if i != j && vj.get(ProcessId(i as u32)) > g.index_of(ProcessId(i as u32)) {
-                    return false;
-                }
-            }
-        }
-        true
-    }
-
-    /// Single-process consistent successors under extended causality.
-    pub fn consistent_successors<'b>(
-        &'b self,
-        g: &'b GlobalState,
-    ) -> impl Iterator<Item = GlobalState> + 'b {
-        let dep = self.base;
-        dep.processes().filter_map(move |p| {
-            let next_idx = g.index_of(p) + 1;
-            if (next_idx as usize) >= dep.len_of(p) {
-                return None;
-            }
-            let v = self.clock(StateId::new(p, next_idx));
-            let ok = dep.processes().all(|q| q == p || v.get(q) <= g.index_of(q));
-            ok.then(|| g.advanced(p))
-        })
-    }
-
-    /// Enumerate every consistent global state of the *controlled*
-    /// computation (BFS, bounded by `limit`).
-    pub fn consistent_global_states(
-        &self,
-        limit: usize,
-    ) -> Result<Vec<GlobalState>, pctl_deposet::lattice::LatticeBudgetExceeded> {
-        let init = GlobalState::initial(self.base.process_count());
-        let mut seen: HashSet<GlobalState> = HashSet::new();
-        let mut queue: VecDeque<GlobalState> = VecDeque::new();
-        let mut out = Vec::new();
-        seen.insert(init.clone());
-        queue.push_back(init);
-        while let Some(g) = queue.pop_front() {
-            out.push(g.clone());
-            if out.len() > limit {
-                return Err(pctl_deposet::lattice::LatticeBudgetExceeded { limit });
-            }
-            for h in self.consistent_successors(&g) {
-                if seen.insert(h.clone()) {
-                    queue.push_back(h);
-                }
-            }
-        }
-        Ok(out)
+    /// One word read of the extended arena.
+    #[inline]
+    fn clock_entry(&self, s: StateId, q: ProcessId) -> u32 {
+        self.ext_clocks.word(self.base.row_of(s), q)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pctl_deposet::DeposetBuilder;
+    use pctl_deposet::lattice::{consistent_global_states, count_consistent_global_states};
+    use pctl_deposet::{DeposetBuilder, GlobalState};
 
     /// Two independent processes, two states each.
     fn grid2() -> Deposet {
@@ -313,7 +291,7 @@ mod tests {
     fn empty_control_changes_nothing() {
         let d = grid2();
         let c = ControlledDeposet::new(&d, ControlRelation::empty()).unwrap();
-        let all = c.consistent_global_states(100).unwrap();
+        let all = consistent_global_states(&c, 100).unwrap();
         assert_eq!(all.len(), 4);
         for s in d.state_ids() {
             assert_eq!(c.clock(s), d.clock(s), "clocks unchanged without control");
@@ -329,23 +307,38 @@ mod tests {
         let mut rel = ControlRelation::empty();
         rel.push(StateId::new(1usize, 0), StateId::new(0usize, 1));
         let c = ControlledDeposet::new(&d, rel).unwrap();
-        let all = c.consistent_global_states(100).unwrap();
+        let all = consistent_global_states(&c, 100).unwrap();
         assert_eq!(all.len(), 3);
-        assert!(!c.is_consistent(&GlobalState::from_indices(vec![1, 0])));
+        assert!(!GlobalState::from_indices(vec![1, 0]).is_consistent(&c));
 
         // Force P1 past its step before P0 steps: (1,1) C→ (0,1).
         let mut rel2 = ControlRelation::empty();
         rel2.push(StateId::new(1usize, 1), StateId::new(0usize, 1));
         let c2 = ControlledDeposet::new(&d, rel2).unwrap();
-        let all2 = c2.consistent_global_states(100).unwrap();
+        let all2 = consistent_global_states(&c2, 100).unwrap();
         // ⟨1,0⟩ (P0 stepped, P1 not) is now inconsistent, and so is ⟨1,1⟩:
         // it contains both endpoints of the forced-before pair.
         assert_eq!(all2.len(), 2);
-        assert!(!c2.is_consistent(&GlobalState::from_indices(vec![1, 0])));
-        assert!(!c2.is_consistent(&GlobalState::from_indices(vec![1, 1])));
-        assert!(c2.is_consistent(&GlobalState::from_indices(vec![0, 0])));
+        assert!(!GlobalState::from_indices(vec![1, 0]).is_consistent(&c2));
+        assert!(!GlobalState::from_indices(vec![1, 1]).is_consistent(&c2));
+        assert!(GlobalState::from_indices(vec![0, 0]).is_consistent(&c2));
         assert!(c2.precedes(StateId::new(1usize, 1), StateId::new(0usize, 1)));
         assert!(c2.concurrent(StateId::new(1usize, 0), StateId::new(0usize, 0)));
+    }
+
+    #[test]
+    fn control_into_an_initial_state_is_rejected() {
+        let d = grid2();
+        // No event enters ⊥₀, so P0 cannot be blocked before it: both a
+        // pair that only removes ⊥ and one that removes every cut are
+        // rejected rather than enumerated.
+        for x in [StateId::new(1usize, 0), StateId::new(1usize, 1)] {
+            let y = StateId::new(0usize, 0);
+            assert_eq!(
+                ControlledDeposet::new(&d, ControlRelation::from_pairs([(x, y)])).unwrap_err(),
+                ControlError::InitialTarget(x, y)
+            );
+        }
     }
 
     /// `ControlledDeposet::new` rejects `rel` with a cycle in which every
@@ -428,14 +421,14 @@ mod tests {
         let mut rel = ControlRelation::empty();
         rel.push(StateId::new(1usize, 1), StateId::new(0usize, 2));
         let c = ControlledDeposet::new(&d, rel).unwrap();
-        let controlled = c.consistent_global_states(1000).unwrap();
+        let controlled = consistent_global_states(&c, 1000).unwrap();
         for g in &controlled {
             assert!(
                 g.is_consistent(&d),
                 "controlled cut {g:?} must be base-consistent"
             );
         }
-        let base_count = pctl_deposet::lattice::count_consistent_global_states(&d, 1000).unwrap();
+        let base_count = count_consistent_global_states(&d, 1000).unwrap();
         assert!(
             controlled.len() < base_count,
             "control strictly restricts this lattice"

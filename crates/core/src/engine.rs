@@ -195,20 +195,7 @@ impl<'a> PredicateEngine<'a> {
         let _prof = pctl_prof::span("engine_detect_violation");
         match &self.class {
             ClassState::Disjunctive { index, .. } => {
-                let queues: Vec<Vec<u32>> = self
-                    .dep
-                    .processes()
-                    .map(|p| {
-                        index
-                            .truths_of(p)
-                            .iter()
-                            .enumerate()
-                            .filter(|&(_, &t)| !t)
-                            .map(|(k, _)| k as u32)
-                            .collect()
-                    })
-                    .collect();
-                pctl_detect::possibly_from_queues(self.dep, &queues)
+                store::possibly_all_false(self.dep, |p| index.truths_of(p))
             }
             // The slice's least cut *is* the earliest satisfying cut.
             ClassState::Regular { slice, .. } => slice.min_cut().cloned(),
@@ -256,12 +243,12 @@ mod tests {
             );
             assert_eq!(
                 eng.detect_violation(),
-                pctl_detect::detect_disjunctive_violation(&dep, &pred),
+                store::detect_disjunctive_violation(&dep, &pred),
                 "seed {seed}"
             );
             assert_eq!(
                 eng.infeasibility_witness(),
-                pctl_detect::definitely_all_false(&dep, &pred),
+                store::definitely_all_false(&dep, &pred),
                 "seed {seed}"
             );
         }

@@ -588,6 +588,7 @@ impl<'a, C: CausalStore + ?Sized> Run<'a, C> {
 mod tests {
     use super::*;
     use crate::control::ControlledDeposet;
+    use pctl_deposet::lattice::consistent_global_states;
     use pctl_deposet::{DeposetBuilder, GlobalState, LocalPredicate};
 
     fn opts_all() -> Vec<OfflineOptions> {
@@ -615,7 +616,7 @@ mod tests {
     /// the controlled computation satisfy `pred`.
     fn assert_controls(dep: &Deposet, pred: &DisjunctivePredicate, rel: &ControlRelation) {
         let c = ControlledDeposet::new(dep, rel.clone()).expect("no interference");
-        for g in c.consistent_global_states(100_000).unwrap() {
+        for g in consistent_global_states(&c, 100_000).unwrap() {
             assert!(
                 pred.eval(dep, &g),
                 "controlled cut {g:?} violates predicate (C = {rel})"
@@ -841,9 +842,9 @@ mod tests {
         // The control orders x before y: no controlled-consistent cut has
         // y done (P1 at state 1) while x is not (P0 still at state 0).
         let c = ControlledDeposet::new(&dep, rel).unwrap();
-        assert!(!c.is_consistent(&pctl_deposet::GlobalState::from_indices(vec![0, 1])));
-        assert!(c.is_consistent(&pctl_deposet::GlobalState::from_indices(vec![1, 1])));
-        assert!(c.is_consistent(&pctl_deposet::GlobalState::from_indices(vec![1, 0])));
+        assert!(!GlobalState::from_indices(vec![0, 1]).is_consistent(&c));
+        assert!(GlobalState::from_indices(vec![1, 1]).is_consistent(&c));
+        assert!(GlobalState::from_indices(vec![1, 0]).is_consistent(&c));
     }
 
     #[test]
@@ -887,7 +888,7 @@ mod tests {
         assert_controls(&dep, &pred, &rel);
         // The tuple must block P1's final fall until P0 recovered:
         let c = ControlledDeposet::new(&dep, rel).unwrap();
-        assert!(!c.is_consistent(&pctl_deposet::GlobalState::from_indices(vec![1, 1])));
+        assert!(!GlobalState::from_indices(vec![1, 1]).is_consistent(&c));
     }
 
     #[test]

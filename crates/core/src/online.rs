@@ -597,7 +597,7 @@ mod tests {
                     let all_false: Vec<LocalPredicate> =
                         (0..n).map(|_| LocalPredicate::not_var("ok")).collect();
                     assert_eq!(
-                        pctl_detect::possibly_conjunction(&r.deposet, &all_false),
+                        pctl_deposet::store::possibly_conjunction(&r.deposet, &all_false),
                         None,
                         "n={n} {select:?} seed={seed}: all-false consistent cut"
                     );

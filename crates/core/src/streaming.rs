@@ -1,5 +1,6 @@
-//! The streaming engine: [`PredicateEngine`]'s query surface over a
-//! *growing* per-session store.
+//! The streaming engine: the query surface of
+//! [`PredicateEngine`](crate::engine::PredicateEngine) over a *growing*
+//! per-session store.
 //!
 //! A batch [`PredicateEngine`](crate::engine::PredicateEngine) is built once
 //! over an immutable [`Deposet`] and an eagerly-derived `IntervalIndex`. A
@@ -297,21 +298,7 @@ impl StreamEngine {
                     .min_cut()
                     .cloned()
             }
-            None => {
-                let n = self.store.process_count();
-                let queues: Vec<Vec<u32>> = (0..n)
-                    .map(|p| {
-                        self.store
-                            .truths_of(ProcessId(p as u32))
-                            .iter()
-                            .enumerate()
-                            .filter(|&(_, &t)| !t)
-                            .map(|(k, _)| k as u32)
-                            .collect()
-                    })
-                    .collect();
-                pctl_detect::possibly_from_queues(&self.store, &queues)
-            }
+            None => store::possibly_all_false(&self.store, |p| self.store.truths_of(p)),
         };
         self.cache.detect = Some(out.clone());
         out

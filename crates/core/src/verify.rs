@@ -26,8 +26,8 @@
 
 use crate::control::{ControlError, ControlRelation, ControlledDeposet};
 use crate::offline::{control_disjunctive, OfflineOptions};
-use pctl_deposet::lattice::LatticeBudgetExceeded;
-use pctl_deposet::{Deposet, DisjunctivePredicate, GlobalState, LocalPredicate, ProcessId};
+use pctl_deposet::lattice::{self, LatticeBudgetExceeded};
+use pctl_deposet::{store, Deposet, DisjunctivePredicate, GlobalState, LocalPredicate, ProcessId};
 use std::fmt;
 
 /// Verification failure.
@@ -59,9 +59,26 @@ impl fmt::Display for VerifyError {
 
 impl std::error::Error for VerifyError {}
 
+/// Walk the consistent global states of `dep` controlled by `rel`, in BFS
+/// order, and report the first one where `bad` holds. `limit` bounds the
+/// number of states visited.
+fn first_bad_cut(
+    dep: &Deposet,
+    rel: &ControlRelation,
+    limit: usize,
+    mut bad: impl FnMut(&GlobalState) -> bool,
+) -> Result<(), VerifyError> {
+    let c = ControlledDeposet::new(dep, rel.clone()).map_err(VerifyError::Control)?;
+    match lattice::possibly(&c, limit, |_, g| bad(g)).map_err(VerifyError::Budget)? {
+        Some(state) => Err(VerifyError::Violation { state }),
+        None => Ok(()),
+    }
+}
+
 /// Exhaustively verify that `rel` makes `dep` satisfy the disjunctive
 /// predicate `pred` (see module docs). `limit` bounds the number of
-/// controlled-consistent global states visited.
+/// controlled-consistent global states visited; the walk stops at the
+/// first violating one.
 pub fn verify_disjunctive(
     dep: &Deposet,
     pred: &DisjunctivePredicate,
@@ -69,16 +86,7 @@ pub fn verify_disjunctive(
     limit: usize,
 ) -> Result<(), VerifyError> {
     let _prof = pctl_prof::span("verify_disjunctive");
-    let c = ControlledDeposet::new(dep, rel.clone()).map_err(VerifyError::Control)?;
-    for g in c
-        .consistent_global_states(limit)
-        .map_err(VerifyError::Budget)?
-    {
-        if !pred.eval(dep, &g) {
-            return Err(VerifyError::Violation { state: g });
-        }
-    }
-    Ok(())
+    first_bad_cut(dep, rel, limit, |g| !pred.eval(dep, g))
 }
 
 /// Exhaustively verify that `rel` *prevents* the regular violation
@@ -93,16 +101,7 @@ pub fn verify_regular(
     limit: usize,
 ) -> Result<(), VerifyError> {
     let _prof = pctl_prof::span("verify_regular");
-    let c = ControlledDeposet::new(dep, rel.clone()).map_err(VerifyError::Control)?;
-    for g in c
-        .consistent_global_states(limit)
-        .map_err(VerifyError::Budget)?
-    {
-        if violation.eval(dep, &g) {
-            return Err(VerifyError::Violation { state: g });
-        }
-    }
-    Ok(())
+    first_bad_cut(dep, rel, limit, |g| violation.eval(dep, g))
 }
 
 /// Structural facts about an algorithm output used in the paper's proof.
@@ -229,8 +228,9 @@ impl FaultSweepReport {
 /// `witness` is the local predicate `lᵢ` whose disjunction the controller
 /// maintains (the same formula for every process — `var("ok")` for the
 /// phased workload, `not_var("cs")` for mutual exclusion). The sweep runs
-/// two conjunctive-predicate detections over the whole computation lattice
-/// (`pctl_detect::possibly_conjunction`, the paper's *possibly* modality):
+/// two weak conjunctive detections (Garg–Waldecker queue elimination, the
+/// paper's *possibly* modality), polynomial and without enumerating the
+/// lattice:
 ///
 /// 1. **unwitnessed**: `∀i. ¬lᵢ ∨ downᵢ` — no up process witnesses `B`;
 /// 2. **clean violation**: `∀i. ¬lᵢ ∧ ¬downᵢ` — all up, all false.
@@ -243,7 +243,7 @@ impl FaultSweepReport {
 /// predicate is evaluated once and the reserved `"down"` flag read once per
 /// state, and both detector candidate queues plus the crash windows are
 /// derived from those two columns (the detectors then run on the queues via
-/// [`pctl_detect::possibly_from_queues`], with no further predicate
+/// [`store::possibly_from_queues`], with no further predicate
 /// evaluation). The scan is one sequential loop over the processes: a run
 /// audit is a few thousand states, far below what a thread spawn pays for;
 /// callers auditing many runs fan out over the runs instead.
@@ -291,8 +291,8 @@ pub fn sweep_faulty_run(dep: &Deposet, witness: &LocalPredicate) -> FaultSweepRe
         clean_queues.push(clean);
     }
     FaultSweepReport {
-        unwitnessed_cut: pctl_detect::possibly_from_queues(dep, &unwitnessed_queues),
-        clean_violation: pctl_detect::possibly_from_queues(dep, &clean_queues),
+        unwitnessed_cut: store::possibly_from_queues(dep, &unwitnessed_queues),
+        clean_violation: store::possibly_from_queues(dep, &clean_queues),
         down_windows,
     }
 }
@@ -347,6 +347,20 @@ mod tests {
             verify_disjunctive(&dep, &pred, &rel, 10_000),
             Err(VerifyError::Control(ControlError::Interference { .. }))
         ));
+    }
+
+    #[test]
+    fn verify_rejects_relation_into_an_initial_state() {
+        // ⊤₁ C→ ⊥₀ would leave no consistent cut at all, so every property
+        // would hold vacuously; no run can enforce it, and both verifiers
+        // reject it instead.
+        let (dep, pred) = mutex_dep();
+        let (x, y) = (StateId::new(1usize, 2), StateId::new(0usize, 0));
+        let rel = ControlRelation::from_pairs([(x, y)]);
+        let rejected = |r| matches!(r, Err(VerifyError::Control(ControlError::InitialTarget(a, b))) if (a, b) == (x, y));
+        assert!(rejected(verify_disjunctive(&dep, &pred, &rel, 10_000)));
+        let both_cs = pctl_deposet::RegularPredicate::conj_var(&[0, 1], "cs");
+        assert!(rejected(verify_regular(&dep, &both_cs, &rel, 10_000)));
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! lattice that advance a (possibly empty-stuttered) subset of processes per
 //! step.
 
+use crate::causal::CausalStore;
 use crate::model::Deposet;
 use pctl_causality::{ProcessId, StateId};
 use serde::{Deserialize, Serialize};
@@ -119,7 +120,7 @@ impl GlobalState {
     }
 
     /// Whether `self` is within bounds of `dep` (each index names a state).
-    pub fn in_bounds(&self, dep: &Deposet) -> bool {
+    pub fn in_bounds<C: CausalStore + ?Sized>(&self, dep: &C) -> bool {
         self.cut.len() == dep.process_count()
             && self
                 .cut
@@ -131,42 +132,34 @@ impl GlobalState {
     /// Consistency: all members pairwise concurrent. O(n²) with clocks:
     /// `G` is consistent iff `∀ i ≠ j: V(G[j])[i] ≤ idx(G[i]) ` — i.e. no
     /// member knows of a state on another process beyond the cut.
-    pub fn is_consistent(&self, dep: &Deposet) -> bool {
+    pub fn is_consistent<C: CausalStore + ?Sized>(&self, dep: &C) -> bool {
         debug_assert!(self.in_bounds(dep));
-        let n = self.cut.len();
-        for j in 0..n {
-            let vj = dep.clock(self.state_of(ProcessId(j as u32)));
-            for i in 0..n {
-                if i != j && vj.get(ProcessId(i as u32)) > self.cut[i] {
-                    return false;
-                }
-            }
-        }
-        true
+        self.states().all(|s| {
+            self.states()
+                .all(|t| t.process == s.process || dep.clock_entry(s, t.process) <= t.index)
+        })
     }
 
     /// Single-process successor cuts that remain consistent, given `self`
     /// consistent: advancing `i` keeps consistency iff everything the new
     /// state depends on is already inside the cut.
-    pub fn consistent_successors<'a>(
+    pub fn consistent_successors<'a, C: CausalStore + ?Sized>(
         &'a self,
-        dep: &'a Deposet,
+        dep: &'a C,
     ) -> impl Iterator<Item = (ProcessId, GlobalState)> + 'a {
-        dep.processes().filter_map(move |p| {
-            let next_idx = self.cut[p.index()] + 1;
-            if (next_idx as usize) >= dep.len_of(p) {
+        self.states().filter_map(move |s| {
+            let next = s.successor();
+            if next.idx() >= dep.len_of(s.process) {
                 return None;
             }
-            let next = StateId::new(p, next_idx);
-            let v = dep.clock(next);
-            // Clock entries count states (index + 1), so `v.get(q) ≤ cut[q]`
-            // says: every state of q that the new state causally depends on
-            // lies strictly inside the cut (index < cut[q] + 1 ⇒ no member
-            // of the cut precedes the new state).
-            let ok = dep
-                .processes()
-                .all(|q| q == p || v.get(q) <= self.cut[q.index()]);
-            ok.then(|| (p, self.advanced(p)))
+            // Clock entries count states (index + 1), so `V(next)[q] ≤
+            // cut[q]` says: every state of q that the new state causally
+            // depends on lies strictly inside the cut (index < cut[q] + 1 ⇒
+            // no member of the cut precedes the new state).
+            let ok = self
+                .states()
+                .all(|t| t.process == s.process || dep.clock_entry(next, t.process) <= t.index);
+            ok.then(|| (s.process, self.advanced(s.process)))
         })
     }
 }

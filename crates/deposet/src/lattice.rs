@@ -2,16 +2,23 @@
 //! states `(G_c, ≤)`.
 //!
 //! Any consistent global state (= ideal of the `→` poset) is reachable from
-//! `⊥` by repeatedly advancing a single process while staying consistent, so
-//! a BFS over [`GlobalState::consistent_successors`] enumerates the whole
-//! lattice. The lattice can be exponentially large; every entry point takes
-//! an explicit `limit` and fails softly when it is exceeded, which is how
-//! the NP-hardness of the general problem manifests operationally.
+//! `⊥` by repeatedly advancing a single process while staying
+//! consistent, so a BFS over [`GlobalState::consistent_successors`]
+//! enumerates the whole lattice. One private walk does that BFS for every
+//! entry point, generic over [`CausalStore`]: it reads only `clock_entry`,
+//! so it runs unchanged over a batch [`Deposet`](crate::model::Deposet)
+//! and over a controlled computation whose store includes the control
+//! edges. (A control relation that orders *events* in a cycle leaves
+//! consistent cuts past that cycle which no run reaches; the walk does not
+//! visit them.) The lattice can be exponentially large; every entry point
+//! takes an explicit `limit` and fails softly when it is exceeded, which
+//! is how the NP-hardness of the general problem manifests operationally.
 
+use crate::causal::CausalStore;
 use crate::global::GlobalState;
-use crate::model::Deposet;
-use std::collections::{HashSet, VecDeque};
+use std::collections::HashSet;
 use std::fmt;
+use std::ops::ControlFlow;
 
 /// Error: the lattice exploration exceeded the caller's state budget.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -32,90 +39,111 @@ impl fmt::Display for LatticeBudgetExceeded {
 
 impl std::error::Error for LatticeBudgetExceeded {}
 
+/// The one lattice walk: hands every consistent global state of `dep` to
+/// `visit`, in BFS order from `⊥` (a linear extension of `≤`),
+/// until `visit` breaks or more than `limit` states were visited.
+fn walk<C, T>(
+    dep: &C,
+    limit: usize,
+    mut visit: impl FnMut(GlobalState) -> ControlFlow<T>,
+) -> Result<Option<T>, LatticeBudgetExceeded>
+where
+    C: CausalStore + ?Sized,
+{
+    // Every successor of a cut at level `k` (the sum of its indices) is at
+    // level `k + 1`, so the walk goes level by level and deduplicates
+    // within the next level only: the same BFS order as one FIFO queue
+    // over all cuts, with one level in memory instead of every cut seen.
+    let init = GlobalState::initial(dep.process_count());
+    debug_assert!(init.is_consistent(dep));
+    let mut level = vec![init];
+    let mut visited = 0usize;
+    while !level.is_empty() {
+        let mut next = Vec::new();
+        let mut seen: HashSet<GlobalState> = HashSet::new();
+        for g in level {
+            visited += 1;
+            if visited > limit {
+                return Err(LatticeBudgetExceeded { limit });
+            }
+            for (_, h) in g.consistent_successors(dep) {
+                if seen.insert(h.clone()) {
+                    next.push(h);
+                }
+            }
+            if let ControlFlow::Break(t) = visit(g) {
+                return Ok(Some(t));
+            }
+        }
+        level = next;
+    }
+    Ok(None)
+}
+
 /// Enumerate every consistent global state of `dep`, up to `limit` states.
 ///
 /// Returned in BFS order from `⊥` (a linear extension of `≤`).
-pub fn consistent_global_states(
-    dep: &Deposet,
+pub fn consistent_global_states<C: CausalStore + ?Sized>(
+    dep: &C,
     limit: usize,
 ) -> Result<Vec<GlobalState>, LatticeBudgetExceeded> {
-    let init = GlobalState::initial(dep.process_count());
-    debug_assert!(init.is_consistent(dep));
-    let mut seen: HashSet<GlobalState> = HashSet::new();
-    let mut queue: VecDeque<GlobalState> = VecDeque::new();
-    let mut out = Vec::new();
-    seen.insert(init.clone());
-    queue.push_back(init);
-    while let Some(g) = queue.pop_front() {
-        out.push(g.clone());
-        if out.len() > limit {
-            return Err(LatticeBudgetExceeded { limit });
-        }
-        for (_, h) in g.consistent_successors(dep) {
-            if seen.insert(h.clone()) {
-                queue.push_back(h);
-            }
-        }
-    }
-    Ok(out)
+    find_all_consistent(dep, limit, |_, _| true)
 }
 
 /// Count the consistent global states (subject to the same budget).
-pub fn count_consistent_global_states(
-    dep: &Deposet,
+pub fn count_consistent_global_states<C: CausalStore + ?Sized>(
+    dep: &C,
     limit: usize,
 ) -> Result<usize, LatticeBudgetExceeded> {
-    consistent_global_states(dep, limit).map(|v| v.len())
+    let mut count = 0usize;
+    walk::<_, ()>(dep, limit, |_| {
+        count += 1;
+        ControlFlow::Continue(())
+    })?;
+    Ok(count)
 }
 
 /// Model-check a predicate over every consistent global state: returns all
 /// consistent global states where `pred` holds (used by detection and by
 /// exhaustive verification of control strategies on small instances).
-pub fn find_all_consistent<F>(
-    dep: &Deposet,
+pub fn find_all_consistent<C, F>(
+    dep: &C,
     limit: usize,
     mut pred: F,
 ) -> Result<Vec<GlobalState>, LatticeBudgetExceeded>
 where
-    F: FnMut(&Deposet, &GlobalState) -> bool,
+    C: CausalStore + ?Sized,
+    F: FnMut(&C, &GlobalState) -> bool,
 {
-    Ok(consistent_global_states(dep, limit)?
-        .into_iter()
-        .filter(|g| pred(dep, g))
-        .collect())
+    let mut out = Vec::new();
+    walk::<_, ()>(dep, limit, |g| {
+        if pred(dep, &g) {
+            out.push(g);
+        }
+        ControlFlow::Continue(())
+    })?;
+    Ok(out)
 }
 
 /// Does some consistent global state satisfy `pred`? (*Possibly φ* in the
-/// predicate-detection literature.) Short-circuits the BFS.
-pub fn possibly<F>(
-    dep: &Deposet,
+/// predicate-detection literature.) Short-circuits the BFS and returns the
+/// first witness in BFS order.
+pub fn possibly<C, F>(
+    dep: &C,
     limit: usize,
     mut pred: F,
 ) -> Result<Option<GlobalState>, LatticeBudgetExceeded>
 where
-    F: FnMut(&Deposet, &GlobalState) -> bool,
+    C: CausalStore + ?Sized,
+    F: FnMut(&C, &GlobalState) -> bool,
 {
-    let init = GlobalState::initial(dep.process_count());
-    let mut seen: HashSet<GlobalState> = HashSet::new();
-    let mut queue: VecDeque<GlobalState> = VecDeque::new();
-    seen.insert(init.clone());
-    queue.push_back(init);
-    let mut visited = 0usize;
-    while let Some(g) = queue.pop_front() {
-        visited += 1;
-        if visited > limit {
-            return Err(LatticeBudgetExceeded { limit });
-        }
+    walk(dep, limit, |g| {
         if pred(dep, &g) {
-            return Ok(Some(g));
+            ControlFlow::Break(g)
+        } else {
+            ControlFlow::Continue(())
         }
-        for (_, h) in g.consistent_successors(dep) {
-            if seen.insert(h.clone()) {
-                queue.push_back(h);
-            }
-        }
-    }
-    Ok(None)
+    })
 }
 
 #[cfg(test)]

@@ -9,7 +9,8 @@
 //! * safe incremental construction with [`builder::DeposetBuilder`] (the
 //!   deposet constraints D1–D3 hold by construction);
 //! * [`global::GlobalState`]s, consistency, and the lattice `(G_c, ≤)` with
-//!   enumeration/model-checking utilities ([`lattice`]);
+//!   enumeration/model-checking utilities over one cut walk, generic over
+//!   any [`CausalStore`] ([`lattice`]);
 //! * [`sequences::GlobalSequence`]s — executions as subset-advancing paths
 //!   through the lattice, with validation and satisfaction checking;
 //! * [`predicate`]s — local predicates, general boolean global predicates,
@@ -17,9 +18,11 @@
 //! * false-[`intervals`] extraction, the representation the off-line control
 //!   algorithm actually manipulates;
 //! * the computation [`store`] — the single home of the Lemma 2
-//!   crossable/overlap primitives and a precomputed truth/interval index,
-//!   built by one sequential pass over the processes;
-//! * computation [`slice`]s for *regular* predicates (Mittal–Garg) — the
+//!   crossable/overlap primitives, the predicate detectors of the
+//!   debugging cycle (Garg–Waldecker weak conjunctive detection, strong
+//!   detection by overlap), and a precomputed truth/interval index, built
+//!   by one sequential pass over the processes;
+//! * computation [`slice`](mod@slice)s for *regular* predicates (Mittal–Garg) — the
 //!   join-irreducible sub-computation containing exactly the satisfying
 //!   consistent cuts, with the [`predicate::PredicateClass`] abstraction
 //!   that routes each class to the right engine path;

@@ -1,14 +1,15 @@
-//! The computation store: shared Lemma-2 interval primitives and a
-//! precomputed truth/interval index.
+//! The computation store: the Lemma 2 interval primitives, the
+//! Garg–Waldecker weak conjunctive detector, and a precomputed
+//! truth/interval index.
 //!
-//! Before this module existed, three crates carried their own copies of the
-//! same two computations: (a) scanning a process's state sequence with a
-//! local predicate to produce truth columns and maximal false runs
-//! (`intervals::extract`, plus inline re-evaluation in the verification
-//! sweep), and (b) the Lemma 2 *crossable / overlapping* pair condition
-//! (`pctl-core::overlap`, `pctl-detect::strong`, and the off-line
-//! algorithm's crossing loop). This module is the single home for both; the
-//! other call sites delegate here.
+//! This module is the single home for what the detection half of the
+//! paper's §7 debugging cycle computes: (a) scanning a process's state sequence
+//! with a local predicate to produce truth columns and maximal false runs,
+//! (b) the Lemma 2 *crossable / overlapping* pair condition and the
+//! overlap search built on it (strong detection: no controller exists),
+//! and (c) weak conjunctive detection (a violation is possible). The
+//! off-line algorithm's crossing loop, `pctl-core`'s engines and the
+//! verification sweep all call into it, generic over [`CausalStore`].
 //!
 //! ## The pair condition
 //!
@@ -23,6 +24,23 @@
 //! whether `Iⱼ` can be fully crossed before `Iᵢ` is entered. Keeping the
 //! two as literal negations of each other in one place is what makes the
 //! control/detection duality (`controller exists ⟺ no overlap`) auditable.
+//! (`pred(lo)`/`succ(hi)` — the intervals' entering and ending *events* —
+//! are the state-based translation of the paper's event-based condition;
+//! the decided notion is the *enforceable*, interleaving-based one, see
+//! `pctl-core`'s `overlap` module docs.)
+//!
+//! ## Weak conjunctive detection
+//!
+//! *Possibly(∧ᵢ lᵢ)* (Garg & Waldecker, the paper's reference \[4]): does
+//! some consistent global state satisfy every local conjunct? The
+//! queue-based algorithm ([`possibly_from_queues`]) keeps one candidate
+//! state per process (the earliest not-yet-eliminated state satisfying its
+//! conjunct) and eliminates any candidate that causally precedes another:
+//! if `cand[i] → cand[j]`, then `cand[i]` also precedes every later
+//! candidate of `j`, so it can never appear in a solution — advance `i`.
+//! When no elimination applies the candidates are pairwise concurrent: the
+//! *earliest* satisfying consistent cut, in O(n²·m) for m candidates.
+//! Applied to `∧ᵢ ¬lᵢ` it detects a violation of the disjunction `∨ᵢ lᵢ`.
 //!
 //! ## The interval index
 //!
@@ -35,6 +53,7 @@
 //! small share of decoding and building the computation.
 
 use crate::causal::CausalStore;
+use crate::global::GlobalState;
 use crate::intervals::{FalseIntervals, Interval};
 use crate::model::Deposet;
 use crate::predicate::{DisjunctivePredicate, LocalPredicate};
@@ -188,6 +207,116 @@ pub fn find_overlap<C: CausalStore + ?Sized>(
     Some(witness)
 }
 
+/// Strong detection for a disjunctive predicate's negation: does every
+/// interleaved execution pass a state where all of `pred`'s disjuncts are
+/// false? Returns the overlapping false-interval witness — equivalently,
+/// `pred` is infeasible for the computation (the paper's "No Controller
+/// Exists" case).
+pub fn definitely_all_false(dep: &Deposet, pred: &DisjunctivePredicate) -> Option<Vec<Interval>> {
+    find_overlap(dep, &FalseIntervals::extract(dep, pred))
+}
+
+/// Weak conjunctive detection: the earliest consistent global state where
+/// every `locals[i]` holds on process `i`, or `None`.
+pub fn possibly_conjunction(dep: &Deposet, locals: &[LocalPredicate]) -> Option<GlobalState> {
+    assert_eq!(locals.len(), dep.process_count());
+    let queues: Vec<Vec<u32>> = dep
+        .processes()
+        .map(|p| {
+            dep.states_of(p)
+                .iter()
+                .enumerate()
+                .filter(|(_, s)| locals[p.index()].eval(s))
+                .map(|(k, _)| k as u32)
+                .collect()
+        })
+        .collect();
+    possibly_from_queues(dep, &queues)
+}
+
+/// Detect a *violation* of a disjunctive predicate `B = ∨ᵢ lᵢ`: a
+/// consistent global state where every `lᵢ` is false (possibly(∧ᵢ ¬lᵢ)).
+/// This is the detector a debugging session runs before reaching for
+/// predicate control.
+pub fn detect_disjunctive_violation(
+    dep: &Deposet,
+    pred: &DisjunctivePredicate,
+) -> Option<GlobalState> {
+    let negated: Vec<LocalPredicate> = pred.locals().iter().map(|l| l.clone().negated()).collect();
+    possibly_conjunction(dep, &negated)
+}
+
+/// [`detect_disjunctive_violation`] over precomputed truth columns:
+/// `truths(p)` is the local predicate's value at every state of `p`, and
+/// the candidate queues are its false states. The engines read the columns
+/// off an [`IntervalIndex`] or a growing session store, so no predicate is
+/// evaluated again.
+pub fn possibly_all_false<'t, C: CausalStore + ?Sized>(
+    dep: &C,
+    truths: impl Fn(ProcessId) -> &'t [bool],
+) -> Option<GlobalState> {
+    let queues: Vec<Vec<u32>> = (0..dep.process_count())
+        .map(|p| {
+            truths(ProcessId(p as u32))
+                .iter()
+                .enumerate()
+                .filter(|&(_, &t)| !t)
+                .map(|(k, _)| k as u32)
+                .collect()
+        })
+        .collect();
+    possibly_from_queues(dep, &queues)
+}
+
+/// The queue-based elimination core of weak conjunctive detection, over
+/// *precomputed* candidate queues: `queues[i]` lists (in increasing order)
+/// the state indices of process `i` that satisfy its conjunct. Returns the
+/// earliest consistent cut made of candidates, or `None`.
+///
+/// Generic over any [`CausalStore`]: the elimination loop only needs
+/// `precedes`, so the same monomorphised code serves the batch engine, the
+/// streaming daemon's growing per-session stores and the run audit.
+pub fn possibly_from_queues<C: CausalStore + ?Sized>(
+    dep: &C,
+    queues: &[Vec<u32>],
+) -> Option<GlobalState> {
+    assert_eq!(queues.len(), dep.process_count());
+    let n = queues.len();
+    let mut head = vec![0usize; n];
+    if queues.iter().any(Vec::is_empty) {
+        return None;
+    }
+    let cand = |head: &[usize], i: usize| -> StateId {
+        StateId::new(ProcessId(i as u32), queues[i][head[i]])
+    };
+    loop {
+        // Find an eliminable candidate.
+        let mut advanced = false;
+        'scan: for i in 0..n {
+            for j in 0..n {
+                if i != j && dep.precedes(cand(&head, i), cand(&head, j)) {
+                    head[i] += 1;
+                    if head[i] == queues[i].len() {
+                        return None;
+                    }
+                    advanced = true;
+                    break 'scan;
+                }
+            }
+        }
+        if !advanced {
+            // Pairwise non-precedence of the members is exactly cut
+            // consistency (V(G[j])[i] ≤ cut[i] ⟺ ¬(G[i] → G[j])).
+            debug_assert!((0..n).all(|i| {
+                (0..n).all(|j| i == j || !dep.precedes(cand(&head, i), cand(&head, j)))
+            }));
+            return Some(GlobalState::from_indices(
+                (0..n).map(|i| queues[i][head[i]]).collect(),
+            ));
+        }
+    }
+}
+
 /// Precomputed truth bitmap + false intervals for one local predicate per
 /// process, over a whole computation.
 ///
@@ -275,6 +404,8 @@ mod tests {
     use super::*;
     use crate::builder::DeposetBuilder;
     use crate::generator::{random_deposet, RandomConfig};
+    use crate::lattice::find_all_consistent;
+    use crate::sequences::{find_satisfying_interleaving, find_satisfying_sequence};
 
     fn two_proc() -> Deposet {
         let mut b = DeposetBuilder::new(2);
@@ -349,5 +480,168 @@ mod tests {
                 hi: 1
             }]
         );
+    }
+
+    #[test]
+    fn finds_earliest_satisfying_cut() {
+        // Both processes set flag twice; earliest joint cut is ⟨1,1⟩.
+        let mut b = DeposetBuilder::new(2);
+        for p in 0..2 {
+            b.internal(p, &[("flag", 1)]);
+            b.internal(p, &[("flag", 0)]);
+            b.internal(p, &[("flag", 1)]);
+        }
+        let dep = b.finish().unwrap();
+        let locals = vec![LocalPredicate::var("flag"), LocalPredicate::var("flag")];
+        let g = possibly_conjunction(&dep, &locals).unwrap();
+        assert_eq!(g, GlobalState::from_indices(vec![1, 1]));
+    }
+
+    #[test]
+    fn causality_forces_later_candidates() {
+        // P0's flag state precedes P1's only flag state: they can't be cut
+        // together unless concurrent. P0 flag at state 1 → (msg) P1 flag at
+        // state 1: must advance P0 to its second flag state.
+        let mut b = DeposetBuilder::new(2);
+        b.internal(0, &[("flag", 1)]);
+        let t = b.send_with(0, "m", &[("flag", 0)]);
+        b.recv(1, t, &[("flag", 1)]);
+        b.internal(0, &[("flag", 1)]); // state 3 on P0, concurrent with P1's
+        let dep = b.finish().unwrap();
+        let locals = vec![LocalPredicate::var("flag"), LocalPredicate::var("flag")];
+        let g = possibly_conjunction(&dep, &locals).unwrap();
+        assert!(g.is_consistent(&dep));
+        assert_eq!(g.index_of(ProcessId(1)), 1);
+        assert_eq!(
+            g.index_of(ProcessId(0)),
+            3,
+            "P0's first flag state is eliminated"
+        );
+    }
+
+    #[test]
+    fn unsatisfiable_conjunction_returns_none() {
+        let mut b = DeposetBuilder::new(2);
+        b.internal(0, &[("flag", 1)]);
+        b.internal(1, &[]);
+        let dep = b.finish().unwrap();
+        // P1 never sets flag.
+        let locals = vec![LocalPredicate::var("flag"), LocalPredicate::var("flag")];
+        assert_eq!(possibly_conjunction(&dep, &locals), None);
+        // And a chain where every candidate is eliminated:
+        let mut b2 = DeposetBuilder::new(2);
+        b2.internal(0, &[("flag", 1)]);
+        let t = b2.send_with(0, "m", &[("flag", 0)]);
+        b2.recv(1, t, &[("flag", 1)]);
+        let dep2 = b2.finish().unwrap();
+        // P0's flag precedes P1's flag and has no later candidate.
+        assert_eq!(possibly_conjunction(&dep2, &locals), None);
+    }
+
+    #[test]
+    fn agrees_with_lattice_reference_on_random_traces() {
+        for seed in 0..40 {
+            let cfg = RandomConfig {
+                processes: 3,
+                events: 18,
+                ..RandomConfig::default()
+            };
+            let dep = random_deposet(&cfg, seed);
+            let locals = vec![
+                LocalPredicate::var("ok"),
+                LocalPredicate::not_var("ok"),
+                LocalPredicate::var("ok"),
+            ];
+            let fast = possibly_conjunction(&dep, &locals);
+            let reference = find_all_consistent(&dep, 100_000, |d, g| {
+                (0..3).all(|i| locals[i].eval(d.state(g.state_of(ProcessId(i as u32)))))
+            })
+            .unwrap();
+            assert_eq!(
+                fast.is_some(),
+                !reference.is_empty(),
+                "seed {seed}: GW and lattice disagree"
+            );
+            if let Some(g) = fast {
+                assert!(reference.contains(&g));
+                // GW returns the minimum satisfying cut.
+                for r in &reference {
+                    assert!(g.meet(r) == g || !g.leq(r) || g == *r);
+                    assert!(g.leq(&g.join(r)));
+                }
+                let min = reference
+                    .iter()
+                    .fold(reference[0].clone(), |a, b| a.meet(b));
+                assert_eq!(g, min, "GW finds the infimum of satisfying cuts");
+            }
+        }
+    }
+
+    #[test]
+    fn violation_detection_is_negated_conjunction() {
+        // Two servers both unavailable at overlapping times.
+        let mut b = DeposetBuilder::new(2);
+        for p in 0..2 {
+            b.init_vars(p, &[("avail", 1)]);
+            b.internal(p, &[("avail", 0)]);
+            b.internal(p, &[("avail", 1)]);
+        }
+        let dep = b.finish().unwrap();
+        let pred = DisjunctivePredicate::at_least_one(2, "avail");
+        let g = detect_disjunctive_violation(&dep, &pred).unwrap();
+        assert_eq!(g, GlobalState::from_indices(vec![1, 1]));
+        assert!(!pred.eval(&dep, &g));
+    }
+
+    #[test]
+    fn whole_lifetime_false_overlaps() {
+        let mut b = DeposetBuilder::new(2);
+        b.internal(0, &[]);
+        b.internal(1, &[]);
+        let dep = b.finish().unwrap();
+        let pred = DisjunctivePredicate::at_least_one(2, "up");
+        let w = definitely_all_false(&dep, &pred).expect("overlap");
+        assert!(set_overlaps(&dep, &w));
+    }
+
+    #[test]
+    fn concurrent_interior_intervals_do_not_overlap() {
+        let mut b = DeposetBuilder::new(3);
+        for p in 0..3 {
+            b.init_vars(p, &[("up", 1)]);
+            b.internal(p, &[("up", 0)]);
+            b.internal(p, &[("up", 1)]);
+        }
+        let dep = b.finish().unwrap();
+        let pred = DisjunctivePredicate::at_least_one(3, "up");
+        assert_eq!(definitely_all_false(&dep, &pred), None);
+    }
+
+    #[test]
+    fn overlap_iff_no_satisfying_interleaving() {
+        // Lemma 2 both ways, on small random traces, against exhaustive
+        // interleaving search (the enforceable semantics).
+        for seed in 0..40 {
+            let dep = random_deposet(
+                &RandomConfig {
+                    processes: 3,
+                    events: 14,
+                    ..RandomConfig::default()
+                },
+                seed,
+            );
+            let pred = DisjunctivePredicate::at_least_one(3, "ok");
+            let overlap = definitely_all_false(&dep, &pred).is_some();
+            let seq = find_satisfying_interleaving(&dep, 2_000_000, |d, g| pred.eval(d, g))
+                .expect("budget");
+            assert_eq!(overlap, seq.is_none(), "seed {seed}: Lemma 2 violated");
+            // The subset-step notion is weaker or equal: when no subset-step
+            // sequence keeps `pred` true throughout, there is an overlap.
+            let subset =
+                find_satisfying_sequence(&dep, 2_000_000, |d, g| pred.eval(d, g)).expect("budget");
+            if subset.is_none() {
+                assert!(overlap, "seed {seed}: subset-definitely without overlap");
+            }
+        }
     }
 }

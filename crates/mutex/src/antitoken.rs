@@ -234,7 +234,7 @@ mod tests {
                     assert!(!r.deadlocked(), "n={n} {select:?} seed={seed}");
                     let all_in_cs: Vec<LocalPredicate> =
                         (0..n).map(|_| LocalPredicate::var("cs")).collect();
-                    let hit = pctl_detect::possibly_conjunction(&r.deposet, &all_in_cs);
+                    let hit = pctl_deposet::store::possibly_conjunction(&r.deposet, &all_in_cs);
                     assert_eq!(
                         hit, None,
                         "n={n} {select:?} seed={seed}: consistent cut with all in CS"

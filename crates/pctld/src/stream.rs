@@ -63,7 +63,7 @@ pub fn stream_deposet(
 }
 
 /// [`stream_deposet`] with a progress callback, invoked at least every
-/// [`PROGRESS_INTERVAL`] while appends are flowing (and never after the
+/// two seconds (`PROGRESS_INTERVAL`) while appends are flowing (and never after the
 /// last append). Timings are client-side round-trips, so the p50 the
 /// callback reports is what the producer actually experiences — queue
 /// wait, apply, and the wire included.

@@ -1248,7 +1248,8 @@ mod tests {
 
     #[test]
     fn fixed_delays_preserve_fifo() {
-        // Chandy–Lamport (detect::snapshot) depends on this property.
+        // `DelayModel::Fixed` is the FIFO-channel model: equal delays never
+        // reorder two sends on one link.
         struct Sender;
         #[derive(Clone, Debug)]
         struct Seq(u32);

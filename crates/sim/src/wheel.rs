@@ -7,7 +7,7 @@
 //! returns **every** entry at the earliest occupied time, sorted by
 //! sequence number, and advances the wheel past it.
 //!
-//! Layout: [`LEVELS`] levels of [`SLOTS`] slots each; level `l` buckets
+//! Layout: `LEVELS` (5) levels of `SLOTS` (64) slots each; level `l` buckets
 //! times by bits `[6l, 6(l+1))` relative to the wheel's `base` (the current
 //! time). An entry lives at the level of its highest bit differing from
 //! `base`; entries beyond the wheel horizon (`base ^ time ≥ 2^30`) wait in

@@ -56,7 +56,7 @@ fn main() {
         control_disjunctive(c1, &fig.availability, opts).expect("availability is feasible");
     println!("\n[2] Off-line control for availability: C = {rel_avail}");
     let c2 = ControlledDeposet::new(c1, rel_avail.clone()).unwrap();
-    assert!(!c2.is_consistent(&fig.g) && !c2.is_consistent(&fig.h));
+    assert!(!fig.g.is_consistent(&c2) && !fig.h.is_consistent(&c2));
     println!("    G and H are inconsistent in the controlled computation C2.");
 
     // Actively replay: run C1 again with the control enforced.
@@ -82,7 +82,7 @@ fn main() {
 
     // --- Step 5: apply to C1 → C4: root-cause analysis -------------------------
     let c4 = ControlledDeposet::new(c1, rel_order.clone()).unwrap();
-    assert!(!c4.is_consistent(&fig.g) && !c4.is_consistent(&fig.h));
+    assert!(!fig.g.is_consistent(&c4) && !fig.h.is_consistent(&c4));
     println!("\n[5] Applying the e-before-f control to the ORIGINAL C1 (→ C4):");
     println!("    G and H become inconsistent — eliminating bug2 also eliminates");
     println!("    bug1, so bug2 is the most important bug.");

@@ -43,7 +43,7 @@ fn main() {
     // Count how much concurrency the control preserves.
     let before = lattice::count_consistent_global_states(&dinner, 10_000_000).unwrap();
     let c = ControlledDeposet::new(&dinner, control.clone()).unwrap();
-    let after = c.consistent_global_states(10_000_000).unwrap().len();
+    let after = lattice::count_consistent_global_states(&c, 10_000_000).unwrap();
     println!(
         "consistent global states: {before} → {after} \
          ({:.1}% of schedules preserved, violations removed)",

@@ -9,6 +9,7 @@
 //!
 //! Run with: `cargo run --example primary_backup`
 
+use predicate_control::deposet::lattice;
 use predicate_control::prelude::*;
 
 fn main() {
@@ -79,7 +80,7 @@ fn main() {
     let controlled =
         ControlledDeposet::new(&trace, merged.clone()).expect("merged relation does not interfere");
     let mut checked = 0usize;
-    for g in controlled.consistent_global_states(1_000_000).unwrap() {
+    for g in lattice::consistent_global_states(&controlled, 1_000_000).unwrap() {
         assert!(
             availability.eval(&trace, &g),
             "availability violated at {g}"

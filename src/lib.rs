@@ -50,10 +50,9 @@
 //! | Module | Crate | Contents |
 //! |---|---|---|
 //! | [`causality`] | `pctl-causality` | vector/Lamport clocks, DAG utilities |
-//! | [`deposet`] | `pctl-deposet` | the computation model, lattice, predicates, traces |
+//! | [`deposet`] | `pctl-deposet` | the computation model, lattice, predicates, detection, traces |
 //! | [`sim`] | `pctl-sim` | deterministic discrete-event simulator with tracing |
 //! | [`control`] | `pctl-core` | off-line + on-line predicate control, NP-hardness machinery |
-//! | [`detect`] | `pctl-detect` | predicate detection (weak/strong conjunctive, snapshots) |
 //! | [`mutex`] | `pctl-mutex` | (n−1)-mutex via control + k-mutex baselines |
 //! | [`obs`] | `pctl-obs` | structured event log, recorders, hot-path profiler, Prometheus + Chrome-trace export |
 //! | [`replay`] | `pctl-replay` | controlled re-execution of traces |
@@ -65,7 +64,6 @@
 pub use pctl_causality as causality;
 pub use pctl_core as control;
 pub use pctl_deposet as deposet;
-pub use pctl_detect as detect;
 pub use pctl_mutex as mutex;
 pub use pctl_obs as obs;
 pub use pctl_replay as replay;
@@ -85,12 +83,13 @@ pub mod prelude {
         control_disjunctive, sgsd, ControlRelation, ControlledDeposet, Engine, Infeasible,
         OfflineOptions, PredicateEngine, SelectPolicy, SgsdOutcome, StreamEngine,
     };
-    pub use pctl_deposet::{
-        CmpOp, Deposet, DeposetBuilder, DisjunctivePredicate, GlobalPredicate, GlobalState,
-        LocalPredicate, LocalState, PredicateClass, RegularPredicate, SlicedDeposet, Variables,
-    };
-    pub use pctl_detect::{
+    pub use pctl_deposet::store::{
         definitely_all_false, detect_disjunctive_violation, possibly_conjunction,
+    };
+    pub use pctl_deposet::{
+        CausalStore, CmpOp, Deposet, DeposetBuilder, DisjunctivePredicate, GlobalPredicate,
+        GlobalState, LocalPredicate, LocalState, PredicateClass, RegularPredicate, SlicedDeposet,
+        Variables,
     };
     pub use pctl_mutex::{
         compare_all, max_concurrent, run_antitoken, run_antitoken_recorded, run_central,

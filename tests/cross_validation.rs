@@ -112,7 +112,7 @@ fn infeasibility_certificates_are_genuine_overlaps() {
 
 #[test]
 fn strong_detector_matches_control_feasibility() {
-    // detect::definitely_all_false ⟺ control infeasible (Lemma 2 closure).
+    // store::definitely_all_false ⟺ control infeasible (Lemma 2 closure).
     for seed in 0..30u64 {
         let cfg = CsConfig {
             processes: 3,

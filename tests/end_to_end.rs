@@ -23,8 +23,8 @@ fn figure4_full_cycle() {
     let rel_avail = control_disjunctive(c1, &fig.availability, opts).unwrap();
     verify_disjunctive(c1, &fig.availability, &rel_avail, 100_000).unwrap();
     let c2 = ControlledDeposet::new(c1, rel_avail.clone()).unwrap();
-    assert!(!c2.is_consistent(&fig.g));
-    assert!(!c2.is_consistent(&fig.h));
+    assert!(!fig.g.is_consistent(&c2));
+    assert!(!fig.h.is_consistent(&c2));
     assert!(c2.concurrent(fig.e, fig.f));
 
     // Controlled replay of C1: runs, faithful, bug-free.
@@ -42,8 +42,8 @@ fn figure4_full_cycle() {
     let rel_order = control_disjunctive(c1, &fig.order_e_before_f, opts).unwrap();
     assert_eq!(rel_order.pairs(), &[(fig.e.predecessor().unwrap(), fig.f)]);
     let c4 = ControlledDeposet::new(c1, rel_order).unwrap();
-    assert!(!c4.is_consistent(&fig.g));
-    assert!(!c4.is_consistent(&fig.h));
+    assert!(!fig.g.is_consistent(&c4));
+    assert!(!fig.h.is_consistent(&c4));
 }
 
 #[test]

@@ -144,15 +144,3 @@ fn antitoken_trace_is_valid_deposet_and_roundtrips() {
     assert_eq!(back.total_states(), r.deposet.total_states());
     assert_eq!(back.messages().len(), r.deposet.messages().len());
 }
-
-#[test]
-fn snapshot_on_simulator_is_consistent() {
-    use predicate_control::detect::snapshot::run_snapshot;
-    for seed in 0..5u64 {
-        let run = run_snapshot(4, 6, 5, 30, seed);
-        assert!(run.completed, "seed {seed}");
-        assert_eq!(run.snapshot_token_count(), run.total_tokens, "seed {seed}");
-        let cut = run.recorded_cut().unwrap();
-        assert!(cut.is_consistent(&run.deposet), "seed {seed}");
-    }
-}
