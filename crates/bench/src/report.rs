@@ -151,7 +151,7 @@ pub struct SlicingBench {
     pub pruning_ratio: f64,
     /// Local states surviving in the slice.
     pub surviving_states: usize,
-    /// Join-irreducible equivalence classes in the slice skeleton.
+    /// Join-irreducible equivalence classes in the slice.
     pub classes: usize,
     /// Wall-time distribution of `SlicedDeposet::build` alone (µs).
     pub slice_construct: WallStats,

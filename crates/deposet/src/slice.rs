@@ -34,10 +34,11 @@
 //! processes leaves the other frontiers where they are.
 //!
 //! The resulting [`SlicedDeposet`] is itself a columnar store: the J-matrix
-//! lives in a [`ClockArena`] (one row per local state), surviving states
-//! (those that can be the frontier of a satisfying cut) collapse into
-//! equivalence classes by J-value, and the class DAG is kept as CSR
-//! skeleton edges. Crucially the slice is *self-contained*: every
+//! lives in a [`ClockArena`] (one row per local state), and surviving
+//! states (those that can be the frontier of a satisfying cut) collapse
+//! into equivalence classes by J-value. The order between classes is
+//! J-dominance, read directly off the rows; no edge list is kept.
+//! Crucially the slice is *self-contained*: every
 //! satisfying cut is a join of J-rows (`G = ⋁ᵢ J((i, G[i]))`), so
 //! membership tests, counting, and enumeration need no further access to
 //! the underlying store.
@@ -48,9 +49,8 @@ use crate::intervals::{FalseIntervals, Interval};
 use crate::lattice::LatticeBudgetExceeded;
 use crate::model::Deposet;
 use crate::predicate::{ClassError, PredicateClass, RegularPredicate};
-use pctl_causality::arena::csr_from_edges;
 use pctl_causality::{ClockArena, ProcessId, StateId};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 
 /// Transient closure engine used only while building a slice.
 struct Slicer<'a, C: CausalStore + ?Sized> {
@@ -231,7 +231,10 @@ impl<'a, C: CausalStore + ?Sized> Slicer<'a, C> {
 
 /// The slice of a computation w.r.t. a regular violation predicate: a
 /// columnar sub-computation containing exactly the satisfying consistent
-/// cuts. See the [module docs](self) for the construction.
+/// cuts. It stores the J-matrix, the class of each surviving state, the
+/// min/max cuts and the frontier runs; J-dominance between classes is
+/// read from [`SlicedDeposet::j_cut`]. See the [module docs](self) for the
+/// construction.
 #[derive(Clone, Debug)]
 pub struct SlicedDeposet {
     n: usize,
@@ -245,10 +248,6 @@ pub struct SlicedDeposet {
     /// elsewhere. Classes are numbered in first-seen row order.
     class_of: Vec<u32>,
     class_count: usize,
-    /// CSR skeleton over classes: `skel_src[skel_off[c]..skel_off[c+1]]`
-    /// lists the classes with an edge *into* `c`.
-    skel_off: Vec<u32>,
-    skel_src: Vec<u32>,
     min_cut: Option<GlobalState>,
     max_cut: Option<GlobalState>,
     /// Per-process maximal runs of frontier-possible indices, in the same
@@ -342,8 +341,8 @@ impl SlicedDeposet {
         Self::assemble(lens, j, j_exists, min_cut, max_cut)
     }
 
-    /// Derive the classes, skeleton and frontier runs from a finished
-    /// J-matrix (rows in chain order, valid where `j_exists`).
+    /// Derive the classes and frontier runs from a finished J-matrix (rows
+    /// in chain order, valid where `j_exists`).
     #[allow(clippy::needless_range_loop)] // rows of other processes are located through offsets[q]
     fn assemble(
         lens: Vec<u32>,
@@ -359,59 +358,34 @@ impl SlicedDeposet {
         }
         let total = offsets[n];
 
-        // Surviving states → classes by J-value (first-seen order), then
-        // skeleton edges: chain edges between consecutive surviving runs
-        // and, for each surviving state v, a cut edge from the frontier
-        // class of every other process in J(v).
+        // Surviving states → classes by J-value, numbered in first-seen row
+        // order. Surviving s = (i, k) and t = (q, m) have equal J iff
+        // J(s)[q] = m and J(t)[i] = k: J(t) is the least satisfying cut
+        // with q at or past m and J(s) is one such cut, so J(t) ≤ J(s); the
+        // symmetric argument gives J(s) ≤ J(t). So the only earlier member
+        // of s's class on a process q < i is (q, J(s)[q]). That state is a
+        // frontier of the satisfying cut J(s), so it survives and its class
+        // is already numbered.
         let mut class_of = vec![u32::MAX; total];
-        let mut classes: HashMap<&[u32], u32> = HashMap::new();
-        let survives = |row: usize, i: usize, k: u32, j: &ClockArena, ex: &[bool]| {
-            ex[row] && j.word(row, ProcessId(i as u32)) == k
-        };
+        let mut class_count = 0;
         for i in 0..n {
+            let p = ProcessId(i as u32);
             for k in 0..lens[i] {
                 let row = offsets[i] + k as usize;
-                if survives(row, i, k, &j, &j_exists) {
-                    let key = j.row(row).entries();
-                    let next = classes.len() as u32;
-                    class_of[row] = *classes.entry(key).or_insert(next);
-                }
-            }
-        }
-        let class_count = classes.len();
-        drop(classes);
-
-        let mut edges: Vec<(u32, u32)> = Vec::new();
-        for i in 0..n {
-            let mut prev_class: Option<u32> = None;
-            for k in 0..lens[i] {
-                let row = offsets[i] + k as usize;
-                let c = class_of[row];
-                if c == u32::MAX {
+                if !j_exists[row] || j.word(row, p) != k {
                     continue;
                 }
-                if let Some(pc) = prev_class {
-                    if pc != c {
-                        edges.push((c, pc));
-                    }
-                }
-                prev_class = Some(c);
-                for q in 0..n {
-                    if q == i {
-                        continue;
-                    }
-                    let fq = j.word(row, ProcessId(q as u32));
-                    let qrow = offsets[q] + fq as usize;
-                    let qc = class_of[qrow];
-                    if qc != u32::MAX && qc != c {
-                        edges.push((c, qc));
-                    }
-                }
+                let earlier = (0..i).find_map(|q| {
+                    let qrow = offsets[q] + j.word(row, ProcessId(q as u32)) as usize;
+                    debug_assert_ne!(class_of[qrow], u32::MAX, "frontiers of J(s) survive");
+                    (j.word(qrow, p) == k).then(|| class_of[qrow])
+                });
+                class_of[row] = earlier.unwrap_or_else(|| {
+                    class_count += 1;
+                    class_count as u32 - 1
+                });
             }
         }
-        edges.sort_unstable();
-        edges.dedup();
-        let (skel_off, skel_src) = csr_from_edges(class_count, &edges);
 
         // Frontier-possible runs as FalseIntervals (maximal runs are
         // separated by ≥ 1 impossible index, so `from_raw`'s non-adjacency
@@ -421,8 +395,7 @@ impl SlicedDeposet {
             let mut ivs = Vec::new();
             let mut run: Option<(u32, u32)> = None;
             for k in 0..lens[i] {
-                let row = offsets[i] + k as usize;
-                if survives(row, i, k, &j, &j_exists) {
+                if class_of[offsets[i] + k as usize] != u32::MAX {
                     run = Some(match run {
                         Some((lo, _)) => (lo, k),
                         None => (k, k),
@@ -454,8 +427,6 @@ impl SlicedDeposet {
             j_exists,
             class_of,
             class_count,
-            skel_off,
-            skel_src,
             min_cut,
             max_cut,
             frontier,
@@ -522,12 +493,6 @@ impl SlicedDeposet {
     pub fn class_of(&self, s: StateId) -> Option<u32> {
         let c = self.class_of[self.row(s)];
         (c != u32::MAX).then_some(c)
-    }
-
-    /// CSR skeleton over classes: `(offsets, sources)`, where the sources
-    /// of class `c` are `sources[offsets[c]..offsets[c+1]]`.
-    pub fn skeleton(&self) -> (&[u32], &[u32]) {
-        (&self.skel_off, &self.skel_src)
     }
 
     /// Per-process maximal runs of frontier-possible indices, in the
@@ -620,7 +585,7 @@ mod tests {
     use crate::builder::DeposetBuilder;
     use crate::lattice::consistent_global_states;
     use crate::predicate::{CmpOp, LocalPredicate};
-    use std::collections::BTreeSet;
+    use std::collections::{BTreeSet, HashMap};
 
     const BUDGET: usize = 100_000;
 
@@ -752,68 +717,6 @@ mod tests {
         assert_eq!(slice.max_cut().unwrap(), &GlobalState::final_of(&dep));
     }
 
-    #[test]
-    fn skeleton_reachability_is_j_dominance() {
-        let dep = two_proc_with_msg();
-        let slice = SlicedDeposet::build(
-            &dep,
-            &RegularPredicate::local(0usize, LocalPredicate::cmp("x", CmpOp::Ge, 1)),
-        )
-        .unwrap();
-        let (off, src) = slice.skeleton();
-        let nc = slice.class_count();
-        assert_eq!(off.len(), nc + 1);
-        // Transitive closure over the (dst ← src) CSR, by simple DP.
-        let mut reach = vec![vec![false; nc]; nc];
-        // classes are discovered in row order; an edge's sources always
-        // exist, so a fixpoint over the CSR converges.
-        loop {
-            let mut changed = false;
-            for c in 0..nc {
-                for &s in &src[off[c] as usize..off[c + 1] as usize] {
-                    let s = s as usize;
-                    if !reach[s][c] {
-                        reach[s][c] = true;
-                        changed = true;
-                    }
-                    for row in reach.iter_mut() {
-                        if row[s] && !row[c] {
-                            row[c] = true;
-                            changed = true;
-                        }
-                    }
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
-        // reach ⟺ strict J-dominance between class representatives.
-        let mut rep: Vec<Option<Vec<u32>>> = vec![None; nc];
-        for i in 0..dep.process_count() {
-            let p = ProcessId(i as u32);
-            for k in 0..dep.len_of(p) as u32 {
-                let s = StateId::new(p, k);
-                if let Some(c) = slice.class_of(s) {
-                    rep[c as usize].get_or_insert_with(|| slice.j_cut(s).unwrap().to_vec());
-                }
-            }
-        }
-        for a in 0..nc {
-            for b in 0..nc {
-                if a == b {
-                    continue;
-                }
-                let (ja, jb) = (rep[a].as_ref().unwrap(), rep[b].as_ref().unwrap());
-                let leq = ja.iter().zip(jb).all(|(x, y)| x <= y);
-                assert_eq!(
-                    reach[a][b], leq,
-                    "skeleton reachability {a}→{b} must equal J(a) ≤ J(b)"
-                );
-            }
-        }
-    }
-
     /// The slicer's closure before the worklist: every round re-reads all
     /// n² clock entries until nothing moves. Kept only as the reference
     /// the worklist closure is checked against.
@@ -928,7 +831,32 @@ mod tests {
             .collect()
     }
 
+    /// Classes numbered without `assemble`: a map from J-row to its
+    /// first-seen index, over the surviving states in row order.
+    fn assert_classes_by_hash(slice: &SlicedDeposet, what: &str) {
+        let mut seen: HashMap<&[u32], u32> = HashMap::new();
+        for i in 0..slice.process_count() {
+            let p = ProcessId(i as u32);
+            for k in 0..slice.len_of(p) as u32 {
+                let s = StateId::new(p, k);
+                let want = slice.frontier_possible(s).then(|| {
+                    let next = seen.len() as u32;
+                    *seen.entry(slice.j_cut(s).unwrap()).or_insert(next)
+                });
+                assert_eq!(slice.class_of(s), want, "{what}: hashed class of {s:?}");
+            }
+        }
+        assert_eq!(
+            slice.class_count(),
+            seen.len(),
+            "{what}: hashed class count"
+        );
+    }
+
+    /// `reference_slice` shares `assemble`, so the classes are also checked
+    /// against [`assert_classes_by_hash`].
     fn assert_same_slice(got: &SlicedDeposet, want: &SlicedDeposet, what: &str) {
+        assert_classes_by_hash(got, what);
         assert_eq!(got.min_cut(), want.min_cut(), "{what}: min_cut");
         assert_eq!(got.max_cut(), want.max_cut(), "{what}: max_cut");
         assert_eq!(got.class_count(), want.class_count(), "{what}: class count");
@@ -941,7 +869,6 @@ mod tests {
                 assert_eq!(got.class_of(s), want.class_of(s), "{what}: class of {s:?}");
             }
         }
-        assert_eq!(got.skeleton(), want.skeleton(), "{what}: skeleton");
         assert_eq!(
             got.frontier_intervals(),
             want.frontier_intervals(),

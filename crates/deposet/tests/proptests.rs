@@ -324,5 +324,29 @@ proptest! {
                 );
             }
         }
+
+        // Classes: equal exactly when J is equal, numbered in first-seen
+        // row order.
+        let (surviving, gone): (Vec<StateId>, Vec<StateId>) = dep
+            .processes()
+            .flat_map(|p| (0..dep.len_of(p) as u32).map(move |k| StateId::new(p, k)))
+            .partition(|&s| slice.frontier_possible(s));
+        for &s in &gone {
+            prop_assert_eq!(slice.class_of(s), None, "class of {:?}", s);
+        }
+        let mut next = 0;
+        for (a, &s) in surviving.iter().enumerate() {
+            let c = slice.class_of(s).expect("a surviving state has a class");
+            prop_assert!(c <= next, "class {} of {:?} skips {}", c, s, next);
+            next = next.max(c + 1);
+            for &t in &surviving[..a] {
+                prop_assert_eq!(
+                    slice.class_of(s) == slice.class_of(t),
+                    slice.j_cut(s) == slice.j_cut(t),
+                    "classes of {:?} and {:?}", s, t
+                );
+            }
+        }
+        prop_assert_eq!(slice.class_count(), next as usize);
     }
 }

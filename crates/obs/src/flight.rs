@@ -21,7 +21,7 @@
 use crate::event::Event;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 /// Manifest schema identifier; bump on breaking bundle-layout changes.
@@ -39,6 +39,10 @@ pub const SESSIONS_FILE: &str = "sessions.json";
 pub const TRACE_FILE: &str = "trace.json";
 /// Bundle file: recent slow-request log lines (JSONL, possibly empty).
 pub const SLOW_FILE: &str = "slow.jsonl";
+/// Name prefix of the staging directory a bundle is written into before
+/// it is renamed into place. Readers of a postmortem root skip such names
+/// (and the leading dot hides them from shell globs).
+const STAGING_PREFIX: &str = ".tmp-";
 
 /// One session's slice of a [`FlightFrame`].
 #[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -443,10 +447,13 @@ fn unix_ms() -> u64 {
 
 /// Write one self-contained postmortem bundle directory.
 ///
-/// `trace_events` are recent trace-ring events of the attributed session
-/// (may be empty — the trace file is still written and still validates);
-/// `slow_lines` are recent slow-request log lines. Fails only on I/O —
-/// callers treat a failure as "no bundle", never as a daemon error.
+/// The files go into a `.tmp-`-prefixed sibling of `dir`, which is
+/// renamed to `dir` as the last step, so a reader never sees a bundle
+/// without its manifest ([`bundle_dirs`] skips the staging names). `trace_events` are recent trace-ring events of
+/// the attributed session (may be empty — the trace file is still written
+/// and still validates); `slow_lines` are recent slow-request log lines.
+/// Fails only on I/O — callers treat a failure as "no bundle", never as a
+/// daemon error.
 #[allow(clippy::too_many_arguments)]
 pub fn write_bundle(
     dir: &Path,
@@ -459,37 +466,29 @@ pub fn write_bundle(
     slow_lines: &[String],
 ) -> std::io::Result<()> {
     let io_err = |e: String| std::io::Error::new(std::io::ErrorKind::InvalidData, e);
-    std::fs::create_dir_all(dir)?;
+    let name = dir.file_name().ok_or_else(|| {
+        std::io::Error::new(std::io::ErrorKind::InvalidInput, "bundle dir has no name")
+    })?;
     let mut history_jsonl = String::new();
     for frame in history {
         history_jsonl
             .push_str(&serde_json::to_string(frame).map_err(|e| io_err(format!("frame: {e:?}")))?);
         history_jsonl.push('\n');
     }
-    std::fs::write(dir.join(HISTORY_FILE), history_jsonl)?;
-    std::fs::write(
-        dir.join(ANOMALY_FILE),
-        serde_json::to_string_pretty(anomaly).map_err(|e| io_err(format!("anomaly: {e:?}")))?,
-    )?;
+    let anomaly_json =
+        serde_json::to_string_pretty(anomaly).map_err(|e| io_err(format!("anomaly: {e:?}")))?;
     let sessions: &[SessionSample] = history.last().map(|f| f.sessions.as_slice()).unwrap_or(&[]);
-    std::fs::write(
-        dir.join(SESSIONS_FILE),
-        serde_json::to_string_pretty(&sessions.to_vec())
-            .map_err(|e| io_err(format!("sessions: {e:?}")))?,
-    )?;
+    let sessions_json = serde_json::to_string_pretty(&sessions.to_vec())
+        .map_err(|e| io_err(format!("sessions: {e:?}")))?;
     let mut events = trace_events.to_vec();
     crate::chrome::prune_orphan_flows(&mut events);
     let lanes: Vec<String> = (0..processes.max(1)).map(|i| format!("p{i}")).collect();
-    std::fs::write(
-        dir.join(TRACE_FILE),
-        crate::chrome::chrome_trace(&events, &lanes),
-    )?;
+    let trace_json = crate::chrome::chrome_trace(&events, &lanes);
     let mut slow = String::new();
     for line in slow_lines {
         slow.push_str(line);
         slow.push('\n');
     }
-    std::fs::write(dir.join(SLOW_FILE), slow)?;
     let manifest = BundleManifest {
         schema: BUNDLE_SCHEMA.to_owned(),
         created_ms: unix_ms(),
@@ -506,11 +505,43 @@ pub fn write_bundle(
             SLOW_FILE.to_owned(),
         ],
     };
-    std::fs::write(
-        dir.join(MANIFEST_FILE),
-        serde_json::to_string_pretty(&manifest).map_err(|e| io_err(format!("manifest: {e:?}")))?,
-    )?;
-    Ok(())
+    let manifest_json =
+        serde_json::to_string_pretty(&manifest).map_err(|e| io_err(format!("manifest: {e:?}")))?;
+    let files = [
+        (HISTORY_FILE, history_jsonl),
+        (ANOMALY_FILE, anomaly_json),
+        (SESSIONS_FILE, sessions_json),
+        (TRACE_FILE, trace_json),
+        (SLOW_FILE, slow),
+        (MANIFEST_FILE, manifest_json),
+    ];
+    let staging = dir.with_file_name(format!("{STAGING_PREFIX}{}", name.to_string_lossy()));
+    std::fs::create_dir_all(&staging)?;
+    let written = files
+        .iter()
+        .try_for_each(|(file, text)| std::fs::write(staging.join(file), text))
+        .and_then(|()| std::fs::rename(&staging, dir));
+    if written.is_err() {
+        let _ = std::fs::remove_dir_all(&staging);
+    }
+    written
+}
+
+/// The published bundle directories under a postmortem root, sorted by
+/// name; staging directories of bundles still being written are skipped.
+/// A missing root lists nothing.
+pub fn bundle_dirs(root: &Path) -> Vec<PathBuf> {
+    let Ok(entries) = std::fs::read_dir(root) else {
+        return Vec::new();
+    };
+    let mut dirs: Vec<PathBuf> = entries
+        .flatten()
+        .filter(|e| !e.file_name().to_string_lossy().starts_with(STAGING_PREFIX))
+        .map(|e| e.path())
+        .filter(|p| p.is_dir())
+        .collect();
+    dirs.sort();
+    dirs
 }
 
 /// A validated bundle, loaded back for rendering.
@@ -873,8 +904,9 @@ mod tests {
 
     #[test]
     fn bundle_roundtrips_validate_and_render() {
-        let dir = std::env::temp_dir().join(format!("pctl_flight_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let root = std::env::temp_dir().join(format!("pctl_flight_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let dir = root.join("bundle");
         let mut history = Vec::new();
         for i in 0..5u64 {
             let mut f = frame(
@@ -923,6 +955,14 @@ mod tests {
             &slow,
         )
         .expect("bundle written");
+        assert_eq!(
+            bundle_dirs(&root),
+            vec![dir.clone()],
+            "staging renamed away"
+        );
+        // A bundle still being written is not listed.
+        std::fs::create_dir_all(root.join(format!("{STAGING_PREFIX}next"))).unwrap();
+        assert_eq!(bundle_dirs(&root), vec![dir.clone()]);
         let bundle = validate_bundle(&dir).expect("bundle validates");
         assert_eq!(bundle.manifest.frames, 5);
         assert_eq!(bundle.manifest.frames_dropped, 7);
@@ -951,6 +991,6 @@ mod tests {
         std::fs::write(dir.join(HISTORY_FILE), "").unwrap();
         let err = validate_bundle(&dir).unwrap_err();
         assert!(err.contains("0 frame(s)"), "{err}");
-        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&root);
     }
 }

@@ -3,7 +3,7 @@
 //! slow-log rotation.
 
 use pctl_deposet::LocalPredicate;
-use pctl_obs::flight::{render_report, validate_bundle, AnomalyKind};
+use pctl_obs::flight::{bundle_dirs, render_report, validate_bundle, AnomalyKind};
 use pctld::{Client, Config, Daemon, Request, Response, RetryPolicy};
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -53,16 +53,12 @@ fn http_get(srv: &pctl_obs::prom::MetricsServer, path: &str) -> (u16, String) {
     (status, body)
 }
 
-/// Wait for at least one bundle directory to appear under `root`.
+/// Wait for at least one published bundle directory under `root`.
 fn wait_for_bundle(root: &Path, timeout: Duration) -> Option<PathBuf> {
     let deadline = Instant::now() + timeout;
     while Instant::now() < deadline {
-        if let Ok(entries) = std::fs::read_dir(root) {
-            for e in entries.flatten() {
-                if e.path().is_dir() {
-                    return Some(e.path());
-                }
-            }
+        if let Some(dir) = bundle_dirs(root).into_iter().next() {
+            return Some(dir);
         }
         std::thread::sleep(Duration::from_millis(20));
     }
@@ -113,10 +109,9 @@ fn crash_dumps_schema_valid_bundle_that_renders() {
     assert!(stats.anomalies_total >= 1, "{stats:?}");
     assert!(stats.postmortems_total >= 1, "{stats:?}");
     // Rate limit: the single crash produced exactly one poisoned bundle.
-    let poisoned_bundles = std::fs::read_dir(&pm)
-        .unwrap()
-        .flatten()
-        .filter(|e| e.file_name().to_string_lossy().contains("worker-poisoned"))
+    let poisoned_bundles = bundle_dirs(&pm)
+        .iter()
+        .filter(|d| d.to_string_lossy().ends_with("worker-poisoned"))
         .count();
     assert_eq!(poisoned_bundles, 1, "one bundle per kind per window");
     assert_eq!(c.close("crashy").unwrap(), Response::Ok);

@@ -368,14 +368,12 @@ fn torture_concurrent_sessions_survive_chaos_and_drain_clean() {
     // renderable — a corrupt postmortem is worse than none.
     let pm_dir = slow_dir.join("postmortems");
     let mut bundles = 0usize;
-    if let Ok(entries) = std::fs::read_dir(&pm_dir) {
-        for e in entries.flatten() {
-            let bundle = pctl_obs::flight::validate_bundle(&e.path())
-                .unwrap_or_else(|err| panic!("bundle {:?} invalid: {err}", e.path()));
-            let report = pctl_obs::flight::render_report(&bundle);
-            assert!(report.contains("postmortem:"), "{report}");
-            bundles += 1;
-        }
+    for dir in pctl_obs::flight::bundle_dirs(&pm_dir) {
+        let bundle = pctl_obs::flight::validate_bundle(&dir)
+            .unwrap_or_else(|err| panic!("bundle {dir:?} invalid: {err}"));
+        let report = pctl_obs::flight::render_report(&bundle);
+        assert!(report.contains("postmortem:"), "{report}");
+        bundles += 1;
     }
     assert!(
         bundles > 0,
