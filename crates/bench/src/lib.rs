@@ -1,4 +1,4 @@
-//! Shared harness for the experiment binaries and Criterion benches.
+//! Shared harness for the experiment binaries and `bench_suite`.
 //!
 //! Each table binary regenerates one of the paper's figures/claims (see
 //! DESIGN.md's experiment index and EXPERIMENTS.md for recorded results):
@@ -10,6 +10,10 @@
 //! * `fig3_faults` — E7: the hardened on-line strategy under injected
 //!   message loss and scapegoat crashes;
 //! * `fig4_debugging` — E6: the Section 7 active-debugging walkthrough.
+//!
+//! `bench_suite` records the perf baseline and runs the regression gate
+//! for what the repository benchmark (`perfbench/`) does not measure; its
+//! report schema is [`report`].
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -88,42 +88,39 @@ pub struct OverlapCase {
     pub found: bool,
 }
 
-/// The `streaming` section: end-to-end daemon numbers over real TCP —
-/// sustained append throughput into one session, and query latency while a
-/// concurrent writer floods the same session. Gated by `--compare` against
-/// baselines that carry the streaming fields; older baselines degrade to
-/// the sweep scenarios with a note.
+/// The `streaming` section: what request telemetry and the flight
+/// recorder cost the daemon's append path. One computation is appended
+/// over loopback TCP to three daemons — the default config, telemetry off,
+/// flight off — interleaved per append in rotating order, so drift on the
+/// host reaches every configuration alike. End-to-end daemon latency is
+/// not measured here: perfbench's `stream_mixed` workload owns it.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct StreamingBench {
     /// Workload label, e.g. `random_n4_e1200`.
     pub workload: String,
     /// Process count of the streamed computation.
     pub processes: usize,
-    /// Events streamed (appends accepted by the daemon).
+    /// Appends per round and configuration.
     pub events: usize,
-    /// Sustained append throughput, events per second end to end
-    /// (client → TCP → enqueue → ack), including any backoff sleeps.
-    /// Measured with request telemetry enabled (the default serve config).
+    /// Rounds; each streams the computation into a fresh session on every
+    /// daemon.
+    pub rounds: usize,
+    /// Append throughput with the default config (telemetry and flight
+    /// recorder on) at its median round trip (client → TCP → enqueue →
+    /// ack), events per second.
     pub append_events_per_sec: f64,
-    /// Distribution of per-append round-trip latencies (µs).
-    pub append_wall: WallStats,
-    /// Distribution of `Detect` latencies issued while a concurrent
-    /// writer streams into the same session (µs).
-    pub query_under_load: WallStats,
-    /// `Busy` bounces the writer's retry loops absorbed.
-    pub busy_bounces: u64,
-    /// Append throughput of the same workload with request telemetry
-    /// disabled (`Config::telemetry = false`) — recorded so the cost of
-    /// "observation is free" stays measured, not asserted. Absent in
-    /// reports from harnesses predating daemon telemetry.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub append_events_per_sec_telemetry_off: Option<f64>,
-    /// Append throughput of the same workload with the flight recorder
-    /// disabled (`Config::flight = false`) — the control measurement
-    /// behind the "<5% flight overhead" acceptance gate. Absent in
-    /// reports from harnesses predating the flight recorder.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub append_events_per_sec_flight_off: Option<f64>,
+    /// Append throughput with `Config::telemetry = false`, likewise.
+    pub append_events_per_sec_telemetry_off: f64,
+    /// Append throughput with `Config::flight = false`, likewise.
+    pub append_events_per_sec_flight_off: f64,
+    /// Percent more time the default config's append round trip takes
+    /// than the telemetry-off one sent beside it: the median over rounds
+    /// of each round's median per-append ratio.
+    pub telemetry_overhead_pct: f64,
+    /// Percent more time the default config's append round trip takes
+    /// than the flight-off one sent beside it, likewise: the input of the
+    /// flight recorder's 5% budget.
+    pub flight_overhead_pct: f64,
 }
 
 /// The `slicing` section: what the computation-slicing fast path buys on a
@@ -165,42 +162,6 @@ pub struct SlicingBench {
     pub feasible: bool,
 }
 
-/// The `sim_core` section: raw throughput and live-state footprint of the
-/// actor-model simulator engine on the `ring_flood` scenario (minimal
-/// handler work — this measures the wheel/arena/mailbox machinery, not a
-/// protocol). The full-size run generates ≥ 10⁷ events; the arena gauges
-/// prove peak engine memory tracked the in-flight population instead of
-/// the trace length.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct SimCoreBench {
-    /// Workload label, e.g. `ring_flood_n64_f16_h9766`.
-    pub workload: String,
-    /// Ring size (process count).
-    pub processes: usize,
-    /// Events dispatched per run.
-    pub events: u64,
-    /// Wall-time distribution of full runs (µs).
-    pub wall: WallStats,
-    /// Events per second at the median wall time.
-    pub events_per_sec: f64,
-    /// Peak simultaneous in-flight payloads (arena high-water gauge).
-    pub arena_high_water: u64,
-    /// Arena slots actually allocated (slab footprint).
-    pub arena_slots: u64,
-    /// The workload's known in-flight population (`processes × fanout`) —
-    /// the live-state yardstick the arena gauges are compared against.
-    pub live_state_bound: u64,
-    /// Peak single-inbox depth within a timestep.
-    pub inbox_high_water: u64,
-    /// Peak pending events in the scheduler (wheel + overflow).
-    pub wheel_high_water: u64,
-    /// Distinct simulated times that dispatched at least one event.
-    pub timesteps: u64,
-    /// `arena_high_water ≤ 2 × live_state_bound` (hard-asserted by the
-    /// harness before writing — recorded so the report is self-describing).
-    pub memory_bounded: bool,
-}
-
 /// The `BENCH_offline.json` payload.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct OfflineReport {
@@ -212,20 +173,12 @@ pub struct OfflineReport {
     pub smoke: bool,
     /// Measured cases.
     pub cases: Vec<OfflineCase>,
-    /// Pathological `find_overlap` case (absent in older reports).
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub overlap: Option<OverlapCase>,
-    /// Streaming-daemon section (absent in reports from older harnesses).
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub streaming: Option<StreamingBench>,
-    /// Computation-slicing section (absent in reports from harnesses
-    /// predating the regular-predicate layer).
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub slicing: Option<SlicingBench>,
-    /// Simulator-engine section (absent in reports from harnesses
-    /// predating the actor-model core).
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub sim_core: Option<SimCoreBench>,
+    /// Pathological `find_overlap` case.
+    pub overlap: OverlapCase,
+    /// Telemetry and flight-recorder A/B section.
+    pub streaming: StreamingBench,
+    /// Computation-slicing section.
+    pub slicing: SlicingBench,
 }
 
 /// One execution mode of the multi-seed sweep bench.
@@ -244,6 +197,8 @@ pub struct SweepMode {
 }
 
 /// Recorded numbers from a previous run used as the comparison baseline.
+/// Keys of retired scenarios are skipped as unknown fields, so an older
+/// baseline file keeps comparing on the scenarios that remain.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct Baseline {
     /// Free-form label of when/what was recorded.
@@ -256,31 +211,13 @@ pub struct Baseline {
     pub per_seed_p50_us: f64,
     /// Baseline per-seed p95 (µs).
     pub per_seed_p95_us: f64,
-    /// Baseline sustained append throughput of the streaming section
-    /// (events/s); absent in baselines frozen before streaming scenarios.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub streaming_append_events_per_sec: Option<f64>,
-    /// Baseline per-append round-trip p50 (µs).
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub streaming_append_p50_us: Option<f64>,
-    /// Baseline `Detect`-under-load p50 (µs).
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub streaming_query_p50_us: Option<f64>,
-    /// Baseline slice-construction p50 of the `slicing` section (µs);
-    /// absent in baselines frozen before the regular-predicate layer.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub slicing_construct_p50_us: Option<f64>,
+    /// Baseline slice-construction p50 of the `slicing` section (µs).
+    pub slicing_construct_p50_us: f64,
     /// Baseline slice-then-delegate detect + control p50 (µs).
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub slicing_control_p50_us: Option<f64>,
+    pub slicing_control_p50_us: f64,
     /// Baseline lattice-pruning ratio (higher is better; deterministic for
     /// a fixed workload, so any drop signals a slicing-engine change).
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub slicing_pruning_ratio: Option<f64>,
-    /// Baseline simulator-engine throughput of the `sim_core` section
-    /// (events/s); absent in baselines frozen before the actor core.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub sim_core_events_per_sec: Option<f64>,
+    pub slicing_pruning_ratio: f64,
 }
 
 /// The `BENCH_sweep.json` payload.
@@ -307,10 +244,10 @@ pub struct SweepReport {
     /// Whether the parallel sweep produced bit-identical results to the
     /// sequential sweep (hard-asserted by the harness before writing).
     pub deterministic: bool,
-    /// Recorded pre-refactor baseline, when available on disk.
+    /// The `--compare` baseline, when one was given.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub baseline: Option<Baseline>,
-    /// `baseline.total_ms / sequential.total_ms`, when a baseline exists.
+    /// `baseline.total_ms / sequential.total_ms`, when a baseline was given.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub speedup_vs_baseline: Option<f64>,
 }
@@ -366,17 +303,14 @@ pub struct CompareReport {
 
 impl CompareReport {
     /// Build the comparison between a committed [`Baseline`] and the
-    /// current sequential sweep numbers, applying `inject_slowdown_pct`
-    /// (a synthetic worsening, for gate self-tests) to the current values
-    /// first.
-    #[allow(clippy::too_many_arguments)]
+    /// current sequential sweep and slicing numbers, applying
+    /// `inject_slowdown_pct` (a synthetic worsening, for gate self-tests)
+    /// to the current values first.
     pub fn of(
         baseline: &Baseline,
         baseline_path: &str,
         current: &SweepMode,
-        streaming: Option<&StreamingBench>,
-        slicing: Option<&SlicingBench>,
-        sim_core: Option<&SimCoreBench>,
+        slicing: &SlicingBench,
         threshold_pct: f64,
         inject_slowdown_pct: f64,
         smoke: bool,
@@ -403,7 +337,10 @@ impl CompareReport {
                 regressed: worse_pct > threshold_pct,
             }
         };
-        let mut cases = vec![
+        // The pruning ratio is higher-is-better: a drop means the slice got
+        // *less* selective on the identical workload, which is a
+        // correctness smell as much as a perf one.
+        let cases = vec![
             case(
                 "sweep_total_ms",
                 "ms",
@@ -432,89 +369,28 @@ impl CompareReport {
                 current.per_seed.p95_us,
                 true,
             ),
+            case(
+                "slicing_construct_p50_us",
+                "us",
+                baseline.slicing_construct_p50_us,
+                slicing.slice_construct.p50_us,
+                true,
+            ),
+            case(
+                "slicing_control_p50_us",
+                "us",
+                baseline.slicing_control_p50_us,
+                slicing.sliced_control.p50_us,
+                true,
+            ),
+            case(
+                "slicing_pruning_ratio",
+                "ratio",
+                baseline.slicing_pruning_ratio,
+                slicing.pruning_ratio,
+                false,
+            ),
         ];
-        // Streaming scenarios exist only when both sides carry them. A
-        // baseline frozen
-        // before the streaming section compares on the scenarios above
-        // exactly as before; once both sides carry streaming numbers the
-        // daemon path is gated like any other hot path.
-        if let Some(s) = streaming {
-            if let Some(base) = baseline.streaming_append_events_per_sec {
-                cases.push(case(
-                    "streaming_append_events_per_sec",
-                    "events/s",
-                    base,
-                    s.append_events_per_sec,
-                    false,
-                ));
-            }
-            if let Some(base) = baseline.streaming_append_p50_us {
-                cases.push(case(
-                    "streaming_append_p50_us",
-                    "us",
-                    base,
-                    s.append_wall.p50_us,
-                    true,
-                ));
-            }
-            if let Some(base) = baseline.streaming_query_p50_us {
-                cases.push(case(
-                    "streaming_query_p50_us",
-                    "us",
-                    base,
-                    s.query_under_load.p50_us,
-                    true,
-                ));
-            }
-        }
-        // Slicing scenarios: same both-sides rule again. The pruning ratio
-        // is higher-is-better — a drop means the slice got *less* selective
-        // on the identical workload, which is a correctness smell as much
-        // as a perf one.
-        if let Some(sl) = slicing {
-            if let Some(base) = baseline.slicing_construct_p50_us {
-                cases.push(case(
-                    "slicing_construct_p50_us",
-                    "us",
-                    base,
-                    sl.slice_construct.p50_us,
-                    true,
-                ));
-            }
-            if let Some(base) = baseline.slicing_control_p50_us {
-                cases.push(case(
-                    "slicing_control_p50_us",
-                    "us",
-                    base,
-                    sl.sliced_control.p50_us,
-                    true,
-                ));
-            }
-            if let Some(base) = baseline.slicing_pruning_ratio {
-                cases.push(case(
-                    "slicing_pruning_ratio",
-                    "ratio",
-                    base,
-                    sl.pruning_ratio,
-                    false,
-                ));
-            }
-        }
-        // Simulator-engine scenario: both-sides rule once more. Throughput
-        // is higher-is-better; the memory gauges are hard-asserted by the
-        // harness rather than thresholded (a bound is pass/fail, not a
-        // percentage).
-        if let Some(sc) = sim_core {
-            if let Some(base) = baseline.sim_core_events_per_sec {
-                cases.push(case(
-                    "sim_core_events_per_sec",
-                    "events/s",
-                    base,
-                    sc.events_per_sec,
-                    false,
-                ));
-            }
-        }
         let regressions = cases.iter().filter(|c| c.regressed).count();
         CompareReport {
             schema: SCHEMA.into(),
@@ -564,6 +440,19 @@ mod tests {
         assert!(fast.min_us > 0.0);
     }
 
+    fn baseline() -> Baseline {
+        Baseline {
+            recorded: "test".into(),
+            total_ms: 100.0,
+            states_per_sec: 1e6,
+            per_seed_p50_us: 1000.0,
+            per_seed_p95_us: 2000.0,
+            slicing_construct_p50_us: 120.0,
+            slicing_control_p50_us: 60.0,
+            slicing_pruning_ratio: 25.0,
+        }
+    }
+
     #[test]
     fn sweep_report_roundtrips() {
         let mode = |m: &str| SweepMode {
@@ -584,42 +473,12 @@ mod tests {
             sequential: mode("sequential"),
             parallel: mode("parallel"),
             deterministic: true,
-            baseline: Some(Baseline {
-                recorded: "pre-refactor".into(),
-                total_ms: 0.09,
-                states_per_sec: 4e5,
-                per_seed_p50_us: 30.0,
-                per_seed_p95_us: 60.0,
-                streaming_append_events_per_sec: None,
-                streaming_append_p50_us: None,
-                streaming_query_p50_us: None,
-                slicing_construct_p50_us: None,
-                slicing_control_p50_us: None,
-                slicing_pruning_ratio: None,
-                sim_core_events_per_sec: None,
-            }),
+            baseline: Some(baseline()),
             speedup_vs_baseline: Some(3.0),
         };
         let json = serde_json::to_string_pretty(&r).unwrap();
         let back: SweepReport = serde_json::from_str(&json).unwrap();
         assert_eq!(back, r);
-    }
-
-    fn baseline() -> Baseline {
-        Baseline {
-            recorded: "test".into(),
-            total_ms: 100.0,
-            states_per_sec: 1e6,
-            per_seed_p50_us: 1000.0,
-            per_seed_p95_us: 2000.0,
-            streaming_append_events_per_sec: None,
-            streaming_append_p50_us: None,
-            streaming_query_p50_us: None,
-            slicing_construct_p50_us: None,
-            slicing_control_p50_us: None,
-            slicing_pruning_ratio: None,
-            sim_core_events_per_sec: None,
-        }
     }
 
     fn mode(total_ms: f64, sps: f64, p50: f64, p95: f64) -> SweepMode {
@@ -636,326 +495,6 @@ mod tests {
             total_ms,
             states_per_sec: sps,
         }
-    }
-
-    #[test]
-    fn compare_passes_within_threshold_in_both_directions() {
-        // 10% worse on time, 10% worse on throughput: under a 25% gate.
-        let cur = mode(110.0, 0.9e6, 1100.0, 2200.0);
-        let r = CompareReport::of(
-            &baseline(),
-            "b.json",
-            &cur,
-            None,
-            None,
-            None,
-            25.0,
-            0.0,
-            false,
-        );
-        assert!(r.passed, "{r:?}");
-        assert_eq!(r.regressions, 0);
-        assert_eq!(r.cases.len(), 4);
-        // A faster run must never "regress" the lower-is-better scenarios.
-        let fast = mode(50.0, 2e6, 500.0, 900.0);
-        let r = CompareReport::of(
-            &baseline(),
-            "b.json",
-            &fast,
-            None,
-            None,
-            None,
-            25.0,
-            0.0,
-            false,
-        );
-        assert!(r.passed);
-        assert!(r.cases.iter().all(|c| c.worse_pct < 0.0), "{r:?}");
-    }
-
-    #[test]
-    fn compare_flags_regressions_past_threshold() {
-        // 50% slower end to end.
-        let cur = mode(150.0, 0.6e6, 1600.0, 3100.0);
-        let r = CompareReport::of(
-            &baseline(),
-            "b.json",
-            &cur,
-            None,
-            None,
-            None,
-            25.0,
-            0.0,
-            false,
-        );
-        assert!(!r.passed);
-        assert_eq!(r.regressions, 4, "{r:?}");
-        let c = &r.cases[0];
-        assert_eq!(c.scenario, "sweep_total_ms");
-        assert!((c.worse_pct - 50.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn injected_slowdown_worsens_every_scenario() {
-        // Bit-identical to the baseline, but with a 100% injected slowdown:
-        // every scenario must trip a 25% gate, including the
-        // higher-is-better throughput one (which gets *divided*).
-        let cur = mode(100.0, 1e6, 1000.0, 2000.0);
-        let clean = CompareReport::of(
-            &baseline(),
-            "b.json",
-            &cur,
-            None,
-            None,
-            None,
-            25.0,
-            0.0,
-            false,
-        );
-        assert!(clean.passed);
-        let slowed = CompareReport::of(
-            &baseline(),
-            "b.json",
-            &cur,
-            None,
-            None,
-            None,
-            25.0,
-            100.0,
-            false,
-        );
-        assert!(!slowed.passed);
-        assert_eq!(slowed.regressions, 4, "{slowed:?}");
-        assert!((slowed.injected_slowdown_pct - 100.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn compare_report_roundtrips() {
-        let cur = mode(150.0, 0.6e6, 1600.0, 3100.0);
-        let r = CompareReport::of(
-            &baseline(),
-            "b.json",
-            &cur,
-            None,
-            None,
-            None,
-            25.0,
-            0.0,
-            true,
-        );
-        let json = serde_json::to_string_pretty(&r).unwrap();
-        let back: CompareReport = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, r);
-    }
-
-    #[test]
-    fn committed_prerefactor_baseline_still_compares() {
-        // The committed baseline still carries the key of a retired
-        // construction scenario; unknown keys are ignored, so it parses and
-        // gates every remaining scenario.
-        let b: Baseline =
-            serde_json::from_str(include_str!("../../../docs/results/BENCH_prerefactor.json"))
-                .unwrap();
-        let cur = mode(100.0, 1e6, 1000.0, 2000.0);
-        let r = CompareReport::of(
-            &b,
-            "BENCH_prerefactor.json",
-            &cur,
-            Some(&streaming_section(5e4, 20.0, 40.0)),
-            Some(&slicing_section(20.0, 1.0, 5.0)),
-            Some(&sim_core_section(3e5)),
-            25.0,
-            0.0,
-            false,
-        );
-        let scenarios: Vec<&str> = r.cases.iter().map(|c| c.scenario.as_str()).collect();
-        assert_eq!(
-            scenarios,
-            [
-                "sweep_total_ms",
-                "sweep_states_per_sec",
-                "sweep_per_seed_p50_us",
-                "sweep_per_seed_p95_us",
-                "streaming_append_events_per_sec",
-                "streaming_append_p50_us",
-                "streaming_query_p50_us",
-                "slicing_construct_p50_us",
-                "slicing_control_p50_us",
-                "slicing_pruning_ratio",
-                "sim_core_events_per_sec",
-            ]
-        );
-    }
-
-    #[test]
-    fn baseline_with_only_sweep_fields_parses() {
-        // Baselines frozen before the optional scenarios must keep
-        // deserializing.
-        let json = r#"{"recorded":"old","total_ms":1.0,"states_per_sec":2.0,
-                       "per_seed_p50_us":3,"per_seed_p95_us":4}"#;
-        let b: Baseline = serde_json::from_str(json).unwrap();
-        assert_eq!(b.streaming_append_events_per_sec, None);
-        assert_eq!(b.streaming_append_p50_us, None);
-        assert_eq!(b.streaming_query_p50_us, None);
-        assert_eq!(b.slicing_construct_p50_us, None);
-        assert_eq!(b.slicing_control_p50_us, None);
-        assert_eq!(b.slicing_pruning_ratio, None);
-        assert_eq!(b.sim_core_events_per_sec, None);
-    }
-
-    fn streaming_section(eps: f64, append_p50: f64, query_p50: f64) -> StreamingBench {
-        StreamingBench {
-            workload: "random_n4_e1200".into(),
-            processes: 4,
-            events: 1200,
-            append_events_per_sec: eps,
-            append_wall: WallStats {
-                reps: 3,
-                min_us: append_p50 / 2.0,
-                p50_us: append_p50,
-                p95_us: append_p50 * 2.0,
-                max_us: append_p50 * 3.0,
-            },
-            query_under_load: WallStats {
-                reps: 3,
-                min_us: query_p50 / 2.0,
-                p50_us: query_p50,
-                p95_us: query_p50 * 2.0,
-                max_us: query_p50 * 3.0,
-            },
-            busy_bounces: 0,
-            append_events_per_sec_telemetry_off: Some(eps * 1.02),
-            append_events_per_sec_flight_off: Some(eps * 1.01),
-        }
-    }
-
-    #[test]
-    fn streaming_scenarios_require_both_sides() {
-        let cur = mode(100.0, 1e6, 1000.0, 2000.0);
-        let s = streaming_section(20_000.0, 40.0, 800.0);
-        // Pre-streaming baseline: no streaming cases even though the run
-        // measured them.
-        let r = CompareReport::of(
-            &baseline(),
-            "b.json",
-            &cur,
-            Some(&s),
-            None,
-            None,
-            25.0,
-            0.0,
-            false,
-        );
-        assert_eq!(r.cases.len(), 4, "{r:?}");
-        // Frozen streaming baseline: all three scenarios participate.
-        let mut b = baseline();
-        b.streaming_append_events_per_sec = Some(20_000.0);
-        b.streaming_append_p50_us = Some(40.0);
-        b.streaming_query_p50_us = Some(800.0);
-        let r = CompareReport::of(&b, "b.json", &cur, Some(&s), None, None, 25.0, 0.0, false);
-        assert_eq!(r.cases.len(), 7, "{r:?}");
-        assert!(r.passed, "identical streaming numbers pass: {r:?}");
-        let names: Vec<&str> = r.cases.iter().map(|c| c.scenario.as_str()).collect();
-        assert!(names.contains(&"streaming_append_events_per_sec"));
-        assert!(names.contains(&"streaming_append_p50_us"));
-        assert!(names.contains(&"streaming_query_p50_us"));
-        // Throughput is higher-is-better: halving it regresses past 25%.
-        let slow = streaming_section(10_000.0, 40.0, 800.0);
-        let r = CompareReport::of(
-            &b,
-            "b.json",
-            &cur,
-            Some(&slow),
-            None,
-            None,
-            25.0,
-            0.0,
-            false,
-        );
-        assert!(!r.passed);
-        assert_eq!(r.regressions, 1, "{r:?}");
-        let c = r
-            .cases
-            .iter()
-            .find(|c| c.scenario == "streaming_append_events_per_sec")
-            .unwrap();
-        assert!(c.regressed && !c.lower_is_better, "{c:?}");
-        // Injected slowdown worsens streaming scenarios too (gate
-        // self-test covers the daemon path).
-        let r = CompareReport::of(&b, "b.json", &cur, Some(&s), None, None, 25.0, 100.0, false);
-        assert_eq!(r.regressions, 7, "{r:?}");
-    }
-
-    #[test]
-    fn offline_report_roundtrips() {
-        let r = OfflineReport {
-            schema: SCHEMA.into(),
-            bench: "offline".into(),
-            smoke: false,
-            cases: vec![OfflineCase {
-                name: "cs_n4_p8/optimized".into(),
-                engine: "optimized".into(),
-                processes: 4,
-                intervals_per_process: 8,
-                states: 321,
-                wall: WallStats::of(&[100]),
-                states_per_sec: 3.21e6,
-                control_tuples: 12,
-                feasible: true,
-            }],
-            overlap: Some(OverlapCase {
-                workload: "pipelined_n8_p256".into(),
-                processes: 8,
-                states: 16000,
-                intervals_total: 2048,
-                wall: WallStats::of(&[55]),
-                found: false,
-            }),
-            streaming: None,
-            slicing: None,
-            sim_core: None,
-        };
-        let json = serde_json::to_string(&r).unwrap();
-        let back: OfflineReport = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, r);
-    }
-
-    #[test]
-    fn offline_report_without_optional_sections_parses() {
-        // Reports written by older harnesses omit the optional sections.
-        let json = r#"{"schema":"pctl-bench-v1","bench":"offline","smoke":true,"cases":[]}"#;
-        let r: OfflineReport = serde_json::from_str(json).unwrap();
-        assert_eq!(r.overlap, None);
-        assert_eq!(r.streaming, None);
-        assert_eq!(r.slicing, None);
-        assert_eq!(r.sim_core, None);
-    }
-
-    #[test]
-    fn streaming_section_roundtrips() {
-        let r = OfflineReport {
-            schema: SCHEMA.into(),
-            bench: "offline".into(),
-            smoke: true,
-            cases: vec![],
-            overlap: None,
-            streaming: Some(StreamingBench {
-                workload: "random_n4_e1200".into(),
-                processes: 4,
-                events: 1200,
-                append_events_per_sec: 25_000.0,
-                append_wall: WallStats::of(&[30, 45, 90]),
-                query_under_load: WallStats::of(&[400, 900]),
-                busy_bounces: 3,
-                append_events_per_sec_telemetry_off: Some(26_500.0),
-                append_events_per_sec_flight_off: Some(26_200.0),
-            }),
-            slicing: None,
-            sim_core: None,
-        };
-        let json = serde_json::to_string_pretty(&r).unwrap();
-        let back: OfflineReport = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, r);
     }
 
     fn slicing_section(construct_p50: f64, control_p50: f64, ratio: f64) -> SlicingBench {
@@ -987,58 +526,83 @@ mod tests {
         }
     }
 
-    #[test]
-    fn slicing_section_roundtrips() {
-        let r = OfflineReport {
-            schema: SCHEMA.into(),
-            bench: "offline".into(),
-            smoke: true,
-            cases: vec![],
-            overlap: None,
-            streaming: None,
-            slicing: Some(slicing_section(120.0, 60.0, 25.0)),
-            sim_core: None,
-        };
-        let json = serde_json::to_string_pretty(&r).unwrap();
-        let back: OfflineReport = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, r);
+    /// The baseline's own slicing numbers: the slicing scenarios read 0%.
+    fn same_slicing() -> SlicingBench {
+        slicing_section(120.0, 60.0, 25.0)
+    }
+
+    const SCENARIOS: [&str; 7] = [
+        "sweep_total_ms",
+        "sweep_states_per_sec",
+        "sweep_per_seed_p50_us",
+        "sweep_per_seed_p95_us",
+        "slicing_construct_p50_us",
+        "slicing_control_p50_us",
+        "slicing_pruning_ratio",
+    ];
+
+    fn scenarios(r: &CompareReport) -> Vec<&str> {
+        r.cases.iter().map(|c| c.scenario.as_str()).collect()
     }
 
     #[test]
-    fn slicing_scenarios_require_both_sides() {
-        let cur = mode(100.0, 1e6, 1000.0, 2000.0);
-        let sl = slicing_section(120.0, 60.0, 25.0);
-        // Pre-slicing baseline: no slicing cases even though the run
-        // measured them.
+    fn compare_passes_within_threshold_in_both_directions() {
+        // 10% worse on time, 10% worse on throughput: under a 25% gate.
+        let cur = mode(110.0, 0.9e6, 1100.0, 2200.0);
         let r = CompareReport::of(
             &baseline(),
             "b.json",
             &cur,
-            None,
-            Some(&sl),
-            None,
+            &slicing_section(132.0, 66.0, 22.5),
             25.0,
             0.0,
             false,
         );
-        assert_eq!(r.cases.len(), 4, "{r:?}");
-        // Re-frozen baseline: all three slicing scenarios participate.
-        let mut b = baseline();
-        b.slicing_construct_p50_us = Some(120.0);
-        b.slicing_control_p50_us = Some(60.0);
-        b.slicing_pruning_ratio = Some(25.0);
-        let r = CompareReport::of(&b, "b.json", &cur, None, Some(&sl), None, 25.0, 0.0, false);
-        assert_eq!(r.cases.len(), 7, "{r:?}");
-        assert!(r.passed, "identical slicing numbers pass: {r:?}");
-        let names: Vec<&str> = r.cases.iter().map(|c| c.scenario.as_str()).collect();
-        assert!(names.contains(&"slicing_construct_p50_us"));
-        assert!(names.contains(&"slicing_control_p50_us"));
-        assert!(names.contains(&"slicing_pruning_ratio"));
+        assert!(r.passed, "{r:?}");
+        assert_eq!(r.regressions, 0);
+        assert_eq!(scenarios(&r), SCENARIOS);
+        // A faster run must never "regress" the lower-is-better scenarios.
+        let fast = mode(50.0, 2e6, 500.0, 900.0);
+        let r = CompareReport::of(
+            &baseline(),
+            "b.json",
+            &fast,
+            &slicing_section(60.0, 30.0, 50.0),
+            25.0,
+            0.0,
+            false,
+        );
+        assert!(r.passed);
+        assert!(r.cases.iter().all(|c| c.worse_pct < 0.0), "{r:?}");
+    }
+
+    #[test]
+    fn compare_flags_regressions_past_threshold() {
+        // 50% slower end to end; slicing unchanged.
+        let cur = mode(150.0, 0.6e6, 1600.0, 3100.0);
+        let r = CompareReport::of(
+            &baseline(),
+            "b.json",
+            &cur,
+            &same_slicing(),
+            25.0,
+            0.0,
+            false,
+        );
+        assert!(!r.passed);
+        assert_eq!(r.regressions, 4, "{r:?}");
+        let c = &r.cases[0];
+        assert_eq!(c.scenario, "sweep_total_ms");
+        assert!((c.worse_pct - 50.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn slicing_scenarios_gate_in_their_own_direction() {
+        let cur = mode(100.0, 1e6, 1000.0, 2000.0);
         // The pruning ratio is higher-is-better: a slice that stops
         // pruning (ratio collapses toward 1) regresses the gate.
         let lax = slicing_section(120.0, 60.0, 5.0);
-        let r = CompareReport::of(&b, "b.json", &cur, None, Some(&lax), None, 25.0, 0.0, false);
-        assert!(!r.passed);
+        let r = CompareReport::of(&baseline(), "b.json", &cur, &lax, 25.0, 0.0, false);
         assert_eq!(r.regressions, 1, "{r:?}");
         let c = r
             .cases
@@ -1046,116 +610,122 @@ mod tests {
             .find(|c| c.scenario == "slicing_pruning_ratio")
             .unwrap();
         assert!(c.regressed && !c.lower_is_better, "{c:?}");
-        // An old-harness run without a slicing section degrades to the
-        // four sweep scenarios even against a slicing-aware baseline.
-        let r = CompareReport::of(&b, "b.json", &cur, None, None, None, 25.0, 0.0, false);
-        assert_eq!(r.cases.len(), 4);
-        // Injected slowdown worsens slicing scenarios too.
-        let r = CompareReport::of(
-            &b,
+        // Slice construction is lower-is-better.
+        let slow = slicing_section(240.0, 60.0, 25.0);
+        let r = CompareReport::of(&baseline(), "b.json", &cur, &slow, 25.0, 0.0, false);
+        assert_eq!(r.regressions, 1, "{r:?}");
+        assert!(r.cases[4].regressed && r.cases[4].lower_is_better);
+    }
+
+    #[test]
+    fn injected_slowdown_worsens_every_scenario() {
+        // Bit-identical to the baseline, but with a 100% injected slowdown:
+        // every scenario must trip a 25% gate, including the
+        // higher-is-better ones (which get *divided*).
+        let cur = mode(100.0, 1e6, 1000.0, 2000.0);
+        let clean = CompareReport::of(
+            &baseline(),
             "b.json",
             &cur,
-            None,
-            Some(&sl),
-            None,
+            &same_slicing(),
+            25.0,
+            0.0,
+            false,
+        );
+        assert!(clean.passed);
+        let slowed = CompareReport::of(
+            &baseline(),
+            "b.json",
+            &cur,
+            &same_slicing(),
             25.0,
             100.0,
             false,
         );
-        assert_eq!(r.regressions, 7, "{r:?}");
-    }
-
-    fn sim_core_section(eps: f64) -> SimCoreBench {
-        SimCoreBench {
-            workload: "ring_flood_n64_f16_h9766".into(),
-            processes: 64,
-            events: 10_000_384,
-            wall: WallStats::of(&[900_000, 950_000, 1_000_000]),
-            events_per_sec: eps,
-            arena_high_water: 1024,
-            arena_slots: 1024,
-            live_state_bound: 1024,
-            inbox_high_water: 40,
-            wheel_high_water: 1100,
-            timesteps: 200_000,
-            memory_bounded: true,
-        }
+        assert!(!slowed.passed);
+        assert_eq!(slowed.regressions, 7, "{slowed:?}");
+        assert!((slowed.injected_slowdown_pct - 100.0).abs() < 1e-12);
     }
 
     #[test]
-    fn sim_core_section_roundtrips() {
-        let r = OfflineReport {
-            schema: SCHEMA.into(),
-            bench: "offline".into(),
-            smoke: true,
-            cases: vec![],
-            overlap: None,
-            streaming: None,
-            slicing: None,
-            sim_core: Some(sim_core_section(1.0e7)),
-        };
-        let json = serde_json::to_string_pretty(&r).unwrap();
-        let back: OfflineReport = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, r);
-    }
-
-    #[test]
-    fn sim_core_scenario_requires_both_sides() {
-        let cur = mode(100.0, 1e6, 1000.0, 2000.0);
-        let sc = sim_core_section(1.0e7);
-        // Pre-actor-core baseline: no sim_core case even though the run
-        // measured one.
+    fn compare_report_roundtrips() {
+        let cur = mode(150.0, 0.6e6, 1600.0, 3100.0);
         let r = CompareReport::of(
             &baseline(),
             "b.json",
             &cur,
-            None,
-            None,
-            Some(&sc),
+            &same_slicing(),
+            25.0,
+            0.0,
+            true,
+        );
+        let json = serde_json::to_string_pretty(&r).unwrap();
+        let back: CompareReport = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, r);
+    }
+
+    #[test]
+    fn committed_prerefactor_baseline_still_compares() {
+        // The committed baseline still carries the keys of retired
+        // scenarios (shard construction, streaming, sim_core); unknown
+        // keys are ignored, so it parses and gates exactly the seven
+        // remaining scenarios.
+        let b: Baseline =
+            serde_json::from_str(include_str!("../../../docs/results/BENCH_prerefactor.json"))
+                .unwrap();
+        let cur = mode(100.0, 1e6, 1000.0, 2000.0);
+        let r = CompareReport::of(
+            &b,
+            "BENCH_prerefactor.json",
+            &cur,
+            &slicing_section(20.0, 1.0, 5.0),
             25.0,
             0.0,
             false,
         );
-        assert_eq!(r.cases.len(), 4, "{r:?}");
-        // Re-frozen baseline: the engine-throughput scenario participates.
-        let mut b = baseline();
-        b.sim_core_events_per_sec = Some(1.0e7);
-        let r = CompareReport::of(&b, "b.json", &cur, None, None, Some(&sc), 25.0, 0.0, false);
-        assert_eq!(r.cases.len(), 5, "{r:?}");
-        assert!(r.passed, "identical throughput passes: {r:?}");
-        let c = r.cases.last().unwrap();
-        assert_eq!(c.scenario, "sim_core_events_per_sec");
-        assert!(!c.lower_is_better);
-        // Throughput is higher-is-better: halving it regresses past 25%.
-        let slow = sim_core_section(0.5e7);
-        let r = CompareReport::of(
-            &b,
-            "b.json",
-            &cur,
-            None,
-            None,
-            Some(&slow),
-            25.0,
-            0.0,
-            false,
-        );
-        assert!(!r.passed);
-        assert_eq!(r.regressions, 1, "{r:?}");
-        // Old-harness run without the section degrades against the new
-        // baseline, and the injected slowdown worsens the scenario too.
-        let r = CompareReport::of(&b, "b.json", &cur, None, None, None, 25.0, 0.0, false);
-        assert_eq!(r.cases.len(), 4);
-        let r = CompareReport::of(
-            &b,
-            "b.json",
-            &cur,
-            None,
-            None,
-            Some(&sc),
-            25.0,
-            100.0,
-            false,
-        );
-        assert_eq!(r.regressions, 5, "{r:?}");
+        assert_eq!(scenarios(&r), SCENARIOS);
+    }
+
+    #[test]
+    fn offline_report_roundtrips() {
+        let r = OfflineReport {
+            schema: SCHEMA.into(),
+            bench: "offline".into(),
+            smoke: false,
+            cases: vec![OfflineCase {
+                name: "cs_n4_p8/optimized".into(),
+                engine: "optimized".into(),
+                processes: 4,
+                intervals_per_process: 8,
+                states: 321,
+                wall: WallStats::of(&[100]),
+                states_per_sec: 3.21e6,
+                control_tuples: 12,
+                feasible: true,
+            }],
+            overlap: OverlapCase {
+                workload: "pipelined_n8_p256".into(),
+                processes: 8,
+                states: 16000,
+                intervals_total: 2048,
+                wall: WallStats::of(&[55]),
+                found: false,
+            },
+            streaming: StreamingBench {
+                workload: "random_n4_e1200".into(),
+                processes: 4,
+                events: 1200,
+                rounds: 9,
+                append_events_per_sec: 25_000.0,
+                append_events_per_sec_telemetry_off: 26_500.0,
+                append_events_per_sec_flight_off: 26_000.0,
+                telemetry_overhead_pct: 6.1,
+                flight_overhead_pct: 3.9,
+            },
+            slicing: same_slicing(),
+        };
+        let json = serde_json::to_string_pretty(&r).unwrap();
+        let back: OfflineReport = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, r);
     }
 }

@@ -6,8 +6,8 @@
 //! and the per-process inboxes. Slots are recycled through a free list, so
 //! the arena's footprint is proportional to the peak number of in-flight
 //! messages — not to the total number sent. [`PayloadArena::high_water`]
-//! exposes that peak; `bench_suite`'s `sim_core` section and the scale test
-//! gate on it.
+//! exposes that peak; the scale test (`tests/scale.rs`) gates on it, and
+//! perfbench reports it as `sim.arena_high_water`.
 //!
 //! Generations catch use-after-take at the source: a handle minted for one
 //! occupancy of a slot cannot read a later occupancy (the slot's generation
