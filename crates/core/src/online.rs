@@ -221,6 +221,49 @@ pub enum PeerSelect {
     Broadcast,
 }
 
+/// The peer(s) a blocked scapegoat sends its `req` to; derefs to a slice.
+/// Only [`PeerSelect::Broadcast`] needs a heap vector.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Peers {
+    /// One peer, held inline.
+    One([ProcessId; 1]),
+    /// Every other process.
+    All(Vec<ProcessId>),
+}
+
+impl std::ops::Deref for Peers {
+    type Target = [ProcessId];
+
+    fn deref(&self) -> &[ProcessId] {
+        match self {
+            Peers::One(p) => p,
+            Peers::All(v) => v,
+        }
+    }
+}
+
+impl PeerSelect {
+    /// The peers process `ctx.me()` of `n` asks. `Random` draws one number
+    /// from the run's RNG, uniform over the other `n − 1` processes.
+    pub fn peers<M: Payload>(self, n: usize, ctx: &mut Ctx<'_, M>) -> Peers {
+        let me = ctx.me().index();
+        match self {
+            PeerSelect::Broadcast => Peers::All(
+                (0..n)
+                    .filter(|&i| i != me)
+                    .map(|i| ProcessId(i as u32))
+                    .collect(),
+            ),
+            PeerSelect::NextInRing => Peers::One([ProcessId(((me + 1) % n) as u32)]),
+            PeerSelect::Random => {
+                // The k-th process other than `me`.
+                let k = ctx.rand_below((n - 1) as u64) as usize;
+                Peers::One([ProcessId((k + usize::from(k >= me)) as u32)])
+            }
+        }
+    }
+}
+
 /// One application phase: stay true for `true_len` ticks, then false for
 /// `false_len` ticks (`None` = stay false forever — used to violate A1 in
 /// the impossibility scenario).
@@ -261,22 +304,6 @@ impl PhasedProcess {
             n,
             requested_at: None,
             current_false_len: None,
-        }
-    }
-
-    fn peers(&self, ctx: &mut Ctx<'_, CtrlMsg>) -> Vec<ProcessId> {
-        let me = ctx.me().index();
-        let others: Vec<ProcessId> = (0..self.n)
-            .filter(|&i| i != me)
-            .map(|i| ProcessId(i as u32))
-            .collect();
-        match self.select {
-            PeerSelect::Broadcast => others,
-            PeerSelect::NextInRing => vec![ProcessId(((me + 1) % self.n) as u32)],
-            PeerSelect::Random => {
-                let k = ctx.rand_below(others.len() as u64) as usize;
-                vec![others[k]]
-            }
         }
     }
 
@@ -347,7 +374,7 @@ impl Process<CtrlMsg> for PhasedProcess {
             }
             // End of a true phase: ask to go false.
             self.requested_at = Some(ctx.now());
-            let peers = self.peers(ctx);
+            let peers = self.select.peers(self.n, ctx);
             match self.ctrl.request_false(&peers) {
                 FalsifyDecision::Granted => self.enter_false(ctx),
                 FalsifyDecision::Blocked(actions) => {

@@ -558,22 +558,6 @@ impl FtPhasedProcess {
         }
     }
 
-    fn peers(&self, ctx: &mut Ctx<'_, FtMsg>) -> Vec<ProcessId> {
-        let me = ctx.me().index();
-        let others: Vec<ProcessId> = (0..self.n)
-            .filter(|&i| i != me)
-            .map(|i| ProcessId(i as u32))
-            .collect();
-        match self.select {
-            PeerSelect::Broadcast => others,
-            PeerSelect::NextInRing => vec![ProcessId(((me + 1) % self.n) as u32)],
-            PeerSelect::Random => {
-                let k = ctx.rand_below(others.len() as u64) as usize;
-                vec![others[k]]
-            }
-        }
-    }
-
     fn apply(&mut self, actions: Vec<FtAction>, ctx: &mut Ctx<'_, FtMsg>) {
         for a in actions {
             match a {
@@ -683,7 +667,7 @@ impl Process<FtMsg> for FtPhasedProcess {
                 return;
             }
             self.requested_at = Some(ctx.now());
-            let peers = self.peers(ctx);
+            let peers = self.select.peers(self.n, ctx);
             match self.ctrl.request_false(&peers) {
                 FtDecision::Granted => self.enter_false(ctx),
                 FtDecision::Blocked(actions) => {

@@ -19,6 +19,7 @@ use crate::model::{Deposet, DeposetError};
 use crate::state::{LocalState, Variables};
 use pctl_causality::{MsgId, ProcessId, StateId};
 use std::fmt;
+use std::sync::Arc;
 
 /// Handle to an in-flight message: returned by a `send`, consumed by the
 /// matching `recv`.
@@ -68,12 +69,15 @@ pub struct DeposetBuilder {
     states: Vec<Vec<LocalState>>,
     events: Vec<Vec<EventKind>>,
     messages: Vec<PendingMessage>,
+    /// One shared copy of each distinct message tag, so recording a send
+    /// allocates nothing once its tag has been seen.
+    tags: serde::Interner,
     allow_in_flight: bool,
 }
 
 #[derive(Debug)]
 struct PendingMessage {
-    tag: String,
+    tag: Arc<str>,
     from: StateId,
     to: Option<StateId>,
 }
@@ -86,6 +90,7 @@ impl DeposetBuilder {
             states: (0..n).map(|_| vec![LocalState::default()]).collect(),
             events: vec![Vec::new(); n],
             messages: Vec::new(),
+            tags: serde::Interner::default(),
             allow_in_flight: false,
         }
     }
@@ -141,7 +146,7 @@ impl DeposetBuilder {
 
     /// Attach a label to the current state of `p` (used to name states like
     /// the paper's `a` … `f` in Figure 4).
-    pub fn label(&mut self, p: impl Into<ProcessId>, label: impl Into<String>) -> &mut Self {
+    pub fn label(&mut self, p: impl Into<ProcessId>, label: impl Into<Box<str>>) -> &mut Self {
         let p = p.into();
         self.states[p.index()].last_mut().unwrap().label = Some(label.into());
         self
@@ -182,7 +187,7 @@ impl DeposetBuilder {
         let from = self.current(p);
         let id = MsgId(self.messages.len() as u32);
         self.messages.push(PendingMessage {
-            tag: tag.to_owned(),
+            tag: self.tags.intern(tag),
             from,
             to: None,
         });
@@ -332,7 +337,7 @@ mod tests {
         b.allow_in_flight();
         let d = b.finish().unwrap();
         assert_eq!(d.messages().len(), 1);
-        assert_eq!(d.messages()[0].tag, "kept");
+        assert_eq!(&*d.messages()[0].tag, "kept");
         // The lost send became an internal event; the kept one is renumbered
         // to MsgId(0) and endpoints still validate (finish() succeeded).
         assert_eq!(d.event(ProcessId(0), 0), EventKind::Internal);

@@ -35,7 +35,10 @@ pub fn to_dot(dep: &Deposet, opts: &DotOptions) -> String {
         );
         for (k, st) in dep.states_of(p).iter().enumerate() {
             let id = StateId::new(p, k as u32);
-            let mut label = st.label.clone().unwrap_or_else(|| format!("{}:{}", p.0, k));
+            let mut label = match &st.label {
+                Some(l) => l.to_string(),
+                None => format!("{}:{}", p.0, k),
+            };
             if opts.show_vars {
                 let vars: Vec<String> = st.vars.iter().map(|(n, v)| format!("{n}={v}")).collect();
                 if !vars.is_empty() {

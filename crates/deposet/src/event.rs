@@ -7,6 +7,7 @@
 
 use pctl_causality::{MsgId, StateId};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// The kind of the event between state `k` and state `k + 1` of a process.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -46,8 +47,9 @@ impl EventKind {
 pub struct Message {
     /// Message identity, dense per computation.
     pub id: MsgId,
-    /// Free-form tag describing the message (protocol/step name).
-    pub tag: String,
+    /// Free-form tag describing the message (protocol/step name). Shared:
+    /// a builder or a decoded trace keeps one copy per distinct tag.
+    pub tag: Arc<str>,
     /// State immediately preceding the send event.
     pub from: StateId,
     /// State immediately following the receive event.

@@ -468,7 +468,7 @@ mod tests {
         // Declares a message but the send event is Internal.
         let m = Message {
             id: MsgId(0),
-            tag: String::new(),
+            tag: "".into(),
             from: StateId::new(0usize, 0),
             to: StateId::new(1usize, 1),
         };
@@ -505,13 +505,13 @@ mod tests {
         };
         let m0 = Message {
             id: MsgId(0),
-            tag: String::new(),
+            tag: "".into(),
             from: StateId::new(0usize, 1),
             to: StateId::new(1usize, 1),
         };
         let m1 = Message {
             id: MsgId(1),
-            tag: String::new(),
+            tag: "".into(),
             from: StateId::new(1usize, 1),
             to: StateId::new(0usize, 1),
         };

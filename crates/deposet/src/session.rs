@@ -40,6 +40,7 @@ use pctl_causality::{ClockRef, MsgId, ProcessId, StateId};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// One append: the event taking a process from its current last state to a
 /// new one, plus the variable updates in effect afterwards.
@@ -148,7 +149,7 @@ impl std::error::Error for SessionError {}
 /// A sent message awaiting (or having completed) delivery.
 #[derive(Clone, Debug)]
 struct TrackedMessage {
-    tag: String,
+    tag: Arc<str>,
     from: StateId,
     to: Option<StateId>,
 }
@@ -267,7 +268,7 @@ impl SessionStore {
                 let id = MsgId(self.messages.len() as u32);
                 self.wire_ids.insert(*msg, id);
                 self.messages.push(TrackedMessage {
-                    tag: tag.clone(),
+                    tag: Arc::from(tag.as_str()),
                     from: StateId::new(pid, (k - 1) as u32),
                     to: None,
                 });
@@ -501,7 +502,7 @@ pub fn linearize(dep: &Deposet) -> (Vec<Vec<(String, i64)>>, Vec<AppendOp>) {
                         AppendOp::Send {
                             process: p as u32,
                             msg: m.index() as u64,
-                            tag: dep.message(m).tag.clone(),
+                            tag: dep.message(m).tag.to_string(),
                             updates,
                         }
                     }

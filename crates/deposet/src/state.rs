@@ -6,27 +6,60 @@
 //! booleans are encoded as 0/1. Local predicates are evaluated against this
 //! payload.
 //!
-//! Names are interned as `Arc<str>`: the builder derives each state by
-//! cloning its predecessor's assignment and applying updates, so along a
-//! process's whole state chain every variable name is one shared allocation
-//! and cloning an assignment copies refcounted pointers instead of
-//! re-allocating strings. Decoding a trace shares names the same way: the
-//! JSON reader interns them, one allocation per distinct name in the
-//! document. Computations with millions of states keep at most one copy of
-//! each distinct name per chain.
+//! # Representation
+//!
+//! A [`LocalState`] is 48 bytes: a 32-byte [`Variables`] and a 16-byte
+//! optional boxed label (labels are rare; only figure-style traces set
+//! them).
+//!
+//! * **One variable inline.** Most traced processes carry a single
+//!   variable (`cs`, `ok`, …), so `Variables` holds exactly one entry
+//!   inline and any other count, zero included, in a sorted `Vec`. The
+//!   form is canonical — one entry is always inline, never a one-element
+//!   `Vec` — so derived equality compares assignments, and `Debug` and
+//!   the JSON bytes are those of the plain sorted list.
+//! * **Shared names.** Names are `Arc<str>`: the builder derives each
+//!   state by cloning its predecessor's assignment and applying updates,
+//!   so along a process's whole state chain every variable name is one
+//!   shared allocation and cloning an assignment copies refcounted
+//!   pointers instead of re-allocating strings. Decoding a trace shares
+//!   names the same way: the JSON reader interns them, one allocation per
+//!   distinct name in the document.
+//!
+//! Together these make recording a state allocation-free in steady state
+//! whenever it has at most one variable: a simulated step allocates
+//! nothing (the builder's per-process vectors grow by amortised doubling),
+//! and decoding a one-variable state allocates nothing either.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
 
+/// One `(name, value)` entry of an assignment.
+type Entry = (Arc<str>, i64);
+
 /// Variable assignment carried by a local state.
 ///
 /// Serializes as a JSON map (`{"name": value, …}`), same wire format as a
 /// sorted map of names to integers.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Default, PartialEq, Eq)]
 pub struct Variables {
-    /// Sorted by name; names are shared across clones (see module docs).
-    entries: Vec<(Arc<str>, i64)>,
+    repr: Repr,
+}
+
+/// The canonical form of an assignment (module docs): exactly one entry
+/// is `One`; any other count is `Many`, sorted by name, with names shared
+/// across clones.
+#[derive(Clone, PartialEq, Eq)]
+enum Repr {
+    One(Entry),
+    Many(Vec<Entry>),
+}
+
+impl Default for Repr {
+    fn default() -> Self {
+        Repr::Many(Vec::new())
+    }
 }
 
 impl Variables {
@@ -45,14 +78,50 @@ impl Variables {
         v
     }
 
+    /// The entries, sorted by name.
+    #[inline]
+    fn entries(&self) -> &[Entry] {
+        match &self.repr {
+            Repr::One(e) => std::slice::from_ref(e),
+            Repr::Many(v) => v,
+        }
+    }
+
+    #[inline]
+    fn entries_mut(&mut self) -> &mut [Entry] {
+        match &mut self.repr {
+            Repr::One(e) => std::slice::from_mut(e),
+            Repr::Many(v) => v,
+        }
+    }
+
     #[inline]
     fn find(&self, name: &str) -> Result<usize, usize> {
-        self.entries.binary_search_by(|(k, _)| (**k).cmp(name))
+        self.entries().binary_search_by(|(k, _)| (**k).cmp(name))
+    }
+
+    /// Insert a fresh name at sorted position `at`, keeping the form
+    /// canonical: an empty assignment takes it inline, an inline one moves
+    /// both entries to a `Vec`.
+    fn insert(&mut self, at: usize, name: Arc<str>, value: i64) {
+        let entry = (name, value);
+        self.repr = match std::mem::take(&mut self.repr) {
+            Repr::Many(v) if v.is_empty() => Repr::One(entry),
+            Repr::Many(mut v) => {
+                v.insert(at, entry);
+                Repr::Many(v)
+            }
+            Repr::One(first) => Repr::Many(if at == 0 {
+                vec![entry, first]
+            } else {
+                vec![first, entry]
+            }),
+        };
     }
 
     /// Value of `name`, or `None` if unset.
     pub fn get(&self, name: &str) -> Option<i64> {
-        self.find(name).ok().map(|i| self.entries[i].1)
+        self.find(name).ok().map(|i| self.entries()[i].1)
     }
 
     /// Value of `name` interpreted as a boolean; unset variables are `false`.
@@ -66,9 +135,9 @@ impl Variables {
     /// allocation); only the first assignment of a fresh name allocates.
     pub fn set(&mut self, name: &str, value: i64) -> Option<i64> {
         match self.find(name) {
-            Ok(i) => Some(std::mem::replace(&mut self.entries[i].1, value)),
+            Ok(i) => Some(std::mem::replace(&mut self.entries_mut()[i].1, value)),
             Err(i) => {
-                self.entries.insert(i, (Arc::from(name), value));
+                self.insert(i, Arc::from(name), value);
                 None
             }
         }
@@ -81,24 +150,34 @@ impl Variables {
 
     /// Iterate over `(name, value)` pairs in sorted name order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, i64)> {
-        self.entries.iter().map(|(k, v)| (&**k, *v))
+        self.entries().iter().map(|(k, v)| (&**k, *v))
     }
 
     /// Number of variables set.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.entries().len()
     }
 
     /// Whether no variables are set.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.entries().is_empty()
+    }
+}
+
+/// Prints the sorted entry list whatever the representation, as the
+/// derived `Debug` of a `Vec`-backed assignment did.
+impl fmt::Debug for Variables {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Variables")
+            .field("entries", &self.entries())
+            .finish()
     }
 }
 
 impl Serialize for Variables {
     fn serialize(&self, w: &mut serde::Writer<'_>) {
         w.begin_object();
-        for (k, v) in &self.entries {
+        for (k, v) in self.entries() {
             w.key(k);
             w.i64(*v);
         }
@@ -111,26 +190,25 @@ impl Deserialize for Variables {
     /// trace shares one allocation per distinct name. On duplicate names
     /// the last value wins, as in [`Variables::set`].
     fn deserialize(r: &mut serde::Reader<'_>) -> Result<Self, serde::DeError> {
-        // Room for the usual single variable; shrunk below if more came,
-        // so a decoded state holds no spare capacity (states are scanned
-        // densely by predicate evaluation).
-        let mut vars = Variables {
-            entries: Vec::with_capacity(1),
-        };
+        let mut vars = Variables::new();
         r.object("Variables", |r, name| {
             let value = i64::deserialize(r).map_err(|e| e.context(&name))?;
             // Encoded names come sorted: the common case appends.
-            let at = match vars.entries.last() {
-                Some((last, _)) if **last < *name => Err(vars.entries.len()),
+            let at = match vars.entries().last() {
+                Some((last, _)) if **last < *name => Err(vars.len()),
                 _ => vars.find(&name),
             };
             match at {
-                Ok(i) => vars.entries[i].1 = value,
-                Err(i) => vars.entries.insert(i, (r.intern(&name), value)),
+                Ok(i) => vars.entries_mut()[i].1 = value,
+                Err(i) => vars.insert(i, r.intern(&name), value),
             }
             Ok(())
         })?;
-        vars.entries.shrink_to_fit();
+        // A decoded state holds no spare capacity (states are scanned
+        // densely by predicate evaluation).
+        if let Repr::Many(v) = &mut vars.repr {
+            v.shrink_to_fit();
+        }
         Ok(vars)
     }
 }
@@ -147,9 +225,10 @@ pub struct LocalState {
     /// Variable assignment in effect at this state.
     pub vars: Variables,
     /// Optional human-readable label (used by the paper's Figure 4 example
-    /// to name states `a` … `f`).
+    /// to name states `a` … `f`). Boxed, as labels are rare: see the
+    /// module docs.
     #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub label: Option<String>,
+    pub label: Option<Box<str>>,
 }
 
 impl LocalState {
@@ -159,7 +238,7 @@ impl LocalState {
     }
 
     /// Attach a label.
-    pub fn with_label(mut self, label: impl Into<String>) -> Self {
+    pub fn with_label(mut self, label: impl Into<Box<str>>) -> Self {
         self.label = Some(label.into());
         self
     }
@@ -251,7 +330,7 @@ mod tests {
         let mut shared = 0;
         for p in back.processes() {
             for pair in back.states_of(p).windows(2) {
-                let (prev, next) = (&pair[0].vars.entries, &pair[1].vars.entries);
+                let (prev, next) = (pair[0].vars.entries(), pair[1].vars.entries());
                 for (b, _) in next {
                     if let Some((a, _)) = prev.iter().find(|(a, _)| a == b) {
                         assert!(Arc::ptr_eq(a, b), "`{b}` is a fresh copy on {p:?}");

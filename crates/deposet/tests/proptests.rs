@@ -7,9 +7,9 @@ use pctl_deposet::lattice::consistent_global_states;
 use pctl_deposet::sequences::rand_compat::RngLike;
 use pctl_deposet::sequences::random_global_sequence;
 use pctl_deposet::slice::SlicedDeposet;
-use pctl_deposet::{trace, Deposet, GlobalState, LocalPredicate, RegularPredicate};
+use pctl_deposet::{trace, Deposet, GlobalState, LocalPredicate, RegularPredicate, Variables};
 use proptest::prelude::*;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 fn arb_config() -> impl Strategy<Value = (RandomConfig, u64)> {
     (1usize..5, 0usize..25, 0u64..1_000_000).prop_map(|(n, events, seed)| {
@@ -349,4 +349,63 @@ proptest! {
         }
         prop_assert_eq!(slice.class_count(), next as usize);
     }
+}
+
+/// The variable names the `Variables` model test draws from.
+const NAMES: [&str; 4] = ["a", "cs", "ok", "x"];
+
+fn arb_assignments() -> impl Strategy<Value = Vec<(usize, i64)>> {
+    proptest::collection::vec((0..NAMES.len(), -3i64..4), 0..9)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `Variables` has one canonical form, whichever way it is built:
+    /// from pairs, by `set`, or by JSON decode, in any order and with
+    /// duplicate names (the last value wins), it agrees with a sorted-map
+    /// model on `==`, `get`, `iter`, `len`, `Debug` and the encoded bytes.
+    #[test]
+    fn variables_agree_with_a_sorted_map_model(pairs in arb_assignments()) {
+        let mut model = BTreeMap::new();
+        let mut by_set = Variables::new();
+        for &(i, v) in &pairs {
+            let prev = model.insert(NAMES[i].to_string(), v);
+            prop_assert_eq!(by_set.set(NAMES[i], v), prev);
+        }
+        let by_pairs = Variables::from_pairs(pairs.iter().map(|&(i, v)| (NAMES[i], v)));
+        let text = format!(
+            "{{{}}}",
+            pairs
+                .iter()
+                .map(|&(i, v)| format!("\"{}\":{v}", NAMES[i]))
+                .collect::<Vec<_>>()
+                .join(",")
+        );
+        let decoded: Variables = serde_json::from_str(&text).unwrap();
+        let canonical = Variables::from_pairs(model.iter().map(|(k, v)| (k.as_str(), *v)));
+
+        let entries: Vec<(&str, i64)> = model.iter().map(|(k, v)| (k.as_str(), *v)).collect();
+        let debug = format!("Variables {{ entries: {entries:?} }}");
+        let bytes = serde_json::to_string(&model).unwrap();
+        for (how, vars) in [("set", &by_set), ("from_pairs", &by_pairs), ("decode", &decoded)] {
+            prop_assert_eq!(vars, &canonical, "{} of {:?}", how, pairs);
+            prop_assert_eq!(vars.clone(), canonical.clone(), "{} clone", how);
+            prop_assert_eq!(vars.len(), model.len(), "{} len", how);
+            prop_assert_eq!(vars.is_empty(), model.is_empty(), "{} is_empty", how);
+            prop_assert_eq!(vars.iter().collect::<Vec<_>>(), entries.clone(), "{} iter", how);
+            for name in NAMES.iter().chain(["unset"].iter()) {
+                prop_assert_eq!(vars.get(name), model.get(*name).copied(), "{} get {}", how, name);
+            }
+            prop_assert_eq!(format!("{vars:?}"), debug.clone(), "{} Debug", how);
+            prop_assert_eq!(serde_json::to_string(vars).unwrap(), bytes.clone(), "{} bytes", how);
+        }
+    }
+}
+
+/// One inline variable keeps a local state at 48 bytes (the `Vec`-backed
+/// assignment plus an unboxed label took the same).
+#[test]
+fn local_state_is_48_bytes() {
+    assert_eq!(std::mem::size_of::<pctl_deposet::LocalState>(), 48);
 }

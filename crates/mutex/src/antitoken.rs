@@ -27,26 +27,10 @@ impl AntiTokenProcess {
     /// Build worker `me` out of `n`; process 0 holds the initial anti-token.
     pub fn new(me: ProcessId, n: usize, cfg: &WorkloadConfig, select: PeerSelect) -> Self {
         AntiTokenProcess {
-            driver: Driver::new(cfg),
+            driver: Driver::new(me, cfg),
             ctrl: ScapegoatController::new(me, me.index() == 0),
             n,
             select,
-        }
-    }
-
-    fn peers(&self, ctx: &mut Ctx<'_, CtrlMsg>) -> Vec<ProcessId> {
-        let me = ctx.me().index();
-        let others: Vec<ProcessId> = (0..self.n)
-            .filter(|&i| i != me)
-            .map(|i| ProcessId(i as u32))
-            .collect();
-        match self.select {
-            PeerSelect::Broadcast => others,
-            PeerSelect::NextInRing => vec![ProcessId(((me + 1) % self.n) as u32)],
-            PeerSelect::Random => {
-                let k = ctx.rand_below(others.len() as u64) as usize;
-                vec![others[k]]
-            }
         }
     }
 
@@ -83,7 +67,7 @@ impl Process<CtrlMsg> for AntiTokenProcess {
         match self.driver.phase {
             Phase::Thinking => {
                 self.driver.begin_request(ctx);
-                let peers = self.peers(ctx);
+                let peers = self.select.peers(self.n, ctx);
                 match self.ctrl.request_false(&peers) {
                     FalsifyDecision::Granted => self.driver.enter_cs(ctx),
                     FalsifyDecision::Blocked(actions) => self.apply(actions, ctx),

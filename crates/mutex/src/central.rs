@@ -111,9 +111,9 @@ pub fn run_central(cfg: &WorkloadConfig, k: usize) -> SimResult {
     assert!(k >= 1 && n >= 1);
     let coordinator = ProcessId(n as u32);
     let mut procs: Vec<Box<dyn Process<CentralMsg>>> = (0..n)
-        .map(|_| {
+        .map(|i| {
             Box::new(Worker {
-                driver: Driver::new(cfg),
+                driver: Driver::new(ProcessId(i as u32), cfg),
                 coordinator,
             }) as Box<dyn Process<CentralMsg>>
         })

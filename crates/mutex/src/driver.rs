@@ -6,7 +6,7 @@
 //! stamps `enter_p{i}` / `exit_p{i}` sample series used by the post-run
 //! safety sweep ([`max_concurrent`]).
 
-use pctl_sim::{Ctx, Metrics, Payload, SimTime};
+use pctl_sim::{Ctx, Metrics, Payload, ProcessId, SimTime};
 
 /// Workload parameters shared by every algorithm run.
 #[derive(Clone, Copy, Debug)]
@@ -61,17 +61,29 @@ pub struct Driver {
     think: (u64, u64),
     cs: (u64, u64),
     requested_at: Option<SimTime>,
+    /// This process's `enter_p{i}` / `exit_p{i}` sample keys, built once.
+    enter_key: String,
+    exit_key: String,
+}
+
+/// The sample keys stamping process `p`'s critical-section entries and
+/// exits.
+fn stamp_keys(p: usize) -> (String, String) {
+    (format!("enter_p{p}"), format!("exit_p{p}"))
 }
 
 impl Driver {
-    /// New driver for one process.
-    pub fn new(cfg: &WorkloadConfig) -> Self {
+    /// New driver for process `me`.
+    pub fn new(me: ProcessId, cfg: &WorkloadConfig) -> Self {
+        let (enter_key, exit_key) = stamp_keys(me.index());
         Driver {
             phase: Phase::Thinking,
             entries_left: cfg.entries_per_process,
             think: cfg.think,
             cs: cfg.cs,
             requested_at: None,
+            enter_key,
+            exit_key,
         }
     }
 
@@ -109,8 +121,7 @@ impl Driver {
         ctx.trace_begin("cs");
         ctx.count("entries", 1);
         ctx.step(&[("cs", 1)]);
-        let me = ctx.me().index();
-        ctx.record(&format!("enter_p{me}"), ctx.now().0);
+        ctx.record(&self.enter_key, ctx.now().0);
         let d = ctx.rand_range(self.cs.0, self.cs.1);
         ctx.set_timer(d);
     }
@@ -121,8 +132,7 @@ impl Driver {
         debug_assert_eq!(self.phase, Phase::InCs);
         ctx.trace_end("cs");
         ctx.step(&[("cs", 0)]);
-        let me = ctx.me().index();
-        ctx.record(&format!("exit_p{me}"), ctx.now().0);
+        ctx.record(&self.exit_key, ctx.now().0);
         self.entries_left -= 1;
         self.start_thinking(ctx);
     }
@@ -141,8 +151,7 @@ impl Driver {
                 // timelines stay balanced.
                 ctx.trace_end("cs");
                 ctx.step(&[("cs", 0)]);
-                let me = ctx.me().index();
-                ctx.record(&format!("exit_p{me}"), ctx.now().0);
+                ctx.record(&self.exit_key, ctx.now().0);
                 ctx.count("aborted_cs", 1);
                 self.entries_left -= 1;
                 self.start_thinking(ctx);
@@ -164,8 +173,9 @@ impl Driver {
 pub fn max_concurrent(metrics: &Metrics, n: usize) -> usize {
     let mut events: Vec<(u64, i32)> = Vec::new();
     for p in 0..n {
-        let enters = metrics.samples(&format!("enter_p{p}"));
-        let exits = metrics.samples(&format!("exit_p{p}"));
+        let (enter_key, exit_key) = stamp_keys(p);
+        let enters = metrics.samples(&enter_key);
+        let exits = metrics.samples(&exit_key);
         assert!(enters.len() >= exits.len());
         for &t in enters {
             events.push((t, 1));

@@ -250,7 +250,7 @@ pub fn run_multi_antitoken(cfg: &WorkloadConfig, m: usize) -> SimResult {
     let procs: Vec<Box<dyn Process<CtrlMsg>>> = (0..n)
         .map(|i| {
             Box::new(MultiAntiTokenProcess {
-                driver: Driver::new(cfg),
+                driver: Driver::new(ProcessId(i as u32), cfg),
                 ctrl: MultiAntiToken::new(ProcessId(i as u32), i < m),
                 n,
                 next_peer: i,

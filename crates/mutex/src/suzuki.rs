@@ -186,7 +186,7 @@ pub fn run_suzuki(cfg: &WorkloadConfig, k: usize) -> SimResult {
             Box::new(SkProcess {
                 n,
                 k,
-                driver: Driver::new(cfg),
+                driver: Driver::new(ProcessId(i as u32), cfg),
                 rn: vec![vec![0; n]; k],
                 tokens,
                 using: None,

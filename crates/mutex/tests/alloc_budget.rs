@@ -1,0 +1,134 @@
+//! Heap-allocation budgets of the simulator's record path and of trace
+//! decode.
+//!
+//! A counting `#[global_allocator]` (this binary only) counts the
+//! allocations made on the calling thread while a closure runs. The
+//! budgets pin the property DESIGN states for the record path — a
+//! simulated step allocates nothing in steady state — with room for each
+//! run's set-up (processes, mailboxes, the finished deposet's arrays) and
+//! the amortised growth of its vectors: an anti-token run of 8 processes
+//! and 12 entries records only ~260 states.
+
+use pctl_core::online::ft::FtParams;
+use pctl_core::online::PeerSelect;
+use pctl_deposet::generator::{pipelined_workload, CsConfig};
+use pctl_deposet::trace;
+use pctl_mutex::driver::WorkloadConfig;
+use pctl_mutex::{run_antitoken, run_ft_antitoken};
+use pctl_sim::scenarios::ring_flood;
+use pctl_sim::{DelayModel, FaultPlan, ProcessId, SimConfig, SimTime};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+struct Counting;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn bump() {
+    // `try_with`: the slot may already be gone while a thread exits.
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
+
+// SAFETY: every call is forwarded unchanged to the system allocator; the
+// counter is a const-initialised thread-local that never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        bump();
+        System.alloc(layout)
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        bump();
+        System.alloc_zeroed(layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        bump();
+        System.realloc(ptr, layout, new_size)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Run `f` and return its result with the number of heap allocations
+/// (including reallocations) it made on this thread.
+fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = ALLOCS.with(Cell::get);
+    let out = f();
+    (out, ALLOCS.with(Cell::get) - before)
+}
+
+fn workload(seed: u64) -> WorkloadConfig {
+    WorkloadConfig {
+        processes: 8,
+        entries_per_process: 12,
+        seed,
+        ..WorkloadConfig::default()
+    }
+}
+
+/// Allocations per recorded state over a few seeds of one runner.
+fn per_state(run: impl Fn(&WorkloadConfig) -> pctl_sim::SimResult) -> f64 {
+    let (mut allocs, mut states) = (0, 0);
+    for seed in 1..=4 {
+        let cfg = workload(seed);
+        let (r, n) = counted(|| run(&cfg));
+        assert_eq!(r.metrics.counter("entries"), 8 * 12, "seed {seed}");
+        allocs += n;
+        states += r.deposet.total_states() as u64;
+    }
+    allocs as f64 / states as f64
+}
+
+#[test]
+fn antitoken_runs_allocate_at_most_two_per_state() {
+    let plain = per_state(|cfg| run_antitoken(cfg, PeerSelect::NextInRing));
+    println!("anti-token: {plain:.3} allocations per recorded state");
+    assert!(plain <= 2.0, "{plain:.3} allocations per recorded state");
+}
+
+#[test]
+fn fault_tolerant_runs_allocate_at_most_two_per_state() {
+    let ft = per_state(|cfg| {
+        let plan = FaultPlan::uniform_loss(0.05).with_crash(ProcessId(0), SimTime(25), Some(300));
+        run_ft_antitoken(cfg, PeerSelect::NextInRing, FtParams::default(), plan)
+    });
+    println!("fault-tolerant anti-token: {ft:.3} allocations per recorded state");
+    assert!(ft <= 2.0, "{ft:.3} allocations per recorded state");
+}
+
+#[test]
+fn ring_flood_allocates_almost_nothing_per_event() {
+    let cfg = SimConfig {
+        seed: 7,
+        delay: DelayModel::Uniform { min: 1, max: 20 },
+        max_events: usize::MAX,
+        ..SimConfig::default()
+    };
+    let (r, allocs) = counted(|| ring_flood(64, 16, 200, cfg).run());
+    let events = r.core.events_dispatched;
+    assert_eq!(events, 64 * 16 * 200);
+    let per_event = allocs as f64 / events as f64;
+    println!("ring flood: {per_event:.4} allocations per event");
+    assert!(per_event < 0.1, "{per_event:.4} allocations per event");
+}
+
+#[test]
+fn trace_decode_allocates_almost_nothing_per_state() {
+    let cfg = CsConfig {
+        processes: 8,
+        sections_per_process: 42,
+        ..CsConfig::default()
+    };
+    let json = trace::to_json(&pipelined_workload(&cfg, 5));
+    let (dep, allocs) = counted(|| trace::from_json(&json).unwrap());
+    let states = dep.total_states() as u64;
+    assert!((1_500..=2_500).contains(&states), "{states} states");
+    let per_state = allocs as f64 / states as f64;
+    println!("trace decode: {per_state:.3} allocations per state ({states} states)");
+    assert!(per_state <= 0.1, "{per_state:.3} allocations per state");
+}

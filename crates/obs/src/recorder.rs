@@ -14,7 +14,8 @@ use std::io::Write;
 /// Recorders are `Send`: simulation results (which own their sink) cross
 /// thread boundaries when scenario sweeps fan out over scoped workers.
 pub trait Recorder: Send {
-    /// Whether this sink wants events at all.
+    /// Whether this sink wants events at all. Fixed for the sink's
+    /// lifetime: a simulation reads it once, when it is built.
     fn enabled(&self) -> bool {
         true
     }

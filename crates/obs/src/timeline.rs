@@ -53,7 +53,7 @@ pub fn deposet_events(dep: &Deposet, control: &[(StateId, StateId)]) -> Vec<Even
         events.push(Event {
             ts: m.from.idx() as u64,
             lane: m.from.process.index() as u32,
-            name: m.tag.clone(),
+            name: m.tag.to_string(),
             kind: EventKind::MsgSend {
                 id: flow,
                 to: m.to.process.index() as u32,
@@ -63,7 +63,7 @@ pub fn deposet_events(dep: &Deposet, control: &[(StateId, StateId)]) -> Vec<Even
         events.push(Event {
             ts: m.to.idx() as u64,
             lane: m.to.process.index() as u32,
-            name: m.tag.clone(),
+            name: m.tag.to_string(),
             kind: EventKind::MsgRecv {
                 id: flow,
                 from: m.from.process.index() as u32,

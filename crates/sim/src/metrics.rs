@@ -40,10 +40,15 @@ pub struct Summary {
 impl Metrics {
     /// Increment counter `name` by `by`. Saturates at `u64::MAX` instead of
     /// wrapping (release builds don't check `+=`, and a wrapped counter is
-    /// silently, catastrophically wrong in a report).
+    /// silently, catastrophically wrong in a report). The key is looked up
+    /// by `&str` and allocated only on first insert.
     pub fn add(&mut self, name: &str, by: u64) {
-        let c = self.counters.entry(name.to_owned()).or_insert(0);
-        *c = c.saturating_add(by);
+        match self.counters.get_mut(name) {
+            Some(c) => *c = c.saturating_add(by),
+            None => {
+                self.counters.insert(name.to_owned(), by);
+            }
+        }
     }
 
     /// Increment a labeled counter: the registry key is `name{label}`, so
@@ -79,9 +84,13 @@ impl Metrics {
         self.gauges.get(name).copied()
     }
 
-    /// Record one latency/size sample under `name`.
+    /// Record one latency/size sample under `name`; like
+    /// [`Metrics::add`], the key is allocated only on first insert.
     pub fn record(&mut self, name: &str, value: u64) {
-        self.samples.entry(name.to_owned()).or_default().push(value);
+        match self.samples.get_mut(name) {
+            Some(s) => s.push(value),
+            None => self.samples.entry(name.to_owned()).or_default().push(value),
+        }
     }
 
     /// Raw samples for `name`.

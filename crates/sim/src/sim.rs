@@ -372,10 +372,13 @@ struct Inner<M> {
     down: Vec<bool>,
     incarnation: Vec<u32>,
     // Telemetry. `rec` is a NullRecorder unless the run asked for tracing;
-    // `clocks` (live Fidge–Mattern clocks, one per process) and `next_flow`
-    // are only advanced while recording, so a disabled recorder leaves the
-    // run bit-identical — none of this ever touches `rng`/`frng`.
+    // `recording` is its `enabled()`, read once at construction. `clocks`
+    // (live Fidge–Mattern clocks, one per process) exist only while
+    // recording, and they and `next_flow` are only advanced then, so a
+    // disabled recorder leaves the run bit-identical — none of this ever
+    // touches `rng`/`frng`.
     rec: Box<dyn Recorder>,
+    recording: bool,
     clocks: Vec<VectorClock>,
     next_flow: u64,
 }
@@ -420,7 +423,7 @@ impl<M: Payload> Inner<M> {
 
     /// Record an instant event on `p`'s lane, stamped with its live clock.
     fn rec_instant(&mut self, p: ProcessId, name: &str) {
-        if self.rec.enabled() {
+        if self.recording {
             let clock = self.clocks[p.index()].entries().to_vec();
             self.rec
                 .record(Event::instant(self.now.0, lane(p), name).with_clock(clock));
@@ -437,7 +440,7 @@ impl<M: Payload> Inner<M> {
         dst: ProcessId,
         tag: &str,
     ) -> (u64, Option<VectorClock>) {
-        if !self.rec.enabled() {
+        if !self.recording {
             return (0, None);
         }
         self.clocks[src.index()].tick(src);
@@ -479,10 +482,6 @@ impl<M: Payload> Inner<M> {
             flow,
             clock,
         });
-        self.stats.arena_high_water = self
-            .stats
-            .arena_high_water
-            .max(self.arena.high_water() as u64);
         self.schedule(at, Ev::Deliver { dst, handle });
     }
 
@@ -605,7 +604,7 @@ impl<M: Payload> Ctx<'_, M> {
     /// functions in the exported timeline.
     pub fn step(&mut self, updates: &[(&str, i64)]) {
         self.inner.builder.internal(self.me, updates);
-        if self.inner.rec.enabled() {
+        if self.inner.recording {
             self.inner.clocks[self.me.index()].tick(self.me);
             let clock = self.inner.clocks[self.me.index()].entries().to_vec();
             for (name, value) in updates {
@@ -678,7 +677,7 @@ impl<M: Payload> Ctx<'_, M> {
     /// Whether a live recorder is attached. Use to skip building expensive
     /// event names on the fast path.
     pub fn recording(&self) -> bool {
-        self.inner.rec.enabled()
+        self.inner.recording
     }
 
     /// Record a point-in-time occurrence on this process's lane.
@@ -690,7 +689,7 @@ impl<M: Payload> Ctx<'_, M> {
     /// critical section). Close it with [`Ctx::trace_end`]; same-name spans
     /// nest.
     pub fn trace_begin(&mut self, name: &str) {
-        if self.inner.rec.enabled() {
+        if self.inner.recording {
             let clock = self.inner.clocks[self.me.index()].entries().to_vec();
             self.inner.rec.record(Event {
                 ts: self.inner.now.0,
@@ -704,7 +703,7 @@ impl<M: Payload> Ctx<'_, M> {
 
     /// Close the innermost open span with this name on this process's lane.
     pub fn trace_end(&mut self, name: &str) {
-        if self.inner.rec.enabled() {
+        if self.inner.recording {
             let clock = self.inner.clocks[self.me.index()].entries().to_vec();
             self.inner.rec.record(Event {
                 ts: self.inner.now.0,
@@ -719,7 +718,7 @@ impl<M: Payload> Ctx<'_, M> {
     /// Record a sampled value on this process's lane (renders as a counter
     /// track).
     pub fn trace_counter(&mut self, name: &str, value: i64) {
-        if self.inner.rec.enabled() {
+        if self.inner.recording {
             let clock = self.inner.clocks[self.me.index()].entries().to_vec();
             self.inner.rec.record(
                 Event::counter(self.inner.now.0, lane(self.me), name, value).with_clock(clock),
@@ -747,7 +746,8 @@ impl<M: Payload> Simulation<M> {
 
     /// Like [`Simulation::new`], but with a telemetry sink. Recording is
     /// strictly observational: it never touches the simulation's RNG
-    /// streams, so a traced run is bit-identical to an untraced one.
+    /// streams, so a traced run is bit-identical to an untraced one. The
+    /// sink's [`Recorder::enabled`] is read once, here.
     pub fn with_recorder(
         config: SimConfig,
         processes: Vec<Box<dyn Process<M>>>,
@@ -758,6 +758,7 @@ impl<M: Payload> Simulation<M> {
         let mut builder = DeposetBuilder::new(n);
         builder.allow_in_flight();
         let faulty = !config.faults.is_empty();
+        let recording = recorder.enabled();
         Simulation {
             procs: processes.into_iter().map(Some).collect(),
             inner: Inner {
@@ -784,7 +785,12 @@ impl<M: Payload> Simulation<M> {
                 down: vec![false; n],
                 incarnation: vec![0; n],
                 rec: recorder,
-                clocks: vec![VectorClock::zero(n); n],
+                recording,
+                clocks: if recording {
+                    vec![VectorClock::zero(n); n]
+                } else {
+                    Vec::new()
+                },
                 next_flow: 0,
             },
             config,
@@ -920,7 +926,7 @@ impl<M: Payload> Simulation<M> {
                         } else {
                             self.inner.engaged[dst.index()] = true;
                             self.inner.builder.recv(dst, token, &[]);
-                            if self.inner.rec.enabled() {
+                            if self.inner.recording {
                                 if let Some(sender_clock) = &clock {
                                     self.inner.clocks[dst.index()].merge(sender_clock);
                                 }

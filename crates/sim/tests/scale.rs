@@ -2,8 +2,8 @@
 //!
 //! `#[ignore]` by default (it allocates a multi-GB deposet and takes
 //! minutes in debug builds); CI's `sim-scale` release smoke job runs it
-//! with `--ignored` and uploads the gauge report. Asserts the two
-//! properties the ISSUE pins at scale:
+//! with `--ignored` and uploads the gauge report. Asserts three
+//! properties at scale:
 //!
 //! 1. **Determinism survives volume** — two runs with the same
 //!    `(seed, plan)` produce bit-identical metrics JSON (and identical
@@ -12,9 +12,43 @@
 //!    gauge equals the known in-flight population of the workload
 //!    (`processes × fanout`), NOT the total event count: the engine's
 //!    footprint must not grow with trace length.
+//! 3. **A simulated step allocates nothing** — a counting global
+//!    allocator sees fewer than 0.1 heap allocations per dispatched event
+//!    (what remains is the amortised growth of the trace's vectors); the
+//!    test prints `allocs_per_event` for the CI log.
 
 use pctl_sim::scenarios::ring_flood;
 use pctl_sim::{DelayModel, SimConfig, SimResult, SimTime, StopReason};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Counts allocations and reallocations; everything else is the system
+/// allocator's.
+struct Counting;
+
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: every call is forwarded unchanged to the system allocator.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        System.alloc_zeroed(layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
 
 const PROCESSES: u32 = 64;
 const FANOUT: u32 = 16;
@@ -38,7 +72,16 @@ fn ten_million_events_deterministic_with_bounded_live_state() {
     let expected = u64::from(PROCESSES) * u64::from(FANOUT) * u64::from(HOPS);
     assert!(expected >= 10_000_000);
 
+    // The only test in this binary, so the process-wide count is the run's.
+    let before = ALLOCS.load(Ordering::Relaxed);
     let a = run_once(0x5CA1_E5EED);
+    let allocs_per_event =
+        (ALLOCS.load(Ordering::Relaxed) - before) as f64 / a.core.events_dispatched as f64;
+    println!("sim-scale allocs_per_event: {allocs_per_event:.4}");
+    assert!(
+        allocs_per_event < 0.1,
+        "{allocs_per_event:.4} heap allocations per event"
+    );
     assert_eq!(a.stopped, StopReason::Quiescent);
     assert_eq!(a.core.events_dispatched, expected);
     assert_eq!(a.metrics.counter("msgs_total"), expected);
@@ -46,7 +89,7 @@ fn ten_million_events_deterministic_with_bounded_live_state() {
     // Peak engine memory tracks live state, not trace length: the ring
     // keeps exactly processes×fanout messages in flight, so the arena's
     // high-water mark (and its actual slab footprint) must equal that —
-    // the "fixed multiple" of the ISSUE is 1 for this workload, with a 2×
+    // the fixed multiple of live state is 1 for this workload, with a 2×
     // allowance so a benign scheduling change doesn't flake the job.
     let live = u64::from(PROCESSES) * u64::from(FANOUT);
     assert!(
