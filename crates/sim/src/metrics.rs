@@ -4,18 +4,121 @@
 //! The benchmark harness reads these to reproduce the paper's analytic
 //! claims (control messages per critical-section entry, response-time
 //! bounds `[2T, 2T + E_max]`, …).
+//!
+//! Counters and sample series sit on the simulator's per-event path
+//! (`add("msgs_total")`, `record("enter_p3")`, audit reads), so they are
+//! hash maps keyed by `String`, looked up by `&str`, with a small
+//! multiplicative hasher local to this module. Every output — the JSON
+//! form, `Debug`, [`Metrics::to_prometheus`], the `*_names` iterators and
+//! [`Metrics::summaries`] — sorts by name, so nothing observable depends on
+//! hash order. Gauges are cold and stay in a `BTreeMap`.
 
 use pctl_obs::stats::nearest_rank;
-use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use serde::{DeError, Deserialize, Reader, Serialize, Writer};
+use std::collections::{BTreeMap, HashMap};
+use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Accumulated metrics for one simulation run.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct Metrics {
-    counters: BTreeMap<String, u64>,
-    samples: BTreeMap<String, Vec<u64>>,
+    counters: Registry<u64>,
+    samples: Registry<Vec<u64>>,
     #[serde(default, skip_serializing_if = "BTreeMap::is_empty")]
     gauges: BTreeMap<String, i64>,
+}
+
+/// The Fx hash (a rotate, xor and multiply per word): fast on the short,
+/// trusted keys of a metrics registry. std's SipHash measured no faster
+/// than a `BTreeMap` here.
+#[derive(Clone, Copy, Default)]
+struct FxHasher(u64);
+
+impl FxHasher {
+    const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(Self::SEED);
+    }
+}
+
+impl Hasher for FxHasher {
+    fn write(&mut self, mut bytes: &[u8]) {
+        // Fixed-width reads only: zero-padding the tail into a buffer
+        // compiles to a `memcpy` call per hash.
+        while let Some((w, rest)) = bytes.split_first_chunk::<8>() {
+            self.add(u64::from_le_bytes(*w));
+            bytes = rest;
+        }
+        if let Some((w, rest)) = bytes.split_first_chunk::<4>() {
+            self.add(u64::from(u32::from_le_bytes(*w)));
+            bytes = rest;
+        }
+        if let Some((w, rest)) = bytes.split_first_chunk::<2>() {
+            self.add(u64::from(u16::from_le_bytes(*w)));
+            bytes = rest;
+        }
+        if let Some(&b) = bytes.first() {
+            self.add(u64::from(b));
+        }
+    }
+
+    fn write_u8(&mut self, i: u8) {
+        self.add(u64::from(i));
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A name-keyed hash map whose every rendering (JSON, `Debug`) is sorted
+/// by name, exactly as a `BTreeMap` renders.
+#[derive(Clone)]
+struct Registry<V>(HashMap<String, V, BuildHasherDefault<FxHasher>>);
+
+impl<V> Default for Registry<V> {
+    fn default() -> Self {
+        Registry(HashMap::default())
+    }
+}
+
+impl<V> Registry<V> {
+    /// `(name, value)` pairs in name order.
+    fn sorted(&self) -> Vec<(&str, &V)> {
+        let mut kv: Vec<(&str, &V)> = self.0.iter().map(|(k, v)| (k.as_str(), v)).collect();
+        kv.sort_unstable_by_key(|&(k, _)| k);
+        kv
+    }
+}
+
+impl<V: fmt::Debug> fmt::Debug for Registry<V> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.sorted()).finish()
+    }
+}
+
+impl<V: Serialize> Serialize for Registry<V> {
+    fn serialize(&self, w: &mut Writer<'_>) {
+        w.begin_object();
+        for (k, v) in self.sorted() {
+            w.key(k);
+            v.serialize(w);
+        }
+        w.end_object();
+    }
+}
+
+impl<V: Deserialize> Deserialize for Registry<V> {
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        let mut map = HashMap::default();
+        r.object("map", |r, key| {
+            let v = V::deserialize(r).map_err(|e| e.context(&key))?;
+            map.insert(key.into_owned(), v);
+            Ok(())
+        })?;
+        Ok(Registry(map))
+    }
 }
 
 /// Summary statistics over one sample series.
@@ -43,10 +146,10 @@ impl Metrics {
     /// silently, catastrophically wrong in a report). The key is looked up
     /// by `&str` and allocated only on first insert.
     pub fn add(&mut self, name: &str, by: u64) {
-        match self.counters.get_mut(name) {
+        match self.counters.0.get_mut(name) {
             Some(c) => *c = c.saturating_add(by),
             None => {
-                self.counters.insert(name.to_owned(), by);
+                self.counters.0.insert(name.to_owned(), by);
             }
         }
     }
@@ -58,6 +161,7 @@ impl Metrics {
     pub fn add_labeled(&mut self, name: &str, label: &str, by: u64) {
         let c = self
             .counters
+            .0
             .entry(format!("{name}{{{label}}}"))
             .or_insert(0);
         *c = c.saturating_add(by);
@@ -65,7 +169,7 @@ impl Metrics {
 
     /// Current value of counter `name` (0 if never touched).
     pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
+        self.counters.0.get(name).copied().unwrap_or(0)
     }
 
     /// Current value of a labeled counter (see [`Metrics::add_labeled`]).
@@ -87,20 +191,25 @@ impl Metrics {
     /// Record one latency/size sample under `name`; like
     /// [`Metrics::add`], the key is allocated only on first insert.
     pub fn record(&mut self, name: &str, value: u64) {
-        match self.samples.get_mut(name) {
+        match self.samples.0.get_mut(name) {
             Some(s) => s.push(value),
-            None => self.samples.entry(name.to_owned()).or_default().push(value),
+            None => self
+                .samples
+                .0
+                .entry(name.to_owned())
+                .or_default()
+                .push(value),
         }
     }
 
     /// Raw samples for `name`.
     pub fn samples(&self, name: &str) -> &[u64] {
-        self.samples.get(name).map(Vec::as_slice).unwrap_or(&[])
+        self.samples.0.get(name).map(Vec::as_slice).unwrap_or(&[])
     }
 
     /// Summary statistics for `name`, or `None` when no samples exist.
     pub fn summary(&self, name: &str) -> Option<Summary> {
-        let s = self.samples.get(name)?;
+        let s = self.samples.0.get(name)?;
         if s.is_empty() {
             return None;
         }
@@ -120,12 +229,12 @@ impl Metrics {
 
     /// All counter names (sorted).
     pub fn counter_names(&self) -> impl Iterator<Item = &str> {
-        self.counters.keys().map(String::as_str)
+        self.counters.sorted().into_iter().map(|(k, _)| k)
     }
 
     /// All sample series names (sorted).
     pub fn sample_names(&self) -> impl Iterator<Item = &str> {
-        self.samples.keys().map(String::as_str)
+        self.samples.sorted().into_iter().map(|(k, _)| k)
     }
 
     /// All gauge names (sorted).
@@ -136,20 +245,21 @@ impl Metrics {
     /// `(name, summary)` for every sample series, in name order.
     pub fn summaries(&self) -> impl Iterator<Item = (&str, Summary)> {
         self.samples
-            .keys()
-            .filter_map(|k| Some((k.as_str(), self.summary(k)?)))
+            .sorted()
+            .into_iter()
+            .filter_map(|(k, _)| Some((k, self.summary(k)?)))
     }
 
     /// Merge another run's metrics into this one (for aggregation across
     /// seeds). Counters add, samples concatenate, gauges take the other
     /// run's final level.
     pub fn merge(&mut self, other: &Metrics) {
-        for (k, v) in &other.counters {
-            let c = self.counters.entry(k.clone()).or_insert(0);
-            *c = c.saturating_add(*v);
+        for (k, &v) in &other.counters.0 {
+            self.add(k, v);
         }
-        for (k, v) in &other.samples {
+        for (k, v) in &other.samples.0 {
             self.samples
+                .0
                 .entry(k.clone())
                 .or_default()
                 .extend_from_slice(v);
@@ -190,10 +300,10 @@ impl Metrics {
     /// `_sum`/`_count`.
     pub fn to_prometheus(&self, prefix: &str) -> String {
         let mut exp = pctl_obs::prom::Exposition::new();
-        for (key, &v) in &self.counters {
+        for (key, &v) in self.counters.sorted() {
             let (name, label) = match key.split_once('{') {
                 Some((name, rest)) => (name, rest.strip_suffix('}')),
-                None => (key.as_str(), None),
+                None => (key, None),
             };
             let family = format!("{prefix}{name}_total");
             match label {
@@ -209,7 +319,7 @@ impl Metrics {
                 v as f64,
             );
         }
-        for (name, s) in &self.samples {
+        for (name, s) in self.samples.sorted() {
             let Some(sm) = self.summary(name) else {
                 continue;
             };

@@ -32,6 +32,19 @@
 //! entries that were inserted directly, so `pop_batch` sorts each batch by
 //! `seq` before returning it — the batch order, not arrival order, is the
 //! dispatch order.
+//!
+//! ## Storage
+//!
+//! Entries live in one node pool: a `Vec` of `{entry, next}` nodes threaded
+//! into singly linked per-slot lists, with freed nodes kept on a free list.
+//! A slot is just a head index. Inserting links a node in at the head,
+//! cascading relinks a slot's nodes into lower slots without moving or
+//! copying them, and `pop_batch` copies a slot's entries into the caller's
+//! batch and returns the nodes to the free list. The pool therefore grows
+//! only when more entries are pending in the wheel than ever before: its
+//! length never exceeds [`TimingWheel::high_water`], and once it (and the
+//! overflow heap and the caller's batch vector) has reached the run's peak,
+//! pushing, cascading and popping allocate nothing.
 
 use std::collections::BinaryHeap;
 
@@ -85,15 +98,29 @@ impl<T> Ord for OverflowEntry<T> {
     }
 }
 
+/// End-of-list marker for pool links.
+const NIL: u32 = u32::MAX;
+
+/// One pool node: an entry and the index of the next node in its slot's
+/// list (or in the free list).
+struct Node<T> {
+    entry: WheelEntry<T>,
+    next: u32,
+}
+
 /// A hierarchical timing wheel over `Copy` items with an overflow heap for
-/// beyond-horizon entries. See the module docs for the invariants.
+/// beyond-horizon entries. See the module docs for the invariants and the
+/// node pool.
 pub struct TimingWheel<T> {
     base: u64,
-    /// `slots[level][slot]` — entry buckets. Bucket vecs are recycled via
-    /// `mem::take`, so steady-state operation does not allocate.
-    slots: Vec<Vec<Vec<WheelEntry<T>>>>,
-    /// Per-level occupancy bitmap (bit `s` set ⇔ `slots[level][s]`
-    /// non-empty).
+    /// `heads[level][slot]` — first pool node of the slot's list, or `NIL`.
+    heads: [[u32; SLOTS]; LEVELS],
+    /// Node pool shared by every slot list and the free list.
+    pool: Vec<Node<T>>,
+    /// First free pool node, or `NIL`.
+    free: u32,
+    /// Per-level occupancy bitmap (bit `s` set ⇔ `heads[level][s]` is a
+    /// non-empty list).
     occupied: [u64; LEVELS],
     /// Beyond-horizon entries, min-ordered by `(time, seq)`.
     overflow: BinaryHeap<OverflowEntry<T>>,
@@ -110,9 +137,9 @@ impl<T: Copy> TimingWheel<T> {
     pub fn new(start: u64) -> Self {
         TimingWheel {
             base: start,
-            slots: (0..LEVELS)
-                .map(|_| (0..SLOTS).map(|_| Vec::new()).collect())
-                .collect(),
+            heads: [[NIL; SLOTS]; LEVELS],
+            pool: Vec::new(),
+            free: NIL,
             occupied: [0; LEVELS],
             overflow: BinaryHeap::new(),
             in_wheel: 0,
@@ -177,9 +204,26 @@ impl<T: Copy> TimingWheel<T> {
     fn insert(&mut self, e: WheelEntry<T>) {
         match Self::level_for(self.base, e.time) {
             Some(level) => {
-                let slot = Self::slot_of(level, e.time);
-                self.slots[level][slot].push(e);
-                self.occupied[level] |= 1 << slot;
+                let node = match self.free {
+                    NIL => {
+                        let i = self.pool.len();
+                        assert!(
+                            i < NIL as usize,
+                            "timing wheel: node pool exceeds u32 range"
+                        );
+                        self.pool.push(Node {
+                            entry: e,
+                            next: NIL,
+                        });
+                        i as u32
+                    }
+                    i => {
+                        self.free = self.pool[i as usize].next;
+                        self.pool[i as usize].entry = e;
+                        i
+                    }
+                };
+                self.link(level, node);
                 self.in_wheel += 1;
             }
             None => self.overflow.push(OverflowEntry {
@@ -188,6 +232,22 @@ impl<T: Copy> TimingWheel<T> {
                 item: e.item,
             }),
         }
+    }
+
+    /// Link pool node `node` at the head of the slot its entry's time
+    /// hashes to at `level`.
+    fn link(&mut self, level: usize, node: u32) {
+        let slot = Self::slot_of(level, self.pool[node as usize].entry.time);
+        self.pool[node as usize].next = self.heads[level][slot];
+        self.heads[level][slot] = node;
+        self.occupied[level] |= 1 << slot;
+    }
+
+    /// Unlink the whole list of `heads[level][slot]`, clear its occupancy
+    /// bit, and return its first node.
+    fn detach(&mut self, level: usize, slot: usize) -> u32 {
+        self.occupied[level] &= !(1 << slot);
+        std::mem::replace(&mut self.heads[level][slot], NIL)
     }
 
     /// Move overflow entries now within the horizon into the wheel.
@@ -201,19 +261,19 @@ impl<T: Copy> TimingWheel<T> {
         }
     }
 
-    /// Empty `slots[level][slot]` and re-insert its entries relative to the
+    /// Empty `heads[level][slot]` and relink its nodes relative to the
     /// current `base` (they land at a strictly lower level).
     fn cascade(&mut self, level: usize, slot: usize) {
-        let entries = std::mem::take(&mut self.slots[level][slot]);
-        self.occupied[level] &= !(1 << slot);
-        self.in_wheel -= entries.len();
-        self.cascades += entries.len() as u64;
-        for e in entries {
-            debug_assert!(
-                Self::level_for(self.base, e.time).is_some_and(|l| l < level),
-                "cascade must move entries strictly down"
-            );
-            self.insert(e);
+        let mut node = self.detach(level, slot);
+        while node != NIL {
+            let n = &self.pool[node as usize];
+            let next = n.next;
+            let lower = Self::level_for(self.base, n.entry.time)
+                .filter(|&l| l < level)
+                .expect("cascade must move entries strictly down");
+            self.link(lower, node);
+            self.cascades += 1;
+            node = next;
         }
     }
 
@@ -247,12 +307,16 @@ impl<T: Copy> TimingWheel<T> {
                 let s = masked.trailing_zeros() as usize;
                 let t = (self.base >> SLOT_BITS << SLOT_BITS) | s as u64;
                 debug_assert!(t >= self.base);
-                let mut batch = std::mem::take(&mut self.slots[0][s]);
-                self.occupied[0] &= !(1 << s);
-                self.in_wheel -= batch.len();
+                let mut node = self.detach(0, s);
+                while node != NIL {
+                    let n = &mut self.pool[node as usize];
+                    out.push(n.entry);
+                    let next = std::mem::replace(&mut n.next, self.free);
+                    self.free = node;
+                    node = next;
+                }
+                self.in_wheel -= out.len();
                 self.base = t;
-                out.append(&mut batch);
-                self.slots[0][s] = batch; // hand the emptied vec back
                 out.sort_unstable_by_key(|e| e.seq);
                 debug_assert!(out.iter().all(|e| e.time == t));
                 return Some(t);
@@ -284,6 +348,7 @@ impl<T: Copy> TimingWheel<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -365,44 +430,76 @@ mod tests {
         assert_eq!(got, vec![(t, 5, 1), (t, 6, 2)], "one batch, seq order");
     }
 
-    #[test]
-    fn random_workload_matches_heap_model() {
-        let mut rng = StdRng::seed_from_u64(0xC0FFEE);
-        for _ in 0..50 {
-            let mut w = TimingWheel::new(0);
+    /// Pop one batch into `got`, checking it against the wheel's state,
+    /// and that the node pool tracks pending entries, not run length.
+    fn pop_into(
+        w: &mut TimingWheel<u32>,
+        batch: &mut Vec<WheelEntry<u32>>,
+        got: &mut Vec<(u64, u64, u32)>,
+    ) -> Option<u64> {
+        let t = w.pop_batch(batch)?;
+        assert!(batch.iter().all(|e| e.time == t));
+        got.extend(batch.iter().map(|e| (e.time, e.seq, e.item)));
+        assert!(
+            w.pool.len() <= w.high_water(),
+            "pool {} > high water {}",
+            w.pool.len(),
+            w.high_water()
+        );
+        Some(t)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        /// Bursts of pushes with delays up to `2^max_bits` (past the `2^30`
+        /// horizon for the larger spreads), one batch popped per round; with
+        /// `quiet`, every eighth round first drains the wheel and then
+        /// schedules only beyond-horizon entries, so the next pop rebases
+        /// across the quiet stretch in one jump.
+        #[test]
+        fn random_workload_matches_heap_model(
+            seed in 0u64..u64::MAX,
+            max_bits in 1u32..45,
+            burst in 1usize..12,
+            quiet in 0u8..2,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut w = TimingWheel::new(rng.gen_range(0..1u64 << 40));
             let mut model: Vec<(u64, u64, u32)> = Vec::new();
-            let mut seq = 0u64;
-            let mut now = 0u64;
-            let mut batch = Vec::new();
             let mut got: Vec<(u64, u64, u32)> = Vec::new();
-            for _round in 0..40 {
-                // Push a burst at times ≥ now, spanning all levels + overflow.
-                for _ in 0..rng.gen_range(0..8) {
-                    let dt: u64 = match rng.gen_range(0..5) {
-                        0 => rng.gen_range(0..64),
-                        1 => rng.gen_range(0..4096),
-                        2 => rng.gen_range(0..(1u64 << 18)),
-                        3 => rng.gen_range(0..(1u64 << 30)),
-                        _ => rng.gen_range(0..(1u64 << 40)),
-                    };
-                    let t = now + dt;
+            let mut batch = Vec::new();
+            let mut seq = 0u64;
+            for round in 0..60 {
+                let mut far = None;
+                if quiet == 1 && round % 8 == 7 {
+                    while pop_into(&mut w, &mut batch, &mut got).is_some() {}
+                    let t = w.base() + (1 << HORIZON_BITS) + rng.gen_range(0..1u64 << 40);
+                    far = Some(t);
                     w.push(t, seq, seq as u32);
                     model.push((t, seq, seq as u32));
                     seq += 1;
                 }
-                // Pop one batch.
-                if let Some(t) = w.pop_batch(&mut batch) {
-                    assert!(t >= now);
-                    now = t;
-                    for e in &batch {
-                        got.push((e.time, e.seq, e.item));
+                for _ in 0..rng.gen_range(0..burst) {
+                    let bits = rng.gen_range(0..=max_bits);
+                    let t = w.base() + rng.gen_range(0..1u64 << bits);
+                    if far.is_some_and(|f| t < f) {
+                        continue; // keep the stretch quiet
                     }
+                    w.push(t, seq, seq as u32);
+                    model.push((t, seq, seq as u32));
+                    seq += 1;
                 }
+                let t = pop_into(&mut w, &mut batch, &mut got);
+                if let Some(f) = far {
+                    prop_assert_eq!(t, Some(f));
+                    prop_assert_eq!(w.base(), f);
+                }
+                prop_assert_eq!(w.len(), model.len() - got.len());
             }
-            got.extend(drain(&mut w));
+            while pop_into(&mut w, &mut batch, &mut got).is_some() {}
             model.sort_unstable();
-            assert_eq!(got, model);
-            assert_eq!(w.len(), 0);
+            prop_assert_eq!(got, model);
+            prop_assert_eq!(w.len(), 0);
         }
     }
 
