@@ -15,10 +15,11 @@
 //! at all — and reads hand out [`ClockRef`] slices that borrow the arena.
 //!
 //! [`fill_clocks`] is the one clock fill used for both base causality
-//! (message edges) and extended causality (message + control edges): a
-//! topological sort ([`topo_order_chained`], which also detects cycles),
-//! the merge edges in CSR form ([`csr_from_edges`]) and the row DP
-//! ([`fill_fidge_mattern`]).
+//! (message edges) and extended causality (message + control edges). It
+//! keeps the merge edges in CSR form ([`csr_from_edges`]) and walks the
+//! process chains in order, filling a row once its merge sources are
+//! filled — no separate topological sort; a cycle shows as a process that
+//! waits on itself. It is linear in rows plus edges.
 
 use crate::ids::ProcessId;
 use crate::order::Causality;
@@ -208,7 +209,7 @@ impl ClockArena {
     }
 
     /// One Fidge–Mattern DP step — the single row-kernel shared by the
-    /// batch fill ([`fill_fidge_mattern`]) and the incremental per-session
+    /// batch fill ([`fill_clocks`]) and the incremental per-session
     /// append. Row `r` becomes:
     ///
     /// 1. its local predecessor `r - 1` (skipped when `chain_start`; the
@@ -270,9 +271,9 @@ impl ClockArena {
 
 /// Largest row count the flat `u32` edge/row addressing supports.
 ///
-/// [`csr_from_edges`] and [`topo_order_chained`] store row indices and edge
+/// [`csr_from_edges`] (and so [`fill_clocks`]) stores row indices and edge
 /// counts as `u32`; anything above this bound would silently truncate, so
-/// both assert it *before* allocating anything (cheap to unit-test without
+/// it asserts it *before* allocating anything (cheap to unit-test without
 /// materialising multi-gigabyte chains). Deposet construction converts the
 /// same bound into a recoverable `TooManyStates` error.
 pub const MAX_ROWS: usize = u32::MAX as usize;
@@ -314,148 +315,72 @@ pub fn csr_from_edges(rows: usize, edges: &[(u32, u32)]) -> (Vec<u32>, Vec<u32>)
     (off, src)
 }
 
-/// Topological order of a computation's implicit state graph: the local
-/// chains `proc_starts[p] .. proc_starts[p+1]` (edge `r → r+1` inside each
-/// chain) plus explicit cross edges given as `(dst, src)` pairs — the same
-/// pair format [`csr_from_edges`] consumes.
-///
-/// Returns `None` when the combined relation has a cycle (the computation
-/// would not have an irreflexive `→`). Unlike a general adjacency-list
-/// graph, this needs no per-node allocation: the chain edges stay implicit
-/// and the cross edges live in one flat CSR, so the whole sort costs a
-/// handful of `O(rows + edges)` arrays — it is the hot path of every
-/// deposet construction.
-pub fn topo_order_chained(proc_starts: &[usize], edges: &[(u32, u32)]) -> Option<Vec<u32>> {
-    let _prof = pctl_prof::span("topo_order_chained");
-    let rows = *proc_starts.last().expect("proc_starts has n+1 entries");
-    assert!(
-        rows <= MAX_ROWS,
-        "row count {rows} exceeds u32 addressing (max {MAX_ROWS})"
-    );
-    assert!(
-        edges.len() <= MAX_ROWS,
-        "edge count {} exceeds u32 addressing (max {MAX_ROWS})",
-        edges.len()
-    );
-    // Outgoing CSR keyed by *source* (csr_from_edges keys by destination).
-    let mut out_off = vec![0u32; rows + 1];
-    for &(_, src) in edges {
-        out_off[src as usize + 1] += 1;
-    }
-    for r in 0..rows {
-        out_off[r + 1] += out_off[r];
-    }
-    let mut out_dst = vec![0u32; edges.len()];
-    let mut cursor: Vec<u32> = out_off[..rows].to_vec();
-    for &(dst, src) in edges {
-        out_dst[cursor[src as usize] as usize] = dst;
-        cursor[src as usize] += 1;
-    }
-    // In-degrees: one implicit edge onto every non-initial chain row, plus
-    // the cross edges. `chain_last` marks rows with no implicit successor.
-    let mut indeg = vec![0u32; rows];
-    let mut chain_last = vec![false; rows];
-    for p in 0..proc_starts.len() - 1 {
-        let (lo, hi) = (proc_starts[p], proc_starts[p + 1]);
-        // Skip empty chains: `lo + 1 .. hi` would be a reversed range.
-        if hi > lo {
-            for d in &mut indeg[lo + 1..hi] {
-                *d = 1;
-            }
-            chain_last[hi - 1] = true;
-        }
-    }
-    for &(dst, _) in edges {
-        indeg[dst as usize] += 1;
-    }
-    let mut stack: Vec<u32> = (0..rows as u32)
-        .filter(|&r| indeg[r as usize] == 0)
-        .collect();
-    let mut order = Vec::with_capacity(rows);
-    while let Some(u) = stack.pop() {
-        order.push(u);
-        let r = u as usize;
-        if !chain_last[r] {
-            indeg[r + 1] -= 1;
-            if indeg[r + 1] == 0 {
-                stack.push(u + 1);
-            }
-        }
-        for &d in &out_dst[out_off[r] as usize..out_off[r + 1] as usize] {
-            indeg[d as usize] -= 1;
-            if indeg[d as usize] == 0 {
-                stack.push(d);
-            }
-        }
-    }
-    (order.len() == rows).then_some(order)
-}
-
-/// Assign Fidge–Mattern clocks into a fresh zeroed `arena` by DP over a
-/// topological `order` of the computation's state graph.
-///
-/// Rows are grouped per process: rows `proc_starts[p] .. proc_starts[p+1]`
-/// are the states of process `p` in local (`≺`) order, so the local
-/// predecessor of a non-initial row is simply `row - 1`. Cross-process
-/// merge edges (message receipt, control edges) come in CSR form from
-/// [`csr_from_edges`]. For every row, in topological order:
-///
-/// 1. start from the local predecessor's clock (`copy_row`), or from zero
-///    for the initial state of the process (the arena starts zeroed);
-/// 2. merge every CSR source row (component-wise max);
-/// 3. tick the row's own process component.
-///
-/// No allocation happens inside the loop; the whole DP touches exactly the
-/// `width · rows` words of the arena.
-///
-/// # Panics
-/// Panics if the arena shape does not match `proc_starts`, or if it is not
-/// zeroed where initial states expect it (debug builds assert shape only).
-pub fn fill_fidge_mattern(
-    arena: &mut ClockArena,
-    proc_starts: &[usize],
-    order: &[u32],
-    merge_off: &[u32],
-    merge_src: &[u32],
-) {
-    let _prof = pctl_prof::span("fill_fidge_mattern");
-    let rows = *proc_starts.last().expect("proc_starts has n+1 entries");
-    assert_eq!(arena.rows(), rows, "arena row count mismatch");
-    assert_eq!(arena.width(), proc_starts.len() - 1, "arena width mismatch");
-    assert_eq!(merge_off.len(), rows + 1, "CSR offsets length mismatch");
-    // proc_of[r] = owning process of row r, precomputed once so the DP loop
-    // does no binary searches.
-    let mut proc_of = vec![0u32; rows];
-    for p in 0..proc_starts.len() - 1 {
-        for owner in &mut proc_of[proc_starts[p]..proc_starts[p + 1]] {
-            *owner = p as u32;
-        }
-    }
-    for &node in order {
-        let r = node as usize;
-        let p = proc_of[r] as usize;
-        arena.fm_row(
-            r,
-            r == proc_starts[p],
-            &merge_src[merge_off[r] as usize..merge_off[r + 1] as usize],
-            &[],
-            ProcessId(p as u32),
-        );
-    }
-}
-
 /// The Fidge–Mattern clocks of a whole computation in one flat arena.
 ///
 /// `offsets` are the per-process row starts (`n + 1` entries, state
-/// `(p, k)` at row `offsets[p] + k`); `edges` are the `(dst, src)` merge
+/// `(p, k)` at row `offsets[p] + k`, so the local predecessor of a
+/// non-initial row is `row - 1`); `edges` are the `(dst, src)` merge
 /// pairs — messages, plus control pairs for extended causality. Returns
 /// `None` when the chains plus `edges` contain a cycle.
+///
+/// The fill walks the chains instead of sorting the graph. A cursor
+/// `next[p]` marks each process's first unfilled row; a row is filled
+/// ([`ClockArena::fm_row`]: copy the predecessor, merge the sources, tick)
+/// once all its merge sources are, and a source `s` still unfilled on
+/// process `q` first pushes `(q, s)` — "fill `q` up to `s`" — on a stack.
+/// A process is on the stack at most once, since needing a row at or past
+/// the cursor of a process that is already waiting is exactly a cycle
+/// (`cursor ⇝ s → … → cursor`). The fill order is a topological order, so
+/// every clock equals the one any other topological DP assigns; the work
+/// is one pass over the rows and edges, with `O(n)` extra space beyond the
+/// merge CSR ([`csr_from_edges`]).
 pub fn fill_clocks(offsets: &[usize], edges: &[(u32, u32)]) -> Option<ClockArena> {
-    let order = topo_order_chained(offsets, edges)?;
+    let _prof = pctl_prof::span("fill_fidge_mattern");
     let rows = *offsets.last().expect("offsets has n+1 entries");
+    let n = offsets.len() - 1;
     let (moff, msrc) = csr_from_edges(rows, edges);
-    let mut arena = ClockArena::zeroed(offsets.len() - 1, rows);
-    fill_fidge_mattern(&mut arena, offsets, &order, &moff, &msrc);
+    let mut arena = ClockArena::zeroed(n, rows);
+    let mut next = offsets[..n].to_vec();
+    let mut waiting = vec![false; n];
+    // (process, last row to fill, cursor into `msrc` of its next row)
+    let mut stack: Vec<(usize, usize, usize)> = Vec::with_capacity(n);
+    for p in 0..n {
+        if next[p] == offsets[p + 1] {
+            continue;
+        }
+        stack.push((p, offsets[p + 1] - 1, moff[next[p]] as usize));
+        waiting[p] = true;
+        while let Some((q, last, k)) = stack.last_mut() {
+            let (q, r) = (*q, next[*q]);
+            if r > *last {
+                waiting[q] = false;
+                stack.pop();
+                continue;
+            }
+            let end = moff[r + 1] as usize;
+            let mut unfilled = None;
+            while *k < end {
+                let s = msrc[*k] as usize;
+                let sq = offsets.partition_point(|&o| o <= s) - 1;
+                if s >= next[sq] {
+                    unfilled = Some((sq, s));
+                    break;
+                }
+                *k += 1;
+            }
+            if let Some((sq, s)) = unfilled {
+                if waiting[sq] {
+                    return None;
+                }
+                waiting[sq] = true;
+                stack.push((sq, s, moff[next[sq]] as usize));
+                continue;
+            }
+            let srcs = &msrc[moff[r] as usize..end];
+            arena.fm_row(r, r == offsets[q], srcs, &[], ProcessId(q as u32));
+            next[q] += 1;
+        }
+    }
     Some(arena)
 }
 
@@ -510,44 +435,62 @@ mod tests {
     }
 
     #[test]
-    fn topo_order_chained_respects_chains_and_messages() {
+    fn fill_clocks_respects_chains_and_messages() {
         // P0: rows 0,1; P1: rows 2,3; message row 0 → row 3.
-        let order = topo_order_chained(&[0, 2, 4], &[(3, 0)]).expect("acyclic");
-        assert_eq!(order.len(), 4);
-        let pos = |r: u32| order.iter().position(|&x| x == r).unwrap();
-        assert!(pos(0) < pos(1), "chain edge 0→1");
-        assert!(pos(2) < pos(3), "chain edge 2→3");
-        assert!(pos(0) < pos(3), "message edge 0→3");
+        let arena = fill_clocks(&[0, 2, 4], &[(3, 0)]).expect("acyclic");
+        let before = |a: usize, b: usize| arena.row(a).causality(&arena.row(b));
+        assert_eq!(before(0, 1), Causality::Before, "chain edge 0→1");
+        assert_eq!(before(2, 3), Causality::Before, "chain edge 2→3");
+        assert_eq!(before(0, 3), Causality::Before, "message edge 0→3");
+        assert_eq!(before(1, 3), Causality::Concurrent);
     }
 
     #[test]
-    fn topo_order_chained_detects_cycles() {
+    fn fill_clocks_detects_cycles() {
         // Messages 1 → 2 and 3 → 0 close a cycle with the two chains.
-        assert_eq!(topo_order_chained(&[0, 2, 4], &[(2, 1), (0, 3)]), None);
+        assert_eq!(fill_clocks(&[0, 2, 4], &[(2, 1), (0, 3)]), None);
+        // A row merging itself, or a later row of its own chain.
+        assert_eq!(fill_clocks(&[0, 2], &[(1, 1)]), None);
+        assert_eq!(fill_clocks(&[0, 2], &[(0, 1)]), None);
+        // An earlier row of its own chain is redundant, not a cycle.
+        assert!(fill_clocks(&[0, 2], &[(1, 0)]).is_some());
         // Degenerate: no rows at all.
-        assert_eq!(topo_order_chained(&[0], &[]), Some(vec![]));
+        assert_eq!(fill_clocks(&[0], &[]).unwrap().rows(), 0);
     }
 
     #[test]
-    fn topo_order_chained_tolerates_zero_state_chains() {
-        // P1 owns no rows: proc_starts [0, 2, 2, 3]. Used to slice the
-        // reversed range `3..2` and panic instead of sorting.
-        let order = topo_order_chained(&[0, 2, 2, 3], &[(2, 1)]).expect("acyclic");
-        assert_eq!(order.len(), 3);
-        let pos = |r: u32| order.iter().position(|&x| x == r).unwrap();
-        assert!(pos(0) < pos(1), "chain edge 0→1");
-        assert!(pos(1) < pos(2), "cross edge 1→2");
+    fn fill_clocks_tolerates_zero_state_chains() {
+        // P1 owns no rows: offsets [0, 2, 2, 3]. Row 2 (P2) merges row 1.
+        let arena = fill_clocks(&[0, 2, 2, 3], &[(2, 1)]).expect("acyclic");
+        assert_eq!(arena.rows(), 3);
+        assert_eq!(arena.row(0).entries(), &[1, 0, 0]);
+        assert_eq!(arena.row(1).entries(), &[2, 0, 0], "chain edge 0→1");
+        assert_eq!(arena.row(2).entries(), &[2, 0, 1], "cross edge 1→2");
     }
 
     #[test]
     fn fill_clocks_matches_the_dp_and_rejects_cycles() {
         // P0: rows 0,1; P1: rows 2,3; message row 0 → row 3.
         let arena = fill_clocks(&[0, 2, 4], &[(3, 0)]).expect("acyclic");
+        assert_eq!(arena.row(0).entries(), &[1, 0]);
         assert_eq!(arena.row(1).entries(), &[2, 0]);
+        assert_eq!(arena.row(2).entries(), &[0, 1]);
         assert_eq!(arena.row(3).entries(), &[1, 2]);
         assert_eq!(arena.allocated_words(), 2 * 4);
         assert_eq!(fill_clocks(&[0, 2, 4], &[(0, 3), (2, 1)]), None);
         assert_eq!(fill_clocks(&[0], &[]).unwrap().allocated_words(), 0);
+    }
+
+    #[test]
+    fn fill_clocks_waits_on_a_chain_of_processes() {
+        // Row 1 (P0) needs row 3 (P1), which needs row 5 (P2): the fill
+        // of P0 stacks P1 and then P2 before it can go on.
+        let arena = fill_clocks(&[0, 2, 4, 6], &[(1, 3), (3, 5)]).expect("acyclic");
+        assert_eq!(arena.row(5).entries(), &[0, 0, 2]);
+        assert_eq!(arena.row(3).entries(), &[0, 2, 2]);
+        assert_eq!(arena.row(1).entries(), &[2, 2, 2]);
+        // Closing the loop back into P0's waiting row is a cycle.
+        assert_eq!(fill_clocks(&[0, 2, 4, 6], &[(1, 3), (3, 5), (5, 1)]), None);
     }
 
     #[test]
@@ -578,21 +521,7 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "exceeds u32 addressing")]
-    fn topo_rejects_untruncatable_row_counts() {
-        let _ = topo_order_chained(&[0, MAX_ROWS + 1], &[]);
-    }
-
-    #[test]
-    fn fidge_mattern_two_procs_one_message() {
-        // P0: rows 0,1; P1: rows 2,3; message from row 0 into row 3.
-        let proc_starts = [0usize, 2, 4];
-        let mut arena = ClockArena::zeroed(2, 4);
-        let (off, src) = csr_from_edges(4, &[(3, 0)]);
-        fill_fidge_mattern(&mut arena, &proc_starts, &[0, 2, 1, 3], &off, &src);
-        assert_eq!(arena.row(0).entries(), &[1, 0]);
-        assert_eq!(arena.row(1).entries(), &[2, 0]);
-        assert_eq!(arena.row(2).entries(), &[0, 1]);
-        assert_eq!(arena.row(3).entries(), &[1, 2]);
-        assert_eq!(arena.allocated_words(), 2 * 4);
+    fn fill_rejects_untruncatable_row_counts() {
+        let _ = fill_clocks(&[0, MAX_ROWS + 1], &[]);
     }
 }

@@ -10,8 +10,7 @@
 //!   in O(1) / O(n);
 //! * a columnar [clock arena](arena::ClockArena) that stores every clock of
 //!   a computation in one flat `u32` allocation, plus the shared
-//!   [clock-assignment DP](arena::fill_fidge_mattern) computation stores
-//!   build on;
+//!   [clock fill](arena::fill_clocks) computation stores build on;
 //! * a small directed-graph toolkit ([`graph`]) with Kahn topological sort,
 //!   cycle extraction and bitset transitive closure. These are used to check
 //!   that a control relation `C→` does not *interfere* with `→` (i.e. the

@@ -2,7 +2,8 @@
 
 //! Property-based tests for the causality substrate.
 
-use pctl_causality::{Causality, Dag, ProcessId, VectorClock};
+use pctl_causality::arena::{csr_from_edges, fill_clocks};
+use pctl_causality::{Causality, ClockArena, Dag, ProcessId, VectorClock};
 use proptest::prelude::*;
 
 /// A random DAG given as edges (u, v) with u < v, guaranteeing acyclicity.
@@ -36,7 +37,77 @@ fn naive_reach(n: usize, edges: &[(usize, usize)]) -> Vec<Vec<bool>> {
     r
 }
 
+/// Random process chains (zero-state ones included) and `(dst, src)`
+/// merge edges over their rows: backward, same-process, self and
+/// multi-source rows all occur. With `forward`, each edge is oriented from
+/// the lower to the higher index within its chain, which keeps most
+/// instances acyclic.
+fn arb_chains() -> impl Strategy<Value = (Vec<usize>, Vec<(u32, u32)>)> {
+    (
+        proptest::collection::vec(0usize..6, 1..6),
+        proptest::collection::vec((0usize..1000, 0usize..1000), 0..12),
+        0u8..2,
+    )
+        .prop_map(|(lens, raw, forward)| {
+            let mut offsets = vec![0];
+            for len in &lens {
+                offsets.push(offsets.last().unwrap() + len);
+            }
+            let rows = *offsets.last().unwrap();
+            let local = |r: usize| r - offsets[offsets.partition_point(|&o| o <= r) - 1];
+            let edges = if rows == 0 {
+                Vec::new()
+            } else {
+                raw.into_iter()
+                    .map(|(a, b)| {
+                        let (dst, src) = (a % rows, b % rows);
+                        if forward == 1 && local(src) > local(dst) {
+                            (src as u32, dst as u32)
+                        } else {
+                            (dst as u32, src as u32)
+                        }
+                    })
+                    .collect()
+            };
+            (offsets, edges)
+        })
+}
+
+/// The clock fill as it was: a Kahn sort of the explicit graph (chains plus
+/// edges), then the Fidge–Mattern row DP in that order.
+fn kahn_fill(offsets: &[usize], edges: &[(u32, u32)]) -> Option<ClockArena> {
+    let n = offsets.len() - 1;
+    let rows = offsets[n];
+    let mut g = Dag::new(rows);
+    for p in 0..n {
+        for r in offsets[p] + 1..offsets[p + 1] {
+            g.add_edge(r - 1, r);
+        }
+    }
+    for &(dst, src) in edges {
+        g.add_edge(src as usize, dst as usize);
+    }
+    let order = g.topo_sort().ok()?;
+    let (off, src) = csr_from_edges(rows, edges);
+    let mut arena = ClockArena::zeroed(n, rows);
+    for r in order.into_iter().map(|r| r as usize) {
+        let p = offsets.partition_point(|&o| o <= r) - 1;
+        let sources = &src[off[r] as usize..off[r + 1] as usize];
+        arena.fm_row(r, r == offsets[p], sources, &[], ProcessId(p as u32));
+    }
+    Some(arena)
+}
+
 proptest! {
+    /// The chain-walking fill succeeds exactly when a Kahn sort of the
+    /// explicit graph does, and then assigns every row the clock the DP
+    /// over the Kahn order assigns.
+    #[test]
+    fn chain_walking_fill_matches_kahn_order_dp((offsets, edges) in arb_chains()) {
+        prop_assert_eq!(fill_clocks(&offsets, &edges), kahn_fill(&offsets, &edges),
+            "offsets {:?}, edges {:?}", &offsets, &edges);
+    }
+
     #[test]
     fn closure_matches_naive_reachability((n, edges) in arb_dag(40)) {
         let mut g = Dag::new(n);

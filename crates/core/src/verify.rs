@@ -241,32 +241,30 @@ impl FaultSweepReport {
 ///
 /// The sweep makes a *single pass* over every local state: the witness
 /// predicate is evaluated once and the reserved `"down"` flag read once per
-/// state, and both detector candidate queues plus the crash windows are
-/// derived from those two columns (the detectors then run on the queues via
-/// [`store::possibly_from_queues`], with no further predicate
-/// evaluation). The scan is one sequential loop over the processes: a run
-/// audit is a few thousand states, far below what a thread spawn pays for;
-/// callers auditing many runs fan out over the runs instead.
+/// state, and both detectors' candidate columns plus the crash windows are
+/// derived from those two reads. The columns are two flat row-indexed
+/// bitmaps sized once, and the detectors walk them in place via
+/// [`store::possibly_all_false`], with no further predicate evaluation, so
+/// the audit's allocations do not grow with the run's length. The scan is
+/// one sequential loop over the processes: a run audit is a few thousand
+/// states, far below what a thread spawn pays for; callers auditing many
+/// runs fan out over the runs instead.
 pub fn sweep_faulty_run(dep: &Deposet, witness: &LocalPredicate) -> FaultSweepReport {
     let _prof = pctl_prof::span("sweep_faulty_run");
-    let n = dep.process_count();
-    let mut unwitnessed_queues = Vec::with_capacity(n);
-    let mut clean_queues = Vec::with_capacity(n);
+    let offsets = dep.offsets();
+    // Row-indexed columns whose *false* entries are the candidates:
+    // `up_witness` is false where ¬lᵢ ∨ downᵢ (unwitnessed), `excused`
+    // where ¬lᵢ ∧ ¬downᵢ (clean violation).
+    let mut up_witness = Vec::with_capacity(dep.total_states());
+    let mut excused = Vec::with_capacity(dep.total_states());
     let mut down_windows = Vec::new();
     for p in dep.processes() {
-        let (mut unwitnessed, mut clean) = (Vec::new(), Vec::new());
         let mut open: Option<u32> = None;
         for (k, s) in dep.states_of(p).iter().enumerate() {
             let wit = witness.eval(s);
             let is_down = s.vars.get("down").unwrap_or(0) != 0;
-            // Queue membership: ¬lᵢ ∨ downᵢ (unwitnessed), ¬lᵢ ∧ ¬downᵢ
-            // (clean violation).
-            if !wit || is_down {
-                unwitnessed.push(k as u32);
-            }
-            if !wit && !is_down {
-                clean.push(k as u32);
-            }
+            up_witness.push(wit && !is_down);
+            excused.push(wit || is_down);
             match (is_down, open) {
                 (true, None) => open = Some(k as u32),
                 (false, Some(from)) => {
@@ -287,12 +285,11 @@ pub fn sweep_faulty_run(dep: &Deposet, witness: &LocalPredicate) -> FaultSweepRe
                 to: None,
             });
         }
-        unwitnessed_queues.push(unwitnessed);
-        clean_queues.push(clean);
     }
+    let rows = |p: ProcessId| offsets[p.index()]..offsets[p.index() + 1];
     FaultSweepReport {
-        unwitnessed_cut: store::possibly_from_queues(dep, &unwitnessed_queues),
-        clean_violation: store::possibly_from_queues(dep, &clean_queues),
+        unwitnessed_cut: store::possibly_all_false(dep, |p| &up_witness[rows(p)]),
+        clean_violation: store::possibly_all_false(dep, |p| &excused[rows(p)]),
         down_windows,
     }
 }

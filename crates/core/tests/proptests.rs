@@ -6,7 +6,9 @@
 //! searcher kept in `pctl_core::overlap` and to the engine built on top.
 //! Extended clocks (`ControlledDeposet`) are pinned to an explicit
 //! transitive closure over chains, messages and control pairs, and so is the
-//! generic lattice walk run over the controlled store.
+//! generic lattice walk run over the controlled store. The worklist
+//! Garg–Waldecker detector is pinned to the quadratic-rescan loop it
+//! replaced, on base and controlled stores, and to its `precedes` budget.
 
 use pctl_causality::{Dag, ProcessId, StateId};
 use pctl_core::offline::{OfflineOptions, SelectPolicy};
@@ -14,9 +16,11 @@ use pctl_core::overlap::{find_overlap_brute, is_overlapping};
 use pctl_core::{ControlError, ControlRelation, ControlledDeposet, PredicateEngine};
 use pctl_deposet::generator::{pipelined_workload, random_deposet, CsConfig, RandomConfig};
 use pctl_deposet::{
-    lattice, store, CausalStore, Deposet, DisjunctivePredicate, FalseIntervals, GlobalState,
+    lattice, store, CausalStore, Deposet, DeposetBuilder, DisjunctivePredicate, FalseIntervals,
+    GlobalState,
 };
 use proptest::prelude::*;
+use std::cell::Cell;
 
 /// Small universes: `find_overlap_brute` is O(pⁿ·n²).
 fn arb_config() -> impl Strategy<Value = (RandomConfig, u64)> {
@@ -105,6 +109,99 @@ impl<C: CausalStore> CausalStore for PrecedesOnly<'_, C> {
     fn precedes(&self, s: StateId, t: StateId) -> bool {
         self.0.precedes(s, t)
     }
+}
+
+/// A store that counts its `precedes` calls.
+struct Counting<'a, C> {
+    inner: &'a C,
+    calls: Cell<u64>,
+}
+
+impl<'a, C: CausalStore> Counting<'a, C> {
+    fn new(inner: &'a C) -> Self {
+        Counting {
+            inner,
+            calls: Cell::new(0),
+        }
+    }
+
+    /// `possibly_from_queues` over this store, with its `precedes` count.
+    fn run(&self, queues: &[Vec<u32>]) -> (Option<GlobalState>, u64) {
+        let cut = store::possibly_from_queues(self, queues);
+        (cut, self.calls.get())
+    }
+}
+
+impl<C: CausalStore> CausalStore for Counting<'_, C> {
+    fn process_count(&self) -> usize {
+        self.inner.process_count()
+    }
+
+    fn len_of(&self, p: ProcessId) -> usize {
+        self.inner.len_of(p)
+    }
+
+    fn precedes(&self, s: StateId, t: StateId) -> bool {
+        self.calls.set(self.calls.get() + 1);
+        self.inner.precedes(s, t)
+    }
+}
+
+/// Garg–Waldecker as a quadratic rescan: after every elimination the pair
+/// scan restarts from `(0, 0)` — O(n²·T) `precedes` checks for `T`
+/// candidates. The reference the worklist detector must match.
+fn rescan_detector<C: CausalStore>(dep: &C, queues: &[Vec<u32>]) -> Option<GlobalState> {
+    let n = queues.len();
+    if queues.iter().any(Vec::is_empty) {
+        return None;
+    }
+    let mut head = vec![0usize; n];
+    let cand = |head: &[usize], i: usize| StateId::new(ProcessId(i as u32), queues[i][head[i]]);
+    'restart: loop {
+        for i in 0..n {
+            for j in 0..n {
+                if i != j && dep.precedes(cand(&head, i), cand(&head, j)) {
+                    head[i] += 1;
+                    if head[i] == queues[i].len() {
+                        return None;
+                    }
+                    continue 'restart;
+                }
+            }
+        }
+        return Some(GlobalState::from_indices(
+            (0..n).map(|i| queues[i][head[i]]).collect(),
+        ));
+    }
+}
+
+/// The worklist detector's `precedes` budget: `2·(n−1)·(n+T)` for `T`
+/// candidates over `n` processes, plus, in debug builds, the `n·(n−1)`
+/// checks of its closing consistency assertion.
+fn detector_budget(queues: &[Vec<u32>]) -> u64 {
+    let n = queues.len() as u64;
+    let t: u64 = queues.iter().map(|q| q.len() as u64).sum();
+    let recheck = if cfg!(debug_assertions) {
+        n * n.saturating_sub(1)
+    } else {
+        0
+    };
+    2 * n.saturating_sub(1) * (n + t) + recheck
+}
+
+/// Candidate queues: state `(p, k)` is a candidate when `pick` at its flat
+/// row is non-zero, and process `empty` (when it exists) has none.
+fn candidate_queues(dep: &Deposet, pick: &[u8], empty: usize) -> Vec<Vec<u32>> {
+    dep.processes()
+        .map(|p| {
+            (0..dep.len_of(p) as u32)
+                .filter(|&k| {
+                    let r = dep.row_of(StateId::new(p, k));
+                    p.index() != empty && pick[r % pick.len()] != 0
+                })
+                .collect()
+        })
+        .collect()
 }
 
 /// Up to four control pairs, each endpoint drawn as a raw number and mapped
@@ -247,5 +344,90 @@ proptest! {
             }
             Err(e) => prop_assert!(false, "unexpected error {}", e),
         }
+    }
+
+    /// The worklist detector returns exactly the rescan reference's cut
+    /// (the unique least consistent cut of candidates, or `None`) on base
+    /// and controlled stores, with random candidate subsets that include
+    /// empty queues, within its `precedes` budget; walking the matching
+    /// truth columns in place gives the same cut.
+    #[test]
+    fn worklist_detector_matches_rescan_reference(
+        (cfg, seed) in arb_config(),
+        raw in arb_pairs(),
+        pick in proptest::collection::vec(0u8..4, 1..40),
+        empty in 0usize..10,
+    ) {
+        let dep = random_deposet(&cfg, seed);
+        let ids: Vec<StateId> = dep.state_ids().collect();
+        let at = |r: u64| ids[(r % ids.len() as u64) as usize];
+        let rel = ControlRelation::from_pairs(raw.iter().map(|&(x, y)| (at(x), at(y))));
+        let controlled = ControlledDeposet::new(&dep, rel).ok();
+        let queues = candidate_queues(&dep, &pick, empty);
+        let truth: Vec<Vec<bool>> = queues
+            .iter()
+            .zip(dep.processes())
+            .map(|(q, p)| (0..dep.len_of(p) as u32).map(|k| !q.contains(&k)).collect())
+            .collect();
+        let mut checks = vec![(
+            rescan_detector(&dep, &queues),
+            Counting::new(&dep).run(&queues),
+            store::possibly_all_false(&dep, |p| &truth[p.index()]),
+        )];
+        if let Some(cd) = &controlled {
+            checks.push((
+                rescan_detector(cd, &queues),
+                Counting::new(cd).run(&queues),
+                store::possibly_all_false(cd, |p| &truth[p.index()]),
+            ));
+        }
+        for (reference, (worklist, calls), columns) in checks {
+            prop_assert_eq!(&worklist, &reference, "queues {:?}", &queues);
+            prop_assert_eq!(&columns, &reference, "truth columns of {:?}", &queues);
+            prop_assert!(calls <= detector_budget(&queues), "{} precedes calls", calls);
+        }
+    }
+}
+
+/// An instance family where the rescan loop is quadratic per
+/// elimination: process `n−1` walks `steps` candidates that all precede
+/// process 0's only candidate (its receipt of `n−1`'s last message), and
+/// the rescan re-checks every pair of processes `0 … n−2` before reaching
+/// `n−1` each time. The worklist stays within `2·(n−1)·(n+T)`.
+#[test]
+fn worklist_detector_stays_within_its_precedes_budget() {
+    for (n, steps) in [(4usize, 40u32), (8, 60), (12, 100)] {
+        let mut b = DeposetBuilder::new(n);
+        for _ in 0..steps {
+            b.internal(n - 1, &[]);
+        }
+        let m = b.send(n - 1, "late");
+        b.recv(0, m, &[]);
+        let dep = b.finish().unwrap();
+        let mut queues: Vec<Vec<u32>> = dep
+            .processes()
+            .map(|p| (0..dep.len_of(p) as u32).collect())
+            .collect();
+        queues[0] = vec![1];
+        let budget = detector_budget(&queues);
+        let (cut, calls) = Counting::new(&dep).run(&queues);
+        let expected = GlobalState::from_indices(
+            [1].into_iter()
+                .chain(vec![0; n - 2])
+                .chain([steps + 1])
+                .collect(),
+        );
+        assert_eq!(cut.as_ref(), Some(&expected), "n = {n}");
+        assert!(
+            calls <= budget,
+            "n = {n}: {calls} > {budget} precedes calls"
+        );
+        let rescan = Counting::new(&dep);
+        assert_eq!(rescan_detector(&rescan, &queues), cut);
+        assert!(
+            rescan.calls.get() > budget,
+            "n = {n}: the family no longer separates the rescan ({} calls)",
+            rescan.calls.get()
+        );
     }
 }

@@ -39,8 +39,12 @@
 //! if `cand[i] → cand[j]`, then `cand[i]` also precedes every later
 //! candidate of `j`, so it can never appear in a solution — advance `i`.
 //! When no elimination applies the candidates are pairwise concurrent: the
-//! *earliest* satisfying consistent cut, in O(n²·m) for m candidates.
-//! Applied to `∧ᵢ ¬lᵢ` it detects a violation of the disjunction `∨ᵢ lᵢ`.
+//! *earliest* satisfying consistent cut. Eliminations run off a worklist,
+//! as in [`find_overlap`]: only a process whose candidate moved is
+//! rescanned against its partners, so `T` candidates over `n` processes
+//! cost at most `2·(n−1)·(n+T)` `precedes` checks — O(n²·m) for `m`
+//! candidates per process. Applied to `∧ᵢ ¬lᵢ` it detects a violation of
+//! the disjunction `∨ᵢ lᵢ`.
 //!
 //! ## The interval index
 //!
@@ -217,21 +221,14 @@ pub fn definitely_all_false(dep: &Deposet, pred: &DisjunctivePredicate) -> Optio
 }
 
 /// Weak conjunctive detection: the earliest consistent global state where
-/// every `locals[i]` holds on process `i`, or `None`.
+/// every `locals[i]` holds on process `i`, or `None`. Each local predicate
+/// is evaluated at most once per state, and not past the cut.
 pub fn possibly_conjunction(dep: &Deposet, locals: &[LocalPredicate]) -> Option<GlobalState> {
     assert_eq!(locals.len(), dep.process_count());
-    let queues: Vec<Vec<u32>> = dep
-        .processes()
-        .map(|p| {
-            dep.states_of(p)
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| locals[p.index()].eval(s))
-                .map(|(k, _)| k as u32)
-                .collect()
-        })
-        .collect();
-    possibly_from_queues(dep, &queues)
+    least_cut(dep, |i, k| {
+        let states = &dep.states_of(ProcessId(i as u32))[k..];
+        states.iter().position(|s| locals[i].eval(s)).map(|d| k + d)
+    })
 }
 
 /// Detect a *violation* of a disjunctive predicate `B = ∨ᵢ lᵢ`: a
@@ -248,73 +245,85 @@ pub fn detect_disjunctive_violation(
 
 /// [`detect_disjunctive_violation`] over precomputed truth columns:
 /// `truths(p)` is the local predicate's value at every state of `p`, and
-/// the candidate queues are its false states. The engines read the columns
-/// off an [`IntervalIndex`] or a growing session store, so no predicate is
-/// evaluated again.
+/// the candidates are its false states. The engines read the columns off
+/// an [`IntervalIndex`] or a growing session store, so no predicate is
+/// evaluated again, and the detector walks the columns in place.
 pub fn possibly_all_false<'t, C: CausalStore + ?Sized>(
     dep: &C,
     truths: impl Fn(ProcessId) -> &'t [bool],
 ) -> Option<GlobalState> {
-    let queues: Vec<Vec<u32>> = (0..dep.process_count())
-        .map(|p| {
-            truths(ProcessId(p as u32))
-                .iter()
-                .enumerate()
-                .filter(|&(_, &t)| !t)
-                .map(|(k, _)| k as u32)
-                .collect()
-        })
-        .collect();
-    possibly_from_queues(dep, &queues)
+    least_cut(dep, |i, k| {
+        let column = &truths(ProcessId(i as u32))[k..];
+        column.iter().position(|&t| !t).map(|d| k + d)
+    })
 }
 
-/// The queue-based elimination core of weak conjunctive detection, over
-/// *precomputed* candidate queues: `queues[i]` lists (in increasing order)
-/// the state indices of process `i` that satisfy its conjunct. Returns the
-/// earliest consistent cut made of candidates, or `None`.
-///
-/// Generic over any [`CausalStore`]: the elimination loop only needs
-/// `precedes`, so the same monomorphised code serves the batch engine, the
-/// streaming daemon's growing per-session stores and the run audit.
+/// Weak conjunctive detection over *precomputed* candidate queues:
+/// `queues[i]` lists (in increasing order) the state indices of process
+/// `i` that satisfy its conjunct. Returns the earliest consistent cut made
+/// of candidates, or `None`.
 pub fn possibly_from_queues<C: CausalStore + ?Sized>(
     dep: &C,
     queues: &[Vec<u32>],
 ) -> Option<GlobalState> {
     assert_eq!(queues.len(), dep.process_count());
-    let n = queues.len();
-    let mut head = vec![0usize; n];
-    if queues.iter().any(Vec::is_empty) {
-        return None;
-    }
-    let cand = |head: &[usize], i: usize| -> StateId {
-        StateId::new(ProcessId(i as u32), queues[i][head[i]])
-    };
-    loop {
-        // Find an eliminable candidate.
-        let mut advanced = false;
-        'scan: for i in 0..n {
-            for j in 0..n {
-                if i != j && dep.precedes(cand(&head, i), cand(&head, j)) {
-                    head[i] += 1;
-                    if head[i] == queues[i].len() {
-                        return None;
+    least_cut(dep, |i, k| {
+        let q = &queues[i];
+        q.get(q.partition_point(|&x| (x as usize) < k))
+            .map(|&x| x as usize)
+    })
+}
+
+/// The worklist elimination core of weak conjunctive detection.
+/// `first_from(i, k)` is process `i`'s first candidate state at index
+/// `≥ k`; heads only move forward, so a linear scan behind it touches each
+/// state once.
+///
+/// Generic over any [`CausalStore`]: elimination only needs `precedes`, so
+/// the same monomorphised code serves the batch engine, the streaming
+/// daemon's growing per-session stores, controlled computations and the
+/// run audit. Every process starts dirty; a popped process is compared
+/// with every partner in both directions, advancing whichever head
+/// precedes the other. Only a moved head can make a pair eliminable again,
+/// so a moved partner is pushed and a moved `i` is rescanned: at most
+/// `n + T` scans of `2·(n−1)` checks each. Every elimination is forced, so
+/// the order of eliminations cannot change the (unique, least) result.
+fn least_cut<C: CausalStore + ?Sized>(
+    dep: &C,
+    mut first_from: impl FnMut(usize, usize) -> Option<usize>,
+) -> Option<GlobalState> {
+    let n = dep.process_count();
+    let mut head = (0..n)
+        .map(|i| first_from(i, 0).map(|k| k as u32))
+        .collect::<Option<Vec<u32>>>()?;
+    let cand = |head: &[u32], i: usize| StateId::new(ProcessId(i as u32), head[i]);
+    let mut stack: Vec<usize> = (0..n).collect();
+    let mut on_stack = vec![true; n];
+    while let Some(i) = stack.pop() {
+        on_stack[i] = false;
+        'rescan: loop {
+            for j in (0..n).filter(|&j| j != i) {
+                if dep.precedes(cand(&head, i), cand(&head, j)) {
+                    head[i] = first_from(i, head[i] as usize + 1)? as u32;
+                    continue 'rescan;
+                }
+                if dep.precedes(cand(&head, j), cand(&head, i)) {
+                    head[j] = first_from(j, head[j] as usize + 1)? as u32;
+                    if !on_stack[j] {
+                        stack.push(j);
+                        on_stack[j] = true;
                     }
-                    advanced = true;
-                    break 'scan;
                 }
             }
-        }
-        if !advanced {
-            // Pairwise non-precedence of the members is exactly cut
-            // consistency (V(G[j])[i] ≤ cut[i] ⟺ ¬(G[i] → G[j])).
-            debug_assert!((0..n).all(|i| {
-                (0..n).all(|j| i == j || !dep.precedes(cand(&head, i), cand(&head, j)))
-            }));
-            return Some(GlobalState::from_indices(
-                (0..n).map(|i| queues[i][head[i]]).collect(),
-            ));
+            break;
         }
     }
+    // Pairwise non-precedence of the members is exactly cut consistency
+    // (V(G[j])[i] ≤ cut[i] ⟺ ¬(G[i] → G[j])).
+    debug_assert!(
+        (0..n).all(|i| { (0..n).all(|j| i == j || !dep.precedes(cand(&head, i), cand(&head, j))) })
+    );
+    Some(GlobalState::from_indices(head))
 }
 
 /// Precomputed truth bitmap + false intervals for one local predicate per

@@ -170,27 +170,32 @@ impl Driver {
 /// Post-run safety sweep: the maximum number of processes simultaneously
 /// inside the critical section, from the `enter_p*` / `exit_p*` stamps.
 /// A correct k-mutex run has `max_concurrent ≤ k`.
+///
+/// Each stamp becomes one packed `t << 1 | enter` key, so one unstable
+/// sort of plain integers puts exits before enters at equal timestamps
+/// (CS spans are closed on the left, open on the right). The keys are
+/// formatted into one reused buffer and the key vector is sized once.
 pub fn max_concurrent(metrics: &Metrics, n: usize) -> usize {
-    let mut events: Vec<(u64, i32)> = Vec::new();
-    for p in 0..n {
-        let (enter_key, exit_key) = stamp_keys(p);
-        let enters = metrics.samples(&enter_key);
-        let exits = metrics.samples(&exit_key);
+    use std::fmt::Write;
+    let mut key = String::with_capacity(32);
+    let mut stamps = |name: &str, p: usize| {
+        key.clear();
+        write!(key, "{name}_p{p}").expect("formatting into a String");
+        metrics.samples(&key)
+    };
+    let series: Vec<(&[u64], &[u64])> = (0..n)
+        .map(|p| (stamps("enter", p), stamps("exit", p)))
+        .collect();
+    let mut events = Vec::with_capacity(series.iter().map(|(e, x)| e.len() + x.len()).sum());
+    for &(enters, exits) in &series {
         assert!(enters.len() >= exits.len());
-        for &t in enters {
-            events.push((t, 1));
-        }
-        for &t in exits {
-            events.push((t, -1));
-        }
+        events.extend(enters.iter().map(|&t| t << 1 | 1));
+        events.extend(exits.iter().map(|&t| t << 1));
     }
-    // Exits sort before enters at equal timestamps (CS spans are closed on
-    // the left, open on the right).
-    events.sort_by_key(|&(t, d)| (t, d));
-    let mut cur = 0i32;
-    let mut max = 0i32;
-    for (_, d) in events {
-        cur += d;
+    events.sort_unstable();
+    let (mut cur, mut max) = (0i64, 0i64);
+    for e in events {
+        cur += if e & 1 == 1 { 1 } else { -1 };
         max = max.max(cur);
     }
     max as usize
@@ -226,5 +231,78 @@ mod tests {
     #[test]
     fn empty_metrics_mean_zero_concurrency() {
         assert_eq!(max_concurrent(&Metrics::default(), 4), 0);
+    }
+
+    /// The definition: the most spans `[enter, exit)` holding one instant,
+    /// over every entry instant; an unclosed span never ends.
+    fn brute_force_max(metrics: &Metrics, n: usize) -> usize {
+        let spans: Vec<(u64, u64)> = (0..n)
+            .flat_map(|p| {
+                let exits = metrics.samples(&format!("exit_p{p}"));
+                let enters = metrics.samples(&format!("enter_p{p}"));
+                enters
+                    .iter()
+                    .enumerate()
+                    .map(move |(k, &t)| (t, exits.get(k).copied().unwrap_or(u64::MAX)))
+            })
+            .collect();
+        spans
+            .iter()
+            .map(|&(t, _)| spans.iter().filter(|&&(a, b)| a <= t && t < b).count())
+            .max()
+            .unwrap_or(0)
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn max_concurrent_matches_brute_force_overlap(
+            runs in proptest::collection::vec(
+                (proptest::collection::vec((0u64..3, 0u64..3), 0..5), 0u8..2),
+                1..6,
+            )
+        ) {
+            // Small gaps and lengths make equal-time exit/enter ties and
+            // zero-length spans (a crash at the entry instant) common.
+            let mut m = Metrics::default();
+            for (p, (spans, open_tail)) in runs.iter().enumerate() {
+                let mut t = 0;
+                for &(gap, len) in spans {
+                    t += gap;
+                    m.record(&format!("enter_p{p}"), t);
+                    t += len;
+                    m.record(&format!("exit_p{p}"), t);
+                }
+                if *open_tail == 1 {
+                    m.record(&format!("enter_p{p}"), t);
+                }
+            }
+            proptest::prop_assert_eq!(max_concurrent(&m, runs.len()), brute_force_max(&m, runs.len()));
+        }
+    }
+
+    #[test]
+    fn max_concurrent_matches_brute_force_on_spans_closed_by_restart() {
+        use crate::run_ft_antitoken;
+        use pctl_core::online::ft::FtParams;
+        use pctl_core::online::PeerSelect;
+        use pctl_sim::FaultPlan;
+        let mut aborted = 0;
+        // Crash instants spread over the run, so some land in the CS.
+        for (seed, at) in (0..12).zip((20..).step_by(17)) {
+            let cfg = WorkloadConfig {
+                processes: 4,
+                seed,
+                ..WorkloadConfig::default()
+            };
+            let faults = FaultPlan::none().with_crash(ProcessId(0), SimTime(at), Some(at + 300));
+            let r = run_ft_antitoken(&cfg, PeerSelect::NextInRing, FtParams::default(), faults);
+            aborted += r.metrics.counter("aborted_cs");
+            assert_eq!(
+                max_concurrent(&r.metrics, 4),
+                brute_force_max(&r.metrics, 4),
+                "seed {seed}"
+            );
+        }
+        assert!(aborted > 0, "no crash landed inside a critical section");
     }
 }

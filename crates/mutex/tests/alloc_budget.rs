@@ -8,13 +8,15 @@
 //! run's set-up (processes, mailboxes, the finished deposet's arrays) and
 //! the amortised growth of its vectors: an anti-token run of 8 processes
 //! and 12 entries records only ~260 states. The timing wheel gets its own
-//! budget, since its upper levels are touched by few of those runs.
+//! budget, since its upper levels are touched by few of those runs, and so
+//! does the post-run audit, whose allocations must not grow with the run.
 
 use pctl_core::online::ft::FtParams;
 use pctl_core::online::PeerSelect;
+use pctl_core::verify::sweep_faulty_run;
 use pctl_deposet::generator::{pipelined_workload, CsConfig};
-use pctl_deposet::trace;
-use pctl_mutex::driver::WorkloadConfig;
+use pctl_deposet::{trace, LocalPredicate};
+use pctl_mutex::driver::{max_concurrent, WorkloadConfig};
 use pctl_mutex::{run_antitoken, run_ft_antitoken};
 use pctl_sim::scenarios::ring_flood;
 use pctl_sim::wheel::{TimingWheel, WheelEntry};
@@ -103,6 +105,45 @@ fn fault_tolerant_runs_allocate_at_most_one_and_a_quarter_per_state() {
     });
     println!("fault-tolerant anti-token: {ft:.3} allocations per recorded state");
     assert!(ft <= 1.25, "{ft:.3} allocations per recorded state");
+}
+
+#[test]
+fn fault_tolerant_audit_allocates_per_process_not_per_state() {
+    // The audit of a fault-tolerant run: the Garg–Waldecker sweep of its
+    // trace plus the k-mutex stamp sweep. Its scratch is sized once, so a
+    // run four times longer must fit the same O(n) budget.
+    const N: usize = 8;
+    let witness = LocalPredicate::not_var("cs");
+    let audit = |entries: u32| {
+        let cfg = WorkloadConfig {
+            entries_per_process: entries,
+            ..workload(3)
+        };
+        let plan = FaultPlan::uniform_loss(0.05).with_crash(ProcessId(0), SimTime(25), Some(300));
+        let r = run_ft_antitoken(&cfg, PeerSelect::NextInRing, FtParams::default(), plan);
+        let ((report, concurrent), allocs) = counted(|| {
+            (
+                sweep_faulty_run(&r.deposet, &witness),
+                max_concurrent(&r.metrics, N),
+            )
+        });
+        assert!(report.safe_modulo_crashes(), "{report:?}");
+        assert!(concurrent < N, "{concurrent} processes in the CS at once");
+        (allocs, r.deposet.total_states())
+    };
+    let (short, short_states) = audit(12);
+    let (long, long_states) = audit(48);
+    assert!(
+        long_states >= 3 * short_states,
+        "{short_states} → {long_states}"
+    );
+    println!(
+        "fault-tolerant audit: {long} allocations at {long_states} states \
+         ({short} at {short_states}, n = {N})"
+    );
+    for allocs in [short, long] {
+        assert!(allocs <= 3 * N as u64, "{allocs} allocations for n = {N}");
+    }
 }
 
 /// Check that a popped batch continues the strictly increasing
