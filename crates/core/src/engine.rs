@@ -14,7 +14,8 @@
 //!   algorithm over the cached intervals;
 //! * [`detect_violation`](PredicateEngine::detect_violation) — weak
 //!   conjunctive detection of `∧ᵢ ¬lᵢ`, with candidate queues read straight
-//!   off the truth bitmap (no re-evaluation);
+//!   off the truth bitmap (no re-evaluation); for a regular class, the least
+//!   satisfying cut, found once at construction by one upward closure;
 //! * [`infeasibility_witness`](PredicateEngine::infeasibility_witness) —
 //!   the Lemma 2 overlap search (strong detection), again over the cached
 //!   intervals;
@@ -23,16 +24,19 @@
 //!
 //! The control/detection duality (`controller exists ⟺ no overlapping
 //! set`) thus runs against literally the same interval data, not two
-//! independently-extracted copies.
+//! independently-extracted copies. A regular class builds its computation
+//! slice, the interval data of that class, only when a query first needs
+//! it; detection never does.
 
 use crate::control::ControlRelation;
 use crate::offline::{control_intervals, Infeasible, OfflineOptions, OfflineStats};
 use crate::verify::{verify_disjunctive, verify_regular, VerifyError};
 use pctl_deposet::store;
 use pctl_deposet::{
-    ClassError, Deposet, DisjunctivePredicate, FalseIntervals, GlobalState, Interval,
-    IntervalIndex, PredicateClass, RegularPredicate, SlicedDeposet, StateId,
+    least_satisfying_cut_of, ClassError, Deposet, DisjunctivePredicate, FalseIntervals,
+    GlobalState, Interval, IntervalIndex, PredicateClass, RegularPredicate, SlicedDeposet, StateId,
 };
+use std::sync::OnceLock;
 
 /// The per-class derived store: what "build once, answer everything from
 /// it" means for each predicate class.
@@ -42,23 +46,27 @@ enum ClassState {
         pred: DisjunctivePredicate,
         index: IntervalIndex,
     },
-    /// Slice-then-delegate: a computation slice of the regular violation;
-    /// the slice's frontier-possible runs play the role the false
-    /// intervals play for the disjunctive class (a satisfying cut has
-    /// *every* frontier inside them), so the identical interval algorithms
-    /// run downstream.
+    /// The least satisfying cut of the regular violation, found at
+    /// construction, and its computation slice, built on first use. The
+    /// slice's frontier-possible runs play the role the false intervals
+    /// play for the disjunctive class (a satisfying cut has *every*
+    /// frontier inside them), so the identical interval algorithms run
+    /// downstream.
     Regular {
         violation: RegularPredicate,
+        least_cut: Option<GlobalState>,
         // Boxed: the slice's columnar payload dwarfs the disjunctive
         // variant, and the engine only ever holds one.
-        slice: Box<SlicedDeposet>,
+        slice: OnceLock<Box<SlicedDeposet>>,
     },
 }
 
 /// A computation + predicate class, with the derived store cached.
 ///
-/// Borrows the deposet; predicate evaluation happens once, at
-/// construction, into the index (disjunctive) or the slice (regular).
+/// Borrows the deposet. A disjunctive predicate is evaluated once, at
+/// construction, into the index. A regular violation is evaluated at
+/// construction only at the states its least-cut closure visits, and over
+/// every state when the slice is first needed.
 pub struct PredicateEngine<'a> {
     dep: &'a Deposet,
     class: ClassState,
@@ -80,8 +88,13 @@ impl<'a> PredicateEngine<'a> {
 
     /// Build the engine for any [`PredicateClass`], validating it against
     /// the computation first. Disjunctive classes take exactly the
-    /// [`PredicateEngine::new`] path (bit-identical verdicts); regular
-    /// classes are sliced once and every query answers from the slice.
+    /// [`PredicateEngine::new`] path (bit-identical verdicts). A regular
+    /// class finds its least satisfying cut here, which answers
+    /// [`detect_violation`](Self::detect_violation); the slice is built
+    /// once, the first time [`intervals`](Self::intervals),
+    /// [`truth`](Self::truth), [`slice`](Self::slice),
+    /// [`control`](Self::control) or
+    /// [`infeasibility_witness`](Self::infeasibility_witness) needs it.
     ///
     /// For regular classes, [`control`](Self::control) is *sound but
     /// conservative*: an `Ok` relation provably prevents every satisfying
@@ -94,12 +107,13 @@ impl<'a> PredicateEngine<'a> {
             PredicateClass::Disjunctive(pred) => Ok(Self::new(dep, pred.clone())),
             PredicateClass::Regular { violation, .. } => {
                 let _prof = pctl_prof::span("engine_build");
-                let slice = Box::new(SlicedDeposet::build(dep, violation)?);
+                let least_cut = least_satisfying_cut_of(dep, violation)?;
                 Ok(PredicateEngine {
                     dep,
                     class: ClassState::Regular {
                         violation: violation.clone(),
-                        slice,
+                        least_cut,
+                        slice: OnceLock::new(),
                     },
                 })
             }
@@ -116,12 +130,25 @@ impl<'a> PredicateEngine<'a> {
         }
     }
 
-    /// The computation slice, for regular classes.
+    /// The computation slice, for regular classes, built on the first
+    /// call.
     pub fn slice(&self) -> Option<&SlicedDeposet> {
         match &self.class {
             ClassState::Disjunctive { .. } => None,
-            ClassState::Regular { slice, .. } => Some(slice),
+            ClassState::Regular {
+                violation, slice, ..
+            } => Some(slice.get_or_init(|| {
+                Box::new(
+                    SlicedDeposet::build(self.dep, violation)
+                        .expect("the class was validated in for_class"),
+                )
+            })),
         }
+    }
+
+    /// The slice of a regular-class engine, built on first use.
+    fn built_slice(&self) -> &SlicedDeposet {
+        self.slice().expect("regular engine")
     }
 
     /// The underlying computation.
@@ -149,7 +176,7 @@ impl<'a> PredicateEngine<'a> {
     pub fn intervals(&self) -> &FalseIntervals {
         match &self.class {
             ClassState::Disjunctive { index, .. } => index.intervals(),
-            ClassState::Regular { slice, .. } => slice.frontier_intervals(),
+            ClassState::Regular { .. } => self.built_slice().frontier_intervals(),
         }
     }
 
@@ -161,7 +188,7 @@ impl<'a> PredicateEngine<'a> {
     pub fn truth(&self, s: StateId) -> bool {
         match &self.class {
             ClassState::Disjunctive { index, .. } => index.truth(s),
-            ClassState::Regular { slice, .. } => !slice.frontier_possible(s),
+            ClassState::Regular { .. } => !self.built_slice().frontier_possible(s),
         }
     }
 
@@ -190,15 +217,15 @@ impl<'a> PredicateEngine<'a> {
 
     /// Weak detection: the earliest consistent cut where every local
     /// predicate is false (`possibly(∧ᵢ ¬lᵢ)`), i.e. a violation of the
-    /// disjunction `B`. Candidate queues are read off the truth bitmap.
+    /// disjunction `B`. Candidate queues are read off the truth bitmap. For
+    /// a regular class, the least satisfying cut found at construction.
     pub fn detect_violation(&self) -> Option<GlobalState> {
         let _prof = pctl_prof::span("engine_detect_violation");
         match &self.class {
             ClassState::Disjunctive { index, .. } => {
                 store::possibly_all_false(self.dep, |p| index.truths_of(p))
             }
-            // The slice's least cut *is* the earliest satisfying cut.
-            ClassState::Regular { slice, .. } => slice.min_cut().cloned(),
+            ClassState::Regular { least_cut, .. } => least_cut.clone(),
         }
     }
 
@@ -381,6 +408,55 @@ mod tests {
         if let Ok(rel) = eng.control(OfflineOptions::default()) {
             assert!(eng.verify(&rel, 500_000).is_ok());
         }
+    }
+
+    /// A regular engine builds its slice only when a query needs it, and
+    /// only once. The profiler is process-wide, so each step runs under
+    /// its own top-level span and only paths below it are counted.
+    #[test]
+    fn regular_engine_slices_on_first_control_only() {
+        fn slice_builds_under(step: &'static str, f: impl FnOnce()) -> u64 {
+            {
+                let _step = pctl_prof::span(step);
+                f();
+            }
+            pctl_prof::report()
+                .phases
+                .iter()
+                .filter(|(path, _)| path.starts_with(step) && path.ends_with("slice_build"))
+                .map(|(_, p)| p.count)
+                .sum()
+        }
+        let dep = random_deposet(
+            &RandomConfig {
+                processes: 3,
+                events: 30,
+                ..RandomConfig::default()
+            },
+            42,
+        );
+        let class = PredicateClass::regular(3, RegularPredicate::conj_var(&[0, 1], "ok"));
+        pctl_prof::set_enabled(true);
+        let mut eng = None;
+        let detect = slice_builds_under("lazy_slice_test_detect", || {
+            let e = PredicateEngine::for_class(&dep, &class).unwrap();
+            e.detect_violation();
+            eng = Some(e);
+        });
+        let eng = eng.unwrap();
+        let first = slice_builds_under("lazy_slice_test_control_1", || {
+            let _ = eng.control(OfflineOptions::default());
+        });
+        let second = slice_builds_under("lazy_slice_test_control_2", || {
+            let _ = eng.control(OfflineOptions::default());
+        });
+        pctl_prof::set_enabled(false);
+        assert_eq!((detect, first, second), (0, 1, 0));
+        assert_eq!(
+            eng.detect_violation().as_ref(),
+            eng.slice().unwrap().min_cut(),
+            "the least cut is the slice's min cut"
+        );
     }
 
     #[test]

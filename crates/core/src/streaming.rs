@@ -17,23 +17,26 @@
 //!   Lemma 2 overlap search;
 //! * [`verify`](StreamEngine::verify) — exhaustive relation soundness, via
 //!   an honest batch [`snapshot`](StreamEngine::snapshot) (verification is
-//!   lattice-exhaustive anyway, so a rebuild is not the bottleneck).
+//!   lattice-exhaustive anyway, so a rebuild is not the bottleneck). A
+//!   snapshot cannot represent a message in flight, so a channel predicate
+//!   with sends in flight is refused with [`VerifyError::InFlight`].
 //!
 //! All query paths call the *same monomorphised generic code* as the batch
-//! engine ([`CausalStore`]-typed control, detection and overlap search), so
-//! answers are bit-identical to a fresh `PredicateEngine` built over the
-//! same prefix — the invariant `tests/streaming_prefix.rs` pins down per
-//! append. This is what lets the daemon serve detect/control queries
-//! mid-stream without ever rebuilding the computation.
+//! engine ([`CausalStore`](pctl_deposet::CausalStore)-typed control,
+//! detection and overlap search), so answers are bit-identical to a fresh
+//! `PredicateEngine` built over the same prefix — the invariant
+//! `tests/streaming_prefix.rs` pins down per append. This is what lets the
+//! daemon serve detect/control queries mid-stream without ever rebuilding
+//! the computation.
 
 use crate::control::ControlRelation;
 use crate::offline::{control_intervals, Infeasible, OfflineOptions, OfflineStats};
 use crate::verify::{verify_disjunctive, verify_regular, VerifyError};
 use pctl_deposet::store;
 use pctl_deposet::{
-    AppendOp, CausalStore, ClassError, Deposet, DisjunctivePredicate, GlobalState, Interval,
-    LocalPredicate, PredicateClass, ProcessId, RegularPredicate, SessionError, SessionStore,
-    SlicedDeposet,
+    least_satisfying_cut, AppendOp, ClassError, Deposet, DisjunctivePredicate, GlobalState,
+    Interval, LocalPredicate, PredicateClass, RegularPredicate, SessionError, SessionStore,
+    SlicedDeposet, StateId,
 };
 
 /// Memoized query results for one store version (`appended_ops`). Every
@@ -90,8 +93,9 @@ impl StreamEngine {
     /// Start an empty session for any [`PredicateClass`]. The session
     /// store's truth columns are seeded with
     /// [`PredicateClass::session_locals`], so regular classes get their
-    /// conjunct truth maintained incrementally (the slicer reads it as
-    /// `!truth`) and disjunctive classes behave exactly like
+    /// conjunct truth maintained incrementally (the least-cut closure and
+    /// the slicer read it in place as `!truth`) and disjunctive classes
+    /// behave exactly like
     /// [`new_with_init`](Self::new_with_init).
     pub fn for_class(
         class: PredicateClass,
@@ -187,25 +191,14 @@ impl StreamEngine {
         }
     }
 
-    /// Fill `cache.slice` for the current prefix if absent. Conjunct truth
-    /// is read straight off the incremental truth columns (`conj = !truth`,
-    /// see [`PredicateClass::session_locals`]); channel constraints read
-    /// the live message table, so in-flight sends are modelled exactly.
-    fn ensure_slice(&mut self, violation: &RegularPredicate) {
-        if self.cache.slice.is_some() {
-            return;
-        }
-        let _prof = pctl_prof::span("stream_slice_build");
-        let n = self.store.process_count();
-        let conj: Vec<Vec<bool>> = (0..n)
-            .map(|p| {
-                self.store
-                    .truths_of(ProcessId(p as u32))
-                    .iter()
-                    .map(|&t| !t)
-                    .collect()
-            })
-            .collect();
+    /// The channel constraints of `violation` over the live message
+    /// table, so in-flight sends are modelled exactly: delivered endpoints
+    /// and the send-side states of messages still in flight, both empty
+    /// when the violation does not constrain channels.
+    fn channel_parts(
+        &self,
+        violation: &RegularPredicate,
+    ) -> (Vec<(StateId, StateId)>, Vec<StateId>) {
         let (mut delivered, mut in_flight) = (Vec::new(), Vec::new());
         if violation.uses_channels() {
             for (from, to) in self.store.message_endpoints() {
@@ -215,9 +208,22 @@ impl StreamEngine {
                 }
             }
         }
+        (delivered, in_flight)
+    }
+
+    /// Fill `cache.slice` for the current prefix if absent. Conjunct truth
+    /// is read in place off the incremental truth columns (`conj = !truth`,
+    /// see [`PredicateClass::session_locals`]).
+    fn ensure_slice(&mut self, violation: &RegularPredicate) {
+        if self.cache.slice.is_some() {
+            return;
+        }
+        let _prof = pctl_prof::span("stream_slice_build");
+        let (delivered, in_flight) = self.channel_parts(violation);
+        let store = &self.store;
         self.cache.slice = Some(SlicedDeposet::build_from_parts(
-            &self.store,
-            &conj,
+            store,
+            |s| !store.truth(s),
             &delivered,
             &in_flight,
         ));
@@ -277,10 +283,11 @@ impl StreamEngine {
     }
 
     /// Weak detection at the current prefix: the earliest consistent cut
-    /// where every local predicate is false (disjunctive), or the slice's
-    /// least satisfying cut (regular). Candidate truth is read off the
-    /// incremental columns — no predicate re-evaluation. Memoized per
-    /// prefix, and a found violation is kept across appends.
+    /// where every local predicate is false (disjunctive), or the least
+    /// satisfying cut (regular, by one upward closure; no slice is built).
+    /// Candidate truth is read off the incremental columns — no predicate
+    /// re-evaluation. Memoized per prefix, and a found violation is kept
+    /// across appends.
     pub fn detect_violation(&mut self) -> Option<GlobalState> {
         self.refresh();
         if let Some(d) = &self.cache.detect {
@@ -290,13 +297,13 @@ impl StreamEngine {
         let _prof = pctl_prof::span("stream_detect_violation");
         let out = match self.regular_violation() {
             Some(v) => {
-                self.ensure_slice(&v);
-                self.cache
-                    .slice
-                    .as_ref()
-                    .expect("just filled")
-                    .min_cut()
-                    .cloned()
+                let (delivered, in_flight) = self.channel_parts(&v);
+                least_satisfying_cut(
+                    &self.store,
+                    |s| !self.store.truth(s),
+                    &delivered,
+                    &in_flight,
+                )
             }
             None => store::possibly_all_false(&self.store, |p| self.store.truths_of(p)),
         };
@@ -307,13 +314,24 @@ impl StreamEngine {
     /// Exhaustively verify `rel` against the current prefix (bounded by
     /// `limit` visited cuts). Runs over a batch snapshot: in-flight sends
     /// are demoted to internal events, which leaves clocks — and therefore
-    /// the verified ordering — unchanged. (A regular-class session with
-    /// channel terms is verified against that same snapshot view, i.e.
-    /// with the still-in-flight sends not counted as channel contents.)
+    /// the verified ordering — unchanged. A channel predicate would read
+    /// those demoted sends as empty channels, so a regular class with
+    /// `ChannelsEmpty` and sends in flight is refused with
+    /// [`VerifyError::InFlight`] rather than verified against a different
+    /// computation.
     pub fn verify(&self, rel: &ControlRelation, limit: usize) -> Result<(), VerifyError> {
         let _prof = pctl_prof::span("stream_verify");
+        let violation = self.regular_violation();
+        let sends = self.store.in_flight();
+        if sends > 0
+            && violation
+                .as_ref()
+                .is_some_and(RegularPredicate::uses_channels)
+        {
+            return Err(VerifyError::InFlight { sends });
+        }
         let dep = self.snapshot();
-        match self.regular_violation() {
+        match violation {
             Some(v) => verify_regular(&dep, &v, rel, limit),
             None => verify_disjunctive(&dep, &self.predicate(), rel, limit),
         }
@@ -405,6 +423,81 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// `ok₀ ∧ ok₁ ∧ ChannelsEmpty` where P0 sets `ok` in the state after a
+    /// send that is still in flight: no cut of the session satisfies the
+    /// violation, but the snapshot turns the send into an internal event
+    /// and so has one. Verify refuses instead of judging the snapshot.
+    #[test]
+    fn verify_refuses_a_channel_predicate_with_sends_in_flight() {
+        let ok = || vec![("ok".to_string(), 1)];
+        let violation = |channels: bool| {
+            let mut terms = vec![RegularPredicate::conj_var(&[0, 1], "ok")];
+            if channels {
+                terms.push(RegularPredicate::ChannelsEmpty);
+            }
+            PredicateClass::regular(2, RegularPredicate::And(terms))
+        };
+        let ops = [
+            AppendOp::Send {
+                process: 0,
+                msg: 7,
+                tag: "m".into(),
+                updates: ok(),
+            },
+            AppendOp::Internal {
+                process: 1,
+                updates: ok(),
+            },
+        ];
+        let mut eng = StreamEngine::for_class(violation(true), None).unwrap();
+        for op in &ops {
+            eng.apply(op).unwrap();
+        }
+        assert_eq!(eng.detect_violation(), None);
+        let rel = eng.control(OfflineOptions::default()).unwrap();
+        let err = eng.verify(&rel, 1000).unwrap_err();
+        assert!(matches!(err, VerifyError::InFlight { sends: 1 }), "{err}");
+        assert!(err.to_string().contains("1 send(s) in flight"), "{err}");
+        // The snapshot's verdict is about a computation without the
+        // message: it finds the cut the session does not have.
+        let PredicateClass::Regular { violation: v, .. } = violation(true) else {
+            unreachable!()
+        };
+        assert!(matches!(
+            verify_regular(&eng.snapshot(), &v, &rel, 1000),
+            Err(VerifyError::Violation { .. })
+        ));
+        // Without a channel term the snapshot is exact, and verify answers.
+        let mut plain = StreamEngine::for_class(violation(false), None).unwrap();
+        for op in &ops {
+            plain.apply(op).unwrap();
+        }
+        assert_eq!(
+            plain.detect_violation(),
+            Some(GlobalState::from_indices(vec![1, 1]))
+        );
+        assert!(!matches!(
+            plain.verify(&ControlRelation::empty(), 1000),
+            Err(VerifyError::InFlight { .. })
+        ));
+        // Once the message lands, the session verifies as usual.
+        eng.apply(&AppendOp::Recv {
+            process: 1,
+            msg: 7,
+            updates: vec![],
+        })
+        .unwrap();
+        assert_eq!(eng.store().in_flight(), 0);
+        assert_eq!(
+            eng.detect_violation(),
+            Some(GlobalState::from_indices(vec![1, 2]))
+        );
+        assert!(matches!(
+            eng.verify(&ControlRelation::empty(), 1000),
+            Err(VerifyError::Violation { state }) if state.indices() == [1, 2]
+        ));
     }
 
     #[test]

@@ -43,6 +43,13 @@ pub enum VerifyError {
         /// The offending global state.
         state: GlobalState,
     },
+    /// A streaming session's channel predicate cannot be verified while
+    /// sends are in flight: the batch view it is verified on turns them
+    /// into internal events, so the channels would read empty.
+    InFlight {
+        /// Sends not yet received.
+        sends: usize,
+    },
 }
 
 impl fmt::Display for VerifyError {
@@ -53,6 +60,10 @@ impl fmt::Display for VerifyError {
             VerifyError::Violation { state } => {
                 write!(f, "controlled global state {state} violates the predicate")
             }
+            VerifyError::InFlight { sends } => write!(
+                f,
+                "cannot verify an empty-channels predicate with {sends} send(s) in flight"
+            ),
         }
     }
 }

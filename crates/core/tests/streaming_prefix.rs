@@ -16,9 +16,11 @@
 use pctl_core::offline::OfflineOptions;
 use pctl_core::{PredicateEngine, StreamEngine};
 use pctl_deposet::generator::{random_deposet, RandomConfig};
+use pctl_deposet::lattice::consistent_global_states;
 use pctl_deposet::{
     linearize, AppendOp, CausalStore, Deposet, DisjunctivePredicate, GlobalState, IntervalIndex,
-    LocalPredicate, PredicateClass, ProcessId, RegularPredicate, StateId,
+    LocalPredicate, PredicateClass, ProcessId, RegularPredicate, SessionStore, SlicedDeposet,
+    StateId,
 };
 use proptest::prelude::*;
 
@@ -270,6 +272,96 @@ proptest! {
                     "{}: prefix {}", class, k + 1
                 );
                 found = got;
+            }
+        }
+    }
+}
+
+/// Does `g` satisfy `violation` on the session store, by definition: every
+/// conjunct holds at its process's frontier state, and, with
+/// `ChannelsEmpty`, every message sent inside `g` is received inside it
+/// (a message still in flight never is).
+fn satisfies_on_store(store: &SessionStore, violation: &RegularPredicate, g: &GlobalState) -> bool {
+    let by_proc = violation.conjuncts_by_process(store.process_count());
+    let cut = g.indices();
+    let locals = by_proc.iter().enumerate().all(|(i, cs)| {
+        let s = store.state(StateId::new(i, cut[i]));
+        cs.iter().all(|c| c.eval(s))
+    });
+    locals
+        && (!violation.uses_channels()
+            || store.message_endpoints().all(|(from, to)| {
+                cut[from.process.index()] <= from.index
+                    || to.is_some_and(|to| cut[to.process.index()] >= to.index)
+            }))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Regular stream detection at every prefix, with sends in flight,
+    /// against two oracles over the same session store: the min cut of a
+    /// slice built from conjuncts evaluated on the stored states (not the
+    /// truth columns the stream reads), and the meet of every consistent
+    /// cut that satisfies the violation by definition.
+    #[test]
+    fn regular_stream_detect_equals_slice_min_cut_at_every_prefix((cfg, seed) in arb_config()) {
+        let dep = random_deposet(&cfg, seed);
+        let n = dep.process_count();
+        let lit = |i: usize, holds: bool| {
+            let l = if holds { LocalPredicate::var("ok") } else { LocalPredicate::not_var("ok") };
+            RegularPredicate::local(i, l)
+        };
+        let violations = [
+            RegularPredicate::And(
+                (0..n).filter(|i| i % 2 == 0).map(|i| lit(i, false))
+                    .chain([RegularPredicate::ChannelsEmpty]).collect(),
+            ),
+            RegularPredicate::And((0..n).filter(|i| i % 2 == 1).map(|i| lit(i, true)).collect()),
+            RegularPredicate::ChannelsEmpty,
+        ];
+        let (init, ops) = linearize(&dep);
+        for violation in &violations {
+            let class = PredicateClass::regular(n as u32, violation.clone());
+            let mut stream = StreamEngine::for_class(class, Some(&init)).unwrap();
+            for k in 0..=ops.len() {
+                if k > 0 {
+                    stream.apply(&ops[k - 1]).unwrap();
+                }
+                let got = stream.detect_violation();
+                let store = stream.store();
+                let by_proc = violation.conjuncts_by_process(n);
+                let (mut delivered, mut in_flight) = (Vec::new(), Vec::new());
+                if violation.uses_channels() {
+                    for (from, to) in store.message_endpoints() {
+                        match to {
+                            Some(to) => delivered.push((from, to)),
+                            None => in_flight.push(from),
+                        }
+                    }
+                }
+                let slice = SlicedDeposet::build_from_parts(
+                    store,
+                    |s| by_proc[s.process.index()].iter().all(|c| c.eval(store.state(s))),
+                    &delivered,
+                    &in_flight,
+                );
+                prop_assert_eq!(got.as_ref(), slice.min_cut(), "{}: prefix {}", violation, k);
+                let all = consistent_global_states(store, 50_000).unwrap();
+                let meet = all
+                    .iter()
+                    .filter(|g| satisfies_on_store(store, violation, g))
+                    .fold(None, |m: Option<Vec<u32>>, g| {
+                        Some(match m {
+                            None => g.indices().to_vec(),
+                            Some(m) => m.iter().zip(g.indices()).map(|(a, b)| *a.min(b)).collect(),
+                        })
+                    });
+                prop_assert_eq!(
+                    got.as_ref().map(|g| g.indices().to_vec()),
+                    meet,
+                    "{}: prefix {}: lattice meet", violation, k
+                );
             }
         }
     }

@@ -62,7 +62,7 @@ pub use predicate::{
 };
 pub use sequences::{GlobalSequence, SequenceError};
 pub use session::{linearize, AppendOp, SessionError, SessionStore};
-pub use slice::SlicedDeposet;
+pub use slice::{least_satisfying_cut, least_satisfying_cut_of, SlicedDeposet};
 pub use state::{LocalState, Variables};
 pub use store::IntervalIndex;
 

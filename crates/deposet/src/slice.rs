@@ -8,10 +8,9 @@
 //! the cuts `J(s) = ` *least satisfying cut whose frontier on `proc(s)` is
 //! at or past `s`*, one per local state `s`.
 //!
-//! The construction here is a per-process monotone sweep. `J((i, k))` is
-//! computed from `J((i, k-1))` by raising component `i` to `k` and closing
-//! upward under three *forced-advance* rules, each of which preserves every
-//! satisfying cut above the start point:
+//! Everything here rests on one upward closure. Starting from any cut, it
+//! raises frontiers under three *forced-advance* rules, each of which
+//! preserves every satisfying cut above the start point:
 //!
 //! * **conjunct** — the violation's conjunction on `i` is false at the
 //!   frontier state `(i, cut[i])` ⇒ advance `cut[i]`;
@@ -23,15 +22,24 @@
 //!   the message is still in flight).
 //!
 //! Running off the top of any chain means no satisfying cut exists above
-//! the start. The sweep is monotone (`J((i,k)) ≥ J((i,k-1))`) and the
-//! incoming cut is already closed, so each closure is a worklist seeded
-//! with process `i` alone: only a process whose frontier *moved* has its
-//! one clock row read, at O(n) entries per raise (plus one pass over the
-//! channel constraints each time the worklist drains, when the predicate
-//! has any). Frontiers only rise during one process's sweep, so a sweep
-//! makes at most `S` raises and costs O(n·S) clock reads in the worst
-//! case — and in practice far less, since a conjunction over a few
-//! processes leaves the other frontiers where they are.
+//! the start. The closure is a worklist: only a process whose frontier
+//! *moved* has its one clock row read, at O(n) entries per raise (plus one
+//! pass over the channel constraints each time the worklist drains, when
+//! the predicate has any). Conjunct truth comes through an accessor, so
+//! it is read only at the states the closure visits.
+//!
+//! * [`least_satisfying_cut`] closes ⊥ — the answer to "can the violation
+//!   happen?" — and needs nothing else. [`least_satisfying_cut_of`] is its
+//!   batch form; a streaming session passes its incremental truth columns,
+//!   read in place.
+//! * [`SlicedDeposet::build_from_parts`] starts from that least cut and
+//!   sweeps each process: `J((i, k))` closes `J((i, k-1))` with component
+//!   `i` raised to `k`, so each closure is seeded with process `i` alone.
+//!   Frontiers only rise during one process's sweep, so a sweep makes at
+//!   most `S` raises and costs O(n·S) clock reads in the worst case — and
+//!   in practice far less, since a conjunction over a few processes leaves
+//!   the other frontiers where they are. Control, the overlap witness and
+//!   cut enumeration need this full slice; detection does not.
 //!
 //! The resulting [`SlicedDeposet`] is itself a columnar store: the J-matrix
 //! lives in a [`ClockArena`] (one row per local state), and surviving
@@ -48,18 +56,78 @@ use crate::global::GlobalState;
 use crate::intervals::{FalseIntervals, Interval};
 use crate::lattice::LatticeBudgetExceeded;
 use crate::model::Deposet;
-use crate::predicate::{ClassError, PredicateClass, RegularPredicate};
+use crate::predicate::{ClassError, LocalPredicate, PredicateClass, RegularPredicate};
 use pctl_causality::{ClockArena, ProcessId, StateId};
 use std::collections::{HashSet, VecDeque};
 
-/// Transient closure engine used only while building a slice.
-struct Slicer<'a, C: CausalStore + ?Sized> {
+/// The least consistent cut of `store` satisfying a regular violation, or
+/// `None` when no consistent cut satisfies it: the closure of ⊥ under the
+/// [module](self)'s forced-advance rules.
+///
+/// `conj(s)` must be the violation's conjunction on `proc(s)` evaluated in
+/// state `s` (true for processes it does not constrain); it is called only
+/// at the states the closure visits. `delivered` (message endpoints) and
+/// `in_flight` (send-side states of undelivered messages) must be empty
+/// when the violation does not constrain channels.
+pub fn least_satisfying_cut<C: CausalStore + ?Sized>(
+    store: &C,
+    conj: impl Fn(StateId) -> bool,
+    delivered: &[(StateId, StateId)],
+    in_flight: &[StateId],
+) -> Option<GlobalState> {
+    Slicer::new(store, conj, delivered, in_flight).least_cut()
+}
+
+/// [`least_satisfying_cut`] of a batch computation: validates process
+/// references and evaluates each conjunct only at the states the closure
+/// visits. A batch computation has no message in flight.
+pub fn least_satisfying_cut_of(
+    dep: &Deposet,
+    violation: &RegularPredicate,
+) -> Result<Option<GlobalState>, ClassError> {
+    let by_proc = conjuncts_of(dep, violation)?;
+    let conj = |s: StateId| {
+        by_proc[s.process.index()]
+            .iter()
+            .all(|c| c.eval(dep.state(s)))
+    };
+    Ok(least_satisfying_cut(
+        dep,
+        conj,
+        &delivered_of(dep, violation),
+        &[],
+    ))
+}
+
+/// Validate `violation` against `dep` and group its conjuncts by process.
+fn conjuncts_of(
+    dep: &Deposet,
+    violation: &RegularPredicate,
+) -> Result<Vec<Vec<LocalPredicate>>, ClassError> {
+    let n = dep.process_count();
+    PredicateClass::regular(n as u32, violation.clone()).validate(n)?;
+    Ok(violation.conjuncts_by_process(n))
+}
+
+/// The delivered messages of `dep` when `violation` constrains channels,
+/// empty otherwise.
+fn delivered_of(dep: &Deposet, violation: &RegularPredicate) -> Vec<(StateId, StateId)> {
+    if violation.uses_channels() {
+        dep.messages().iter().map(|m| (m.from, m.to)).collect()
+    } else {
+        Vec::new()
+    }
+}
+
+/// Transient closure engine behind [`least_satisfying_cut`] and
+/// [`SlicedDeposet::build_from_parts`].
+struct Slicer<'a, C: CausalStore + ?Sized, F> {
     store: &'a C,
     n: usize,
     lens: Vec<u32>,
-    /// `conj[i][k]`: the violation's conjunction on process `i` holds in
-    /// state `(i, k)` (true everywhere for unconstrained processes).
-    conj: &'a [Vec<bool>],
+    /// `conj(s)`: the violation's conjunction on `proc(s)` holds in `s`
+    /// (true everywhere for unconstrained processes).
+    conj: F,
     /// Delivered messages `(from, to)` — empty unless the predicate
     /// constrains channels.
     delivered: &'a [(StateId, StateId)],
@@ -73,23 +141,17 @@ struct Slicer<'a, C: CausalStore + ?Sized> {
     queued: Vec<bool>,
 }
 
-impl<'a, C: CausalStore + ?Sized> Slicer<'a, C> {
-    /// # Panics
-    /// Panics if `conj` does not match the store's shape.
+impl<'a, C: CausalStore + ?Sized, F: Fn(StateId) -> bool> Slicer<'a, C, F> {
     fn new(
         store: &'a C,
-        conj: &'a [Vec<bool>],
+        conj: F,
         delivered: &'a [(StateId, StateId)],
         in_flight: &'a [StateId],
     ) -> Self {
         let n = store.process_count();
-        assert_eq!(conj.len(), n, "conjunct truth columns per process");
         let lens: Vec<u32> = (0..n)
             .map(|i| store.len_of(ProcessId(i as u32)) as u32)
             .collect();
-        for (col, &len) in conj.iter().zip(&lens) {
-            assert_eq!(col.len(), len as usize, "truth column length");
-        }
         Slicer {
             store,
             n,
@@ -100,6 +162,10 @@ impl<'a, C: CausalStore + ?Sized> Slicer<'a, C> {
             work: Vec::with_capacity(n),
             queued: vec![false; n],
         }
+    }
+
+    fn holds(&self, i: usize, k: u32) -> bool {
+        (self.conj)(StateId::new(ProcessId(i as u32), k))
     }
 
     fn push(&mut self, j: usize) {
@@ -115,6 +181,13 @@ impl<'a, C: CausalStore + ?Sized> Slicer<'a, C> {
             self.queued[j] = false;
         }
         false
+    }
+
+    /// The closure of ⊥: the least satisfying cut, if any.
+    fn least_cut(&mut self) -> Option<GlobalState> {
+        let mut lo = vec![0u32; self.n];
+        self.closure_up_from(&mut lo, 0..self.n)
+            .then(|| GlobalState::from_indices(lo))
     }
 
     /// Close `cut` upward to the least satisfying cut ≥ the input, or
@@ -137,9 +210,9 @@ impl<'a, C: CausalStore + ?Sized> Slicer<'a, C> {
         loop {
             while let Some(j) = self.work.pop() {
                 self.queued[j] = false;
-                let (col, len) = (&self.conj[j], self.lens[j]);
+                let len = self.lens[j];
                 let mut k = cut[j];
-                while k < len && !col[k as usize] {
+                while k < len && !self.holds(j, k) {
                     k += 1;
                 }
                 if k >= len {
@@ -179,7 +252,7 @@ impl<'a, C: CausalStore + ?Sized> Slicer<'a, C> {
         loop {
             let mut changed = false;
             for i in 0..self.n {
-                while !self.conj[i][cut[i] as usize] {
+                while !self.holds(i, cut[i]) {
                     if cut[i] == 0 {
                         return false;
                     }
@@ -257,47 +330,38 @@ pub struct SlicedDeposet {
 
 impl SlicedDeposet {
     /// Slice a batch computation w.r.t. `violation`. Validates process
-    /// references, evaluates the violation's local conjunctions over every
-    /// state, and feeds [`SlicedDeposet::build_from_parts`].
+    /// references, evaluates the violation's local conjunctions once over
+    /// every state (the J sweep revisits states), and feeds
+    /// [`SlicedDeposet::build_from_parts`].
     pub fn build(dep: &Deposet, violation: &RegularPredicate) -> Result<Self, ClassError> {
-        PredicateClass::regular(dep.process_count() as u32, violation.clone())
-            .validate(dep.process_count())?;
-        let n = dep.process_count();
-        let by_proc = violation.conjuncts_by_process(n);
-        let conj: Vec<Vec<bool>> = (0..n)
-            .map(|i| {
-                let p = ProcessId(i as u32);
-                (0..dep.len_of(p))
-                    .map(|k| {
-                        let s = dep.state(StateId::new(p, k as u32));
-                        by_proc[i].iter().all(|c| c.eval(s))
-                    })
+        let by_proc = conjuncts_of(dep, violation)?;
+        let conj: Vec<Vec<bool>> = dep
+            .processes()
+            .map(|p| {
+                let cs = &by_proc[p.index()];
+                dep.states_of(p)
+                    .iter()
+                    .map(|s| cs.iter().all(|c| c.eval(s)))
                     .collect()
             })
             .collect();
-        let delivered: Vec<(StateId, StateId)> = if violation.uses_channels() {
-            dep.messages().iter().map(|m| (m.from, m.to)).collect()
-        } else {
-            Vec::new()
-        };
-        Ok(Self::build_from_parts(dep, &conj, &delivered, &[]))
+        Ok(Self::build_from_parts(
+            dep,
+            |s| conj[s.process.index()][s.idx()],
+            &delivered_of(dep, violation),
+            &[],
+        ))
     }
 
-    /// Build a slice from pre-computed parts, generically over any
-    /// [`CausalStore`] (the streaming engine passes a
+    /// Build a slice generically over any [`CausalStore`], from the same
+    /// parts as [`least_satisfying_cut`] (the streaming engine passes a
     /// [`crate::session::SessionStore`] whose incremental truth columns
-    /// already hold `¬conj`, see
-    /// [`PredicateClass::session_locals`]).
-    ///
-    /// `conj[i][k]` must be the violation's conjunction on process `i`
-    /// evaluated in state `(i, k)`; `delivered` and `in_flight` must be
-    /// empty when the violation does not constrain channels.
-    ///
-    /// # Panics
-    /// Panics if `conj` does not match the store's shape.
+    /// already hold `¬conj`, see [`PredicateClass::session_locals`], and
+    /// reads them in place). The min cut is [`least_satisfying_cut`]'s
+    /// closure, and the J sweep reruns that same closure from it.
     pub fn build_from_parts<C: CausalStore + ?Sized>(
         store: &C,
-        conj: &[Vec<bool>],
+        conj: impl Fn(StateId) -> bool,
         delivered: &[(StateId, StateId)],
         in_flight: &[StateId],
     ) -> Self {
@@ -308,10 +372,7 @@ impl SlicedDeposet {
         let total: usize = lens.iter().map(|&l| l as usize).sum();
 
         // min/max satisfying cuts: closures from ⊥ and ⊤.
-        let mut lo = vec![0u32; n];
-        let min_cut = slicer
-            .closure_up_from(&mut lo, 0..n)
-            .then(|| GlobalState::from_indices(lo));
+        let min_cut = slicer.least_cut();
         let mut hi: Vec<u32> = lens.iter().map(|&l| l - 1).collect();
         let max_cut = (min_cut.is_some() && slicer.closure_down(&mut hi))
             .then(|| GlobalState::from_indices(hi));
@@ -721,15 +782,15 @@ mod tests {
     /// n² clock entries until nothing moves. Kept only as the reference
     /// the worklist closure is checked against.
     #[allow(clippy::needless_range_loop)] // cut[i] is mutated while cut[j] is read across processes
-    fn closure_up_round_robin<C: CausalStore + ?Sized>(
-        sl: &Slicer<'_, C>,
+    fn closure_up_round_robin<C: CausalStore + ?Sized, F: Fn(StateId) -> bool>(
+        sl: &Slicer<'_, C, F>,
         cut: &mut [u32],
     ) -> bool {
         loop {
             let mut changed = false;
             for i in 0..sl.n {
                 let mut k = cut[i];
-                while k < sl.lens[i] && !sl.conj[i][k as usize] {
+                while k < sl.lens[i] && !sl.holds(i, k) {
                     k += 1;
                 }
                 if k >= sl.lens[i] {
@@ -780,7 +841,12 @@ mod tests {
         delivered: &[(StateId, StateId)],
         in_flight: &[StateId],
     ) -> SlicedDeposet {
-        let slicer = Slicer::new(store, conj, delivered, in_flight);
+        let slicer = Slicer::new(
+            store,
+            |s: StateId| conj[s.process.index()][s.idx()],
+            delivered,
+            in_flight,
+        );
         let (n, lens) = (slicer.n, slicer.lens.clone());
         let total: usize = lens.iter().map(|&l| l as usize).sum();
         let mut lo = vec![0u32; n];
@@ -957,6 +1023,11 @@ mod tests {
                 let got = SlicedDeposet::build(dep, &violation).unwrap();
                 let want = reference_slice(dep, &conj, &delivered, &[]);
                 assert_same_slice(&got, &want, &what);
+                assert_eq!(
+                    least_satisfying_cut_of(dep, &violation).unwrap().as_ref(),
+                    want.min_cut(),
+                    "{what}: lazily evaluated least cut"
+                );
                 empty += usize::from(got.is_empty());
                 // A sweep that fails part-way leaves rows without J.
                 partial += usize::from(!got.is_empty() && got.j_exists.contains(&false));
@@ -1008,10 +1079,21 @@ mod tests {
                             .map(|k| store.state(StateId::new(p, k)))
                             .collect()
                     });
-                    let got =
-                        SlicedDeposet::build_from_parts(&store, &conj, &delivered, &in_flight);
+                    let got = SlicedDeposet::build_from_parts(
+                        &store,
+                        |s| conj[s.process.index()][s.idx()],
+                        &delivered,
+                        &in_flight,
+                    );
                     let want = reference_slice(&store, &conj, &delivered, &in_flight);
                     assert_same_slice(&got, &want, &what);
+                    let least = least_satisfying_cut(
+                        &store,
+                        |s| conj[s.process.index()][s.idx()],
+                        &delivered,
+                        &in_flight,
+                    );
+                    assert_eq!(least.as_ref(), want.min_cut(), "{what}: least cut");
                 }
             }
         }

@@ -409,3 +409,63 @@ proptest! {
 fn local_state_is_48_bytes() {
     assert_eq!(std::mem::size_of::<pctl_deposet::LocalState>(), 48);
 }
+
+/// A random regular violation drawn from `pick`: each process gets zero
+/// to two conjuncts from `ok`, `¬ok`, `true` and (rarely) `false`, and
+/// `ChannelsEmpty` is added half the time.
+fn random_conjunct_set(n: usize, pick: u64) -> RegularPredicate {
+    let mut rng = Lcg(pick);
+    let mut terms = Vec::new();
+    for i in 0..n {
+        for _ in 0..rng.below(3) {
+            let l = match rng.below(11) {
+                0..=3 => LocalPredicate::var("ok"),
+                4..=7 => LocalPredicate::not_var("ok"),
+                8 | 9 => LocalPredicate::True,
+                _ => LocalPredicate::False,
+            };
+            terms.push(RegularPredicate::local(i, l));
+        }
+    }
+    if rng.below(2) == 1 {
+        terms.push(RegularPredicate::ChannelsEmpty);
+    }
+    RegularPredicate::And(terms)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The least-cut closure, the slice's min cut and the lattice agree:
+    /// the oracle is the meet of every consistent cut that satisfies the
+    /// violation by direct evaluation, and that meet must satisfy it too.
+    #[test]
+    fn least_satisfying_cut_is_the_lattice_meet(
+        ((cfg, seed), pick) in (arb_config(), 0u64..1_000_000_000)
+    ) {
+        let dep = random_deposet(&cfg, seed);
+        let violation = random_conjunct_set(dep.process_count(), pick);
+        let all = match consistent_global_states(&dep, 20_000) {
+            Ok(v) => v,
+            Err(_) => return Ok(()), // too big; skip
+        };
+        let satisfying: Vec<&GlobalState> =
+            all.iter().filter(|g| violation.eval(&dep, g)).collect();
+        let meet = satisfying.first().map(|first| {
+            let mut m = first.indices().to_vec();
+            for g in &satisfying {
+                for (a, b) in m.iter_mut().zip(g.indices()) {
+                    *a = (*a).min(*b);
+                }
+            }
+            GlobalState::from_indices(m)
+        });
+        if let Some(m) = &meet {
+            prop_assert!(satisfying.contains(&m), "meet {} must satisfy {}", m, violation);
+        }
+        let least = pctl_deposet::least_satisfying_cut_of(&dep, &violation).unwrap();
+        prop_assert_eq!(&least, &meet, "closure ≠ lattice for {}", violation);
+        let slice = SlicedDeposet::build(&dep, &violation).unwrap();
+        prop_assert_eq!(slice.min_cut(), meet.as_ref(), "slice ≠ lattice for {}", violation);
+    }
+}

@@ -1174,3 +1174,57 @@ fn regular_class_session_answers_via_slicing_and_memoizes() {
     assert_eq!(d.session_count(), 0);
     assert_eq!(d.shutdown(), 0);
 }
+
+#[test]
+fn verify_refuses_empty_channels_with_a_send_in_flight() {
+    use pctl_deposet::{AppendOp, PredicateClass, RegularPredicate};
+    let d = daemon(Config::default());
+    let mut c = client(&d);
+    // `ok₀ ∧ ok₁ ∧ ChannelsEmpty`, with P0's `ok` set by a send that is
+    // never received: no cut of the session satisfies the violation, so
+    // control needs no arrows. A batch snapshot would turn the send into
+    // an internal event and find a violating cut the session does not have.
+    let class = PredicateClass::regular(
+        2,
+        RegularPredicate::And(vec![
+            RegularPredicate::conj_var(&[0, 1], "ok"),
+            RegularPredicate::ChannelsEmpty,
+        ]),
+    );
+    assert_eq!(
+        c.hello_class("in-flight", class, None).unwrap(),
+        Response::Ok
+    );
+    let ok = || vec![("ok".to_string(), 1)];
+    for op in [
+        AppendOp::Send {
+            process: 0,
+            msg: 1,
+            tag: "m".into(),
+            updates: ok(),
+        },
+        AppendOp::Internal {
+            process: 1,
+            updates: ok(),
+        },
+    ] {
+        assert_eq!(
+            c.append_retry("in-flight", op, RetryPolicy::default())
+                .unwrap(),
+            Response::Ok
+        );
+    }
+    assert_eq!(
+        c.detect("in-flight").unwrap(),
+        Response::Detect { violation: None }
+    );
+    match c.verify("in-flight", 10_000).unwrap() {
+        Response::Verify { ok, detail } => {
+            assert!(!ok, "{detail}");
+            assert!(detail.contains("1 send(s) in flight"), "{detail}");
+        }
+        other => panic!("unexpected: {other:?}"),
+    }
+    assert_eq!(c.close("in-flight").unwrap(), Response::Ok);
+    assert_eq!(d.shutdown(), 0);
+}

@@ -325,8 +325,10 @@ fn cmd_detect(args: &Args) -> Result<(), String> {
     let class = predicate_class(args, &dep)?;
     if let PredicateClass::Regular { .. } = &class {
         let engine = PredicateEngine::for_class(&dep, &class).map_err(|e| format!("{e}"))?;
-        let slice = engine.slice().expect("regular engine carries a slice");
+        // The summary is the only reader of the slice: a quiet run finds
+        // the least violating cut without building it.
         if args.flag("quiet").is_none() {
+            let slice = engine.slice().expect("regular engine carries a slice");
             eprintln!(
                 "slice: {}/{} state(s) survive in {} join-irreducible class(es)",
                 slice.surviving_states(),
