@@ -20,10 +20,12 @@
 //! (Section 6, Evaluation).
 //!
 //! [`ScapegoatController`] is a sans-I/O state machine — unit-testable
-//! without a network and reusable outside the simulator.
-//! [`PhasedProcess`] couples it with a scripted application (alternating
-//! true/false phases of the traced variable `ok`) on the discrete-event
-//! simulator, measuring entries and response times.
+//! without a network and reusable outside the simulator. It implements
+//! [`Controller`], so the one generic [`Host`] runs it on the
+//! discrete-event simulator; [`phased_system`] pairs it there with a
+//! [`PhaseScript`] (alternating true/false phases of the traced variable
+//! `ok`), measuring entries and response times. The mutex workloads of
+//! `pctl-mutex` reuse the same host with their own [`Workload`].
 //!
 //! This baseline protocol assumes the paper's reliable channels and
 //! immortal processes. The [`ft`] submodule hardens it against message
@@ -31,9 +33,12 @@
 //! `pctl_sim::FaultPlan`.
 
 pub mod ft;
+mod host;
+
+pub use host::{Action, Controller, Due, Host, Workload};
 
 use pctl_deposet::ProcessId;
-use pctl_sim::{Ctx, Payload, Process, SimTime, TimerId};
+use pctl_sim::{Ctx, Payload, Process, SimTime};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
@@ -66,29 +71,6 @@ impl Payload for CtrlMsg {
     }
 }
 
-/// Effects requested by the controller state machine.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CtrlAction {
-    /// Send a control message.
-    Send {
-        /// Destination controller.
-        to: ProcessId,
-        /// The message.
-        msg: CtrlMsg,
-    },
-    /// The blocked falsification may proceed.
-    Grant,
-}
-
-/// Outcome of [`ScapegoatController::request_false`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum FalsifyDecision {
-    /// Not the scapegoat: go false immediately.
-    Granted,
-    /// Scapegoat: blocked until an `ack`; send these first.
-    Blocked(Vec<CtrlAction>),
-}
-
 /// The per-process controller `Cᵢ` of Figure 3, as a pure state machine.
 #[derive(Clone, Debug)]
 pub struct ScapegoatController {
@@ -111,49 +93,40 @@ impl ScapegoatController {
             pending: VecDeque::new(),
         }
     }
+}
 
-    /// Whether this controller currently holds the anti-token.
-    pub fn is_scapegoat(&self) -> bool {
+impl Controller for ScapegoatController {
+    type Msg = CtrlMsg;
+
+    fn is_scapegoat(&self) -> bool {
         self.scapegoat
     }
 
-    /// Whether the underlying process is blocked awaiting an `ack`.
-    pub fn is_blocked(&self) -> bool {
+    fn is_blocked(&self) -> bool {
         self.waiting_ack
     }
 
-    /// The underlying process asks to make `lᵢ` false. `peers` is where to
-    /// send `req` (one controller for the paper's protocol; all others for
-    /// the broadcast variant).
-    ///
-    /// # Panics
-    /// Panics on protocol misuse: requesting while already blocked or while
-    /// already false.
-    pub fn request_false(&mut self, peers: &[ProcessId]) -> FalsifyDecision {
+    /// `peers` is one controller for the paper's protocol, and all others
+    /// for the broadcast variant.
+    fn request_false(&mut self, peers: &[ProcessId], out: &mut Vec<Action<CtrlMsg>>) {
         assert!(!self.waiting_ack, "already blocked on an ack");
         assert!(self.local_true, "already false");
         if !self.scapegoat {
             self.local_true = false;
-            return FalsifyDecision::Granted;
+            return;
         }
         assert!(!peers.is_empty(), "scapegoat needs at least one peer");
         self.waiting_ack = true;
-        FalsifyDecision::Blocked(
-            peers
-                .iter()
-                .map(|&p| {
-                    assert_ne!(p, self.me, "cannot hand the scapegoat role to oneself");
-                    CtrlAction::Send {
-                        to: p,
-                        msg: CtrlMsg::Req { from: self.me },
-                    }
-                })
-                .collect(),
-        )
+        for &p in peers {
+            assert_ne!(p, self.me, "cannot hand the scapegoat role to oneself");
+            out.push(Action::Send {
+                to: p,
+                msg: CtrlMsg::Req { from: self.me },
+            });
+        }
     }
 
-    /// A control message arrived.
-    pub fn on_message(&mut self, msg: CtrlMsg) -> Vec<CtrlAction> {
+    fn on_message(&mut self, msg: CtrlMsg, out: &mut Vec<Action<CtrlMsg>>) {
         match msg {
             CtrlMsg::Req { from } => {
                 // Figure 3's requester performs a *blocking* `receive(ack)`,
@@ -166,13 +139,12 @@ impl ScapegoatController {
                 // also what rules out circular waits (Theorem 4).
                 if self.local_true && !self.waiting_ack {
                     self.scapegoat = true;
-                    vec![CtrlAction::Send {
+                    out.push(Action::Send {
                         to: from,
                         msg: CtrlMsg::Ack,
-                    }]
+                    });
                 } else {
                     self.pending.push_back(from);
-                    vec![]
                 }
             }
             CtrlMsg::Ack => {
@@ -181,30 +153,25 @@ impl ScapegoatController {
                     self.waiting_ack = false;
                     self.scapegoat = false;
                     self.local_true = false;
-                    vec![CtrlAction::Grant]
-                } else {
-                    vec![]
+                    out.push(Action::Grant);
                 }
             }
             // The single-token protocol never emits Busy; tolerate it for
             // forward compatibility with the m-token generalization.
-            CtrlMsg::Busy => vec![],
+            CtrlMsg::Busy => {}
         }
     }
 
-    /// The underlying process turned `lᵢ` true again: answer deferred
-    /// requests (taking the scapegoat role).
-    pub fn notify_true(&mut self) -> Vec<CtrlAction> {
+    /// Answering deferred requests takes the scapegoat role.
+    fn notify_true(&mut self, out: &mut Vec<Action<CtrlMsg>>) {
         self.local_true = true;
-        let mut actions = Vec::new();
         while let Some(j) = self.pending.pop_front() {
             self.scapegoat = true;
-            actions.push(CtrlAction::Send {
+            out.push(Action::Send {
                 to: j,
                 msg: CtrlMsg::Ack,
             });
         }
-        actions
     }
 }
 
@@ -221,44 +188,21 @@ pub enum PeerSelect {
     Broadcast,
 }
 
-/// The peer(s) a blocked scapegoat sends its `req` to; derefs to a slice.
-/// Only [`PeerSelect::Broadcast`] needs a heap vector.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Peers {
-    /// One peer, held inline.
-    One([ProcessId; 1]),
-    /// Every other process.
-    All(Vec<ProcessId>),
-}
-
-impl std::ops::Deref for Peers {
-    type Target = [ProcessId];
-
-    fn deref(&self) -> &[ProcessId] {
-        match self {
-            Peers::One(p) => p,
-            Peers::All(v) => v,
-        }
-    }
-}
-
 impl PeerSelect {
-    /// The peers process `ctx.me()` of `n` asks. `Random` draws one number
-    /// from the run's RNG, uniform over the other `n − 1` processes.
-    pub fn peers<M: Payload>(self, n: usize, ctx: &mut Ctx<'_, M>) -> Peers {
+    /// Append the peers process `ctx.me()` of `n` asks to `out`. `Random`
+    /// draws one number from the run's RNG, uniform over the other `n − 1`
+    /// processes.
+    pub fn fill<M: Payload>(self, n: usize, ctx: &mut Ctx<'_, M>, out: &mut Vec<ProcessId>) {
         let me = ctx.me().index();
         match self {
-            PeerSelect::Broadcast => Peers::All(
-                (0..n)
-                    .filter(|&i| i != me)
-                    .map(|i| ProcessId(i as u32))
-                    .collect(),
-            ),
-            PeerSelect::NextInRing => Peers::One([ProcessId(((me + 1) % n) as u32)]),
+            PeerSelect::Broadcast => {
+                out.extend((0..n).filter(|&i| i != me).map(|i| ProcessId(i as u32)))
+            }
+            PeerSelect::NextInRing => out.push(ProcessId(((me + 1) % n) as u32)),
             PeerSelect::Random => {
                 // The k-th process other than `me`.
                 let k = ctx.rand_below((n - 1) as u64) as usize;
-                Peers::One([ProcessId((k + usize::from(k >= me)) as u32)])
+                out.push(ProcessId((k + usize::from(k >= me)) as u32));
             }
         }
     }
@@ -275,124 +219,89 @@ pub struct Phase {
     pub false_len: Option<u64>,
 }
 
-/// Scripted application + controller, traced through the simulator.
-///
-/// The traced boolean variable `ok` is the local predicate `lᵢ`; false
-/// phases model critical sections / unavailability windows.
-pub struct PhasedProcess {
-    ctrl: ScapegoatController,
-    script: VecDeque<Phase>,
-    select: PeerSelect,
-    n: usize,
+/// A scripted application: the phases of the traced boolean variable `ok`,
+/// the local predicate `lᵢ`. False phases model critical sections or
+/// unavailability windows.
+#[derive(Debug)]
+pub struct PhaseScript {
+    script: std::vec::IntoIter<Phase>,
+    false_len: Option<u64>,
     requested_at: Option<SimTime>,
-    current_false_len: Option<u64>,
+    finished: bool,
 }
 
-impl PhasedProcess {
-    /// Build a process for a system of `n` processes.
-    pub fn new(
-        me: ProcessId,
-        n: usize,
-        init_scapegoat: bool,
-        select: PeerSelect,
-        script: Vec<Phase>,
-    ) -> Self {
-        PhasedProcess {
-            ctrl: ScapegoatController::new(me, init_scapegoat),
-            script: script.into(),
-            select,
-            n,
+impl PhaseScript {
+    /// Play `script` in order.
+    pub fn new(script: Vec<Phase>) -> Self {
+        PhaseScript {
+            script: script.into_iter(),
+            false_len: None,
             requested_at: None,
-            current_false_len: None,
+            finished: false,
+        }
+    }
+}
+
+impl Workload for PhaseScript {
+    const TRACE_CONTROL: bool = true;
+
+    fn start<M: Payload>(&mut self, ctx: &mut Ctx<'_, M>) {
+        ctx.init_var("ok", 1);
+        self.resume(ctx);
+    }
+
+    fn due<M: Payload>(&self, ctx: &Ctx<'_, M>) -> Due {
+        match (self.finished, ctx.var("ok")) {
+            (true, _) => Due::Nothing,
+            (false, Some(1)) => Due::Request,
+            (false, _) => Due::Release,
         }
     }
 
-    fn apply(&mut self, actions: Vec<CtrlAction>, ctx: &mut Ctx<'_, CtrlMsg>) {
-        for a in actions {
-            match a {
-                CtrlAction::Send { to, msg } => ctx.send(to, msg),
-                CtrlAction::Grant => {
-                    ctx.trace_end("blocked");
-                    self.enter_false(ctx);
-                }
-            }
-        }
+    fn begin_request<M: Payload>(&mut self, ctx: &mut Ctx<'_, M>) {
+        self.requested_at = Some(ctx.now());
     }
 
-    fn enter_false(&mut self, ctx: &mut Ctx<'_, CtrlMsg>) {
+    fn enter_false<M: Payload>(&mut self, ctx: &mut Ctx<'_, M>) {
         if let Some(at) = self.requested_at.take() {
             ctx.record("response", ctx.now().since(at));
         }
         ctx.count("entries", 1);
         ctx.step(&[("ok", 0)]);
-        match self.current_false_len {
-            Some(len) => {
-                ctx.set_timer(len);
-            }
-            None => {
-                // A1 violated: never recover; never finish.
-            }
+        // `None` violates A1: never recover, never finish.
+        if let Some(len) = self.false_len {
+            ctx.set_timer(len);
         }
     }
 
-    fn begin_next_phase(&mut self, ctx: &mut Ctx<'_, CtrlMsg>) {
-        match self.script.pop_front() {
+    fn release<M: Payload>(&mut self, ctx: &mut Ctx<'_, M>) {
+        ctx.step(&[("ok", 1)]);
+    }
+
+    /// Begin the next phase, or finish.
+    fn resume<M: Payload>(&mut self, ctx: &mut Ctx<'_, M>) {
+        match self.script.next() {
             Some(ph) => {
-                self.current_false_len = ph.false_len;
+                self.false_len = ph.false_len;
                 ctx.set_timer(ph.true_len);
             }
-            None => ctx.set_done(),
+            None => {
+                self.finished = true;
+                ctx.set_done();
+            }
         }
     }
-}
 
-impl Process<CtrlMsg> for PhasedProcess {
-    fn on_start(&mut self, ctx: &mut Ctx<'_, CtrlMsg>) {
-        ctx.init_var("ok", 1);
-        self.begin_next_phase(ctx);
-    }
-
-    fn on_message(&mut self, _from: ProcessId, msg: CtrlMsg, ctx: &mut Ctx<'_, CtrlMsg>) {
-        let had_role = self.ctrl.is_scapegoat();
-        let actions = self.ctrl.on_message(msg);
-        if ctx.recording() && self.ctrl.is_scapegoat() != had_role {
-            ctx.trace_instant(if self.ctrl.is_scapegoat() {
-                "scapegoat_acquired"
-            } else {
-                "scapegoat_released"
-            });
-        }
-        self.apply(actions, ctx);
-    }
-
-    fn on_timer(&mut self, _t: TimerId, ctx: &mut Ctx<'_, CtrlMsg>) {
-        if ctx.var("ok") == Some(1) {
-            if self.ctrl.is_blocked() {
-                // Spurious timer while blocked cannot happen: timers are
-                // only set when entering a phase.
-                unreachable!("timer while blocked");
-            }
-            // End of a true phase: ask to go false.
-            self.requested_at = Some(ctx.now());
-            let peers = self.select.peers(self.n, ctx);
-            match self.ctrl.request_false(&peers) {
-                FalsifyDecision::Granted => self.enter_false(ctx),
-                FalsifyDecision::Blocked(actions) => {
-                    ctx.trace_begin("blocked");
-                    self.apply(actions, ctx);
-                }
-            }
-        } else {
-            // End of a false phase: recover.
+    /// The interrupted phase is abandoned; the next one resumes.
+    fn recover<M: Payload>(&mut self, ctx: &mut Ctx<'_, M>) {
+        self.requested_at = None;
+        if ctx.var("ok") == Some(0) {
             ctx.step(&[("ok", 1)]);
-            let had_role = self.ctrl.is_scapegoat();
-            let actions = self.ctrl.notify_true();
-            if ctx.recording() && !had_role && self.ctrl.is_scapegoat() {
-                ctx.trace_instant("scapegoat_acquired");
-            }
-            self.apply(actions, ctx);
-            self.begin_next_phase(ctx);
         }
+    }
+
+    fn finished(&self) -> bool {
+        self.finished
     }
 }
 
@@ -408,13 +317,9 @@ pub fn phased_system(
         .into_iter()
         .enumerate()
         .map(|(i, script)| {
-            Box::new(PhasedProcess::new(
-                ProcessId(i as u32),
-                n,
-                i == 0,
-                select,
-                script,
-            )) as Box<dyn Process<CtrlMsg>>
+            let ctrl = ScapegoatController::new(ProcessId(i as u32), i == 0);
+            Box::new(Host::new(ctrl, PhaseScript::new(script), n, Some(select)))
+                as Box<dyn Process<CtrlMsg>>
         })
         .collect()
 }
@@ -450,39 +355,44 @@ mod tests {
         Simulation::new(config, procs).run()
     }
 
+    /// The actions of one controller call.
+    fn acts<C: Controller>(
+        c: &mut C,
+        call: impl FnOnce(&mut C, &mut Vec<Action<C::Msg>>),
+    ) -> Vec<Action<C::Msg>> {
+        let mut out = Vec::new();
+        call(c, &mut out);
+        out
+    }
+
+    fn send(to: u32, msg: CtrlMsg) -> Action<CtrlMsg> {
+        Action::Send {
+            to: ProcessId(to),
+            msg,
+        }
+    }
+
+    const REQ0: CtrlMsg = CtrlMsg::Req { from: ProcessId(0) };
+
     #[test]
     fn controller_state_machine_handover() {
         let mut c0 = ScapegoatController::new(ProcessId(0), true);
         let mut c1 = ScapegoatController::new(ProcessId(1), false);
         // Non-scapegoat may falsify freely.
-        assert_eq!(c1.request_false(&[ProcessId(0)]), FalsifyDecision::Granted);
-        assert!(!c1.is_scapegoat());
-        c1.notify_true();
+        assert!(acts(&mut c1, |c, o| c.request_false(&[ProcessId(0)], o)).is_empty());
+        assert!(!c1.is_blocked() && !c1.is_scapegoat());
+        assert!(acts(&mut c1, |c, o| c.notify_true(o)).is_empty());
         // Scapegoat must ask.
-        let FalsifyDecision::Blocked(actions) = c0.request_false(&[ProcessId(1)]) else {
-            panic!("scapegoat must block");
-        };
-        assert_eq!(
-            actions,
-            vec![CtrlAction::Send {
-                to: ProcessId(1),
-                msg: CtrlMsg::Req { from: ProcessId(0) }
-            }]
-        );
+        let actions = acts(&mut c0, |c, o| c.request_false(&[ProcessId(1)], o));
+        assert_eq!(actions, vec![send(1, REQ0)]);
         assert!(c0.is_blocked());
         // P1 is true: accepts role, acks.
-        let a1 = c1.on_message(CtrlMsg::Req { from: ProcessId(0) });
+        let a1 = acts(&mut c1, |c, o| c.on_message(REQ0, o));
         assert!(c1.is_scapegoat());
-        assert_eq!(
-            a1,
-            vec![CtrlAction::Send {
-                to: ProcessId(0),
-                msg: CtrlMsg::Ack
-            }]
-        );
+        assert_eq!(a1, vec![send(0, CtrlMsg::Ack)]);
         // Ack unblocks P0 and strips its role.
-        let a0 = c0.on_message(CtrlMsg::Ack);
-        assert_eq!(a0, vec![CtrlAction::Grant]);
+        let a0 = acts(&mut c0, |c, o| c.on_message(CtrlMsg::Ack, o));
+        assert_eq!(a0, vec![Action::Grant]);
         assert!(!c0.is_scapegoat());
         assert!(!c0.is_blocked());
     }
@@ -490,21 +400,13 @@ mod tests {
     #[test]
     fn controller_defers_req_while_false() {
         let mut c1 = ScapegoatController::new(ProcessId(1), false);
-        assert_eq!(c1.request_false(&[ProcessId(0)]), FalsifyDecision::Granted);
+        assert!(acts(&mut c1, |c, o| c.request_false(&[ProcessId(0)], o)).is_empty());
         // Req arrives while false: deferred.
-        assert!(c1
-            .on_message(CtrlMsg::Req { from: ProcessId(0) })
-            .is_empty());
+        assert!(acts(&mut c1, |c, o| c.on_message(REQ0, o)).is_empty());
         assert!(!c1.is_scapegoat());
         // Recovery answers it.
-        let a = c1.notify_true();
-        assert_eq!(
-            a,
-            vec![CtrlAction::Send {
-                to: ProcessId(0),
-                msg: CtrlMsg::Ack
-            }]
-        );
+        let a = acts(&mut c1, |c, o| c.notify_true(o));
+        assert_eq!(a, vec![send(0, CtrlMsg::Ack)]);
         assert!(c1.is_scapegoat());
     }
 
@@ -513,40 +415,45 @@ mod tests {
         // Two scapegoats requesting each other must NOT trade acks — that
         // would let both go false simultaneously.
         let mut c0 = ScapegoatController::new(ProcessId(0), true);
-        let _ = c0.request_false(&[ProcessId(1)]);
+        let _ = acts(&mut c0, |c, o| c.request_false(&[ProcessId(1)], o));
         assert!(c0.is_blocked());
         // Req arrives while c0 is blocked (and still true): deferred.
-        assert!(c0
-            .on_message(CtrlMsg::Req { from: ProcessId(1) })
-            .is_empty());
+        let req1 = CtrlMsg::Req { from: ProcessId(1) };
+        assert!(acts(&mut c0, |c, o| c.on_message(req1, o)).is_empty());
         // Once c0's own handover completes and it recovers, the pending
         // request is answered.
-        assert_eq!(c0.on_message(CtrlMsg::Ack), vec![CtrlAction::Grant]);
-        let a = c0.notify_true();
-        assert_eq!(
-            a,
-            vec![CtrlAction::Send {
-                to: ProcessId(1),
-                msg: CtrlMsg::Ack
-            }]
-        );
+        let a = acts(&mut c0, |c, o| c.on_message(CtrlMsg::Ack, o));
+        assert_eq!(a, vec![Action::Grant]);
+        let a = acts(&mut c0, |c, o| c.notify_true(o));
+        assert_eq!(a, vec![send(1, CtrlMsg::Ack)]);
         assert!(c0.is_scapegoat());
     }
 
     #[test]
     fn duplicate_acks_are_ignored() {
         let mut c0 = ScapegoatController::new(ProcessId(0), true);
-        let _ = c0.request_false(&[ProcessId(1), ProcessId(2)]);
-        assert_eq!(c0.on_message(CtrlMsg::Ack), vec![CtrlAction::Grant]);
-        assert_eq!(c0.on_message(CtrlMsg::Ack), vec![]);
+        let a = acts(&mut c0, |c, o| {
+            c.request_false(&[ProcessId(1), ProcessId(2)], o)
+        });
+        assert_eq!(a, vec![send(1, REQ0), send(2, REQ0)]);
+        let a = acts(&mut c0, |c, o| c.on_message(CtrlMsg::Ack, o));
+        assert_eq!(a, vec![Action::Grant]);
+        assert!(acts(&mut c0, |c, o| c.on_message(CtrlMsg::Ack, o)).is_empty());
     }
 
     #[test]
     #[should_panic(expected = "already false")]
     fn double_falsify_is_a_protocol_error() {
         let mut c = ScapegoatController::new(ProcessId(0), false);
-        let _ = c.request_false(&[ProcessId(1)]);
-        let _ = c.request_false(&[ProcessId(1)]);
+        let mut out = Vec::new();
+        c.request_false(&[ProcessId(1)], &mut out);
+        c.request_false(&[ProcessId(1)], &mut out);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot rejoin")]
+    fn the_plain_controller_refuses_to_rejoin() {
+        ScapegoatController::new(ProcessId(0), true).rejoin(&mut Vec::new());
     }
 
     #[test]

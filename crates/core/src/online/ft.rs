@@ -38,13 +38,20 @@
 //! violating cut in which some process is down is the documented trade-off;
 //! a violating cut with every process up is a protocol bug. See DESIGN.md
 //! ("Deviations from Figure 3 under faults").
+//!
+//! [`FtController`] implements [`Controller`], so it runs on the same
+//! generic [`super::Host`] as the baseline protocol: [`ft_phased_system`]
+//! pairs it with a [`PhaseScript`], and `pctl-mutex`'s fault-tolerant
+//! anti-token with the mutex driver. The host keeps one timer slot per
+//! [`FtTimerKind`] and hands fired timers back through
+//! [`Controller::on_timer`].
 
 use pctl_deposet::ProcessId;
-use pctl_sim::{Ctx, Payload, Process, SimTime, TimerId};
+use pctl_sim::{Payload, Process};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
-use super::{PeerSelect, Phase};
+use super::{Action, Controller, Host, PeerSelect, Phase, PhaseScript};
 
 /// Control messages of the hardened protocol.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -94,36 +101,13 @@ pub enum FtTimerKind {
     Watchdog,
 }
 
-/// Effects requested by [`FtController`]; the host applies them.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum FtAction {
-    /// Send a control message.
-    Send {
-        /// Destination controller.
-        to: ProcessId,
-        /// The message.
-        msg: FtMsg,
-    },
-    /// The blocked falsification may proceed.
-    Grant,
-    /// Arm a timer of the given kind `delay` ticks from now. The controller
-    /// keeps at most one live chain per kind; a fired timer must be routed
-    /// back via [`FtController::on_timer`].
-    Arm {
-        /// Which chain.
-        kind: FtTimerKind,
-        /// Ticks from now.
-        delay: u64,
-    },
-}
-
-/// Outcome of [`FtController::request_false`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum FtDecision {
-    /// Not the scapegoat: go false immediately.
-    Granted,
-    /// Scapegoat: blocked until an `ack`; apply these actions first.
-    Blocked(Vec<FtAction>),
+impl FtTimerKind {
+    /// Every kind, indexed by its discriminant.
+    pub const ALL: [FtTimerKind; 3] = [
+        FtTimerKind::Retransmit,
+        FtTimerKind::Heartbeat,
+        FtTimerKind::Watchdog,
+    ];
 }
 
 /// Tuning knobs of the hardened protocol.
@@ -162,7 +146,7 @@ impl Default for FtParams {
 /// The hardened per-process controller, as a pure state machine.
 ///
 /// Like [`super::ScapegoatController`] it is sans-I/O: hosts feed it
-/// messages and timer expirations and apply the returned [`FtAction`]s.
+/// messages and timer expirations and apply the [`Action`]s it pushes.
 #[derive(Clone, Debug)]
 pub struct FtController {
     me: ProcessId,
@@ -181,8 +165,9 @@ pub struct FtController {
     rto: u64,
     /// Deferred requests, at most one per requester (latest seq wins).
     pending: VecDeque<(ProcessId, u64)>,
-    /// Highest handover number acked per requester, for idempotent re-acks.
-    acked: BTreeMap<ProcessId, u64>,
+    /// Highest handover number acked per requester (0: none; handover
+    /// numbers start at 1), for idempotent re-acks.
+    acked: Vec<u64>,
     /// Live-chain flags; at most one outstanding timer per kind.
     rt_armed: bool,
     hb_armed: bool,
@@ -210,23 +195,13 @@ impl FtController {
             req_tries: 0,
             rto: params.rto_initial,
             pending: VecDeque::new(),
-            acked: BTreeMap::new(),
+            acked: vec![0; n],
             rt_armed: false,
             hb_armed: false,
             watch_armed: false,
             heard_heartbeat: false,
             epoch: 0,
         }
-    }
-
-    /// Whether this controller currently holds an anti-token.
-    pub fn is_scapegoat(&self) -> bool {
-        self.scapegoat
-    }
-
-    /// Whether the underlying process is blocked awaiting an `ack`.
-    pub fn is_blocked(&self) -> bool {
-        self.waiting_ack
     }
 
     /// How many times this controller regenerated the anti-token.
@@ -245,107 +220,119 @@ impl FtController {
             .map(|i| ProcessId(i as u32))
     }
 
-    fn ensure_heartbeat(&mut self, actions: &mut Vec<FtAction>) {
+    fn ensure_heartbeat(&mut self, out: &mut Vec<Action<FtMsg>>) {
         if !self.hb_armed {
             self.hb_armed = true;
-            actions.push(FtAction::Arm {
+            out.push(Action::Arm {
                 kind: FtTimerKind::Heartbeat,
                 delay: self.params.heartbeat_every,
             });
         }
     }
 
-    fn ensure_watchdog(&mut self, actions: &mut Vec<FtAction>) {
+    fn ensure_watchdog(&mut self, out: &mut Vec<Action<FtMsg>>) {
         if !self.watch_armed {
             self.watch_armed = true;
-            actions.push(FtAction::Arm {
+            out.push(Action::Arm {
                 kind: FtTimerKind::Watchdog,
                 delay: self.watch_delay(),
             });
         }
     }
 
-    fn ensure_retransmit(&mut self, actions: &mut Vec<FtAction>) {
+    fn ensure_retransmit(&mut self, out: &mut Vec<Action<FtMsg>>) {
         if !self.rt_armed {
             self.rt_armed = true;
-            actions.push(FtAction::Arm {
+            out.push(Action::Arm {
                 kind: FtTimerKind::Retransmit,
                 delay: self.rto,
             });
         }
     }
 
-    /// Actions to apply once at process start (arms the initial chains).
-    pub fn start(&mut self) -> Vec<FtAction> {
-        let mut actions = Vec::new();
-        if self.scapegoat {
-            self.ensure_heartbeat(&mut actions);
-        } else {
-            self.ensure_watchdog(&mut actions);
-        }
-        actions
+    /// Ack handover `seq` of `to`, recording it for idempotent re-acks.
+    fn ack(&mut self, to: ProcessId, seq: u64, out: &mut Vec<Action<FtMsg>>) {
+        let acked = &mut self.acked[to.index()];
+        *acked = (*acked).max(seq);
+        out.push(Action::Send {
+            to,
+            msg: FtMsg::Ack { seq },
+        });
     }
 
-    /// The underlying process asks to make `lᵢ` false. `peers` seeds the
-    /// request's target set (escalation may widen it later).
-    ///
-    /// # Panics
-    /// Panics on protocol misuse: requesting while already blocked or while
-    /// already false.
-    pub fn request_false(&mut self, peers: &[ProcessId]) -> FtDecision {
+    fn send_req(&self, to: ProcessId, out: &mut Vec<Action<FtMsg>>) {
+        out.push(Action::Send {
+            to,
+            msg: FtMsg::Req {
+                from: self.me,
+                seq: self.req_seq,
+            },
+        });
+    }
+}
+
+impl Controller for FtController {
+    type Msg = FtMsg;
+
+    fn is_scapegoat(&self) -> bool {
+        self.scapegoat
+    }
+
+    fn is_blocked(&self) -> bool {
+        self.waiting_ack
+    }
+
+    /// Arms the initial chain: a heartbeat or a watchdog.
+    fn start(&mut self, out: &mut Vec<Action<FtMsg>>) {
+        if self.scapegoat {
+            self.ensure_heartbeat(out);
+        } else {
+            self.ensure_watchdog(out);
+        }
+    }
+
+    /// `peers` seeds the request's target set (escalation may widen it
+    /// later).
+    fn request_false(&mut self, peers: &[ProcessId], out: &mut Vec<Action<FtMsg>>) {
         let _prof = pctl_prof::span("ft_request_false");
         assert!(!self.waiting_ack, "already blocked on an ack");
         assert!(self.local_true, "already false");
         if !self.scapegoat {
             self.local_true = false;
-            return FtDecision::Granted;
+            return;
         }
         assert!(!peers.is_empty(), "scapegoat needs at least one peer");
         self.waiting_ack = true;
         self.req_seq += 1;
         self.req_tries = 0;
         self.rto = self.params.rto_initial;
-        self.req_targets = peers.to_vec();
-        let mut actions = Vec::new();
+        self.req_targets.clear();
+        self.req_targets.extend_from_slice(peers);
         for &p in peers {
             assert_ne!(p, self.me, "cannot hand the scapegoat role to oneself");
-            actions.push(FtAction::Send {
-                to: p,
-                msg: FtMsg::Req {
-                    from: self.me,
-                    seq: self.req_seq,
-                },
-            });
+            self.send_req(p, out);
         }
-        self.ensure_retransmit(&mut actions);
-        FtDecision::Blocked(actions)
+        self.ensure_retransmit(out);
     }
 
-    /// A control message arrived.
-    pub fn on_message(&mut self, msg: FtMsg) -> Vec<FtAction> {
+    fn on_message(&mut self, msg: FtMsg, out: &mut Vec<Action<FtMsg>>) {
         let _prof = pctl_prof::span("ft_on_message");
         match msg {
             FtMsg::Req { from, seq } => {
-                if self.acked.get(&from).is_some_and(|&a| seq <= a) {
+                if seq <= self.acked[from.index()] {
                     // Duplicate of a handover we already granted: the ack
                     // may have been lost, so re-ack idempotently. The
                     // requester's sequence check makes stale re-acks inert,
-                    // and the role was granted exactly once (above), so
+                    // and the role was granted exactly once (below), so
                     // this cannot mint a second transfer.
-                    return vec![FtAction::Send {
+                    out.push(Action::Send {
                         to: from,
                         msg: FtMsg::Ack { seq },
-                    }];
-                }
-                if self.local_true && !self.waiting_ack {
+                    });
+                } else if self.local_true && !self.waiting_ack {
                     self.scapegoat = true;
-                    self.acked.insert(from, seq);
-                    let mut actions = vec![FtAction::Send {
-                        to: from,
-                        msg: FtMsg::Ack { seq },
-                    }];
-                    self.ensure_heartbeat(&mut actions);
-                    actions
+                    self.ack(from, seq, out);
+                    self.ensure_heartbeat(out);
                 } else {
                     // Defer, like Figure 3 — but keep only the newest seq
                     // per requester so retransmitted reqs don't pile up.
@@ -353,59 +340,42 @@ impl FtController {
                         Some(entry) => entry.1 = entry.1.max(seq),
                         None => self.pending.push_back((from, seq)),
                     }
-                    vec![]
                 }
             }
             FtMsg::Ack { seq } => {
+                // A stale or duplicate ack (the first one won) is inert.
                 if self.waiting_ack && seq == self.req_seq {
                     self.waiting_ack = false;
                     self.scapegoat = false;
                     self.local_true = false;
-                    let mut actions = vec![FtAction::Grant];
-                    self.ensure_watchdog(&mut actions);
-                    actions
-                } else {
-                    // Stale or duplicate ack (first one won): inert.
-                    vec![]
+                    out.push(Action::Grant);
+                    self.ensure_watchdog(out);
                 }
             }
-            FtMsg::Heartbeat { .. } => {
-                self.heard_heartbeat = true;
-                vec![]
-            }
+            FtMsg::Heartbeat { .. } => self.heard_heartbeat = true,
         }
     }
 
-    /// The underlying process turned `lᵢ` true again: answer deferred
-    /// requests (taking the scapegoat role).
-    pub fn notify_true(&mut self) -> Vec<FtAction> {
+    /// Answering deferred requests takes the scapegoat role.
+    fn notify_true(&mut self, out: &mut Vec<Action<FtMsg>>) {
         let _prof = pctl_prof::span("ft_notify_true");
         self.local_true = true;
-        let mut actions = Vec::new();
         while let Some((p, seq)) = self.pending.pop_front() {
             self.scapegoat = true;
-            let a = self.acked.entry(p).or_insert(0);
-            *a = (*a).max(seq);
-            actions.push(FtAction::Send {
-                to: p,
-                msg: FtMsg::Ack { seq },
-            });
+            self.ack(p, seq, out);
         }
         if self.scapegoat {
-            self.ensure_heartbeat(&mut actions);
+            self.ensure_heartbeat(out);
         }
-        actions
     }
 
-    /// A timer of `kind` (previously requested via [`FtAction::Arm`])
-    /// fired.
-    pub fn on_timer(&mut self, kind: FtTimerKind) -> Vec<FtAction> {
+    fn on_timer(&mut self, kind: FtTimerKind, out: &mut Vec<Action<FtMsg>>) {
         let _prof = pctl_prof::span("ft_on_timer");
         match kind {
             FtTimerKind::Retransmit => {
                 if !self.waiting_ack {
                     self.rt_armed = false;
-                    return vec![];
+                    return;
                 }
                 self.req_tries += 1;
                 if self.req_tries > self.params.escalate_after {
@@ -417,85 +387,64 @@ impl FtController {
                         self.req_targets.push(p);
                     }
                 }
-                let mut actions: Vec<FtAction> = self
-                    .req_targets
-                    .clone()
-                    .into_iter()
-                    .map(|p| FtAction::Send {
-                        to: p,
-                        msg: FtMsg::Req {
-                            from: self.me,
-                            seq: self.req_seq,
-                        },
-                    })
-                    .collect();
+                for &p in &self.req_targets {
+                    self.send_req(p, out);
+                }
                 self.rto = (self.rto * 2).min(self.params.rto_max);
-                actions.push(FtAction::Arm {
+                out.push(Action::Arm {
                     kind: FtTimerKind::Retransmit,
                     delay: self.rto,
                 });
-                actions
             }
             FtTimerKind::Heartbeat => {
                 if !self.scapegoat {
                     self.hb_armed = false;
-                    return vec![];
+                    return;
                 }
-                let mut actions: Vec<FtAction> = self
-                    .others()
-                    .map(|p| FtAction::Send {
-                        to: p,
-                        msg: FtMsg::Heartbeat {
-                            from: self.me,
-                            epoch: self.epoch,
-                        },
-                    })
-                    .collect();
-                actions.push(FtAction::Arm {
+                let msg = FtMsg::Heartbeat {
+                    from: self.me,
+                    epoch: self.epoch,
+                };
+                out.extend(self.others().map(|to| Action::Send { to, msg }));
+                out.push(Action::Arm {
                     kind: FtTimerKind::Heartbeat,
                     delay: self.params.heartbeat_every,
                 });
-                actions
             }
             FtTimerKind::Watchdog => {
                 if self.scapegoat {
                     // A scapegoat needs no watchdog; let the chain die.
                     self.watch_armed = false;
-                    return vec![];
-                }
-                if self.heard_heartbeat {
+                } else if self.heard_heartbeat {
                     self.heard_heartbeat = false;
-                    return vec![FtAction::Arm {
+                    out.push(Action::Arm {
                         kind: FtTimerKind::Watchdog,
                         delay: self.watch_delay(),
-                    }];
-                }
-                if self.local_true && !self.waiting_ack {
+                    });
+                } else if self.local_true && !self.waiting_ack {
                     // Silence: regenerate the anti-token here. Possibly a
                     // peer regenerated too — extra scapegoats are safe.
                     self.scapegoat = true;
                     self.epoch += 1;
                     self.watch_armed = false;
-                    let mut actions = Vec::new();
-                    self.ensure_heartbeat(&mut actions);
-                    actions
+                    self.ensure_heartbeat(out);
                 } else {
                     // Currently false: not allowed to take the liability.
                     // Keep watching; we will be true again soon (A1).
-                    vec![FtAction::Arm {
+                    out.push(Action::Arm {
                         kind: FtTimerKind::Watchdog,
                         delay: self.watch_delay(),
-                    }]
+                    });
                 }
             }
         }
     }
 
-    /// Conservative rejoin after a crash+restart. The host must first bring
-    /// the traced predicate variable back to true; all pre-crash timer
-    /// chains are dead (the simulator discards stale timers), so every
-    /// chain flag is reset here.
-    pub fn rejoin(&mut self) -> Vec<FtAction> {
+    /// Conservative rejoin after a crash+restart: the process assumes it
+    /// may have held the only anti-token. All pre-crash timer chains are
+    /// dead (the simulator discards stale timers), so every chain flag is
+    /// reset here.
+    fn rejoin(&mut self, out: &mut Vec<Action<FtMsg>>) {
         let _prof = pctl_prof::span("ft_rejoin");
         self.scapegoat = true;
         self.waiting_ack = false;
@@ -505,212 +454,12 @@ impl FtController {
         self.watch_armed = false;
         self.heard_heartbeat = false;
         self.rto = self.params.rto_initial;
-        let mut actions = Vec::new();
         // Requests deferred before the crash are answered now — we are
         // true, and we hold the (regenerated) role.
         while let Some((p, seq)) = self.pending.pop_front() {
-            let a = self.acked.entry(p).or_insert(0);
-            *a = (*a).max(seq);
-            actions.push(FtAction::Send {
-                to: p,
-                msg: FtMsg::Ack { seq },
-            });
+            self.ack(p, seq, out);
         }
-        self.ensure_heartbeat(&mut actions);
-        actions
-    }
-}
-
-/// Scripted application + hardened controller on the simulator: the
-/// fault-tolerant analogue of [`super::PhasedProcess`], for driving the
-/// protocol through fault plans.
-pub struct FtPhasedProcess {
-    ctrl: FtController,
-    script: VecDeque<Phase>,
-    select: PeerSelect,
-    n: usize,
-    requested_at: Option<SimTime>,
-    current_false_len: Option<u64>,
-    /// Map from armed timer id to chain kind; unknown ids are phase timers.
-    ctrl_timers: BTreeMap<u64, FtTimerKind>,
-    finished: bool,
-}
-
-impl FtPhasedProcess {
-    /// Build a process for a system of `n` processes.
-    pub fn new(
-        me: ProcessId,
-        n: usize,
-        init_scapegoat: bool,
-        select: PeerSelect,
-        params: FtParams,
-        script: Vec<Phase>,
-    ) -> Self {
-        FtPhasedProcess {
-            ctrl: FtController::new(me, n, init_scapegoat, params),
-            script: script.into(),
-            select,
-            n,
-            requested_at: None,
-            current_false_len: None,
-            ctrl_timers: BTreeMap::new(),
-            finished: false,
-        }
-    }
-
-    fn apply(&mut self, actions: Vec<FtAction>, ctx: &mut Ctx<'_, FtMsg>) {
-        for a in actions {
-            match a {
-                FtAction::Send { to, msg } => ctx.send(to, msg),
-                FtAction::Grant => {
-                    ctx.trace_end("blocked");
-                    self.enter_false(ctx);
-                }
-                FtAction::Arm { kind, delay } => {
-                    if self.finished {
-                        // A finished process stops its chains so the run
-                        // can quiesce; it still answers messages.
-                        continue;
-                    }
-                    let id = ctx.set_timer(delay);
-                    self.ctrl_timers.insert(id.0, kind);
-                }
-            }
-        }
-    }
-
-    fn enter_false(&mut self, ctx: &mut Ctx<'_, FtMsg>) {
-        if let Some(at) = self.requested_at.take() {
-            ctx.record("response", ctx.now().since(at));
-        }
-        ctx.count("entries", 1);
-        ctx.step(&[("ok", 0)]);
-        if let Some(len) = self.current_false_len {
-            ctx.set_timer(len);
-        }
-    }
-
-    fn begin_next_phase(&mut self, ctx: &mut Ctx<'_, FtMsg>) {
-        match self.script.pop_front() {
-            Some(ph) => {
-                self.current_false_len = ph.false_len;
-                ctx.set_timer(ph.true_len);
-            }
-            None => {
-                self.finished = true;
-                ctx.set_done();
-            }
-        }
-    }
-
-    fn ctrl_timer(&mut self, kind: FtTimerKind, ctx: &mut Ctx<'_, FtMsg>) {
-        let was_scapegoat = self.ctrl.is_scapegoat();
-        let actions = self.ctrl.on_timer(kind);
-        match kind {
-            FtTimerKind::Retransmit => {
-                let sends = actions
-                    .iter()
-                    .filter(|a| matches!(a, FtAction::Send { .. }))
-                    .count();
-                if sends > 0 {
-                    ctx.count("retransmissions", sends as u64);
-                    ctx.trace_instant("retransmit");
-                }
-            }
-            FtTimerKind::Watchdog => {
-                if !was_scapegoat && self.ctrl.is_scapegoat() {
-                    ctx.count("regenerations", 1);
-                    ctx.trace_instant("watchdog_regenerated");
-                } else if ctx.recording() && !self.ctrl.is_scapegoat() {
-                    ctx.trace_instant("watchdog_tick");
-                }
-            }
-            FtTimerKind::Heartbeat => {}
-        }
-        self.apply(actions, ctx);
-    }
-}
-
-impl Process<FtMsg> for FtPhasedProcess {
-    fn on_start(&mut self, ctx: &mut Ctx<'_, FtMsg>) {
-        ctx.init_var("ok", 1);
-        let actions = self.ctrl.start();
-        self.apply(actions, ctx);
-        self.begin_next_phase(ctx);
-    }
-
-    fn on_message(&mut self, _from: ProcessId, msg: FtMsg, ctx: &mut Ctx<'_, FtMsg>) {
-        let had_role = self.ctrl.is_scapegoat();
-        let actions = self.ctrl.on_message(msg);
-        if ctx.recording() && self.ctrl.is_scapegoat() != had_role {
-            ctx.trace_instant(if self.ctrl.is_scapegoat() {
-                "scapegoat_acquired"
-            } else {
-                "scapegoat_released"
-            });
-        }
-        self.apply(actions, ctx);
-    }
-
-    fn on_timer(&mut self, t: TimerId, ctx: &mut Ctx<'_, FtMsg>) {
-        if let Some(kind) = self.ctrl_timers.remove(&t.0) {
-            self.ctrl_timer(kind, ctx);
-            return;
-        }
-        if self.finished {
-            return;
-        }
-        if ctx.var("ok") == Some(1) {
-            if self.ctrl.is_blocked() {
-                // A stale phase timer can fire while blocked if a crash
-                // interleaved; ignore, the grant path resumes the script.
-                return;
-            }
-            self.requested_at = Some(ctx.now());
-            let peers = self.select.peers(self.n, ctx);
-            match self.ctrl.request_false(&peers) {
-                FtDecision::Granted => self.enter_false(ctx),
-                FtDecision::Blocked(actions) => {
-                    ctx.trace_begin("blocked");
-                    self.apply(actions, ctx);
-                }
-            }
-        } else {
-            ctx.step(&[("ok", 1)]);
-            let had_role = self.ctrl.is_scapegoat();
-            let actions = self.ctrl.notify_true();
-            if ctx.recording() && !had_role && self.ctrl.is_scapegoat() {
-                ctx.trace_instant("scapegoat_acquired");
-            }
-            self.apply(actions, ctx);
-            self.begin_next_phase(ctx);
-        }
-    }
-
-    fn on_restart(&mut self, ctx: &mut Ctx<'_, FtMsg>) {
-        // All pre-crash timers are stale; forget their routing.
-        self.ctrl_timers.clear();
-        self.requested_at = None;
-        // A crash may have interrupted an open "blocked" span; close it so
-        // the exported timeline stays balanced.
-        if self.ctrl.is_blocked() {
-            ctx.trace_end("blocked");
-        }
-        // Come back predicate-true before sending anything (acks must be
-        // sent from a true state), then rejoin as a scapegoat.
-        if ctx.var("ok") == Some(0) {
-            ctx.step(&[("ok", 1)]);
-        }
-        let actions = self.ctrl.rejoin();
-        self.apply(actions, ctx);
-        ctx.count("rejoins", 1);
-        ctx.trace_instant("rejoin");
-        if self.finished {
-            ctx.set_done();
-        } else {
-            // The interrupted phase is abandoned; resume with the next one.
-            self.begin_next_phase(ctx);
-        }
+        self.ensure_heartbeat(out);
     }
 }
 
@@ -727,14 +476,9 @@ pub fn ft_phased_system(
         .into_iter()
         .enumerate()
         .map(|(i, script)| {
-            Box::new(FtPhasedProcess::new(
-                ProcessId(i as u32),
-                n,
-                i == 0,
-                select,
-                params,
-                script,
-            )) as Box<dyn Process<FtMsg>>
+            let ctrl = FtController::new(ProcessId(i as u32), n, i == 0, params);
+            Box::new(Host::new(ctrl, PhaseScript::new(script), n, Some(select)))
+                as Box<dyn Process<FtMsg>>
         })
         .collect()
 }
@@ -750,24 +494,42 @@ mod tests {
         ProcessId(i)
     }
 
-    fn sends(actions: &[FtAction]) -> Vec<(ProcessId, FtMsg)> {
+    /// The actions of one controller call.
+    fn acts(
+        c: &mut FtController,
+        call: impl FnOnce(&mut FtController, &mut Vec<Action<FtMsg>>),
+    ) -> Vec<Action<FtMsg>> {
+        let mut out = Vec::new();
+        call(c, &mut out);
+        out
+    }
+
+    fn sends(actions: &[Action<FtMsg>]) -> Vec<(ProcessId, FtMsg)> {
         actions
             .iter()
             .filter_map(|a| match a {
-                FtAction::Send { to, msg } => Some((*to, *msg)),
+                Action::Send { to, msg } => Some((*to, *msg)),
                 _ => None,
             })
             .collect()
     }
 
-    fn arms(actions: &[FtAction]) -> Vec<(FtTimerKind, u64)> {
+    fn arms(actions: &[Action<FtMsg>]) -> Vec<(FtTimerKind, u64)> {
         actions
             .iter()
             .filter_map(|a| match a {
-                FtAction::Arm { kind, delay } => Some((*kind, *delay)),
+                Action::Arm { kind, delay } => Some((*kind, *delay)),
                 _ => None,
             })
             .collect()
+    }
+
+    fn timer(c: &mut FtController, kind: FtTimerKind) -> Vec<Action<FtMsg>> {
+        acts(c, |c, o| c.on_timer(kind, o))
+    }
+
+    fn message(c: &mut FtController, msg: FtMsg) -> Vec<Action<FtMsg>> {
+        acts(c, |c, o| c.on_message(msg, o))
     }
 
     #[test]
@@ -779,16 +541,15 @@ mod tests {
             ..FtParams::default()
         };
         let mut c = FtController::new(p(0), 4, true, params);
-        let FtDecision::Blocked(a) = c.request_false(&[p(1)]) else {
-            panic!("must block")
-        };
+        let a = acts(&mut c, |c, o| c.request_false(&[p(1)], o));
+        assert!(c.is_blocked(), "must block");
         assert_eq!(sends(&a), vec![(p(1), FtMsg::Req { from: p(0), seq: 1 })]);
         assert_eq!(arms(&a), vec![(FtTimerKind::Retransmit, 10)]);
         // First two retransmits: same single target, delay doubling.
-        let a = c.on_timer(FtTimerKind::Retransmit);
+        let a = timer(&mut c, FtTimerKind::Retransmit);
         assert_eq!(sends(&a).len(), 1);
         assert_eq!(arms(&a), vec![(FtTimerKind::Retransmit, 20)]);
-        let a = c.on_timer(FtTimerKind::Retransmit);
+        let a = timer(&mut c, FtTimerKind::Retransmit);
         assert_eq!(sends(&a).len(), 1);
         assert_eq!(
             arms(&a),
@@ -796,7 +557,7 @@ mod tests {
             "capped at rto_max"
         );
         // Third retransmit escalates: one more peer targeted.
-        let a = c.on_timer(FtTimerKind::Retransmit);
+        let a = timer(&mut c, FtTimerKind::Retransmit);
         let s = sends(&a);
         assert_eq!(s.len(), 2);
         assert!(
@@ -804,34 +565,31 @@ mod tests {
             "escalation adds ring-next peer"
         );
         // Ack ends the request; the chain dies at its next firing.
-        assert!(c
-            .on_message(FtMsg::Ack { seq: 1 })
-            .contains(&FtAction::Grant));
-        assert!(sends(&c.on_timer(FtTimerKind::Retransmit)).is_empty());
+        assert!(message(&mut c, FtMsg::Ack { seq: 1 }).contains(&Action::Grant));
+        assert!(timer(&mut c, FtTimerKind::Retransmit).is_empty());
     }
 
     #[test]
     fn duplicate_req_is_reacked_but_grants_role_once() {
         let mut c = FtController::new(p(1), 3, false, FtParams::default());
-        let a = c.on_message(FtMsg::Req { from: p(0), seq: 4 });
+        let a = message(&mut c, FtMsg::Req { from: p(0), seq: 4 });
         assert!(c.is_scapegoat());
         assert_eq!(sends(&a), vec![(p(0), FtMsg::Ack { seq: 4 })]);
         // Retransmitted copy: re-acked, no state change, no new arm.
-        let a = c.on_message(FtMsg::Req { from: p(0), seq: 4 });
+        let a = message(&mut c, FtMsg::Req { from: p(0), seq: 4 });
         assert_eq!(
             a,
-            vec![FtAction::Send {
+            vec![Action::Send {
                 to: p(0),
                 msg: FtMsg::Ack { seq: 4 }
             }]
         );
         // Even after handing the role off, the old seq is still re-acked.
-        let FtDecision::Blocked(_) = c.request_false(&[p(2)]) else {
-            panic!()
-        };
-        let _ = c.on_message(FtMsg::Ack { seq: 1 });
+        let _ = acts(&mut c, |c, o| c.request_false(&[p(2)], o));
+        assert!(c.is_blocked());
+        let _ = message(&mut c, FtMsg::Ack { seq: 1 });
         assert!(!c.is_scapegoat());
-        let a = c.on_message(FtMsg::Req { from: p(0), seq: 4 });
+        let a = message(&mut c, FtMsg::Req { from: p(0), seq: 4 });
         assert_eq!(sends(&a), vec![(p(0), FtMsg::Ack { seq: 4 })]);
         assert!(!c.is_scapegoat(), "re-ack must not re-grant the role");
     }
@@ -839,16 +597,14 @@ mod tests {
     #[test]
     fn stale_and_duplicate_acks_are_inert() {
         let mut c = FtController::new(p(0), 3, true, FtParams::default());
-        let _ = c.request_false(&[p(1), p(2)]);
+        let _ = acts(&mut c, |c, o| c.request_false(&[p(1), p(2)], o));
         assert!(
-            c.on_message(FtMsg::Ack { seq: 99 }).is_empty(),
+            message(&mut c, FtMsg::Ack { seq: 99 }).is_empty(),
             "wrong seq ignored"
         );
-        assert!(c
-            .on_message(FtMsg::Ack { seq: 1 })
-            .contains(&FtAction::Grant));
+        assert!(message(&mut c, FtMsg::Ack { seq: 1 }).contains(&Action::Grant));
         assert!(
-            c.on_message(FtMsg::Ack { seq: 1 }).is_empty(),
+            message(&mut c, FtMsg::Ack { seq: 1 }).is_empty(),
             "duplicate ignored"
         );
     }
@@ -856,28 +612,30 @@ mod tests {
     #[test]
     fn watchdog_regenerates_after_silence_only_when_true() {
         let mut c = FtController::new(p(2), 3, false, FtParams::default());
-        let a = c.start();
+        let a = acts(&mut c, |c, o| c.start(o));
         // Watchdog armed with the staggered delay.
         let w = FtParams::default().watch_timeout + 2 * FtParams::default().watch_stagger;
         assert_eq!(arms(&a), vec![(FtTimerKind::Watchdog, w)]);
         // Heartbeat heard: watchdog re-arms, no regeneration.
-        let _ = c.on_message(FtMsg::Heartbeat {
-            from: p(0),
-            epoch: 0,
-        });
-        let a = c.on_timer(FtTimerKind::Watchdog);
+        let _ = message(
+            &mut c,
+            FtMsg::Heartbeat {
+                from: p(0),
+                epoch: 0,
+            },
+        );
+        let a = timer(&mut c, FtTimerKind::Watchdog);
         assert_eq!(arms(&a), vec![(FtTimerKind::Watchdog, w)]);
         assert!(!c.is_scapegoat());
         // Silence while false: keep watching, do not take the liability.
-        let FtDecision::Granted = c.request_false(&[p(0)]) else {
-            panic!()
-        };
-        let a = c.on_timer(FtTimerKind::Watchdog);
+        assert!(acts(&mut c, |c, o| c.request_false(&[p(0)], o)).is_empty());
+        assert!(!c.is_blocked(), "a non-scapegoat is granted at once");
+        let a = timer(&mut c, FtTimerKind::Watchdog);
         assert_eq!(arms(&a), vec![(FtTimerKind::Watchdog, w)]);
         assert!(!c.is_scapegoat());
         // Silence while true: regenerate and start heartbeating.
-        let _ = c.notify_true();
-        let a = c.on_timer(FtTimerKind::Watchdog);
+        let _ = acts(&mut c, |c, o| c.notify_true(o));
+        let a = timer(&mut c, FtTimerKind::Watchdog);
         assert!(c.is_scapegoat());
         assert_eq!(c.epoch(), 1);
         assert_eq!(
@@ -890,11 +648,9 @@ mod tests {
     fn rejoin_is_conservative_and_answers_deferred_requests() {
         let mut c = FtController::new(p(1), 3, false, FtParams::default());
         // Go false, defer a request, then "crash" and rejoin.
-        let FtDecision::Granted = c.request_false(&[p(0)]) else {
-            panic!()
-        };
-        assert!(c.on_message(FtMsg::Req { from: p(2), seq: 7 }).is_empty());
-        let a = c.rejoin();
+        assert!(acts(&mut c, |c, o| c.request_false(&[p(0)], o)).is_empty());
+        assert!(message(&mut c, FtMsg::Req { from: p(2), seq: 7 }).is_empty());
+        let a = acts(&mut c, |c, o| c.rejoin(o));
         assert!(c.is_scapegoat(), "restarted process assumes the role");
         assert!(!c.is_blocked());
         assert_eq!(sends(&a), vec![(p(2), FtMsg::Ack { seq: 7 })]);

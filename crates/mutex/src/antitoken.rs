@@ -8,85 +8,14 @@
 //! tokens of classical k-mutex algorithms. Expected overhead: 2 control
 //! messages per handover, and a handover only when the scapegoat itself
 //! wants the CS — the paper's "2 messages per n CS entries".
+//!
+//! The worker is `pctl_core::online::Host` running a
+//! [`ScapegoatController`] under the shared workload [`Driver`].
 
-use crate::driver::{Driver, Phase, WorkloadConfig};
-use pctl_core::online::{CtrlAction, CtrlMsg, FalsifyDecision, PeerSelect, ScapegoatController};
+use crate::driver::{Driver, WorkloadConfig};
+use pctl_core::online::{CtrlMsg, Host, PeerSelect, ScapegoatController};
 use pctl_deposet::ProcessId;
-use pctl_sim::{Ctx, DelayModel, Process, SimConfig, SimResult, Simulation, TimerId};
-
-/// A worker process running the anti-token protocol under the shared
-/// workload driver.
-pub struct AntiTokenProcess {
-    driver: Driver,
-    ctrl: ScapegoatController,
-    n: usize,
-    select: PeerSelect,
-}
-
-impl AntiTokenProcess {
-    /// Build worker `me` out of `n`; process 0 holds the initial anti-token.
-    pub fn new(me: ProcessId, n: usize, cfg: &WorkloadConfig, select: PeerSelect) -> Self {
-        AntiTokenProcess {
-            driver: Driver::new(me, cfg),
-            ctrl: ScapegoatController::new(me, me.index() == 0),
-            n,
-            select,
-        }
-    }
-
-    fn apply(&mut self, actions: Vec<CtrlAction>, ctx: &mut Ctx<'_, CtrlMsg>) {
-        for a in actions {
-            match a {
-                CtrlAction::Send { to, msg } => ctx.send(to, msg),
-                CtrlAction::Grant => self.driver.enter_cs(ctx),
-            }
-        }
-    }
-}
-
-impl Process<CtrlMsg> for AntiTokenProcess {
-    fn on_start(&mut self, ctx: &mut Ctx<'_, CtrlMsg>) {
-        ctx.init_var("cs", 0);
-        self.driver.start_thinking(ctx);
-    }
-
-    fn on_message(&mut self, _from: ProcessId, msg: CtrlMsg, ctx: &mut Ctx<'_, CtrlMsg>) {
-        let had_role = self.ctrl.is_scapegoat();
-        let actions = self.ctrl.on_message(msg);
-        if ctx.recording() && self.ctrl.is_scapegoat() != had_role {
-            ctx.trace_instant(if self.ctrl.is_scapegoat() {
-                "scapegoat_acquired"
-            } else {
-                "scapegoat_released"
-            });
-        }
-        self.apply(actions, ctx);
-    }
-
-    fn on_timer(&mut self, _t: TimerId, ctx: &mut Ctx<'_, CtrlMsg>) {
-        match self.driver.phase {
-            Phase::Thinking => {
-                self.driver.begin_request(ctx);
-                let peers = self.select.peers(self.n, ctx);
-                match self.ctrl.request_false(&peers) {
-                    FalsifyDecision::Granted => self.driver.enter_cs(ctx),
-                    FalsifyDecision::Blocked(actions) => self.apply(actions, ctx),
-                }
-            }
-            Phase::InCs => {
-                // Leaving the CS makes lᵢ true again. Order matters for the
-                // trace: record cs := 0 *before* answering deferred
-                // requests, so every ack is sent from a predicate-true
-                // state (the chain argument for consistent-cut safety
-                // hinges on ack-send states being true).
-                self.driver.exit_cs(ctx);
-                let actions = self.ctrl.notify_true();
-                self.apply(actions, ctx);
-            }
-            other => unreachable!("timer in phase {other:?}"),
-        }
-    }
-}
+use pctl_sim::{DelayModel, Process, SimConfig, SimResult, Simulation};
 
 /// Run the anti-token workload; `k = n − 1`.
 pub fn run_antitoken(cfg: &WorkloadConfig, select: PeerSelect) -> SimResult {
@@ -104,7 +33,9 @@ pub fn run_antitoken_recorded(
     assert!(n >= 2);
     let procs: Vec<Box<dyn Process<CtrlMsg>>> = (0..n)
         .map(|i| {
-            Box::new(AntiTokenProcess::new(ProcessId(i as u32), n, cfg, select))
+            let me = ProcessId(i as u32);
+            let ctrl = ScapegoatController::new(me, i == 0);
+            Box::new(Host::new(ctrl, Driver::new(me, cfg), n, Some(select)))
                 as Box<dyn Process<CtrlMsg>>
         })
         .collect();

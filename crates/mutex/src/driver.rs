@@ -5,7 +5,12 @@
 //! *response time* (request → entry, the paper's Section 6 metric) and
 //! stamps `enter_p{i}` / `exit_p{i}` sample series used by the post-run
 //! safety sweep ([`max_concurrent`]).
+//!
+//! [`Driver`] is also the [`Workload`] of the on-line anti-token
+//! algorithms: `pctl_core::online::Host` runs it with a scapegoat, a
+//! fault-tolerant or an m-anti-token controller, where `lᵢ = ¬csᵢ`.
 
+use pctl_core::online::{Due, Workload};
 use pctl_sim::{Ctx, Metrics, Payload, ProcessId, SimTime};
 
 /// Workload parameters shared by every algorithm run.
@@ -164,6 +169,47 @@ impl Driver {
             Phase::Thinking => self.start_thinking(ctx),
             Phase::Done => ctx.set_done(),
         }
+    }
+}
+
+/// Requesting the CS is the request to make `lᵢ = ¬csᵢ` false. Exiting
+/// draws the next think time and arms its timer *before* the controller
+/// answers deferred requests.
+impl Workload for Driver {
+    /// The mutex timelines show the driver's own `wait` and `cs` spans.
+    const TRACE_CONTROL: bool = false;
+
+    fn start<M: Payload>(&mut self, ctx: &mut Ctx<'_, M>) {
+        ctx.init_var("cs", 0);
+        self.start_thinking(ctx);
+    }
+
+    fn due<M: Payload>(&self, _ctx: &Ctx<'_, M>) -> Due {
+        match self.phase {
+            Phase::Thinking => Due::Request,
+            Phase::InCs => Due::Release,
+            other => unreachable!("workload timer in phase {other:?}"),
+        }
+    }
+
+    fn begin_request<M: Payload>(&mut self, ctx: &mut Ctx<'_, M>) {
+        Driver::begin_request(self, ctx);
+    }
+
+    fn enter_false<M: Payload>(&mut self, ctx: &mut Ctx<'_, M>) {
+        self.enter_cs(ctx);
+    }
+
+    fn release<M: Payload>(&mut self, ctx: &mut Ctx<'_, M>) {
+        self.exit_cs(ctx);
+    }
+
+    fn recover<M: Payload>(&mut self, ctx: &mut Ctx<'_, M>) {
+        self.on_restart(ctx);
+    }
+
+    fn finished(&self) -> bool {
+        self.phase == Phase::Done
     }
 }
 

@@ -23,111 +23,116 @@
 //!   (in-CS) processes defer — they recover by A1 and then answer.
 //! * **Termination of retries** — a non-holder is never blocked (only
 //!   holders block on handovers), so a non-holder always accepts or
-//!   defers; since `m < n` there is always at least one, and round-robin
-//!   retrying reaches it.
+//!   defers; since `m < n` there is always at least one, and the
+//!   controller's round-robin retry reaches it.
 //!
 //! As with the single anti-token, only the holders' own CS entries pay
-//! messages — everyone else enters free.
+//! messages — everyone else enters free. [`MultiAntiToken`] picks its own
+//! peers, so `pctl_core::online::Host` runs it under the shared workload
+//! driver with no `PeerSelect`, and counts each bounce as a
+//! `handover_retries` metric.
 
-use crate::driver::{Driver, Phase, WorkloadConfig};
-use pctl_core::online::CtrlMsg;
+use crate::driver::{Driver, WorkloadConfig};
+use pctl_core::online::{Action, Controller, CtrlMsg, Host};
 use pctl_deposet::ProcessId;
-use pctl_sim::{Ctx, DelayModel, Process, SimConfig, SimResult, Simulation, TimerId};
+use pctl_sim::{DelayModel, Process, SimConfig, SimResult, Simulation};
 use std::collections::VecDeque;
-
-/// Effects requested by [`MultiAntiToken`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Action {
-    /// Send a control message.
-    Send {
-        /// Destination controller.
-        to: ProcessId,
-        /// The message.
-        msg: CtrlMsg,
-    },
-    /// The blocked CS entry may proceed.
-    Grant,
-    /// The contacted peer was busy: re-issue the request to another peer.
-    Retry,
-}
 
 /// Sans-I/O controller state for the m-anti-token protocol (one per
 /// process; a controller holds at most one role at a time).
 #[derive(Clone, Debug)]
 pub struct MultiAntiToken {
     me: ProcessId,
+    n: usize,
     holds_role: bool,
     waiting_ack: bool,
     local_true: bool,
     pending: VecDeque<ProcessId>,
+    /// Round-robin pointer over peers.
+    next_peer: usize,
+    /// Requests re-sent after a `Busy` bounce.
+    retries: u64,
 }
 
 impl MultiAntiToken {
-    /// A controller, initially holding a role or not.
-    pub fn new(me: ProcessId, holds_role: bool) -> Self {
+    /// Controller `me` of `n`, initially holding a role or not.
+    pub fn new(me: ProcessId, n: usize, holds_role: bool) -> Self {
         MultiAntiToken {
             me,
+            n,
             holds_role,
             waiting_ack: false,
             local_true: true,
             pending: VecDeque::new(),
+            next_peer: me.index(),
+            retries: 0,
         }
-    }
-
-    /// Whether this controller currently holds an anti-token role.
-    pub fn holds_role(&self) -> bool {
-        self.holds_role
-    }
-
-    /// Whether the process is blocked awaiting a handover ack.
-    pub fn is_blocked(&self) -> bool {
-        self.waiting_ack
-    }
-
-    /// The process wants to enter its critical section. Returns the
-    /// request to send (the caller picks `peer`), or `None` when entry is
-    /// granted immediately (role-free processes enter for free).
-    pub fn request_enter(&mut self, peer: Option<ProcessId>) -> Option<Action> {
-        assert!(self.local_true, "already in the critical section");
-        assert!(!self.waiting_ack, "already blocked");
-        if !self.holds_role {
-            self.local_true = false;
-            return None;
-        }
-        let peer = peer.expect("holder needs a peer to hand its role to");
-        assert_ne!(peer, self.me);
-        self.waiting_ack = true;
-        Some(Action::Send {
-            to: peer,
-            msg: CtrlMsg::Req { from: self.me },
-        })
     }
 
     fn can_accept(&self) -> bool {
         self.local_true && !self.waiting_ack && !self.holds_role
     }
 
-    /// A control message arrived.
-    pub fn on_message(&mut self, msg: CtrlMsg) -> Vec<Action> {
+    /// Ask the next peer in ring order to take this controller's role.
+    fn ask_next_peer(&mut self, out: &mut Vec<Action<CtrlMsg>>) {
+        loop {
+            self.next_peer = (self.next_peer + 1) % self.n;
+            if self.next_peer != self.me.index() {
+                break;
+            }
+        }
+        self.waiting_ack = true;
+        out.push(Action::Send {
+            to: ProcessId(self.next_peer as u32),
+            msg: CtrlMsg::Req { from: self.me },
+        });
+    }
+}
+
+impl Controller for MultiAntiToken {
+    type Msg = CtrlMsg;
+
+    /// Whether this controller currently holds an anti-token role.
+    fn is_scapegoat(&self) -> bool {
+        self.holds_role
+    }
+
+    fn is_blocked(&self) -> bool {
+        self.waiting_ack
+    }
+
+    /// The process wants to enter its critical section: a role-free
+    /// process enters for free, a holder asks the next peer in ring order
+    /// (`peers` is ignored).
+    fn request_false(&mut self, _peers: &[ProcessId], out: &mut Vec<Action<CtrlMsg>>) {
+        assert!(self.local_true, "already in the critical section");
+        assert!(!self.waiting_ack, "already blocked");
+        if !self.holds_role {
+            self.local_true = false;
+            return;
+        }
+        self.ask_next_peer(out);
+    }
+
+    fn on_message(&mut self, msg: CtrlMsg, out: &mut Vec<Action<CtrlMsg>>) {
         match msg {
             CtrlMsg::Req { from } => {
                 if self.can_accept() {
                     self.holds_role = true;
-                    vec![Action::Send {
+                    out.push(Action::Send {
                         to: from,
                         msg: CtrlMsg::Ack,
-                    }]
+                    });
                 } else if !self.local_true {
                     // In the CS: will recover (A1) and answer then.
                     self.pending.push_back(from);
-                    vec![]
                 } else {
                     // Holder or blocked: bounce so the requester retries a
                     // different peer (prevents holder↔holder deadlock).
-                    vec![Action::Send {
+                    out.push(Action::Send {
                         to: from,
                         msg: CtrlMsg::Busy,
-                    }]
+                    });
                 }
             }
             CtrlMsg::Ack => {
@@ -135,12 +140,13 @@ impl MultiAntiToken {
                 self.waiting_ack = false;
                 self.holds_role = false;
                 self.local_true = false;
-                vec![Action::Grant]
+                out.push(Action::Grant);
             }
             CtrlMsg::Busy => {
                 assert!(self.waiting_ack, "unexpected busy");
-                self.waiting_ack = false;
-                vec![Action::Retry]
+                debug_assert!(self.holds_role, "only a holder waits on a handover");
+                self.retries += 1;
+                self.ask_next_peer(out);
             }
         }
     }
@@ -148,97 +154,26 @@ impl MultiAntiToken {
     /// The process left its critical section: accept at most one deferred
     /// request (accepting makes this controller a holder, which bounces
     /// the rest).
-    pub fn notify_exit(&mut self) -> Vec<Action> {
+    fn notify_true(&mut self, out: &mut Vec<Action<CtrlMsg>>) {
         self.local_true = true;
-        let mut actions = Vec::new();
         if self.can_accept() {
             if let Some(j) = self.pending.pop_front() {
                 self.holds_role = true;
-                actions.push(Action::Send {
+                out.push(Action::Send {
                     to: j,
                     msg: CtrlMsg::Ack,
                 });
             }
         }
         // Bounce everyone else; they retry other peers.
-        while let Some(j) = self.pending.pop_front() {
-            actions.push(Action::Send {
-                to: j,
-                msg: CtrlMsg::Busy,
-            });
-        }
-        actions
-    }
-}
-
-/// Worker process: the shared driver + an m-anti-token controller.
-pub struct MultiAntiTokenProcess {
-    driver: Driver,
-    ctrl: MultiAntiToken,
-    n: usize,
-    /// Round-robin retry pointer over peers.
-    next_peer: usize,
-}
-
-impl MultiAntiTokenProcess {
-    fn next_peer(&mut self) -> ProcessId {
-        let me = self.ctrl.me.index();
-        loop {
-            self.next_peer = (self.next_peer + 1) % self.n;
-            if self.next_peer != me {
-                return ProcessId(self.next_peer as u32);
-            }
-        }
+        out.extend(self.pending.drain(..).map(|to| Action::Send {
+            to,
+            msg: CtrlMsg::Busy,
+        }));
     }
 
-    fn apply(&mut self, actions: Vec<Action>, ctx: &mut Ctx<'_, CtrlMsg>) {
-        for a in actions {
-            match a {
-                Action::Send { to, msg } => ctx.send(to, msg),
-                Action::Grant => self.driver.enter_cs(ctx),
-                Action::Retry => {
-                    let peer = self.next_peer();
-                    ctx.count("handover_retries", 1);
-                    if let Some(req) = self.ctrl.request_enter(Some(peer)) {
-                        self.apply(vec![req], ctx);
-                    } else {
-                        unreachable!("a retrying controller still holds its role");
-                    }
-                }
-            }
-        }
-    }
-}
-
-impl Process<CtrlMsg> for MultiAntiTokenProcess {
-    fn on_start(&mut self, ctx: &mut Ctx<'_, CtrlMsg>) {
-        ctx.init_var("cs", 0);
-        self.driver.start_thinking(ctx);
-    }
-
-    fn on_message(&mut self, _from: ProcessId, msg: CtrlMsg, ctx: &mut Ctx<'_, CtrlMsg>) {
-        let actions = self.ctrl.on_message(msg);
-        self.apply(actions, ctx);
-    }
-
-    fn on_timer(&mut self, _t: TimerId, ctx: &mut Ctx<'_, CtrlMsg>) {
-        match self.driver.phase {
-            Phase::Thinking => {
-                self.driver.begin_request(ctx);
-                let peer = self.ctrl.holds_role().then(|| self.next_peer());
-                match self.ctrl.request_enter(peer) {
-                    None => self.driver.enter_cs(ctx),
-                    Some(req) => self.apply(vec![req], ctx),
-                }
-            }
-            Phase::InCs => {
-                // Trace ordering matters: record cs := 0 before any ack.
-                self.driver.exit_cs(ctx);
-                let actions = self.ctrl.notify_exit();
-                self.apply(actions, ctx);
-            }
-            other => unreachable!("timer in phase {other:?}"),
-        }
+    fn retries(&self) -> u64 {
+        self.retries
     }
 }
 
@@ -249,12 +184,9 @@ pub fn run_multi_antitoken(cfg: &WorkloadConfig, m: usize) -> SimResult {
     assert!(m >= 1 && m < n, "need 1 ≤ m < n");
     let procs: Vec<Box<dyn Process<CtrlMsg>>> = (0..n)
         .map(|i| {
-            Box::new(MultiAntiTokenProcess {
-                driver: Driver::new(ProcessId(i as u32), cfg),
-                ctrl: MultiAntiToken::new(ProcessId(i as u32), i < m),
-                n,
-                next_peer: i,
-            }) as Box<dyn Process<CtrlMsg>>
+            let me = ProcessId(i as u32);
+            let ctrl = MultiAntiToken::new(me, n, i < m);
+            Box::new(Host::new(ctrl, Driver::new(me, cfg), n, None)) as Box<dyn Process<CtrlMsg>>
         })
         .collect();
     let sim_cfg = SimConfig {
@@ -271,100 +203,83 @@ mod tests {
     use crate::driver::max_concurrent;
     use pctl_deposet::lattice::consistent_global_states;
 
+    /// The actions of one controller call.
+    fn acts(
+        c: &mut MultiAntiToken,
+        call: impl FnOnce(&mut MultiAntiToken, &mut Vec<Action<CtrlMsg>>),
+    ) -> Vec<Action<CtrlMsg>> {
+        let mut out = Vec::new();
+        call(c, &mut out);
+        out
+    }
+
+    fn send(to: u32, msg: CtrlMsg) -> Action<CtrlMsg> {
+        Action::Send {
+            to: ProcessId(to),
+            msg,
+        }
+    }
+
+    fn req(from: u32) -> CtrlMsg {
+        CtrlMsg::Req {
+            from: ProcessId(from),
+        }
+    }
+
     #[test]
     fn controller_handover() {
-        let mut holder = MultiAntiToken::new(ProcessId(0), true);
-        let mut peer = MultiAntiToken::new(ProcessId(1), false);
-        let req = holder
-            .request_enter(Some(ProcessId(1)))
-            .expect("holder blocks");
-        assert_eq!(
-            req,
-            Action::Send {
-                to: ProcessId(1),
-                msg: CtrlMsg::Req { from: ProcessId(0) }
-            }
-        );
-        let ack = peer.on_message(CtrlMsg::Req { from: ProcessId(0) });
-        assert!(peer.holds_role());
-        assert_eq!(
-            ack,
-            vec![Action::Send {
-                to: ProcessId(0),
-                msg: CtrlMsg::Ack
-            }]
-        );
-        assert_eq!(holder.on_message(CtrlMsg::Ack), vec![Action::Grant]);
-        assert!(!holder.holds_role());
+        let mut holder = MultiAntiToken::new(ProcessId(0), 3, true);
+        let mut peer = MultiAntiToken::new(ProcessId(1), 3, false);
+        let sent = acts(&mut holder, |c, o| c.request_false(&[], o));
+        assert!(holder.is_blocked(), "holder blocks");
+        assert_eq!(sent, vec![send(1, req(0))], "the ring-next peer is asked");
+        let ack = acts(&mut peer, |c, o| c.on_message(req(0), o));
+        assert!(peer.is_scapegoat());
+        assert_eq!(ack, vec![send(0, CtrlMsg::Ack)]);
+        let grant = acts(&mut holder, |c, o| c.on_message(CtrlMsg::Ack, o));
+        assert_eq!(grant, vec![Action::Grant]);
+        assert!(!holder.is_scapegoat());
     }
 
     #[test]
     fn holders_bounce_instead_of_deadlocking() {
-        // Two blocked holders requesting each other both get Busy and are
-        // told to retry — the m ≥ 2 deadlock scenario.
-        let mut a = MultiAntiToken::new(ProcessId(0), true);
-        let mut b = MultiAntiToken::new(ProcessId(1), true);
-        let _ = a.request_enter(Some(ProcessId(1)));
-        let _ = b.request_enter(Some(ProcessId(0)));
-        let ra = a.on_message(CtrlMsg::Req { from: ProcessId(1) });
-        let rb = b.on_message(CtrlMsg::Req { from: ProcessId(0) });
-        assert_eq!(
-            ra,
-            vec![Action::Send {
-                to: ProcessId(1),
-                msg: CtrlMsg::Busy
-            }]
-        );
-        assert_eq!(
-            rb,
-            vec![Action::Send {
-                to: ProcessId(0),
-                msg: CtrlMsg::Busy
-            }]
-        );
-        assert_eq!(a.on_message(CtrlMsg::Busy), vec![Action::Retry]);
-        assert!(
-            !a.is_blocked(),
-            "retry clears the wait so a new peer can be asked"
-        );
+        // Two blocked holders requesting each other both get Busy and
+        // retry the next peer in ring order — the m ≥ 2 deadlock scenario.
+        let mut a = MultiAntiToken::new(ProcessId(0), 3, true);
+        let mut b = MultiAntiToken::new(ProcessId(1), 3, true);
+        let _ = acts(&mut a, |c, o| c.request_false(&[], o));
+        let sent = acts(&mut b, |c, o| c.request_false(&[], o));
+        assert_eq!(sent, vec![send(2, req(1))]);
+        let ra = acts(&mut a, |c, o| c.on_message(req(1), o));
+        let rb = acts(&mut b, |c, o| c.on_message(req(0), o));
+        assert_eq!(ra, vec![send(1, CtrlMsg::Busy)]);
+        assert_eq!(rb, vec![send(0, CtrlMsg::Busy)]);
+        let retry = acts(&mut a, |c, o| c.on_message(CtrlMsg::Busy, o));
+        assert_eq!(retry, vec![send(2, req(0))], "the retry asks a new peer");
+        assert!(a.is_blocked(), "a retrying holder stays blocked");
+        assert_eq!((a.retries(), b.retries()), (1, 0));
     }
 
     #[test]
     fn in_cs_processes_defer_and_answer_on_exit() {
-        let mut c = MultiAntiToken::new(ProcessId(1), false);
-        assert!(c.request_enter(None).is_none()); // enters CS free
-        assert!(c.on_message(CtrlMsg::Req { from: ProcessId(0) }).is_empty());
-        let actions = c.notify_exit();
-        assert_eq!(
-            actions,
-            vec![Action::Send {
-                to: ProcessId(0),
-                msg: CtrlMsg::Ack
-            }]
-        );
-        assert!(c.holds_role());
+        let mut c = MultiAntiToken::new(ProcessId(1), 3, false);
+        // Enters the CS free.
+        assert!(acts(&mut c, |c, o| c.request_false(&[], o)).is_empty());
+        assert!(!c.is_blocked());
+        assert!(acts(&mut c, |c, o| c.on_message(req(0), o)).is_empty());
+        let actions = acts(&mut c, |c, o| c.notify_true(o));
+        assert_eq!(actions, vec![send(0, CtrlMsg::Ack)]);
+        assert!(c.is_scapegoat());
     }
 
     #[test]
     fn extra_pending_requests_are_bounced_on_exit() {
-        let mut c = MultiAntiToken::new(ProcessId(2), false);
-        assert!(c.request_enter(None).is_none());
-        let _ = c.on_message(CtrlMsg::Req { from: ProcessId(0) });
-        let _ = c.on_message(CtrlMsg::Req { from: ProcessId(1) });
-        let actions = c.notify_exit();
-        assert_eq!(
-            actions,
-            vec![
-                Action::Send {
-                    to: ProcessId(0),
-                    msg: CtrlMsg::Ack
-                },
-                Action::Send {
-                    to: ProcessId(1),
-                    msg: CtrlMsg::Busy
-                },
-            ]
-        );
+        let mut c = MultiAntiToken::new(ProcessId(2), 3, false);
+        assert!(acts(&mut c, |c, o| c.request_false(&[], o)).is_empty());
+        let _ = acts(&mut c, |c, o| c.on_message(req(0), o));
+        let _ = acts(&mut c, |c, o| c.on_message(req(1), o));
+        let actions = acts(&mut c, |c, o| c.notify_true(o));
+        assert_eq!(actions, vec![send(0, CtrlMsg::Ack), send(1, CtrlMsg::Busy)]);
     }
 
     #[test]

@@ -10,6 +10,13 @@
 //! and 12 entries records only ~260 states. The timing wheel gets its own
 //! budget, since its upper levels are touched by few of those runs, and so
 //! does the post-run audit, whose allocations must not grow with the run.
+//!
+//! The steady-state budget takes the difference of two run lengths, so
+//! set-up cancels and only what a step costs remains: the controllers push
+//! into their host's reused action buffer, and the fault-tolerant timers
+//! sit in fixed slots. Its fault-tolerant run has message loss but no
+//! crash: a crashed process records `down` next to `cs`, and a two-variable
+//! state is a heap vector, cloned on every later step (DESIGN §15).
 
 use pctl_core::online::ft::FtParams;
 use pctl_core::online::PeerSelect;
@@ -105,6 +112,38 @@ fn fault_tolerant_runs_allocate_at_most_one_and_a_quarter_per_state() {
     });
     println!("fault-tolerant anti-token: {ft:.3} allocations per recorded state");
     assert!(ft <= 1.25, "{ft:.3} allocations per recorded state");
+}
+
+/// Allocations per recorded state added by growing one runner's run from
+/// 500 to 1,000 entries per process (n = 8, seed 3).
+fn marginal_per_state(run: impl Fn(&WorkloadConfig) -> pctl_sim::SimResult) -> f64 {
+    let measure = |entries: u32| {
+        let cfg = WorkloadConfig {
+            entries_per_process: entries,
+            ..workload(3)
+        };
+        let (r, allocs) = counted(|| run(&cfg));
+        assert_eq!(r.metrics.counter("entries"), 8 * u64::from(entries));
+        (allocs as f64, r.deposet.total_states() as f64)
+    };
+    let (short, short_states) = measure(500);
+    let (long, long_states) = measure(1_000);
+    (long - short) / (long_states - short_states)
+}
+
+#[test]
+fn steady_state_steps_allocate_nothing() {
+    let plain = marginal_per_state(|cfg| run_antitoken(cfg, PeerSelect::NextInRing));
+    let ft = marginal_per_state(|cfg| {
+        let plan = FaultPlan::uniform_loss(0.05);
+        run_ft_antitoken(cfg, PeerSelect::NextInRing, FtParams::default(), plan)
+    });
+    println!("steady-state anti-token: {plain:.4} marginal allocations per recorded state");
+    println!(
+        "steady-state fault-tolerant anti-token: {ft:.4} marginal allocations per recorded state"
+    );
+    assert!(plain <= 0.02, "plain: {plain:.4} allocations per state");
+    assert!(ft <= 0.02, "fault-tolerant: {ft:.4} allocations per state");
 }
 
 #[test]

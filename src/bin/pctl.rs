@@ -148,6 +148,21 @@ const ACCEPTED_FLAGS: &[(&str, &str)] = &[
     ("postmortem", ""),
 ];
 
+/// The flags read only for presence. They never take a value, so the bare
+/// word after one (`pctl detect --quiet big.json`) stays positional.
+const SWITCHES: &[&str] = &[
+    "quiet",
+    "channels-empty",
+    "naive",
+    "vars",
+    "prom",
+    "fault-injection",
+    "no-telemetry",
+    "no-flight",
+    "keep-open",
+    "once",
+];
+
 struct Args {
     positional: Vec<String>,
     flags: Vec<(String, Option<String>)>,
@@ -161,7 +176,9 @@ impl Args {
         while let Some(a) = it.next() {
             if let Some(name) = a.strip_prefix("--") {
                 let value = match it.peek() {
-                    Some(v) if !v.starts_with("--") => Some(it.next().unwrap().clone()),
+                    Some(v) if !v.starts_with("--") && !SWITCHES.contains(&name) => {
+                        Some(it.next().unwrap().clone())
+                    }
                     _ => None,
                 };
                 flags.push((name.to_owned(), value));

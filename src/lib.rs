@@ -75,7 +75,7 @@ pub mod prelude {
     pub use pctl_causality::{MsgId, ProcessId, StateId, VectorClock};
     pub use pctl_core::cnf_control::{control_cnf, mutually_separated, CnfPredicate};
     pub use pctl_core::online::ft::{FtController, FtParams};
-    pub use pctl_core::online::{PeerSelect, Phase, ScapegoatController};
+    pub use pctl_core::online::{Controller, PeerSelect, Phase, ScapegoatController};
     pub use pctl_core::verify::{
         chain_structure, sweep_faulty_run, verify_disjunctive, verify_regular, FaultSweepReport,
     };

@@ -227,6 +227,56 @@ fn cli_usage_and_errors() {
     let _ = std::fs::remove_file(trace);
 }
 
+/// Run `pctl detect` on `trace` twice, with `switch` before and after the
+/// path, and return both outputs.
+fn detect_with_switch(trace: &str, switch: &str) -> (Output, Output) {
+    let tail = ["--conjunct", "0:cs", "--conjunct", "1:cs"];
+    let before = pctl(&[&["detect", switch, trace][..], &tail].concat());
+    let after = pctl(&[&["detect", trace][..], &tail, &[switch]].concat());
+    (before, after)
+}
+
+fn gen_cs_trace(name: &str) -> PathBuf {
+    let out = pctl(&["gen", "--workload", "cs", "--processes", "3", "--seed", "5"]);
+    assert!(out.status.success());
+    let trace = tmpfile(name);
+    std::fs::write(&trace, &out.stdout).unwrap();
+    trace
+}
+
+#[test]
+fn cli_quiet_before_the_path_does_not_swallow_it() {
+    let trace = gen_cs_trace("switch-quiet.json");
+    let (before, after) = detect_with_switch(trace.to_str().unwrap(), "--quiet");
+    for out in [&before, &after] {
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert!(out.stderr.is_empty(), "--quiet leaves stderr empty");
+    }
+    assert!(!before.stdout.is_empty(), "a verdict is printed");
+    assert_eq!(before.stdout, after.stdout);
+    let _ = std::fs::remove_file(trace);
+}
+
+#[test]
+fn cli_channels_empty_before_the_path_does_not_swallow_it() {
+    let trace = gen_cs_trace("switch-channels.json");
+    let (before, after) = detect_with_switch(trace.to_str().unwrap(), "--channels-empty");
+    for out in [&before, &after] {
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+    assert!(!before.stdout.is_empty(), "a verdict is printed");
+    assert_eq!(before.stdout, after.stdout);
+    let _ = std::fs::remove_file(trace);
+}
+
 #[test]
 fn cli_telemetry_session() {
     // gen → control → replay --trace-out/--events-out → trace → stats:
