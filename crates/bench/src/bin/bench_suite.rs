@@ -1,5 +1,5 @@
-//! The persisted perf baseline: `BENCH_offline.json` + `BENCH_sweep.json`,
-//! and the perf-regression gate: `BENCH_compare.json`.
+//! The persisted perf trajectory: `BENCH_offline.json` + `BENCH_sweep.json`,
+//! and the run line the perf-regression gate (`ab`) reads.
 //!
 //! Unlike the `fig*` binaries (which regenerate the paper's figures), this
 //! harness records the repository's performance trajectory PR over PR. It
@@ -17,14 +17,13 @@
 //!   (vector-clock arena DP) plus `verify::sweep_faulty_run` per seed, run
 //!   both sequentially and with deterministic scoped-thread fan-out.
 //!
-//! Reports are round-trip validated before they are written. With
-//! `--compare FILE` the sweep and slicing numbers are diffed scenario by
-//! scenario against that baseline (which also feeds `BENCH_sweep.json`'s
-//! `speedup_vs_baseline`): any scenario more than `--threshold-pct`
-//! (default 25) worse than the baseline is a regression, and
-//! `BENCH_compare.json` records the structured deltas. `--inject-slowdown
-//! PCT` synthetically worsens the measured numbers — the compare scenarios
-//! and the flight-on throughput — so the verdicts themselves can be
+//! Reports are round-trip validated before they are written. The last
+//! stdout line is one JSON object, `{"metrics": {NAME: {"value", "unit"}}}`,
+//! holding the seven numbers `ab` gates (`pctl_bench::ab::SUITE`): four of
+//! the sequential sweep and three of the slicing section. The gate is `ab`
+//! running two builds of this binary interleaved; this binary compares
+//! nothing with a recorded file. `--inject-slowdown PCT` synthetically
+//! worsens the flight-on throughput, so the flight verdict can be
 //! integration-tested.
 //!
 //! After the timed rounds (so measurement is never perturbed) one
@@ -33,20 +32,20 @@
 //! file for Perfetto, and the measured disabled-span cost bounds profiler
 //! overhead.
 //!
-//! Three verdicts are collected and printed together at the end: flight
-//! recorder overhead below 5%, disabled-profiler overhead below 2% of the
-//! sweep, and the compare gate. The process then exits 2 if any failed.
-//! Under `--smoke` (run on noisy CI runners, and not comparable to a
-//! full-size baseline) the flight and compare verdicts only warn unless
-//! `--strict` is also given.
+//! Two verdicts are collected and printed together before the run line:
+//! flight recorder overhead below 5%, and disabled-profiler overhead below
+//! 2% of the sweep. Both are A/B comparisons inside this one run. The
+//! process then exits 2 if either failed. Under `--smoke` (run on noisy
+//! CI runners) the flight verdict only warns unless `--strict` is also
+//! given.
 //!
-//! Usage: `bench_suite [--smoke] [--out-dir DIR] [--compare FILE]
-//!   [--threshold-pct PCT] [--inject-slowdown PCT] [--strict]
-//!   [--write-baseline FILE] [--prof-trace FILE]`
+//! Usage: `bench_suite [--smoke] [--out-dir DIR] [--inject-slowdown PCT]
+//!   [--strict] [--prof-trace FILE]`
 
+use pctl_bench::ab::{Metric, RunLine};
 use pctl_bench::report::{
-    Baseline, CompareReport, OfflineCase, OfflineReport, OverlapCase, SlicingBench, StreamingBench,
-    SweepMode, SweepReport, WallStats, SCHEMA,
+    OfflineCase, OfflineReport, OverlapCase, SlicingBench, StreamingBench, SweepMode, SweepReport,
+    WallStats, SCHEMA,
 };
 use pctl_core::offline::{control_intervals, Engine, OfflineOptions, SelectPolicy};
 use pctl_core::verify::sweep_faulty_run;
@@ -61,33 +60,27 @@ use pctl_deposet::{
 };
 use pctl_obs::prof;
 use pctl_obs::stats::Percentiles;
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 struct Args {
     smoke: bool,
     out_dir: PathBuf,
-    compare: Option<PathBuf>,
-    threshold_pct: f64,
     inject_slowdown: f64,
     strict: bool,
-    write_baseline: Option<PathBuf>,
     prof_trace: Option<PathBuf>,
 }
 
 const USAGE: &str = "usage: bench_suite [--smoke] [--out-dir DIR] \
-  [--compare FILE] [--threshold-pct PCT] [--inject-slowdown PCT] [--strict] \
-  [--write-baseline FILE] [--prof-trace FILE]";
+  [--inject-slowdown PCT] [--strict] [--prof-trace FILE]";
 
 fn parse_args() -> Args {
     let mut args = Args {
         smoke: false,
         out_dir: PathBuf::from("."),
-        compare: None,
-        threshold_pct: 25.0,
         inject_slowdown: 0.0,
         strict: false,
-        write_baseline: None,
         prof_trace: None,
     };
     let mut it = std::env::args().skip(1);
@@ -100,16 +93,7 @@ fn parse_args() -> Args {
             "--smoke" => args.smoke = true,
             "--strict" => args.strict = true,
             "--out-dir" => args.out_dir = PathBuf::from(value("--out-dir", &mut it)),
-            "--compare" => args.compare = Some(PathBuf::from(value("--compare", &mut it))),
-            "--write-baseline" => {
-                args.write_baseline = Some(PathBuf::from(value("--write-baseline", &mut it)))
-            }
             "--prof-trace" => args.prof_trace = Some(PathBuf::from(value("--prof-trace", &mut it))),
-            "--threshold-pct" => {
-                args.threshold_pct = value("--threshold-pct", &mut it)
-                    .parse()
-                    .expect("--threshold-pct PCT must be a number")
-            }
             "--inject-slowdown" => {
                 args.inject_slowdown = value("--inject-slowdown", &mut it)
                     .parse()
@@ -272,17 +256,18 @@ fn run_slicing(smoke: bool) -> SlicingBench {
         .cut_count(budget)
         .expect("the slice lattice embeds into the full lattice");
 
-    // Slice-then-delegate detect + control synthesis on a prebuilt engine.
+    // Slice-then-delegate detect + control synthesis. The engine keeps its
+    // slice once control has built it, so every rep starts a fresh one.
     let opts = OfflineOptions {
         policy: SelectPolicy::First,
         engine: Engine::Optimized,
     };
-    let eng = PredicateEngine::for_class(&dep, &class).expect("valid class");
     let mut sliced = Vec::with_capacity(reps);
     let mut detected = None;
     let mut feasible = false;
     for _ in 0..reps {
         let t0 = Instant::now();
+        let eng = PredicateEngine::for_class(&dep, &class).expect("valid class");
         detected = eng.detect_violation();
         feasible = eng.control(opts).is_ok();
         sliced.push(nanos(t0.elapsed()));
@@ -501,7 +486,7 @@ struct SweepOutcome {
 /// One seed's measured unit: deposet construction from pre-built parts
 /// (the vector-clock DP) plus the full safety sweep.
 fn sweep_one(parts: &Parts, witness: &LocalPredicate) -> (SweepOutcome, u64) {
-    let (states, events, messages) = parts.clone_parts();
+    let (states, events, messages) = parts.clone();
     let t0 = Instant::now();
     let dep = Deposet::from_parts(states, events, messages).expect("generated parts are valid");
     let report = sweep_faulty_run(&dep, witness);
@@ -520,29 +505,13 @@ fn sweep_one(parts: &Parts, witness: &LocalPredicate) -> (SweepOutcome, u64) {
 
 /// Pre-generated deposet raw parts (kept outside the timed region so the
 /// bench measures clock construction + sweep, not workload generation).
-struct Parts {
-    states: Vec<Vec<pctl_deposet::LocalState>>,
-    events: Vec<Vec<pctl_deposet::EventKind>>,
-    messages: Vec<pctl_deposet::Message>,
-}
+type Parts = (
+    Vec<Vec<pctl_deposet::LocalState>>,
+    Vec<Vec<pctl_deposet::EventKind>>,
+    Vec<pctl_deposet::Message>,
+);
 
-impl Parts {
-    fn clone_parts(
-        &self,
-    ) -> (
-        Vec<Vec<pctl_deposet::LocalState>>,
-        Vec<Vec<pctl_deposet::EventKind>>,
-        Vec<pctl_deposet::Message>,
-    ) {
-        (
-            self.states.clone(),
-            self.events.clone(),
-            self.messages.clone(),
-        )
-    }
-}
-
-fn run_sweep(smoke: bool, baseline: Option<&Baseline>) -> (SweepReport, prof::ProfReport) {
+fn run_sweep(smoke: bool) -> (SweepReport, prof::ProfReport) {
     let (seeds, processes, events, rounds) = if smoke {
         (3usize, 3usize, 120usize, 8usize)
     } else {
@@ -556,18 +525,11 @@ fn run_sweep(smoke: bool, baseline: Option<&Baseline>) -> (SweepReport, prof::Pr
     };
     let witness = LocalPredicate::var("ok");
     let parts: Vec<Parts> = (0..seeds as u64)
-        .map(|seed| {
-            let (states, events, messages) = random_deposet(&cfg, seed).into_parts();
-            Parts {
-                states,
-                events,
-                messages,
-            }
-        })
+        .map(|seed| random_deposet(&cfg, seed).into_parts())
         .collect();
     let states_total: usize = parts
         .iter()
-        .map(|p| p.states.iter().map(Vec::len).sum::<usize>())
+        .map(|p| p.0.iter().map(Vec::len).sum::<usize>())
         .sum();
 
     // Sequential rounds.
@@ -617,8 +579,6 @@ fn run_sweep(smoke: bool, baseline: Option<&Baseline>) -> (SweepReport, prof::Pr
         "profiling is observational: the profiled round must be bit-identical"
     );
 
-    let speedup = baseline.map(|b| b.total_ms / (seq_total_ns as f64 / 1e6).max(1e-9));
-
     let mode = |name: &str, threads: usize, samples: &[u64], total_ns: u64| SweepMode {
         mode: name.into(),
         threads,
@@ -640,22 +600,8 @@ fn run_sweep(smoke: bool, baseline: Option<&Baseline>) -> (SweepReport, prof::Pr
         sequential,
         parallel,
         deterministic: true,
-        baseline: baseline.cloned(),
-        speedup_vs_baseline: speedup,
     };
     (report, prof_report)
-}
-
-/// Bound the profiler's disabled-path cost: the spans one sweep round
-/// completes, times the measured per-span disabled cost, must stay below
-/// 2% of the sweep's sequential wall time.
-fn check_disabled_overhead(prof_report: &prof::ProfReport, seq_total_ns: u64) -> (f64, u64, f64) {
-    let spans = prof_report.span_count();
-    let per_span_ns = prof::disabled_span_cost_ns(1_000_000);
-    let overhead_ns = spans as f64 * per_span_ns;
-    let run_ns = seq_total_ns.max(1) as f64;
-    let pct = overhead_ns / run_ns * 100.0;
-    (per_span_ns, spans, pct)
 }
 
 /// The run's pass/fail checks, printed together at the end so that one
@@ -682,25 +628,32 @@ impl Verdicts {
     }
 }
 
-/// Read the `--compare` baseline; an unreadable or malformed file exits 3
-/// before anything is measured.
-fn read_baseline(path: &std::path::Path) -> Baseline {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("cannot read baseline {}: {e}", path.display());
-        std::process::exit(3);
-    });
-    serde_json::from_str(&text).unwrap_or_else(|e| {
-        eprintln!("cannot parse baseline {}: {e}", path.display());
-        std::process::exit(3);
-    })
+/// The run line `ab` reads: the seven gated numbers of this run.
+fn run_line(sweep: &SweepMode, sl: &SlicingBench) -> RunLine {
+    let metric = |name: &str, value, unit: &str| {
+        let unit = unit.to_string();
+        (name.to_string(), Metric { value, unit })
+    };
+    let metrics = BTreeMap::from([
+        metric("sweep_total_ms", sweep.total_ms, "ms"),
+        metric("sweep_states_per_sec", sweep.states_per_sec, "states/s"),
+        metric("sweep_per_seed_p50_us", sweep.per_seed.p50_us, "us"),
+        metric("sweep_per_seed_p95_us", sweep.per_seed.p95_us, "us"),
+        metric("slicing_construct_p50_us", sl.slice_construct.p50_us, "us"),
+        metric("slicing_control_p50_us", sl.sliced_control.p50_us, "us"),
+        metric("slicing_pruning_ratio", sl.pruning_ratio, "ratio"),
+    ]);
+    RunLine {
+        attempted: None,
+        failed: None,
+        metrics,
+    }
 }
 
 fn main() {
     let args = parse_args();
     std::fs::create_dir_all(&args.out_dir).expect("create out dir");
-    let baseline = args.compare.as_deref().map(read_baseline);
-    // Smoke runs are CI's, on noisy runners, and are not comparable to a
-    // full-size baseline.
+    // Smoke runs are CI's, on noisy runners.
     let enforced = !args.smoke || args.strict;
     let slow = 1.0 + args.inject_slowdown / 100.0;
     let mut verdicts = Verdicts::default();
@@ -741,7 +694,7 @@ fn main() {
         s.flight_overhead_pct
     );
     // Injection worsens the flight-on throughput: its round trips grow by
-    // the same factor as the compare scenarios' times.
+    // the injected factor.
     let flight_pct = ((1.0 + s.flight_overhead_pct / 100.0) * slow - 1.0) * 100.0;
     verdicts.check(
         flight_pct <= 5.0,
@@ -769,7 +722,7 @@ fn main() {
         sl.feasible
     );
 
-    let (sweep, prof_report) = run_sweep(args.smoke, baseline.as_ref());
+    let (sweep, prof_report) = run_sweep(args.smoke);
     let path = args.out_dir.join("BENCH_sweep.json");
     pctl_bench::report::write_validated(&path, &sweep).expect("write BENCH_sweep.json");
     println!(
@@ -793,12 +746,6 @@ fn main() {
         sweep.parallel.per_seed.p95_us,
         sweep.parallel.states_per_sec
     );
-    if let (Some(b), Some(s)) = (&sweep.baseline, sweep.speedup_vs_baseline) {
-        println!(
-            "  baseline ({}): {:.1}ms → speedup {:.2}x",
-            b.recorded, b.total_ms, s
-        );
-    }
 
     // Profiler: phase report, Chrome trace export, disabled-cost bound.
     println!("profiler (one post-measurement sweep round):");
@@ -812,8 +759,15 @@ fn main() {
             json.len()
         );
     }
+    // Bound the profiler's disabled-path cost: the spans one sweep round
+    // completes, times the measured per-span disabled cost, must stay below
+    // 2% of the sweep's sequential wall time.
     let seq_total_ns = (sweep.sequential.total_ms * 1e6) as u64;
-    let (per_span_ns, spans, overhead_pct) = check_disabled_overhead(&prof_report, seq_total_ns);
+    let (spans, per_span_ns) = (
+        prof_report.span_count(),
+        prof::disabled_span_cost_ns(1_000_000),
+    );
+    let overhead_pct = spans as f64 * per_span_ns / seq_total_ns.max(1) as f64 * 100.0;
     verdicts.check(
         overhead_pct < 2.0,
         true,
@@ -823,70 +777,14 @@ fn main() {
         ),
     );
 
-    if let Some(path) = &args.write_baseline {
-        let b = Baseline {
-            recorded: format!(
-                "bench_suite --write-baseline (smoke={}, seeds={})",
-                sweep.smoke, sweep.seeds
-            ),
-            total_ms: sweep.sequential.total_ms,
-            states_per_sec: sweep.sequential.states_per_sec,
-            per_seed_p50_us: sweep.sequential.per_seed.p50_us,
-            per_seed_p95_us: sweep.sequential.per_seed.p95_us,
-            slicing_construct_p50_us: sl.slice_construct.p50_us,
-            slicing_control_p50_us: sl.sliced_control.p50_us,
-            slicing_pruning_ratio: sl.pruning_ratio,
-        };
-        pctl_bench::report::write_validated(path, &b).expect("write baseline");
-        println!("wrote {} (recorded sweep baseline)", path.display());
-    }
-
-    // ------------------------------------------------------------- gate --
-    if let (Some(baseline), Some(compare_path)) = (&baseline, &args.compare) {
-        let cmp = CompareReport::of(
-            baseline,
-            &compare_path.display().to_string(),
-            &sweep.sequential,
-            sl,
-            args.threshold_pct,
-            args.inject_slowdown,
-            args.smoke,
-        );
-        let path = args.out_dir.join("BENCH_compare.json");
-        pctl_bench::report::write_validated(&path, &cmp).expect("write BENCH_compare.json");
-        println!(
-            "wrote {} (threshold {:.0}%)",
-            path.display(),
-            cmp.threshold_pct
-        );
-        for c in &cmp.cases {
-            println!(
-                "  {:<24} baseline={:<12.1} current={:<12.1} {:<9} {:+.1}% {}",
-                c.scenario,
-                c.baseline,
-                c.current,
-                c.unit,
-                c.worse_pct,
-                if c.regressed { "REGRESSED" } else { "ok" }
-            );
-        }
-        verdicts.check(
-            cmp.passed,
-            enforced,
-            format!(
-                "{} of {} scenario(s) regressed more than {:.0}% vs {}",
-                cmp.regressions,
-                cmp.cases.len(),
-                cmp.threshold_pct,
-                compare_path.display()
-            ),
-        );
-    }
-
     println!("verdicts:");
     for line in &verdicts.lines {
         println!("  {line}");
     }
+    println!(
+        "{}",
+        pctl_bench::report::json_line(&run_line(&sweep.sequential, sl))
+    );
     if verdicts.failed > 0 {
         eprintln!("FAIL: {} verdict(s) failed", verdicts.failed);
         std::process::exit(2);

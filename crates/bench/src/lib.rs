@@ -1,4 +1,4 @@
-//! Shared harness for the experiment binaries and `bench_suite`.
+//! Shared harness for the experiment binaries, `bench_suite` and `ab`.
 //!
 //! Each table binary regenerates one of the paper's figures/claims (see
 //! DESIGN.md's experiment index and EXPERIMENTS.md for recorded results):
@@ -11,15 +11,18 @@
 //!   message loss and scapegoat crashes;
 //! * `fig4_debugging` — E6: the Section 7 active-debugging walkthrough.
 //!
-//! `bench_suite` records the perf baseline and runs the regression gate
-//! for what the repository benchmark (`perfbench/`) does not measure; its
-//! report schema is [`report`].
+//! `bench_suite` records the perf trajectory for what the repository
+//! benchmark (`perfbench/`) does not measure; its report schema is
+//! [`report`]. `ab` is the regression gate: it runs two builds of
+//! `bench_suite` or perfbench interleaved and judges them with [`ab`].
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod ab;
 pub mod report;
 
+use pctl_obs::stats::nearest_rank;
 use std::fmt::Display;
 use std::time::{Duration, Instant};
 
@@ -100,7 +103,8 @@ pub fn timed<T>(f: impl FnOnce() -> T) -> (T, Duration) {
     (r, start.elapsed())
 }
 
-/// Median wall time of `reps` runs of `f` (result of the last run kept).
+/// Median (nearest-rank) wall time of `reps` runs of `f` (result of the
+/// last run kept).
 pub fn median_time<T>(reps: usize, mut f: impl FnMut() -> T) -> (T, Duration) {
     assert!(reps >= 1);
     let mut times = Vec::with_capacity(reps);
@@ -111,7 +115,7 @@ pub fn median_time<T>(reps: usize, mut f: impl FnMut() -> T) -> (T, Duration) {
         last = Some(r);
     }
     times.sort();
-    (last.unwrap(), times[reps / 2])
+    (last.unwrap(), nearest_rank(&times, 50))
 }
 
 /// Least-squares slope of `log(y)` against `log(x)` — the empirical scaling

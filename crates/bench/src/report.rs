@@ -152,8 +152,8 @@ pub struct SlicingBench {
     pub classes: usize,
     /// Wall-time distribution of `SlicedDeposet::build` alone (µs).
     pub slice_construct: WallStats,
-    /// Wall-time of slice-then-delegate detect + control synthesis on a
-    /// prebuilt engine (µs).
+    /// Wall-time of slice-then-delegate `PredicateEngine::for_class` +
+    /// detect + control synthesis, on a fresh engine every rep (µs).
     pub sliced_control: WallStats,
     /// Wall-time of the brute-force unsliced answer: BFS over the full cut
     /// lattice until a satisfying cut is found (µs).
@@ -196,30 +196,6 @@ pub struct SweepMode {
     pub states_per_sec: f64,
 }
 
-/// Recorded numbers from a previous run used as the comparison baseline.
-/// Keys of retired scenarios are skipped as unknown fields, so an older
-/// baseline file keeps comparing on the scenarios that remain.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct Baseline {
-    /// Free-form label of when/what was recorded.
-    pub recorded: String,
-    /// End-to-end sequential wall time of the baseline run (ms).
-    pub total_ms: f64,
-    /// Baseline throughput (states/sec).
-    pub states_per_sec: f64,
-    /// Baseline per-seed p50 (µs).
-    pub per_seed_p50_us: f64,
-    /// Baseline per-seed p95 (µs).
-    pub per_seed_p95_us: f64,
-    /// Baseline slice-construction p50 of the `slicing` section (µs).
-    pub slicing_construct_p50_us: f64,
-    /// Baseline slice-then-delegate detect + control p50 (µs).
-    pub slicing_control_p50_us: f64,
-    /// Baseline lattice-pruning ratio (higher is better; deterministic for
-    /// a fixed workload, so any drop signals a slicing-engine change).
-    pub slicing_pruning_ratio: f64,
-}
-
 /// The `BENCH_sweep.json` payload.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct SweepReport {
@@ -237,174 +213,13 @@ pub struct SweepReport {
     pub events_per_seed: usize,
     /// Total local states across all seeds.
     pub states_total: usize,
-    /// Sequential numbers (this is the pre-refactor-comparable code path).
+    /// Sequential numbers (the source of the suite's `sweep_*` metrics).
     pub sequential: SweepMode,
     /// Parallel numbers (std::thread::scope fan-out, deterministic merge).
     pub parallel: SweepMode,
     /// Whether the parallel sweep produced bit-identical results to the
     /// sequential sweep (hard-asserted by the harness before writing).
     pub deterministic: bool,
-    /// The `--compare` baseline, when one was given.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub baseline: Option<Baseline>,
-    /// `baseline.total_ms / sequential.total_ms`, when a baseline was given.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub speedup_vs_baseline: Option<f64>,
-}
-
-/// One scenario of a baseline comparison (`BENCH_compare.json`).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct CompareCase {
-    /// Scenario label (`sweep_total_ms`, `sweep_states_per_sec`, …).
-    pub scenario: String,
-    /// Measurement unit (`ms`, `us`, `states/s`).
-    pub unit: String,
-    /// Value recorded in the committed baseline.
-    pub baseline: f64,
-    /// Value measured by this run (after any injected slowdown).
-    pub current: f64,
-    /// Whether smaller values are better for this scenario.
-    pub lower_is_better: bool,
-    /// Signed percent change in the *worse* direction: positive means the
-    /// current run is worse than the baseline by that much.
-    pub worse_pct: f64,
-    /// `worse_pct > threshold_pct`.
-    pub regressed: bool,
-}
-
-/// The `BENCH_compare.json` payload: structured per-scenario deltas of the
-/// current run against a committed [`Baseline`].
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct CompareReport {
-    /// Schema tag ([`SCHEMA`]).
-    pub schema: String,
-    /// Always `"compare"`.
-    pub bench: String,
-    /// Whether the run used `--smoke` sizes (smoke numbers are not
-    /// comparable to a full-size baseline, so the gate only warns).
-    pub smoke: bool,
-    /// Path of the baseline file compared against.
-    pub baseline_path: String,
-    /// Free-form label of the baseline (its `recorded` field).
-    pub baseline_recorded: String,
-    /// Regression threshold in percent (a scenario regresses when it is
-    /// more than this much worse than the baseline).
-    pub threshold_pct: f64,
-    /// Synthetic slowdown injected into the current numbers (percent);
-    /// non-zero only in gate self-tests.
-    pub injected_slowdown_pct: f64,
-    /// Per-scenario deltas.
-    pub cases: Vec<CompareCase>,
-    /// Number of regressed scenarios.
-    pub regressions: usize,
-    /// `regressions == 0`.
-    pub passed: bool,
-}
-
-impl CompareReport {
-    /// Build the comparison between a committed [`Baseline`] and the
-    /// current sequential sweep and slicing numbers, applying
-    /// `inject_slowdown_pct` (a synthetic worsening, for gate self-tests)
-    /// to the current values first.
-    pub fn of(
-        baseline: &Baseline,
-        baseline_path: &str,
-        current: &SweepMode,
-        slicing: &SlicingBench,
-        threshold_pct: f64,
-        inject_slowdown_pct: f64,
-        smoke: bool,
-    ) -> CompareReport {
-        let slow = 1.0 + inject_slowdown_pct / 100.0;
-        let case = |scenario: &str, unit: &str, base: f64, cur: f64, lower: bool| {
-            // Injection always worsens: inflate lower-is-better values,
-            // deflate higher-is-better ones.
-            let cur = if lower { cur * slow } else { cur / slow };
-            let worse_pct = if base.abs() < 1e-12 {
-                0.0
-            } else if lower {
-                (cur - base) / base * 100.0
-            } else {
-                (base - cur) / base * 100.0
-            };
-            CompareCase {
-                scenario: scenario.into(),
-                unit: unit.into(),
-                baseline: base,
-                current: cur,
-                lower_is_better: lower,
-                worse_pct,
-                regressed: worse_pct > threshold_pct,
-            }
-        };
-        // The pruning ratio is higher-is-better: a drop means the slice got
-        // *less* selective on the identical workload, which is a
-        // correctness smell as much as a perf one.
-        let cases = vec![
-            case(
-                "sweep_total_ms",
-                "ms",
-                baseline.total_ms,
-                current.total_ms,
-                true,
-            ),
-            case(
-                "sweep_states_per_sec",
-                "states/s",
-                baseline.states_per_sec,
-                current.states_per_sec,
-                false,
-            ),
-            case(
-                "sweep_per_seed_p50_us",
-                "us",
-                baseline.per_seed_p50_us,
-                current.per_seed.p50_us,
-                true,
-            ),
-            case(
-                "sweep_per_seed_p95_us",
-                "us",
-                baseline.per_seed_p95_us,
-                current.per_seed.p95_us,
-                true,
-            ),
-            case(
-                "slicing_construct_p50_us",
-                "us",
-                baseline.slicing_construct_p50_us,
-                slicing.slice_construct.p50_us,
-                true,
-            ),
-            case(
-                "slicing_control_p50_us",
-                "us",
-                baseline.slicing_control_p50_us,
-                slicing.sliced_control.p50_us,
-                true,
-            ),
-            case(
-                "slicing_pruning_ratio",
-                "ratio",
-                baseline.slicing_pruning_ratio,
-                slicing.pruning_ratio,
-                false,
-            ),
-        ];
-        let regressions = cases.iter().filter(|c| c.regressed).count();
-        CompareReport {
-            schema: SCHEMA.into(),
-            bench: "compare".into(),
-            smoke,
-            baseline_path: baseline_path.into(),
-            baseline_recorded: baseline.recorded.clone(),
-            threshold_pct,
-            injected_slowdown_pct: inject_slowdown_pct,
-            cases,
-            regressions,
-            passed: regressions == 0,
-        }
-    }
 }
 
 /// Serialize a report, validate it by parsing it back, then write it.
@@ -416,11 +231,35 @@ pub fn write_validated<T>(path: &std::path::Path, report: &T) -> std::io::Result
 where
     T: Serialize + serde::Deserialize + PartialEq + std::fmt::Debug,
 {
-    let json = serde_json::to_string_pretty(report).expect("report serializes");
-    let back: T = serde_json::from_str(&json).expect("report JSON parses back");
-    assert_eq!(&back, report, "report JSON must round-trip losslessly");
+    let json = round_trip(
+        serde_json::to_string_pretty(report).expect("report serializes"),
+        report,
+    );
     std::fs::write(path, format!("{json}\n"))?;
     Ok(json)
+}
+
+/// Serialize a report as one JSON line, validated by parsing it back.
+///
+/// # Panics
+/// Panics if the line does not round-trip.
+pub fn json_line<T>(report: &T) -> String
+where
+    T: Serialize + serde::Deserialize + PartialEq + std::fmt::Debug,
+{
+    round_trip(
+        serde_json::to_string(report).expect("report serializes"),
+        report,
+    )
+}
+
+fn round_trip<T>(json: String, report: &T) -> String
+where
+    T: serde::Deserialize + PartialEq + std::fmt::Debug,
+{
+    let back: T = serde_json::from_str(&json).expect("report JSON parses back");
+    assert_eq!(&back, report, "report JSON must round-trip losslessly");
+    json
 }
 
 #[cfg(test)]
@@ -438,294 +277,5 @@ mod tests {
         let fast = WallStats::of(&[400, 600, 800]);
         assert_eq!(fast.p50_us, 0.6);
         assert!(fast.min_us > 0.0);
-    }
-
-    fn baseline() -> Baseline {
-        Baseline {
-            recorded: "test".into(),
-            total_ms: 100.0,
-            states_per_sec: 1e6,
-            per_seed_p50_us: 1000.0,
-            per_seed_p95_us: 2000.0,
-            slicing_construct_p50_us: 120.0,
-            slicing_control_p50_us: 60.0,
-            slicing_pruning_ratio: 25.0,
-        }
-    }
-
-    #[test]
-    fn sweep_report_roundtrips() {
-        let mode = |m: &str| SweepMode {
-            mode: m.into(),
-            threads: 1,
-            per_seed: WallStats::of(&[10, 20]),
-            total_ms: 0.03,
-            states_per_sec: 1e6,
-        };
-        let r = SweepReport {
-            schema: SCHEMA.into(),
-            bench: "sweep".into(),
-            smoke: true,
-            seeds: 2,
-            processes: 4,
-            events_per_seed: 100,
-            states_total: 208,
-            sequential: mode("sequential"),
-            parallel: mode("parallel"),
-            deterministic: true,
-            baseline: Some(baseline()),
-            speedup_vs_baseline: Some(3.0),
-        };
-        let json = serde_json::to_string_pretty(&r).unwrap();
-        let back: SweepReport = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, r);
-    }
-
-    fn mode(total_ms: f64, sps: f64, p50: f64, p95: f64) -> SweepMode {
-        SweepMode {
-            mode: "sequential".into(),
-            threads: 1,
-            per_seed: WallStats {
-                reps: 1,
-                min_us: p50,
-                p50_us: p50,
-                p95_us: p95,
-                max_us: p95,
-            },
-            total_ms,
-            states_per_sec: sps,
-        }
-    }
-
-    fn slicing_section(construct_p50: f64, control_p50: f64, ratio: f64) -> SlicingBench {
-        SlicingBench {
-            workload: "cs_n4_p6".into(),
-            processes: 4,
-            states: 100,
-            lattice_cuts: 5000,
-            slice_cuts: (5000.0 / ratio) as usize,
-            pruning_ratio: ratio,
-            surviving_states: 40,
-            classes: 30,
-            slice_construct: WallStats {
-                reps: 5,
-                min_us: construct_p50 / 2.0,
-                p50_us: construct_p50,
-                p95_us: construct_p50 * 2.0,
-                max_us: construct_p50 * 3.0,
-            },
-            sliced_control: WallStats {
-                reps: 5,
-                min_us: control_p50 / 2.0,
-                p50_us: control_p50,
-                p95_us: control_p50 * 2.0,
-                max_us: control_p50 * 3.0,
-            },
-            unsliced_control: WallStats::of(&[(control_p50 * 20e3) as u64]),
-            feasible: true,
-        }
-    }
-
-    /// The baseline's own slicing numbers: the slicing scenarios read 0%.
-    fn same_slicing() -> SlicingBench {
-        slicing_section(120.0, 60.0, 25.0)
-    }
-
-    const SCENARIOS: [&str; 7] = [
-        "sweep_total_ms",
-        "sweep_states_per_sec",
-        "sweep_per_seed_p50_us",
-        "sweep_per_seed_p95_us",
-        "slicing_construct_p50_us",
-        "slicing_control_p50_us",
-        "slicing_pruning_ratio",
-    ];
-
-    fn scenarios(r: &CompareReport) -> Vec<&str> {
-        r.cases.iter().map(|c| c.scenario.as_str()).collect()
-    }
-
-    #[test]
-    fn compare_passes_within_threshold_in_both_directions() {
-        // 10% worse on time, 10% worse on throughput: under a 25% gate.
-        let cur = mode(110.0, 0.9e6, 1100.0, 2200.0);
-        let r = CompareReport::of(
-            &baseline(),
-            "b.json",
-            &cur,
-            &slicing_section(132.0, 66.0, 22.5),
-            25.0,
-            0.0,
-            false,
-        );
-        assert!(r.passed, "{r:?}");
-        assert_eq!(r.regressions, 0);
-        assert_eq!(scenarios(&r), SCENARIOS);
-        // A faster run must never "regress" the lower-is-better scenarios.
-        let fast = mode(50.0, 2e6, 500.0, 900.0);
-        let r = CompareReport::of(
-            &baseline(),
-            "b.json",
-            &fast,
-            &slicing_section(60.0, 30.0, 50.0),
-            25.0,
-            0.0,
-            false,
-        );
-        assert!(r.passed);
-        assert!(r.cases.iter().all(|c| c.worse_pct < 0.0), "{r:?}");
-    }
-
-    #[test]
-    fn compare_flags_regressions_past_threshold() {
-        // 50% slower end to end; slicing unchanged.
-        let cur = mode(150.0, 0.6e6, 1600.0, 3100.0);
-        let r = CompareReport::of(
-            &baseline(),
-            "b.json",
-            &cur,
-            &same_slicing(),
-            25.0,
-            0.0,
-            false,
-        );
-        assert!(!r.passed);
-        assert_eq!(r.regressions, 4, "{r:?}");
-        let c = &r.cases[0];
-        assert_eq!(c.scenario, "sweep_total_ms");
-        assert!((c.worse_pct - 50.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn slicing_scenarios_gate_in_their_own_direction() {
-        let cur = mode(100.0, 1e6, 1000.0, 2000.0);
-        // The pruning ratio is higher-is-better: a slice that stops
-        // pruning (ratio collapses toward 1) regresses the gate.
-        let lax = slicing_section(120.0, 60.0, 5.0);
-        let r = CompareReport::of(&baseline(), "b.json", &cur, &lax, 25.0, 0.0, false);
-        assert_eq!(r.regressions, 1, "{r:?}");
-        let c = r
-            .cases
-            .iter()
-            .find(|c| c.scenario == "slicing_pruning_ratio")
-            .unwrap();
-        assert!(c.regressed && !c.lower_is_better, "{c:?}");
-        // Slice construction is lower-is-better.
-        let slow = slicing_section(240.0, 60.0, 25.0);
-        let r = CompareReport::of(&baseline(), "b.json", &cur, &slow, 25.0, 0.0, false);
-        assert_eq!(r.regressions, 1, "{r:?}");
-        assert!(r.cases[4].regressed && r.cases[4].lower_is_better);
-    }
-
-    #[test]
-    fn injected_slowdown_worsens_every_scenario() {
-        // Bit-identical to the baseline, but with a 100% injected slowdown:
-        // every scenario must trip a 25% gate, including the
-        // higher-is-better ones (which get *divided*).
-        let cur = mode(100.0, 1e6, 1000.0, 2000.0);
-        let clean = CompareReport::of(
-            &baseline(),
-            "b.json",
-            &cur,
-            &same_slicing(),
-            25.0,
-            0.0,
-            false,
-        );
-        assert!(clean.passed);
-        let slowed = CompareReport::of(
-            &baseline(),
-            "b.json",
-            &cur,
-            &same_slicing(),
-            25.0,
-            100.0,
-            false,
-        );
-        assert!(!slowed.passed);
-        assert_eq!(slowed.regressions, 7, "{slowed:?}");
-        assert!((slowed.injected_slowdown_pct - 100.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn compare_report_roundtrips() {
-        let cur = mode(150.0, 0.6e6, 1600.0, 3100.0);
-        let r = CompareReport::of(
-            &baseline(),
-            "b.json",
-            &cur,
-            &same_slicing(),
-            25.0,
-            0.0,
-            true,
-        );
-        let json = serde_json::to_string_pretty(&r).unwrap();
-        let back: CompareReport = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, r);
-    }
-
-    #[test]
-    fn committed_prerefactor_baseline_still_compares() {
-        // The committed baseline still carries the keys of retired
-        // scenarios (shard construction, streaming, sim_core); unknown
-        // keys are ignored, so it parses and gates exactly the seven
-        // remaining scenarios.
-        let b: Baseline =
-            serde_json::from_str(include_str!("../../../docs/results/BENCH_prerefactor.json"))
-                .unwrap();
-        let cur = mode(100.0, 1e6, 1000.0, 2000.0);
-        let r = CompareReport::of(
-            &b,
-            "BENCH_prerefactor.json",
-            &cur,
-            &slicing_section(20.0, 1.0, 5.0),
-            25.0,
-            0.0,
-            false,
-        );
-        assert_eq!(scenarios(&r), SCENARIOS);
-    }
-
-    #[test]
-    fn offline_report_roundtrips() {
-        let r = OfflineReport {
-            schema: SCHEMA.into(),
-            bench: "offline".into(),
-            smoke: false,
-            cases: vec![OfflineCase {
-                name: "cs_n4_p8/optimized".into(),
-                engine: "optimized".into(),
-                processes: 4,
-                intervals_per_process: 8,
-                states: 321,
-                wall: WallStats::of(&[100]),
-                states_per_sec: 3.21e6,
-                control_tuples: 12,
-                feasible: true,
-            }],
-            overlap: OverlapCase {
-                workload: "pipelined_n8_p256".into(),
-                processes: 8,
-                states: 16000,
-                intervals_total: 2048,
-                wall: WallStats::of(&[55]),
-                found: false,
-            },
-            streaming: StreamingBench {
-                workload: "random_n4_e1200".into(),
-                processes: 4,
-                events: 1200,
-                rounds: 9,
-                append_events_per_sec: 25_000.0,
-                append_events_per_sec_telemetry_off: 26_500.0,
-                append_events_per_sec_flight_off: 26_000.0,
-                telemetry_overhead_pct: 6.1,
-                flight_overhead_pct: 3.9,
-            },
-            slicing: same_slicing(),
-        };
-        let json = serde_json::to_string_pretty(&r).unwrap();
-        let back: OfflineReport = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, r);
     }
 }

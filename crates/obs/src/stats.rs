@@ -25,7 +25,7 @@ pub struct Percentiles {
 
 /// Nearest-rank percentile over a sorted slice: the smallest sample with at
 /// least `p`% of the distribution at or below it.
-pub fn nearest_rank(sorted: &[u64], p: u32) -> u64 {
+pub fn nearest_rank<T: Copy>(sorted: &[T], p: u32) -> T {
     assert!(!sorted.is_empty() && (1..=100).contains(&p));
     // Widened: `len * p` overflows u64 for series past ~2^57 samples.
     let rank = (sorted.len() as u128 * u128::from(p)).div_ceil(100) as usize;
@@ -282,6 +282,7 @@ mod tests {
         assert_eq!(nearest_rank(&s, 100), 100);
         assert_eq!(nearest_rank(&[7], 50), 7);
         assert_eq!(nearest_rank(&[1, 2], 50), 1);
+        assert_eq!(nearest_rank(&[0.5, 1.5, 2.5, 3.5], 75), 2.5);
     }
 
     #[test]
