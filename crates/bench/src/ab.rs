@@ -91,6 +91,24 @@ pub struct RunLine {
     pub metrics: BTreeMap<String, Metric>,
 }
 
+/// Read a run's [`RunLine`] from its stdout: the last non-empty line.
+///
+/// A run that exited non-zero is kept, as data, when that line reports
+/// failed operations: perfbench prints its run line and then exits 1
+/// whenever one failed, and a higher failed share on B is a regression.
+/// Any other non-zero exit, and a line that is no run line, is an error.
+pub fn read_run(exited_ok: bool, stdout: &str) -> Result<RunLine, String> {
+    let line = stdout.lines().rev().find(|l| !l.trim().is_empty());
+    let run = serde_json::from_str::<RunLine>(line.unwrap_or(""));
+    if !exited_ok && !run.as_ref().is_ok_and(|r| r.failed.unwrap_or(0) > 0) {
+        return Err("exited non-zero and reported no failed operation".into());
+    }
+    run.map_err(|e| match line {
+        None => "printed nothing".into(),
+        Some(_) => format!("printed a last line that is no run line: {e}"),
+    })
+}
+
 /// A metric's verdict.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Verdict {
@@ -498,6 +516,21 @@ mod tests {
         // Lift the low pairs past the bound and it regresses.
         let narrow = AbReport::of(&a, &b(1.26), 0.0).unwrap();
         assert_eq!(narrow.metrics[0].verdict, Verdict::Regressed);
+    }
+
+    #[test]
+    fn a_run_that_failed_operations_is_data_and_any_other_failure_an_error() {
+        let counted = r#"{"correct":false,"attempted":9,"failed":1,"metrics":{}}"#;
+        let clean = r#"{"attempted":9,"failed":0,"metrics":{}}"#;
+        let table = format!("table\n{counted}\n\n");
+        assert_eq!(read_run(false, &table).unwrap().failed, Some(1));
+        assert_eq!(read_run(true, clean).unwrap().failed, Some(0));
+        // A non-zero exit without failed operations, or no run line.
+        for stdout in [clean, "{}", ""] {
+            assert!(read_run(false, stdout).is_err(), "{stdout:?}");
+        }
+        assert!(read_run(true, "{}").is_err());
+        assert_eq!(read_run(true, "").unwrap_err(), "printed nothing");
     }
 
     #[test]

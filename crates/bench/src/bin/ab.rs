@@ -6,10 +6,11 @@
 //! `pctl_bench::ab`. Prints the table, then the JSON report as its last
 //! line. `--inject-slowdown PCT` worsens B's numbers by `PCT` percent, so
 //! the gate can be shown to trip. Exits 2 on any regression, 3 when a run
-//! exits non-zero or its last line is not a run line, and 1 on a usage
-//! error.
+//! cannot be judged (`pctl_bench::ab::read_run`: its last line is not a
+//! run line, or it exited non-zero without reporting a failed operation),
+//! and 1 on a usage error.
 
-use pctl_bench::ab::{AbReport, RunLine, PAIRS};
+use pctl_bench::ab::{read_run, AbReport, RunLine, PAIRS};
 use std::process::{Command, ExitCode};
 
 const USAGE: &str = "usage: ab <A> <B> [--inject-slowdown PCT] -- <args…>";
@@ -39,15 +40,11 @@ fn run(exe: &str, args: &[String], at: &str) -> Result<RunLine, String> {
         .args(args)
         .output()
         .map_err(|e| format!("{at}: cannot run {exe}: {e}"))?;
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    if !out.status.success() {
-        return Err(format!("{at}: {exe} exited with {}\n{stderr}", out.status));
-    }
     let stdout = String::from_utf8_lossy(&out.stdout);
-    let line = stdout.lines().rev().find(|l| !l.trim().is_empty());
-    let line = line.ok_or_else(|| format!("{at}: {exe} printed nothing"))?;
-    serde_json::from_str(line)
-        .map_err(|e| format!("{at}: {exe}'s last line is not a run line: {e}"))
+    read_run(out.status.success(), &stdout).map_err(|e| {
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        format!("{at}: {exe} {e} ({})\n{stderr}", out.status)
+    })
 }
 
 fn main() -> ExitCode {

@@ -486,7 +486,7 @@ struct SweepOutcome {
 /// One seed's measured unit: deposet construction from pre-built parts
 /// (the vector-clock DP) plus the full safety sweep.
 fn sweep_one(parts: &Parts, witness: &LocalPredicate) -> (SweepOutcome, u64) {
-    let (states, events, messages) = parts.clone();
+    let (states, events, messages) = parts.clone_parts();
     let t0 = Instant::now();
     let dep = Deposet::from_parts(states, events, messages).expect("generated parts are valid");
     let report = sweep_faulty_run(&dep, witness);
@@ -505,11 +505,27 @@ fn sweep_one(parts: &Parts, witness: &LocalPredicate) -> (SweepOutcome, u64) {
 
 /// Pre-generated deposet raw parts (kept outside the timed region so the
 /// bench measures clock construction + sweep, not workload generation).
-type Parts = (
-    Vec<Vec<pctl_deposet::LocalState>>,
-    Vec<Vec<pctl_deposet::EventKind>>,
-    Vec<pctl_deposet::Message>,
-);
+struct Parts {
+    states: Vec<Vec<pctl_deposet::LocalState>>,
+    events: Vec<Vec<pctl_deposet::EventKind>>,
+    messages: Vec<pctl_deposet::Message>,
+}
+
+impl Parts {
+    fn clone_parts(
+        &self,
+    ) -> (
+        Vec<Vec<pctl_deposet::LocalState>>,
+        Vec<Vec<pctl_deposet::EventKind>>,
+        Vec<pctl_deposet::Message>,
+    ) {
+        (
+            self.states.clone(),
+            self.events.clone(),
+            self.messages.clone(),
+        )
+    }
+}
 
 fn run_sweep(smoke: bool) -> (SweepReport, prof::ProfReport) {
     let (seeds, processes, events, rounds) = if smoke {
@@ -525,11 +541,18 @@ fn run_sweep(smoke: bool) -> (SweepReport, prof::ProfReport) {
     };
     let witness = LocalPredicate::var("ok");
     let parts: Vec<Parts> = (0..seeds as u64)
-        .map(|seed| random_deposet(&cfg, seed).into_parts())
+        .map(|seed| {
+            let (states, events, messages) = random_deposet(&cfg, seed).into_parts();
+            Parts {
+                states,
+                events,
+                messages,
+            }
+        })
         .collect();
     let states_total: usize = parts
         .iter()
-        .map(|p| p.0.iter().map(Vec::len).sum::<usize>())
+        .map(|p| p.states.iter().map(Vec::len).sum::<usize>())
         .sum();
 
     // Sequential rounds.
@@ -602,6 +625,18 @@ fn run_sweep(smoke: bool) -> (SweepReport, prof::ProfReport) {
         deterministic: true,
     };
     (report, prof_report)
+}
+
+/// Bound the profiler's disabled-path cost: the spans one sweep round
+/// completes, times the measured per-span disabled cost, must stay below
+/// 2% of the sweep's sequential wall time.
+fn check_disabled_overhead(prof_report: &prof::ProfReport, seq_total_ns: u64) -> (f64, u64, f64) {
+    let spans = prof_report.span_count();
+    let per_span_ns = prof::disabled_span_cost_ns(1_000_000);
+    let overhead_ns = spans as f64 * per_span_ns;
+    let run_ns = seq_total_ns.max(1) as f64;
+    let pct = overhead_ns / run_ns * 100.0;
+    (per_span_ns, spans, pct)
 }
 
 /// The run's pass/fail checks, printed together at the end so that one
@@ -759,15 +794,8 @@ fn main() {
             json.len()
         );
     }
-    // Bound the profiler's disabled-path cost: the spans one sweep round
-    // completes, times the measured per-span disabled cost, must stay below
-    // 2% of the sweep's sequential wall time.
     let seq_total_ns = (sweep.sequential.total_ms * 1e6) as u64;
-    let (spans, per_span_ns) = (
-        prof_report.span_count(),
-        prof::disabled_span_cost_ns(1_000_000),
-    );
-    let overhead_pct = spans as f64 * per_span_ns / seq_total_ns.max(1) as f64 * 100.0;
+    let (per_span_ns, spans, overhead_pct) = check_disabled_overhead(&prof_report, seq_total_ns);
     verdicts.check(
         overhead_pct < 2.0,
         true,

@@ -278,4 +278,86 @@ mod tests {
         assert_eq!(fast.p50_us, 0.6);
         assert!(fast.min_us > 0.0);
     }
+
+    #[test]
+    fn sweep_report_roundtrips() {
+        let mode = |m: &str| SweepMode {
+            mode: m.into(),
+            threads: 1,
+            per_seed: WallStats::of(&[10, 20]),
+            total_ms: 0.03,
+            states_per_sec: 1e6,
+        };
+        let r = SweepReport {
+            schema: SCHEMA.into(),
+            bench: "sweep".into(),
+            smoke: true,
+            seeds: 2,
+            processes: 4,
+            events_per_seed: 100,
+            states_total: 208,
+            sequential: mode("sequential"),
+            parallel: mode("parallel"),
+            deterministic: true,
+        };
+        let json = serde_json::to_string_pretty(&r).unwrap();
+        let back: SweepReport = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, r);
+    }
+
+    #[test]
+    fn offline_report_roundtrips() {
+        let r = OfflineReport {
+            schema: SCHEMA.into(),
+            bench: "offline".into(),
+            smoke: false,
+            cases: vec![OfflineCase {
+                name: "cs_n4_p8/optimized".into(),
+                engine: "optimized".into(),
+                processes: 4,
+                intervals_per_process: 8,
+                states: 321,
+                wall: WallStats::of(&[100]),
+                states_per_sec: 3.21e6,
+                control_tuples: 12,
+                feasible: true,
+            }],
+            overlap: OverlapCase {
+                workload: "pipelined_n8_p256".into(),
+                processes: 8,
+                states: 16000,
+                intervals_total: 2048,
+                wall: WallStats::of(&[55]),
+                found: false,
+            },
+            streaming: StreamingBench {
+                workload: "random_n4_e1200".into(),
+                processes: 4,
+                events: 1200,
+                rounds: 9,
+                append_events_per_sec: 25_000.0,
+                append_events_per_sec_telemetry_off: 26_500.0,
+                append_events_per_sec_flight_off: 26_000.0,
+                telemetry_overhead_pct: 6.1,
+                flight_overhead_pct: 3.9,
+            },
+            slicing: SlicingBench {
+                workload: "cs_n4_p6".into(),
+                processes: 4,
+                states: 100,
+                lattice_cuts: 5000,
+                slice_cuts: 200,
+                pruning_ratio: 25.0,
+                surviving_states: 40,
+                classes: 30,
+                slice_construct: WallStats::of(&[60_000, 120_000, 240_000]),
+                sliced_control: WallStats::of(&[30_000, 60_000, 120_000]),
+                unsliced_control: WallStats::of(&[1_200_000]),
+                feasible: true,
+            },
+        };
+        let json = serde_json::to_string_pretty(&r).unwrap();
+        let back: OfflineReport = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, r);
+    }
 }
