@@ -2,21 +2,36 @@
 //!
 //! The `ab` binary runs two executables in [`PAIRS`] pairs, alternating
 //! which side runs first, and reads each run's last stdout line, a
-//! [`RunLine`]. This module judges those runs.
+//! [`RunLine`]. This module judges every metric those runs print.
 //!
-//! Each gated metric is judged by its per-pair ratio B/A, oriented so that
-//! a value above 1 is worse. Pairing cancels the drift that interleaving
-//! spreads over both sides, and the order statistics `r` and `k + 1 − r`
-//! of the `k` ratios bound their median with at least [`CONFIDENCE`] (a
-//! sign-test interval, which assumes nothing about the noise's shape). A
-//! metric has *regressed* when the whole interval lies above `1 + bound`,
-//! is *unresolved* when the interval contains `1 + bound`, and is *ok*
-//! otherwise. It is also a *gain* when B wins at least nine tenths of the
-//! pairs and B's median beats A's by more than A's interquartile range.
+//! A metric is judged by its declaration: whether lower or higher is
+//! better, and an optional bound. A run line may declare both for a metric
+//! (`bench_suite`'s does); a metric its run line leaves undeclared takes
+//! its declaration from `BENCHMARK.json` (the end-to-end metrics with
+//! their bounds, the per-layer ones without).
+//!
+//! Per pair, the ratio B/A is oriented so that a value above 1 is worse.
+//! Pairing cancels the drift that interleaving spreads over both sides,
+//! and the order statistics `r` and `k + 1 − r` of the `k` ratios bound
+//! their median with at least [`CONFIDENCE`] (a sign-test interval, which
+//! assumes nothing about the noise's shape). Ratios are taken only when
+//! every value of both sides is positive. Then:
+//!
+//! * a metric in [`EXACT_UNIT`] is *exact*: it reads *changed* when B's
+//!   value differs from A's in any pair, and *same* otherwise;
+//! * a metric with a bound has *regressed* when the whole interval lies
+//!   above `1 + bound`, is *unresolved* when the interval contains
+//!   `1 + bound`, and is *ok* otherwise. It is also a *gain* when B wins
+//!   at least nine tenths of the pairs and B's median beats A's by more
+//!   than A's interquartile range;
+//! * any other metric is an attribution row, with no verdict.
+//!
+//! A metric that reads 0 on every run of both sides belongs to a layer the
+//! workload does not reach, and gets no row.
 
 use pctl_obs::stats::nearest_rank;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Pairs of runs per invocation.
 pub const PAIRS: usize = 10;
@@ -24,50 +39,29 @@ pub const PAIRS: usize = 10;
 /// Least coverage of the sign-test interval.
 pub const CONFIDENCE: f64 = 0.90;
 
-/// The `bench_suite` metrics the gate checks, each with whether lower is
-/// better. Each may worsen by [`SUITE_BOUND`].
-pub const SUITE: [(&str, bool); 7] = [
-    ("sweep_total_ms", true),
-    ("sweep_states_per_sec", false),
-    ("sweep_per_seed_p50_us", true),
-    ("sweep_per_seed_p95_us", true),
-    ("slicing_construct_p50_us", true),
-    ("slicing_control_p50_us", true),
-    // Deterministic for the fixed workload: a drop means the slice got
-    // less selective, which is a correctness smell as much as a perf one.
-    ("slicing_pruning_ratio", false),
-];
-
-/// How much worse than A a [`SUITE`] metric may read before it regresses.
-pub const SUITE_BOUND: f64 = 0.25;
+/// The unit of an exact metric: a count that the code under test fixes,
+/// so that any difference between the sides is a change of behaviour.
+pub const EXACT_UNIT: &str = "count";
 
 #[derive(Deserialize)]
 struct Declared {
     name: String,
     better: String,
-    bound: f64,
+    bound: Option<f64>,
 }
 
 #[derive(Deserialize)]
 struct Benchmark {
     end_to_end: Vec<Declared>,
+    per_layer: Vec<Declared>,
 }
 
-/// Every gated metric as (name, lower is better, bound): the end-to-end
-/// metrics `BENCHMARK.json` declares, with its bounds, then [`SUITE`].
-pub fn gates() -> Vec<(String, bool, f64)> {
+/// `BENCHMARK.json`'s declaration of metric `name`: (better, bound).
+fn benchmark_declaration(name: &str) -> Option<(String, Option<f64>)> {
     let declared: Benchmark = serde_json::from_str(include_str!("../../../BENCHMARK.json"))
-        .expect("BENCHMARK.json declares its end-to-end metrics");
-    let benchmark = declared.end_to_end.into_iter().map(|d| {
-        assert!(
-            ["lower", "higher"].contains(&d.better.as_str()),
-            "{}",
-            d.name
-        );
-        (d.name, d.better == "lower", d.bound)
-    });
-    let suite = SUITE.map(|(name, lower)| (name.to_string(), lower, SUITE_BOUND));
-    benchmark.chain(suite).collect()
+        .expect("BENCHMARK.json declares its metrics");
+    let mut all = declared.end_to_end.into_iter().chain(declared.per_layer);
+    all.find(|d| d.name == name).map(|d| (d.better, d.bound))
 }
 
 /// One metric of a run line.
@@ -77,6 +71,11 @@ pub struct Metric {
     pub value: f64,
     /// Its unit.
     pub unit: String,
+    /// `lower` or `higher`: which is better, when the run line declares it.
+    pub better: Option<String>,
+    /// Fraction by which B may be worse than A, when the run line declares
+    /// one.
+    pub bound: Option<f64>,
 }
 
 /// The last stdout line of one benchmark run. perfbench prints all three
@@ -118,33 +117,46 @@ pub enum Verdict {
     Unresolved,
     /// The whole interval lies above `1 + bound`.
     Regressed,
+    /// An exact metric reads the same on both sides in every pair.
+    Same,
+    /// An exact metric reads differently on the sides in some pair.
+    Changed,
 }
 
-/// The comparison of one gated metric.
+/// The pair ratios of one metric.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+pub struct Paired {
+    /// Per pair, in run order: B/A oriented so that above 1 is worse.
+    pub ratios: Vec<f64>,
+    /// Median of `ratios`.
+    pub median: f64,
+    /// Sign-test interval of that median.
+    pub interval: (f64, f64),
+    /// Pairs in which B read better than A (ties count for neither).
+    pub b_wins: usize,
+}
+
+/// The comparison of one metric.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct MetricReport {
     /// Metric name.
     pub name: String,
     /// Its unit.
     pub unit: String,
-    /// Fraction by which B may be worse than A.
-    pub bound: f64,
+    /// Fraction by which B may be worse than A; none for an exact metric
+    /// or an attribution row.
+    pub bound: Option<f64>,
     /// Side A's runs: (first quartile, median, third quartile).
     pub a: (f64, f64, f64),
     /// Side B's runs, likewise, after any injected slowdown.
     pub b: (f64, f64, f64),
-    /// Per pair, in run order: B/A oriented so that above 1 is worse.
-    pub ratios: Vec<f64>,
-    /// Median of `ratios`.
-    pub ratio_median: f64,
-    /// Sign-test interval of that median.
-    pub interval: (f64, f64),
-    /// Pairs in which B read better than A (ties count for neither).
-    pub b_wins: usize,
-    /// The verdict against `bound`.
-    pub verdict: Verdict,
-    /// B wins at least nine tenths of the pairs, and its median beats A's
-    /// by more than A's interquartile range.
+    /// The pair ratios, when every value of both sides is positive.
+    pub paired: Option<Paired>,
+    /// The verdict; none for an attribution row.
+    pub verdict: Option<Verdict>,
+    /// A bounded metric on which B wins at least nine tenths of the pairs,
+    /// and whose median on B beats A's by more than A's interquartile
+    /// range.
     pub gain: bool,
 }
 
@@ -166,9 +178,13 @@ pub struct AbReport {
     pub a_failed_share: f64,
     /// Likewise for B; above A's, it counts as a regression.
     pub b_failed_share: f64,
-    /// One entry per gated metric the runs report.
+    /// One entry per metric the runs report, in name order, but for those
+    /// in `not_reached`.
     pub metrics: Vec<MetricReport>,
-    /// Regressed metrics, plus one if B's failed share is above A's.
+    /// Metrics that read 0 on every run of both sides.
+    pub not_reached: Vec<String>,
+    /// Regressed and changed metrics, plus one if B's failed share is
+    /// above A's.
     pub regressions: usize,
 }
 
@@ -198,28 +214,49 @@ fn quartiles(values: &[f64]) -> (f64, f64, f64) {
     (q(25), q(50), q(75))
 }
 
-/// One side's values of metric `name`; the error names the side and pair
-/// of a run that lacks it or reads it as anything but a positive number.
-fn values(side: &str, runs: &[RunLine], name: &str) -> Result<Vec<f64>, String> {
-    let value = |(pair, run): (usize, &RunLine)| match run.metrics.get(name) {
-        Some(m) if m.value.is_finite() && m.value > 0.0 => Ok(m.value),
+/// One side's readings of metric `name`; the error names the side and
+/// pair of a run that lacks it or reads it as no finite number.
+fn column<'r>(side: &str, runs: &'r [RunLine], name: &str) -> Result<Vec<&'r Metric>, String> {
+    let metric = |(pair, run): (usize, &'r RunLine)| match run.metrics.get(name) {
+        Some(m) if m.value.is_finite() => Ok(m),
         got => Err(format!(
-            "side {side}, pair {}: {name} reads {got:?}",
-            pair + 1
+            "side {side}, pair {}: {name} reads {:?}",
+            pair + 1,
+            got.map(|m| m.value)
         )),
     };
-    runs.iter().enumerate().map(value).collect()
+    runs.iter().enumerate().map(metric).collect()
 }
 
-impl MetricReport {
-    fn of(
-        name: String,
-        lower_is_better: bool,
-        bound: f64,
-        unit: &str,
-        a: &[f64],
-        b: &[f64],
-    ) -> Self {
+/// Metric `name`'s declaration, from its readings on both sides: whether
+/// lower is better, and its bound. Every run must declare it as side A's
+/// first run does; the error names the first run that does not.
+fn declaration(name: &str, a: &[&Metric], b: &[&Metric]) -> Result<(bool, Option<f64>), String> {
+    let declared = |m: &Metric| (m.unit.clone(), m.better.clone(), m.bound);
+    let first = declared(a[0]);
+    for (side, column) in [("A", a), ("B", b)] {
+        if let Some(pair) = column.iter().position(|m| declared(m) != first) {
+            return Err(format!(
+                "side {side}, pair {}: {name} is declared {:?}, but side A, pair 1 declares {first:?}",
+                pair + 1,
+                declared(column[pair])
+            ));
+        }
+    }
+    let (better, bound) = match first.1 {
+        Some(better) => (better, first.2),
+        None => benchmark_declaration(name).ok_or_else(|| {
+            format!("{name} is declared neither by its run line nor by BENCHMARK.json")
+        })?,
+    };
+    match better.as_str() {
+        "lower" | "higher" => Ok((better == "lower", bound)),
+        other => Err(format!("{name}: better is {other:?}, not lower or higher")),
+    }
+}
+
+impl Paired {
+    fn of(lower_is_better: bool, a: &[f64], b: &[f64]) -> Self {
         let ratios: Vec<f64> = a
             .iter()
             .zip(b)
@@ -228,32 +265,62 @@ impl MetricReport {
         let mut sorted = ratios.clone();
         sorted.sort_by(f64::total_cmp);
         let (k, r) = (sorted.len(), sign_test_rank(sorted.len()));
-        let interval = (sorted[r - 1], sorted[k - r]);
-        let verdict = match 1.0 + bound {
-            limit if interval.0 > limit => Verdict::Regressed,
-            limit if interval.1 >= limit => Verdict::Unresolved,
-            _ => Verdict::Ok,
-        };
-        let b_wins = ratios.iter().filter(|&&r| r < 1.0).count();
-        let (a, b) = (quartiles(a), quartiles(b));
-        let better_by = if lower_is_better {
-            a.1 - b.1
-        } else {
-            b.1 - a.1
-        };
-        MetricReport {
+        Paired {
+            median: nearest_rank(&sorted, 50),
+            interval: (sorted[r - 1], sorted[k - r]),
+            b_wins: ratios.iter().filter(|&&r| r < 1.0).count(),
+            ratios,
+        }
+    }
+}
+
+impl MetricReport {
+    /// Judge one metric; the error names a bounded one that does not read
+    /// positive on every run.
+    fn of(
+        name: String,
+        unit: &str,
+        lower_is_better: bool,
+        bound: Option<f64>,
+        a: &[f64],
+        b: &[f64],
+    ) -> Result<Self, String> {
+        let positive = a.iter().chain(b).all(|&v| v > 0.0);
+        let paired = positive.then(|| Paired::of(lower_is_better, a, b));
+        let (qa, qb) = (quartiles(a), quartiles(b));
+        let (mut verdict, mut gain) = (None, false);
+        if unit == EXACT_UNIT {
+            verdict = Some(if a == b {
+                Verdict::Same
+            } else {
+                Verdict::Changed
+            });
+        } else if let Some(bound) = bound {
+            let p = paired.as_ref().ok_or_else(|| {
+                format!("{name} has a bound, so it must read positive on every run")
+            })?;
+            verdict = Some(match 1.0 + bound {
+                limit if p.interval.0 > limit => Verdict::Regressed,
+                limit if p.interval.1 >= limit => Verdict::Unresolved,
+                _ => Verdict::Ok,
+            });
+            let better_by = if lower_is_better {
+                qa.1 - qb.1
+            } else {
+                qb.1 - qa.1
+            };
+            gain = p.b_wins * 10 >= a.len() * 9 && better_by > qa.2 - qa.0;
+        }
+        Ok(MetricReport {
             name,
             unit: unit.into(),
-            bound,
-            gain: b_wins * 10 >= k * 9 && better_by > a.2 - a.0,
-            a,
-            b,
-            ratio_median: nearest_rank(&sorted, 50),
-            ratios,
-            interval,
-            b_wins,
+            bound: bound.filter(|_| unit != EXACT_UNIT),
+            a: qa,
+            b: qb,
+            paired,
             verdict,
-        }
+            gain,
+        })
     }
 }
 
@@ -262,9 +329,9 @@ impl AbReport {
     /// after scaling B's metrics `inject_slowdown_pct` percent in their
     /// worse direction.
     ///
-    /// Every run must report each gated metric that any run reports, as a
-    /// positive number, and at least one gated metric must be reported;
-    /// the error names the side and pair that does not.
+    /// Every run must report each metric that any run reports, as a finite
+    /// number, declared as side A's first run declares it; a bounded
+    /// metric must read positive; and some metric must read other than 0.
     ///
     /// # Panics
     /// Panics if the sides ran different numbers of runs, or none.
@@ -274,18 +341,30 @@ impl AbReport {
             "one run per side per pair"
         );
         let slow = 1.0 + inject_slowdown_pct / 100.0;
-        let mut metrics = Vec::new();
-        for (name, lower, bound) in gates() {
-            let Some(m) = a.iter().chain(b).find_map(|run| run.metrics.get(&name)) else {
-                continue;
-            };
+        let names: BTreeSet<&String> = a.iter().chain(b).flat_map(|r| r.metrics.keys()).collect();
+        let (mut metrics, mut not_reached) = (Vec::new(), Vec::new());
+        for name in names {
+            let (col_a, col_b) = (column("A", a, name)?, column("B", b, name)?);
+            let (lower, bound) = declaration(name, &col_a, &col_b)?;
+            let unit = &col_a[0].unit;
             let worse = if lower { slow } else { 1.0 / slow };
-            let b: Vec<f64> = values("B", b, &name)?.iter().map(|v| v * worse).collect();
-            let a = values("A", a, &name)?;
-            metrics.push(MetricReport::of(name, lower, bound, &m.unit, &a, &b));
+            let va: Vec<f64> = col_a.iter().map(|m| m.value).collect();
+            let vb: Vec<f64> = col_b.iter().map(|m| m.value * worse).collect();
+            if va.iter().chain(&vb).all(|&v| v == 0.0) {
+                not_reached.push(name.clone());
+                continue;
+            }
+            metrics.push(MetricReport::of(
+                name.clone(),
+                unit,
+                lower,
+                bound,
+                &va,
+                &vb,
+            )?);
         }
         if metrics.is_empty() {
-            return Err("the runs report no gated metric".into());
+            return Err("the runs report no metric that reads other than 0".into());
         }
         let attempted = |runs: &[RunLine]| -> Vec<u64> {
             runs.iter().map(|r| r.attempted.unwrap_or(0)).collect()
@@ -295,7 +374,9 @@ impl AbReport {
             failed as f64 / attempted(runs).iter().sum::<u64>().max(1) as f64
         };
         let (a_failed_share, b_failed_share) = (failed_share(a), failed_share(b));
-        let regressed = metrics.iter().filter(|m| m.verdict == Verdict::Regressed);
+        let regressed = metrics
+            .iter()
+            .filter(|m| matches!(m.verdict, Some(Verdict::Regressed | Verdict::Changed)));
         Ok(AbReport {
             pairs: a.len(),
             injected_slowdown_pct: inject_slowdown_pct,
@@ -305,6 +386,7 @@ impl AbReport {
             b_failed_share,
             regressions: regressed.count() + usize::from(b_failed_share > a_failed_share),
             metrics,
+            not_reached,
         })
     }
 
@@ -315,7 +397,8 @@ impl AbReport {
         let mut out = format!(
             "{} pairs, alternating which side ran first. Medians, with quartiles in brackets. \
              ratio = B/A, oriented so that above 1 is worse; its interval is order statistics \
-             {r} and {} of the pair ratios (sign test, >= {:.0}%).\n\n\
+             {r} and {} of the pair ratios (sign test, >= {:.0}%), taken when every value is \
+             positive. A row with no verdict is attribution only.\n\n\
              | metric | A | B | ratio (interval) | B better | verdict |\n|---|---:|---:|---:|---:|---|\n",
             self.pairs,
             self.pairs + 1 - r,
@@ -323,23 +406,39 @@ impl AbReport {
         );
         let spread = |(q1, median, q3)| format!("{} ({}–{})", num(median), num(q1), num(q3));
         for m in &self.metrics {
-            let verdict = match m.verdict {
-                Verdict::Ok => "ok",
-                Verdict::Unresolved => "unresolved",
-                Verdict::Regressed => "REGRESSED",
+            let (ratio, wins) = match &m.paired {
+                Some(p) => (
+                    format!("{:.3}× ({:.3}–{:.3})", p.median, p.interval.0, p.interval.1),
+                    format!("{}/{}", p.b_wins, self.pairs),
+                ),
+                None => ("–".into(), "–".into()),
+            };
+            let verdict = match (m.verdict, m.bound) {
+                (None, _) => "–".to_string(),
+                (Some(Verdict::Same), _) => "same (exact)".into(),
+                (Some(Verdict::Changed), _) => "CHANGED (exact)".into(),
+                (Some(v), bound) => format!(
+                    "{} (bound {:.0}%){}",
+                    match v {
+                        Verdict::Ok => "ok",
+                        Verdict::Unresolved => "unresolved",
+                        _ => "REGRESSED",
+                    },
+                    bound.unwrap_or(0.0) * 100.0,
+                    if m.gain { ", gain" } else { "" }
+                ),
             };
             out += &format!(
-                "| `{}` | {} | {} | {:.3}× ({:.3}–{:.3}) | {}/{} | {verdict} (bound {:.0}%){} |\n",
+                "| `{}` | {} | {} | {ratio} | {wins} | {verdict} |\n",
                 m.name,
                 spread(m.a),
-                spread(m.b),
-                m.ratio_median,
-                m.interval.0,
-                m.interval.1,
-                m.b_wins,
-                self.pairs,
-                m.bound * 100.0,
-                if m.gain { ", gain" } else { "" }
+                spread(m.b)
+            );
+        }
+        if !self.not_reached.is_empty() {
+            out += &format!(
+                "\nnot reached (0 on every run): {}\n",
+                self.not_reached.join(", ")
             );
         }
         let more_failed = self.b_failed_share > self.a_failed_share;
@@ -358,15 +457,20 @@ impl AbReport {
     }
 }
 
-/// Four significant digits below 1,000; whole numbers with thousands
-/// separators from there up.
+/// Four significant digits below 1,000 in magnitude; whole numbers with
+/// thousands separators from there up.
 fn num(v: f64) -> String {
-    if v < 1000.0 {
-        let decimals = (3 - v.log10().floor() as i32).max(0) as usize;
+    let magnitude = v.abs();
+    if magnitude < 1000.0 {
+        let decimals = if magnitude == 0.0 {
+            0
+        } else {
+            (3 - magnitude.log10().floor() as i32).max(0) as usize
+        };
         return format!("{v:.decimals$}");
     }
-    let digits = format!("{v:.0}");
-    let mut out = String::new();
+    let digits = format!("{magnitude:.0}");
+    let mut out = String::from(if v < 0.0 { "-" } else { "" });
     for (i, c) in digits.chars().enumerate() {
         if i > 0 && (digits.len() - i) % 3 == 0 {
             out.push(',');
@@ -380,18 +484,49 @@ fn num(v: f64) -> String {
 mod tests {
     use super::*;
 
-    /// A run line with `values` under the first names of [`SUITE`].
-    fn run(values: &[f64]) -> RunLine {
-        let metric = |(&(name, _), &value): (&(&str, bool), &f64)| {
-            let unit = "u".to_string();
-            (name.to_string(), Metric { value, unit })
-        };
-        let metrics = SUITE.iter().zip(values).map(metric).collect();
+    /// Seven metrics, in the order their names sort, with which direction
+    /// is better. [`run`] declares each with a 25% bound.
+    const NAMES: [(&str, &str); 7] = [
+        ("a_total_ms", "lower"),
+        ("b_states_per_s", "higher"),
+        ("c_p50_us", "lower"),
+        ("d_p95_us", "lower"),
+        ("e_construct_us", "lower"),
+        ("f_control_us", "lower"),
+        ("g_pruning_ratio", "higher"),
+    ];
+
+    /// A metric as a run line prints it.
+    fn metric(value: f64, unit: &str, better: Option<&str>, bound: Option<f64>) -> Metric {
+        let (unit, better) = (unit.to_string(), better.map(str::to_string));
+        Metric {
+            value,
+            unit,
+            better,
+            bound,
+        }
+    }
+
+    /// A run line of `metrics`.
+    fn line<'n>(metrics: impl IntoIterator<Item = (&'n str, Metric)>) -> RunLine {
+        let metrics = metrics.into_iter().map(|(n, m)| (n.to_string(), m));
         RunLine {
             attempted: None,
             failed: None,
-            metrics,
+            metrics: metrics.collect(),
         }
+    }
+
+    /// A run line with `values` under the first names of [`NAMES`].
+    fn run(values: &[f64]) -> RunLine {
+        let declared = |(&(name, better), &v): (&(&'static str, &str), &f64)| {
+            (name, metric(v, "u", Some(better), Some(0.25)))
+        };
+        line(NAMES.iter().zip(values).map(declared))
+    }
+
+    fn paired(m: &MetricReport) -> &Paired {
+        m.paired.as_ref().expect("every value is positive")
     }
 
     const BASE: [f64; 7] = [100.0, 1e6, 1000.0, 2000.0, 120.0, 60.0, 25.0];
@@ -410,7 +545,8 @@ mod tests {
     }
 
     fn verdicts(r: &AbReport) -> Vec<Verdict> {
-        r.metrics.iter().map(|m| m.verdict).collect()
+        let verdict = |m: &MetricReport| m.verdict.expect("a bounded metric");
+        r.metrics.iter().map(verdict).collect()
     }
 
     #[test]
@@ -425,9 +561,10 @@ mod tests {
             .rev()
             .map(|i| run(&[100.0 + i as f64]))
             .collect();
-        let m = &AbReport::of(&a, &b, 0.0).unwrap().metrics[0];
-        assert_eq!((m.interval, m.ratio_median), ((1.02, 1.09), 1.05));
-        assert_eq!(m.ratios[0], 1.1, "ratios stay in pair order");
+        let r = AbReport::of(&a, &b, 0.0).unwrap();
+        let p = paired(&r.metrics[0]);
+        assert_eq!((p.interval, p.median), ((1.02, 1.09), 1.05));
+        assert_eq!(p.ratios[0], 1.1, "ratios stay in pair order");
     }
 
     #[test]
@@ -435,36 +572,36 @@ mod tests {
         // 10% worse on every metric, each in its own direction.
         let r = judge([1.1, 1.0 / 1.1, 1.1, 1.1, 1.1, 1.1, 1.0 / 1.1], 0.0);
         assert_eq!(verdicts(&r), [Verdict::Ok; 7], "{r:?}");
-        assert!(r.metrics.iter().all(|m| m.b_wins == 0 && !m.gain));
+        assert!(r.metrics.iter().all(|m| paired(m).b_wins == 0 && !m.gain));
         // Twice as fast never regresses, and reads as a gain.
         let r = judge([0.5, 2.0, 0.5, 0.5, 0.5, 0.5, 2.0], 0.0);
         assert_eq!(r.regressions, 0);
-        assert!(r.metrics.iter().all(|m| m.gain && m.ratio_median < 0.6));
+        assert!(r.metrics.iter().all(|m| m.gain && paired(m).median < 0.6));
     }
 
     #[test]
     fn a_change_past_the_bound_is_flagged() {
-        // 50% slower on the sweep; slicing unchanged.
+        // 50% slower on the first four; the rest unchanged.
         let r = judge([1.5, 1.0 / 1.5, 1.5, 1.5, 1.0, 1.0, 1.0], 0.0);
         assert_eq!(verdicts(&r)[..4], [Verdict::Regressed; 4], "{r:?}");
         assert_eq!(
             (verdicts(&r)[4..].to_vec(), r.regressions),
             (vec![Verdict::Ok; 3], 4)
         );
-        assert!((r.metrics[0].ratio_median - 1.5).abs() < 0.03);
+        assert!((paired(&r.metrics[0]).median - 1.5).abs() < 0.03);
     }
 
     #[test]
     fn each_metric_is_judged_in_its_own_direction() {
-        // Doubled slice construction regresses (lower is better), and so
-        // does a collapsed pruning ratio (higher is better).
+        // A doubled time regresses (lower is better), and so does a
+        // collapsed ratio (higher is better).
         let r = judge([1.0, 1.0, 1.0, 1.0, 2.0, 1.0, 0.2], 0.0);
         let ok = Verdict::Ok;
         assert_eq!(
             verdicts(&r),
             [ok, ok, ok, ok, Verdict::Regressed, ok, Verdict::Regressed]
         );
-        // A doubled throughput or pruning ratio is a gain.
+        // A doubled throughput or ratio is a gain.
         let r = judge([1.0, 2.0, 1.0, 1.0, 1.0, 1.0, 2.0], 0.0);
         let gains: Vec<bool> = r.metrics.iter().map(|m| m.gain).collect();
         assert_eq!(gains, [false, true, false, false, false, false, true]);
@@ -475,10 +612,8 @@ mod tests {
         let (clean, slowed) = (judge([1.0; 7], 0.0), judge([1.0; 7], 30.0));
         assert_eq!((clean.regressions, slowed.regressions), (0, 7));
         for (m, c) in slowed.metrics.iter().zip(&clean.metrics) {
-            assert!(
-                (m.ratio_median / c.ratio_median - 1.3).abs() < 1e-9,
-                "{m:?}"
-            );
+            let ratio = paired(m).median / paired(c).median;
+            assert!((ratio - 1.3).abs() < 1e-9, "{m:?}");
         }
         // B's times are multiplied, its throughput divided.
         assert!(slowed.metrics[0].b.1 > clean.metrics[0].b.1);
@@ -491,8 +626,13 @@ mod tests {
             .filter(|l| l.contains("REGRESSED (bound 25%)"));
         assert_eq!(rows.count(), 7, "{table}");
         assert_eq!(
-            (num(0.09031), num(2_255_123.0)),
-            ("0.09031".into(), "2,255,123".into())
+            (num(0.09031), num(2_255_123.0), num(-1234.6), num(0.0)),
+            (
+                "0.09031".into(),
+                "2,255,123".into(),
+                "-1,235".into(),
+                "0".into()
+            )
         );
     }
 
@@ -511,11 +651,11 @@ mod tests {
         let wide = AbReport::of(&a, &b(0.0), 0.0).unwrap();
         assert_eq!(
             (wide.metrics[0].verdict, wide.regressions),
-            (Verdict::Unresolved, 0)
+            (Some(Verdict::Unresolved), 0)
         );
         // Lift the low pairs past the bound and it regresses.
         let narrow = AbReport::of(&a, &b(1.26), 0.0).unwrap();
-        assert_eq!(narrow.metrics[0].verdict, Verdict::Regressed);
+        assert_eq!(narrow.metrics[0].verdict, Some(Verdict::Regressed));
     }
 
     #[test]
@@ -534,7 +674,7 @@ mod tests {
     }
 
     #[test]
-    fn more_failures_on_b_regress_and_runs_must_carry_every_metric() {
+    fn more_failures_on_b_regress_and_runs_must_agree_on_every_metric() {
         let counted = |attempted, failed| RunLine {
             attempted: Some(attempted),
             failed: Some(failed),
@@ -548,19 +688,92 @@ mod tests {
         assert!(r.render().contains("B 0.001020 REGRESSED"));
         b[3] = run(&[]);
         let e = AbReport::of(&a, &b, 0.0).unwrap_err();
-        assert_eq!(e, "side B, pair 4: sweep_total_ms reads None");
+        assert_eq!(e, "side B, pair 4: a_total_ms reads None");
+        // A bounded metric must read positive.
         b[3] = run(&[0.0]);
-        assert!(AbReport::of(&a, &b, 0.0).is_err());
+        let e = AbReport::of(&a, &b, 0.0).unwrap_err();
+        assert!(e.starts_with("a_total_ms has a bound"), "{e}");
+        // B may not flip the direction A declares.
+        b[3] = run(&[1.0]);
+        b[3].metrics.get_mut("a_total_ms").unwrap().better = Some("higher".into());
+        let e = AbReport::of(&a, &b, 0.0).unwrap_err();
+        assert!(
+            e.starts_with("side B, pair 4: a_total_ms is declared"),
+            "{e}"
+        );
         let none = vec![run(&[]); PAIRS];
         assert!(AbReport::of(&none, &none, 0.0).is_err());
     }
 
     #[test]
-    fn gates_are_the_benchmarks_then_the_suites() {
-        let gates = gates();
-        let names: Vec<&str> = gates.iter().map(|g| g.0.as_str()).collect();
-        assert_eq!((names[0], names[4]), ("setup_s", "peak_rss_mb"));
-        assert_eq!(names[5..], SUITE.map(|(n, _)| n));
-        assert_eq!((gates[1].1, gates[4].1, gates[4].2), (false, true, 0.15));
+    fn declarations_come_from_the_run_line_then_the_benchmark() {
+        // BENCHMARK.json gives undeclared end-to-end metrics its bounds and
+        // per-layer ones none, and a `count` is exact.
+        let undeclared = |name, unit| (name, metric(2.0, unit, None, None));
+        let a = vec![
+            line([
+                undeclared("deposet.index_us", "us"),
+                undeclared("deposet.states", EXACT_UNIT),
+                ("mine", metric(2.0, "x", Some("higher"), Some(0.5))),
+                undeclared("peak_rss_mb", "MiB"),
+            ]);
+            PAIRS
+        ];
+        let mut b = a.clone();
+        b.iter_mut()
+            .for_each(|run| run.metrics.values_mut().for_each(|m| m.value = 3.0));
+        // B's count differs from A's in the first pair only.
+        b.iter_mut()
+            .skip(1)
+            .for_each(|run| run.metrics.get_mut("deposet.states").unwrap().value = 2.0);
+        let r = AbReport::of(&a, &b, 0.0).unwrap();
+        let bounds: Vec<Option<f64>> = r.metrics.iter().map(|m| m.bound).collect();
+        assert_eq!(bounds, [None, None, Some(0.5), Some(0.15)]);
+        let verdicts: Vec<Option<Verdict>> = r.metrics.iter().map(|m| m.verdict).collect();
+        let changed = Some(Verdict::Changed);
+        let (ok, regressed) = (Some(Verdict::Ok), Some(Verdict::Regressed));
+        assert_eq!(verdicts, [None, changed, ok, regressed]);
+        assert_eq!((paired(&r.metrics[0]).median, r.regressions), (1.5, 2));
+        assert!(r.render().contains("| CHANGED (exact) |"));
+        // A metric that neither declares, or a direction other than lower
+        // or higher, cannot be judged.
+        let mystery = vec![line([undeclared("mystery", "us")]); PAIRS];
+        let e = AbReport::of(&mystery, &mystery, 0.0).unwrap_err();
+        assert!(e.starts_with("mystery is declared neither"), "{e}");
+        let sideways = vec![line([("x", metric(1.0, "us", Some("up"), None))]); PAIRS];
+        assert!(AbReport::of(&sideways, &sideways, 0.0).is_err());
+    }
+
+    #[test]
+    fn traced_runs_are_attributed_without_a_verdict() {
+        // Per-layer metrics only, none bounded. A layer at 0 everywhere
+        // gets no row, and a share that reads negative gets a row without
+        // ratios.
+        let traced = |i: usize| {
+            let share = if i.is_multiple_of(2) { -0.0012 } else { 0.003 };
+            line([
+                ("deposet.index_us", metric(7.0 + i as f64, "us", None, None)),
+                ("sim.run_us", metric(0.0, "us", None, None)),
+                ("trace_overhead_share", metric(share, "share", None, None)),
+            ])
+        };
+        let a: Vec<RunLine> = (0..PAIRS).map(traced).collect();
+        let b: Vec<RunLine> = (0..PAIRS).rev().map(traced).collect();
+        let r = AbReport::of(&a, &b, 0.0).unwrap();
+        let names: Vec<&str> = r.metrics.iter().map(|m| m.name.as_str()).collect();
+        assert_eq!(names, ["deposet.index_us", "trace_overhead_share"]);
+        assert_eq!(
+            (&r.not_reached[..], r.regressions),
+            (&["sim.run_us".into()][..], 0)
+        );
+        assert!(r.metrics.iter().all(|m| m.verdict.is_none() && !m.gain));
+        assert!(r.metrics[0].paired.is_some() && r.metrics[1].paired.is_none());
+        let table = r.render();
+        let row = "| `trace_overhead_share` | -0.001200 (-0.001200–0.003000) |";
+        assert!(table.contains(row), "{table}");
+        assert!(table.contains("| – | – | – |\n"), "{table}");
+        assert!(table.contains("not reached (0 on every run): sim.run_us"));
+        let back: AbReport = serde_json::from_str(&crate::report::json_line(&r)).unwrap();
+        assert_eq!(back, r);
     }
 }

@@ -2,13 +2,19 @@
 //!
 //! Runs the executables `A` and `B` (builds of `bench_suite` or perfbench)
 //! in `pctl_bench::ab::PAIRS` pairs, alternating which side runs first,
-//! each with `<args…>` unchanged, and judges their last stdout lines with
-//! `pctl_bench::ab`. Prints the table, then the JSON report as its last
-//! line. `--inject-slowdown PCT` worsens B's numbers by `PCT` percent, so
-//! the gate can be shown to trip. Exits 2 on any regression, 3 when a run
-//! cannot be judged (`pctl_bench::ab::read_run`: its last line is not a
-//! run line, or it exited non-zero without reporting a failed operation),
-//! and 1 on a usage error.
+//! each with `<args…>` unchanged, and judges every metric of their last
+//! stdout lines with `pctl_bench::ab`. Prints the table, then the JSON
+//! report as its last line. `--inject-slowdown PCT` worsens B's numbers by
+//! `PCT` percent, so the gate can be shown to trip.
+//!
+//! Exits 2 on any regression: a bounded metric regressed, an exact count
+//! changed, or B failed a larger share of its operations. Exits 3 when the
+//! runs cannot be judged: a run's last line is not a run line, a run
+//! exited non-zero without reporting a failed operation
+//! (`pctl_bench::ab::read_run`), or a metric is missing from a run,
+//! declared by neither its run line nor `BENCHMARK.json`, or declared
+//! differently by the sides (`pctl_bench::ab::AbReport::of`). Exits 1 on a
+//! usage error.
 
 use pctl_bench::ab::{read_run, AbReport, RunLine, PAIRS};
 use std::process::{Command, ExitCode};

@@ -14,17 +14,17 @@
 //! * **streaming** — the telemetry-off and flight-off A/B ratios of the
 //!   daemon's append path, run in interleaved rounds;
 //! * **sweep** — the multi-seed post-run safety audit: deposet construction
-//!   (vector-clock arena DP) plus `verify::sweep_faulty_run` per seed, run
-//!   both sequentially and with deterministic scoped-thread fan-out.
+//!   (vector-clock arena DP) plus `verify::sweep_faulty_run` per seed, one
+//!   seed after another on one thread.
 //!
 //! Reports are round-trip validated before they are written. The last
-//! stdout line is one JSON object, `{"metrics": {NAME: {"value", "unit"}}}`,
-//! holding the seven numbers `ab` gates (`pctl_bench::ab::SUITE`): four of
-//! the sequential sweep and three of the slicing section. The gate is `ab`
-//! running two builds of this binary interleaved; this binary compares
-//! nothing with a recorded file. `--inject-slowdown PCT` synthetically
-//! worsens the flight-on throughput, so the flight verdict can be
-//! integration-tested.
+//! stdout line is one JSON object, `{"metrics": {NAME: {"value", "unit",
+//! "better", "bound"}}}`, holding the six numbers the gate judges, each
+//! declaring its direction and its bound: three of the sweep and three of
+//! the slicing section. The gate is `ab` running two builds of this binary
+//! interleaved; this binary compares nothing with a recorded file.
+//! `--inject-slowdown PCT` synthetically worsens the flight-on throughput,
+//! so the flight verdict can be integration-tested.
 //!
 //! After the timed rounds (so measurement is never perturbed) one
 //! profiler-enabled sweep round runs with `pctl_obs::prof`: its phase
@@ -44,8 +44,8 @@
 
 use pctl_bench::ab::{Metric, RunLine};
 use pctl_bench::report::{
-    OfflineCase, OfflineReport, OverlapCase, SlicingBench, StreamingBench, SweepMode, SweepReport,
-    WallStats, SCHEMA,
+    OfflineCase, OfflineReport, OverlapCase, SlicingBench, StreamingBench, SweepReport, WallStats,
+    SCHEMA,
 };
 use pctl_core::offline::{control_intervals, Engine, OfflineOptions, SelectPolicy};
 use pctl_core::verify::sweep_faulty_run;
@@ -53,7 +53,6 @@ use pctl_core::PredicateEngine;
 use pctl_deposet::generator::{
     cs_workload, pipelined_workload, random_deposet, CsConfig, RandomConfig,
 };
-use pctl_deposet::par::{ordered_map, worker_count};
 use pctl_deposet::{
     Deposet, DisjunctivePredicate, FalseIntervals, LocalPredicate, PredicateClass,
     RegularPredicate, SlicedDeposet,
@@ -555,62 +554,32 @@ fn run_sweep(smoke: bool) -> (SweepReport, prof::ProfReport) {
         .map(|p| p.states.iter().map(Vec::len).sum::<usize>())
         .sum();
 
-    // Sequential rounds.
-    let mut seq_samples = Vec::new();
-    let mut seq_total_ns = u64::MAX;
-    let mut seq_outcomes: Vec<SweepOutcome> = Vec::new();
+    let mut samples = Vec::new();
+    let mut total_ns = u64::MAX;
+    let mut outcomes: Vec<SweepOutcome> = Vec::new();
     for _ in 0..rounds {
         let t0 = Instant::now();
         let round: Vec<(SweepOutcome, u64)> =
             parts.iter().map(|p| sweep_one(p, &witness)).collect();
         let total = nanos(t0.elapsed());
-        seq_total_ns = seq_total_ns.min(total);
-        seq_outcomes = round.iter().map(|(o, _)| o.clone()).collect();
-        seq_samples.extend(round.iter().map(|(_, ns)| *ns));
+        total_ns = total_ns.min(total);
+        outcomes = round.iter().map(|(o, _)| o.clone()).collect();
+        samples.extend(round.iter().map(|(_, ns)| *ns));
     }
 
-    // Parallel rounds (deterministic ordered merge).
-    let threads = worker_count(parts.len());
-    let mut par_samples = Vec::new();
-    let mut par_total_ns = u64::MAX;
-    let mut par_outcomes: Vec<SweepOutcome> = Vec::new();
-    for _ in 0..rounds {
-        let t0 = Instant::now();
-        let round: Vec<(SweepOutcome, u64)> = ordered_map(&parts, |_, p| sweep_one(p, &witness));
-        let total = nanos(t0.elapsed());
-        par_total_ns = par_total_ns.min(total);
-        par_outcomes = round.iter().map(|(o, _)| o.clone()).collect();
-        par_samples.extend(round.iter().map(|(_, ns)| *ns));
-    }
-
-    assert_eq!(
-        seq_outcomes, par_outcomes,
-        "parallel sweep must be bit-identical to sequential"
-    );
-
-    // One profiler-enabled sequential round, strictly after the timed
-    // rounds so instrumentation can never perturb the measurements. The
-    // resulting phase report both bounds profiler overhead (see main) and
-    // feeds the Chrome trace export.
+    // One profiler-enabled round, strictly after the timed rounds so
+    // instrumentation can never perturb the measurements. The resulting
+    // phase report both bounds profiler overhead (see main) and feeds the
+    // Chrome trace export.
     prof::reset();
     prof::set_enabled(true);
     let prof_outcomes: Vec<SweepOutcome> = parts.iter().map(|p| sweep_one(p, &witness).0).collect();
     prof::set_enabled(false);
     let prof_report = prof::report();
     assert_eq!(
-        prof_outcomes, seq_outcomes,
+        prof_outcomes, outcomes,
         "profiling is observational: the profiled round must be bit-identical"
     );
-
-    let mode = |name: &str, threads: usize, samples: &[u64], total_ns: u64| SweepMode {
-        mode: name.into(),
-        threads,
-        per_seed: WallStats::of(samples),
-        total_ms: total_ns as f64 / 1e6,
-        states_per_sec: states_total as f64 / (total_ns.max(1) as f64 / 1e9),
-    };
-    let sequential = mode("sequential", 1, &seq_samples, seq_total_ns);
-    let parallel = mode("parallel", threads, &par_samples, par_total_ns);
 
     let report = SweepReport {
         schema: SCHEMA.into(),
@@ -620,21 +589,20 @@ fn run_sweep(smoke: bool) -> (SweepReport, prof::ProfReport) {
         processes,
         events_per_seed: events,
         states_total,
-        sequential,
-        parallel,
-        deterministic: true,
+        per_seed: WallStats::of(&samples),
+        total_ms: total_ns as f64 / 1e6,
     };
     (report, prof_report)
 }
 
 /// Bound the profiler's disabled-path cost: the spans one sweep round
 /// completes, times the measured per-span disabled cost, must stay below
-/// 2% of the sweep's sequential wall time.
-fn check_disabled_overhead(prof_report: &prof::ProfReport, seq_total_ns: u64) -> (f64, u64, f64) {
+/// 2% of the sweep's wall time.
+fn check_disabled_overhead(prof_report: &prof::ProfReport, sweep_ns: u64) -> (f64, u64, f64) {
     let spans = prof_report.span_count();
     let per_span_ns = prof::disabled_span_cost_ns(1_000_000);
     let overhead_ns = spans as f64 * per_span_ns;
-    let run_ns = seq_total_ns.max(1) as f64;
+    let run_ns = sweep_ns.max(1) as f64;
     let pct = overhead_ns / run_ns * 100.0;
     (per_span_ns, spans, pct)
 }
@@ -663,25 +631,38 @@ impl Verdicts {
     }
 }
 
-/// The run line `ab` reads: the seven gated numbers of this run.
-fn run_line(sweep: &SweepMode, sl: &SlicingBench) -> RunLine {
-    let metric = |name: &str, value, unit: &str| {
-        let unit = unit.to_string();
-        (name.to_string(), Metric { value, unit })
-    };
-    let metrics = BTreeMap::from([
-        metric("sweep_total_ms", sweep.total_ms, "ms"),
-        metric("sweep_states_per_sec", sweep.states_per_sec, "states/s"),
-        metric("sweep_per_seed_p50_us", sweep.per_seed.p50_us, "us"),
-        metric("sweep_per_seed_p95_us", sweep.per_seed.p95_us, "us"),
-        metric("slicing_construct_p50_us", sl.slice_construct.p50_us, "us"),
-        metric("slicing_control_p50_us", sl.sliced_control.p50_us, "us"),
-        metric("slicing_pruning_ratio", sl.pruning_ratio, "ratio"),
-    ]);
+/// How much worse than A a number of the run line may read on B before
+/// `ab` calls it regressed.
+const BOUND: f64 = 0.25;
+
+/// The run line `ab` reads: the six numbers of this run that it judges,
+/// each with the direction in which it is better and [`BOUND`].
+fn run_line(sweep: &SweepReport, sl: &SlicingBench) -> RunLine {
+    let (per_seed, construct, control) = (&sweep.per_seed, &sl.slice_construct, &sl.sliced_control);
+    let metrics = [
+        ("sweep_total_ms", sweep.total_ms, "ms", "lower"),
+        ("sweep_per_seed_p50_us", per_seed.p50_us, "us", "lower"),
+        ("sweep_per_seed_p95_us", per_seed.p95_us, "us", "lower"),
+        ("slicing_construct_p50_us", construct.p50_us, "us", "lower"),
+        ("slicing_control_p50_us", control.p50_us, "us", "lower"),
+        // Deterministic for the fixed workload: a drop means the slice got
+        // less selective, which is a correctness smell as much as a perf one.
+        ("slicing_pruning_ratio", sl.pruning_ratio, "ratio", "higher"),
+    ];
+    let metrics = metrics.map(|(name, value, unit, better)| {
+        let (unit, better, bound) = (unit.to_string(), Some(better.to_string()), Some(BOUND));
+        let metric = Metric {
+            value,
+            unit,
+            better,
+            bound,
+        };
+        (name.to_string(), metric)
+    });
     RunLine {
         attempted: None,
         failed: None,
-        metrics,
+        metrics: BTreeMap::from(metrics),
     }
 }
 
@@ -767,19 +748,11 @@ fn main() {
         sweep.states_total
     );
     println!(
-        "  sequential: total={:.1}ms p50={:.1}us p95={:.1}us  {:.0} states/s",
-        sweep.sequential.total_ms,
-        sweep.sequential.per_seed.p50_us,
-        sweep.sequential.per_seed.p95_us,
-        sweep.sequential.states_per_sec
-    );
-    println!(
-        "  parallel({}): total={:.1}ms p50={:.1}us p95={:.1}us  {:.0} states/s",
-        sweep.parallel.threads,
-        sweep.parallel.total_ms,
-        sweep.parallel.per_seed.p50_us,
-        sweep.parallel.per_seed.p95_us,
-        sweep.parallel.states_per_sec
+        "  total={:.1}ms p50={:.1}us p95={:.1}us  {:.0} states/s",
+        sweep.total_ms,
+        sweep.per_seed.p50_us,
+        sweep.per_seed.p95_us,
+        sweep.states_total as f64 / (sweep.total_ms.max(1e-6) / 1e3)
     );
 
     // Profiler: phase report, Chrome trace export, disabled-cost bound.
@@ -794,14 +767,14 @@ fn main() {
             json.len()
         );
     }
-    let seq_total_ns = (sweep.sequential.total_ms * 1e6) as u64;
-    let (per_span_ns, spans, overhead_pct) = check_disabled_overhead(&prof_report, seq_total_ns);
+    let sweep_ns = (sweep.total_ms * 1e6) as u64;
+    let (per_span_ns, spans, overhead_pct) = check_disabled_overhead(&prof_report, sweep_ns);
     verdicts.check(
         overhead_pct < 2.0,
         true,
         format!(
             "disabled profiler overhead {overhead_pct:.4}% of the sweep (budget 2%; \
-             {per_span_ns:.2}ns/span × {spans} spans over {seq_total_ns}ns)"
+             {per_span_ns:.2}ns/span × {spans} spans over {sweep_ns}ns)"
         ),
     );
 
@@ -809,10 +782,7 @@ fn main() {
     for line in &verdicts.lines {
         println!("  {line}");
     }
-    println!(
-        "{}",
-        pctl_bench::report::json_line(&run_line(&sweep.sequential, sl))
-    );
+    println!("{}", pctl_bench::report::json_line(&run_line(&sweep, sl)));
     if verdicts.failed > 0 {
         eprintln!("FAIL: {} verdict(s) failed", verdicts.failed);
         std::process::exit(2);

@@ -16,7 +16,6 @@ use pctl_bench::{cell, loglog_slope, timed, Table};
 use pctl_core::reduction::reduce_sat_to_sgsd;
 use pctl_core::sat::{satisfiable, Cnf};
 use pctl_core::sgsd::sgsd;
-use pctl_deposet::par::ordered_map;
 
 fn main() {
     println!("E1: SAT -> SGSD reduction (paper Fig. 1, Lemma 1, Thm 1)\n");
@@ -38,19 +37,13 @@ fn main() {
         let mut agree = 0;
         let mut sgsd_times = Vec::new();
         let mut dpll_times = Vec::new();
-        // Instance prep (CNF sampling + gadget construction) is per-seed
-        // independent: fan out, deterministic merge. The decision timings
-        // below stay on the measuring thread.
-        let seeds: Vec<u64> = (0..instances as u64).map(|s| s + 1000 * m as u64).collect();
-        let prepared = ordered_map(&seeds, |_, &seed| {
+        for seed in (0..instances as u64).map(|s| s + 1000 * m as u64) {
+            // CNF sampling and gadget construction stay outside the timings.
             let cnf = Cnf::random_ksat(m, clauses, 3, seed);
             let inst = reduce_sat_to_sgsd(&cnf);
-            (cnf, inst)
-        });
-        for (cnf, inst) in &prepared {
             let (sgsd_out, t_sgsd) =
                 timed(|| sgsd(&inst.deposet, &inst.predicate, usize::MAX).unwrap());
-            let (dpll_out, t_dpll) = timed(|| satisfiable(cnf));
+            let (dpll_out, t_dpll) = timed(|| satisfiable(&cnf));
             sgsd_times.push(t_sgsd);
             dpll_times.push(t_dpll);
             if dpll_out {

@@ -19,7 +19,6 @@ use pctl_bench::{cell, Table};
 use pctl_core::online::ft::FtParams;
 use pctl_core::online::PeerSelect;
 use pctl_core::verify::sweep_faulty_run;
-use pctl_deposet::par::ordered_map;
 use pctl_deposet::{LocalPredicate, ProcessId};
 use pctl_mutex::driver::{max_concurrent, WorkloadConfig};
 use pctl_mutex::run_ft_antitoken;
@@ -55,11 +54,15 @@ fn main() {
         "max conc",
         "fully safe",
     ]);
-    let seeds: Vec<u64> = (0..SEEDS).collect();
     for drop_pct in [0u32, 2, 5, 10, 20] {
-        // Per-seed runs are independent (deterministic simulated-time
-        // metrics, no wall-clock): fan out, aggregate in seed order.
-        let runs = ordered_map(&seeds, |_, &seed| {
+        let mut entries = 0u64;
+        let mut dropped = 0u64;
+        let mut retrans = 0u64;
+        let mut ctrl = 0u64;
+        let mut responses: Vec<u64> = Vec::new();
+        let mut conc = 0usize;
+        let mut safe = 0u64;
+        for seed in 0..SEEDS {
             let plan = FaultPlan::uniform_loss(f64::from(drop_pct) / 100.0);
             let r = run_ft_antitoken(
                 &workload(n, seed),
@@ -73,16 +76,6 @@ fn main() {
                 report.safe_modulo_crashes(),
                 "drop={drop_pct}% seed={seed}: clean violation {report:?}"
             );
-            (r, report)
-        });
-        let mut entries = 0u64;
-        let mut dropped = 0u64;
-        let mut retrans = 0u64;
-        let mut ctrl = 0u64;
-        let mut responses: Vec<u64> = Vec::new();
-        let mut conc = 0usize;
-        let mut safe = 0u64;
-        for (r, report) in &runs {
             entries += r.metrics.counter("entries");
             dropped += r.metrics.counter("msgs_dropped");
             retrans += r.metrics.counter("retransmissions");
@@ -132,7 +125,14 @@ fn main() {
         "fault counters (seed 0)",
     ]);
     for restart in [None, Some(300u64)] {
-        let runs = ordered_map(&seeds, |_, &seed| {
+        let mut entries = 0u64;
+        let mut rejoins = 0u64;
+        let mut regens = 0u64;
+        let mut aborted = 0u64;
+        let mut conc = 0usize;
+        let mut safe = 0u64;
+        let mut first_line = String::new();
+        for seed in 0..SEEDS {
             let plan = FaultPlan::none().with_crash(ProcessId(0), SimTime(25), restart);
             let r = run_ft_antitoken(
                 &workload(n, seed),
@@ -150,16 +150,6 @@ fn main() {
                 r.outcomes()
             );
             let report = sweep_faulty_run(&r.deposet, &LocalPredicate::not_var("cs"));
-            (r, report)
-        });
-        let mut entries = 0u64;
-        let mut rejoins = 0u64;
-        let mut regens = 0u64;
-        let mut aborted = 0u64;
-        let mut conc = 0usize;
-        let mut safe = 0u64;
-        let mut first_line = String::new();
-        for (seed, (r, report)) in runs.iter().enumerate() {
             entries += r.metrics.counter("entries");
             rejoins += r.metrics.counter("rejoins");
             regens += r.metrics.counter("regenerations");

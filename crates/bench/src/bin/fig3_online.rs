@@ -14,9 +14,11 @@
 //!   contended entry).
 
 use pctl_bench::{cell, Table};
-use pctl_deposet::par::ordered_map;
 use pctl_mutex::compare::{compare_all, compare_at_k};
 use pctl_mutex::driver::WorkloadConfig;
+
+/// Seeds averaged per row.
+const SEEDS: u64 = 5;
 
 fn main() {
     println!("E4/E5: on-line control as (n-1)-mutex (paper Fig. 3, Section 6)\n");
@@ -37,12 +39,12 @@ fn main() {
         "2T",
         "2T+Emax",
     ]);
-    let seeds: Vec<u64> = (0..5).collect();
     for n in [2usize, 4, 8, 16, 32] {
-        // Aggregate over seeds for stable means. Per-seed runs are
-        // independent deterministic simulations: fan out, merge in seed
-        // order.
-        let runs = ordered_map(&seeds, |_, &seed| {
+        // Aggregate over seeds for stable means.
+        let mut entries = 0u64;
+        let mut ctrl = 0u64;
+        let mut responses: Vec<u64> = Vec::new();
+        for seed in 0..SEEDS {
             let cfg = WorkloadConfig {
                 processes: n,
                 entries_per_process: 8,
@@ -53,12 +55,6 @@ fn main() {
             };
             let r = pctl_mutex::run_antitoken(&cfg, pctl_core::online::PeerSelect::Random);
             assert!(!r.deadlocked(), "no deadlock under A1/A2");
-            r
-        });
-        let mut entries = 0u64;
-        let mut ctrl = 0u64;
-        let mut responses: Vec<u64> = Vec::new();
-        for r in &runs {
             entries += r.metrics.counter("entries");
             ctrl += r.metrics.counter("msgs_ctrl");
             responses.extend(r.metrics.samples("response"));
@@ -112,9 +108,9 @@ fn main() {
         "ok",
     ]);
     for n in [4usize, 8, 16] {
-        // Average across seeds per algorithm; the seed fan-out runs every
-        // algorithm suite concurrently, the accumulation stays seed-ordered.
-        let per_seed = ordered_map(&seeds, |_, &seed| {
+        // Average across seeds per algorithm.
+        let mut acc: Vec<(String, f64, f64, u64, usize, bool, usize)> = Vec::new();
+        for seed in 0..SEEDS {
             let cfg = WorkloadConfig {
                 processes: n,
                 entries_per_process: 6,
@@ -123,11 +119,7 @@ fn main() {
                 seed,
                 delay,
             };
-            compare_all(&cfg)
-        });
-        let mut acc: Vec<(String, f64, f64, u64, usize, bool, usize)> = Vec::new();
-        for reports in per_seed {
-            for (i, rep) in reports.into_iter().enumerate() {
+            for (i, rep) in compare_all(&cfg).into_iter().enumerate() {
                 if acc.len() <= i {
                     acc.push((rep.algo.clone(), 0.0, 0.0, 0, rep.k, true, 0));
                 }
@@ -173,7 +165,10 @@ fn main() {
         "winner",
     ]);
     for k in [1usize, 2, 4, 6, 8, 10, 11] {
-        let per_seed = ordered_map(&seeds, |_, &seed| {
+        let mut anti = 0.0;
+        let mut suz = 0.0;
+        let mut cen = 0.0;
+        for seed in 0..SEEDS {
             let cfg = WorkloadConfig {
                 processes: n,
                 entries_per_process: 6,
@@ -190,17 +185,11 @@ fn main() {
                     rep.algo
                 );
             }
-            reports
-        });
-        let mut anti = 0.0;
-        let mut suz = 0.0;
-        let mut cen = 0.0;
-        for reports in &per_seed {
             anti += reports[0].msgs_per_entry;
             cen += reports[1].msgs_per_entry;
             suz += reports[2].msgs_per_entry;
         }
-        let count = seeds.len() as f64;
+        let count = SEEDS as f64;
         let (a, s_, c) = (anti / count, suz / count, cen / count);
         let winner = if a <= s_ && a <= c {
             "anti-token-m"

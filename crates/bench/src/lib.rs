@@ -11,10 +11,17 @@
 //!   message loss and scapegoat crashes;
 //! * `fig4_debugging` — E6: the Section 7 active-debugging walkthrough.
 //!
+//! The figure binaries run on one thread, seeds in order, so every table
+//! but its timing columns is fixed by its seeds.
+//!
 //! `bench_suite` records the perf trajectory for what the repository
 //! benchmark (`perfbench/`) does not measure; its report schema is
-//! [`report`]. `ab` is the regression gate: it runs two builds of
-//! `bench_suite` or perfbench interleaved and judges them with [`ab`].
+//! [`report`], and its last stdout line declares how each of its numbers
+//! is judged. `ab` is the regression gate: it runs two builds of
+//! `bench_suite` or perfbench interleaved and judges every metric they
+//! print with [`ab`], by the run line's declarations or else
+//! `BENCHMARK.json`'s. Over traced perfbench runs its table is the layer
+//! attribution of a change.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

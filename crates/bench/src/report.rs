@@ -10,7 +10,7 @@ use pctl_obs::stats::Percentiles;
 use serde::{Deserialize, Serialize};
 
 /// Schema tag written into every report.
-pub const SCHEMA: &str = "pctl-bench-v1";
+pub const SCHEMA: &str = "pctl-bench-v2";
 
 /// Wall-time summary of repeated measurements, in fractional
 /// microseconds (sampled at nanosecond resolution, so a sub-µs case does
@@ -181,21 +181,6 @@ pub struct OfflineReport {
     pub slicing: SlicingBench,
 }
 
-/// One execution mode of the multi-seed sweep bench.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct SweepMode {
-    /// `sequential` or `parallel`.
-    pub mode: String,
-    /// Worker threads used (1 for sequential).
-    pub threads: usize,
-    /// Distribution of per-seed wall times (construction + sweep).
-    pub per_seed: WallStats,
-    /// End-to-end wall time for the whole sweep (ms).
-    pub total_ms: f64,
-    /// Local states processed per second over the whole sweep.
-    pub states_per_sec: f64,
-}
-
 /// The `BENCH_sweep.json` payload.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct SweepReport {
@@ -213,13 +198,10 @@ pub struct SweepReport {
     pub events_per_seed: usize,
     /// Total local states across all seeds.
     pub states_total: usize,
-    /// Sequential numbers (the source of the suite's `sweep_*` metrics).
-    pub sequential: SweepMode,
-    /// Parallel numbers (std::thread::scope fan-out, deterministic merge).
-    pub parallel: SweepMode,
-    /// Whether the parallel sweep produced bit-identical results to the
-    /// sequential sweep (hard-asserted by the harness before writing).
-    pub deterministic: bool,
+    /// Distribution of per-seed wall times (construction + sweep).
+    pub per_seed: WallStats,
+    /// Wall time of the fastest round over every seed (ms).
+    pub total_ms: f64,
 }
 
 /// Serialize a report, validate it by parsing it back, then write it.
@@ -281,13 +263,6 @@ mod tests {
 
     #[test]
     fn sweep_report_roundtrips() {
-        let mode = |m: &str| SweepMode {
-            mode: m.into(),
-            threads: 1,
-            per_seed: WallStats::of(&[10, 20]),
-            total_ms: 0.03,
-            states_per_sec: 1e6,
-        };
         let r = SweepReport {
             schema: SCHEMA.into(),
             bench: "sweep".into(),
@@ -296,9 +271,8 @@ mod tests {
             processes: 4,
             events_per_seed: 100,
             states_total: 208,
-            sequential: mode("sequential"),
-            parallel: mode("parallel"),
-            deterministic: true,
+            per_seed: WallStats::of(&[10, 20]),
+            total_ms: 0.03,
         };
         let json = serde_json::to_string_pretty(&r).unwrap();
         let back: SweepReport = serde_json::from_str(&json).unwrap();

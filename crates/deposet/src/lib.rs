@@ -40,7 +40,6 @@ pub mod global;
 pub mod intervals;
 pub mod lattice;
 pub mod model;
-pub mod par;
 pub mod predicate;
 pub mod scenarios;
 pub mod sequences;

@@ -171,7 +171,7 @@ proptest! {
     /// included: the index's in-place column build and the extractor cannot
     /// drift from the primitives or from each other.
     #[test]
-    fn parallel_extract_is_bit_identical_to_sequential((cfg, seed) in arb_config()) {
+    fn extract_and_index_match_store_primitives((cfg, seed) in arb_config()) {
         let dep = random_deposet(&cfg, seed);
         let pred = pctl_deposet::DisjunctivePredicate::at_least_one(dep.process_count(), "ok");
         let sequential: Vec<(Vec<bool>, Vec<pctl_deposet::Interval>)> = dep
