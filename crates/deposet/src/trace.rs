@@ -19,8 +19,10 @@ pub struct Trace {
     /// Format version for forward compatibility.
     pub version: u32,
     /// Per-process local state sequences.
+    #[serde(deserialize_with = "serde::nested_vec")]
     pub states: Vec<Vec<LocalState>>,
     /// Per-process event sequences (`events[p].len() == states[p].len()-1`).
+    #[serde(deserialize_with = "serde::nested_vec")]
     pub events: Vec<Vec<EventKind>>,
     /// Delivered messages.
     pub messages: Vec<Message>,
@@ -88,9 +90,14 @@ impl Trace {
     }
 }
 
-/// Serialize a deposet to pretty JSON.
+/// Serialize a deposet to pretty JSON. The text holds no spare capacity:
+/// the writer's buffer grows by doubling, and callers keep the text (a
+/// corpus in memory, a file about to be written).
 pub fn to_json(dep: &Deposet) -> String {
-    serde_json::to_string_pretty(&Trace::from_deposet(dep)).expect("trace is always serializable")
+    let mut json = serde_json::to_string_pretty(&Trace::from_deposet(dep))
+        .expect("trace is always serializable");
+    json.shrink_to_fit();
+    json
 }
 
 /// Parse a deposet from trace JSON.

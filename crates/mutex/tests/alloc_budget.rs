@@ -281,3 +281,22 @@ fn trace_decode_allocates_almost_nothing_per_state() {
     println!("trace decode: {per_state:.3} allocations per state ({states} states)");
     assert!(per_state <= 0.1, "{per_state:.3} allocations per state");
 }
+
+#[test]
+fn wide_trace_decode_allocates_each_array_once() {
+    // Shaped like the benchmark's traces: many processes with a few
+    // states each, where growing every process's arrays by doubling
+    // from empty would cost several allocations per process.
+    let cfg = CsConfig {
+        processes: 24,
+        sections_per_process: 2,
+        ..CsConfig::default()
+    };
+    let json = trace::to_json(&pipelined_workload(&cfg, 5));
+    let (dep, allocs) = counted(|| trace::from_json(&json).unwrap());
+    let states = dep.total_states() as u64;
+    assert_eq!(states, 264);
+    let per_state = allocs as f64 / states as f64;
+    println!("trace decode (wide): {per_state:.3} allocations per state ({states} states)");
+    assert!(per_state <= 0.3, "{per_state:.3} allocations per state");
+}
