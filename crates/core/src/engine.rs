@@ -19,8 +19,8 @@
 //! * [`infeasibility_witness`](PredicateEngine::infeasibility_witness) —
 //!   the Lemma 2 overlap search (strong detection), again over the cached
 //!   intervals;
-//! * [`verify`](PredicateEngine::verify) — exhaustive soundness check of a
-//!   synthesized relation.
+//! * [`verify`](PredicateEngine::verify) — soundness of a synthesized
+//!   relation: the same detection, run over the controlled store.
 //!
 //! The control/detection duality (`controller exists ⟺ no overlapping
 //! set`) thus runs against literally the same interval data, not two
@@ -30,7 +30,7 @@
 
 use crate::control::ControlRelation;
 use crate::offline::{control_intervals, Infeasible, OfflineOptions, OfflineStats};
-use crate::verify::{verify_disjunctive, verify_regular, VerifyError};
+use crate::verify::{detect_under, verify_regular, VerifyError};
 use pctl_deposet::store;
 use pctl_deposet::{
     least_satisfying_cut_of, ClassError, Deposet, DisjunctivePredicate, FalseIntervals,
@@ -107,7 +107,7 @@ impl<'a> PredicateEngine<'a> {
             PredicateClass::Disjunctive(pred) => Ok(Self::new(dep, pred.clone())),
             PredicateClass::Regular { violation, .. } => {
                 let _prof = pctl_prof::span("engine_build");
-                let least_cut = least_satisfying_cut_of(dep, violation)?;
+                let least_cut = least_satisfying_cut_of(dep, dep, violation)?;
                 Ok(PredicateEngine {
                     dep,
                     class: ClassState::Regular {
@@ -229,15 +229,16 @@ impl<'a> PredicateEngine<'a> {
         }
     }
 
-    /// Exhaustively verify that `rel` makes the computation satisfy the
-    /// predicate (bounded by `limit` visited cuts).
-    pub fn verify(&self, rel: &ControlRelation, limit: usize) -> Result<(), VerifyError> {
+    /// Verify that `rel` makes the computation satisfy the predicate:
+    /// [`detect_violation`](Self::detect_violation) run over the controlled
+    /// store, reading the cached truth columns. Exact and polynomial.
+    pub fn verify(&self, rel: &ControlRelation) -> Result<(), VerifyError> {
         let _prof = pctl_prof::span("engine_verify");
         match &self.class {
-            ClassState::Disjunctive { pred, .. } => verify_disjunctive(self.dep, pred, rel, limit),
-            ClassState::Regular { violation, .. } => {
-                verify_regular(self.dep, violation, rel, limit)
-            }
+            ClassState::Disjunctive { index, .. } => detect_under(self.dep, rel, |c| {
+                store::possibly_all_false(c, |p| index.truths_of(p))
+            }),
+            ClassState::Regular { violation, .. } => verify_regular(self.dep, violation, rel),
         }
     }
 }
@@ -296,7 +297,7 @@ mod tests {
             match eng.control(OfflineOptions::default()) {
                 Ok(rel) => {
                     assert!(eng.infeasibility_witness().is_none(), "seed {seed}");
-                    assert!(eng.verify(&rel, 500_000).is_ok(), "seed {seed}");
+                    assert!(eng.verify(&rel).is_ok(), "seed {seed}");
                 }
                 Err(inf) => {
                     let w = eng.infeasibility_witness().expect("dual witness");
@@ -378,7 +379,7 @@ mod tests {
             }
             // Slice-then-delegate control, when feasible, must verify.
             if let Ok(rel) = reg.control(OfflineOptions::default()) {
-                assert!(reg.verify(&rel, 500_000).is_ok(), "seed {seed}");
+                assert!(reg.verify(&rel).is_ok(), "seed {seed}");
             }
         }
     }
@@ -406,7 +407,7 @@ mod tests {
             pctl_deposet::lattice::possibly(&dep, 500_000, |d, g| violation.eval(d, g)).unwrap();
         assert_eq!(detected.is_some(), oracle.is_some());
         if let Ok(rel) = eng.control(OfflineOptions::default()) {
-            assert!(eng.verify(&rel, 500_000).is_ok());
+            assert!(eng.verify(&rel).is_ok());
         }
     }
 

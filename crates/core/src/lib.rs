@@ -13,8 +13,8 @@
 //! * [`mod@sgsd`] / [`sat`] / [`reduction`] — the NP-hardness machinery of
 //!   Section 4: SGSD, DPLL, and the SAT → SGSD gadget of Figure 1;
 //! * [`verify`] — executable evidence for the correctness theorems:
-//!   chain-structure checks and exhaustive verification of control
-//!   strategies on small instances;
+//!   chain-structure checks and exact, polynomial verification of control
+//!   strategies (violation detection over the controlled computation);
 //! * [`online`] — the on-line control strategy of Figure 3 (the scapegoat /
 //!   "anti-token" protocol) as a sans-I/O state machine plus simulator
 //!   processes, the broadcast variant, and the Theorem 3 impossibility

@@ -15,15 +15,14 @@
 //!   over the incrementally-grown false intervals;
 //! * [`infeasibility_witness`](StreamEngine::infeasibility_witness) — the
 //!   Lemma 2 overlap search;
-//! * [`verify`](StreamEngine::verify) — exhaustive relation soundness, via
-//!   an honest batch [`snapshot`](StreamEngine::snapshot) (verification is
-//!   lattice-exhaustive anyway, so a rebuild is not the bottleneck). A
-//!   snapshot cannot represent a message in flight, so a channel predicate
-//!   with sends in flight is refused with [`VerifyError::InFlight`].
+//! * [`verify`](StreamEngine::verify) — relation soundness: the same
+//!   detection over the controlled store of a batch
+//!   [`snapshot`](StreamEngine::snapshot), with the session's own truth
+//!   columns and message table, so sends in flight are modelled exactly.
 //!
 //! All query paths call the *same monomorphised generic code* as the batch
-//! engine ([`CausalStore`](pctl_deposet::CausalStore)-typed control,
-//! detection and overlap search), so answers are bit-identical to a fresh
+//! engine ([`CausalStore`]-typed control, detection and overlap search),
+//! so answers are bit-identical to a fresh
 //! `PredicateEngine` built over the same prefix — the invariant
 //! `tests/streaming_prefix.rs` pins down per append. This is what lets the
 //! daemon serve detect/control queries mid-stream without ever rebuilding
@@ -31,12 +30,12 @@
 
 use crate::control::ControlRelation;
 use crate::offline::{control_intervals, Infeasible, OfflineOptions, OfflineStats};
-use crate::verify::{verify_disjunctive, verify_regular, VerifyError};
+use crate::verify::{detect_under, VerifyError};
 use pctl_deposet::store;
 use pctl_deposet::{
-    least_satisfying_cut, AppendOp, ClassError, Deposet, DisjunctivePredicate, GlobalState,
-    Interval, LocalPredicate, PredicateClass, RegularPredicate, SessionError, SessionStore,
-    SlicedDeposet, StateId,
+    least_satisfying_cut, AppendOp, CausalStore, ClassError, Deposet, DisjunctivePredicate,
+    GlobalState, Interval, LocalPredicate, PredicateClass, RegularPredicate, SessionError,
+    SessionStore, SlicedDeposet, StateId,
 };
 
 /// Memoized query results for one store version (`appended_ops`). Every
@@ -145,14 +144,6 @@ impl StreamEngine {
     /// Queries answered from the memo cache since the session opened.
     pub fn cache_hits(&self) -> u64 {
         self.cache_hits
-    }
-
-    /// The predicate under control/detection, rebuilt from the registered
-    /// locals. For a regular-class session these are the *session locals*
-    /// (`¬conjᵢ`), not user-facing disjuncts — prefer
-    /// [`predicate_class`](Self::predicate_class).
-    pub fn predicate(&self) -> DisjunctivePredicate {
-        DisjunctivePredicate::new(self.store.locals().to_vec())
     }
 
     /// Move the cache to the current store version, keeping a found
@@ -295,46 +286,36 @@ impl StreamEngine {
             return d.clone();
         }
         let _prof = pctl_prof::span("stream_detect_violation");
-        let out = match self.regular_violation() {
-            Some(v) => {
-                let (delivered, in_flight) = self.channel_parts(&v);
-                least_satisfying_cut(
-                    &self.store,
-                    |s| !self.store.truth(s),
-                    &delivered,
-                    &in_flight,
-                )
-            }
-            None => store::possibly_all_false(&self.store, |p| self.store.truths_of(p)),
-        };
+        let out = self.violation_in(&self.store);
         self.cache.detect = Some(out.clone());
         out
     }
 
-    /// Exhaustively verify `rel` against the current prefix (bounded by
-    /// `limit` visited cuts). Runs over a batch snapshot: in-flight sends
-    /// are demoted to internal events, which leaves clocks — and therefore
-    /// the verified ordering — unchanged. A channel predicate would read
-    /// those demoted sends as empty channels, so a regular class with
-    /// `ChannelsEmpty` and sends in flight is refused with
-    /// [`VerifyError::InFlight`] rather than verified against a different
-    /// computation.
-    pub fn verify(&self, rel: &ControlRelation, limit: usize) -> Result<(), VerifyError> {
+    /// The class's detector over `store`, which orders the session's
+    /// states (the session store itself, or a controlled store over its
+    /// snapshot), with truth read off the session's columns and channels
+    /// off its message table.
+    fn violation_in<C: CausalStore>(&self, store: &C) -> Option<GlobalState> {
+        match self.regular_violation() {
+            Some(v) => {
+                let (delivered, in_flight) = self.channel_parts(&v);
+                let conj = |s| !self.store.truth(s);
+                least_satisfying_cut(store, conj, &delivered, &in_flight)
+            }
+            None => store::possibly_all_false(store, |p| self.store.truths_of(p)),
+        }
+    }
+
+    /// Verify `rel` against the current prefix: detection over the
+    /// controlled store of a batch [`snapshot`](Self::snapshot). The
+    /// snapshot keeps every [`StateId`] and demotes in-flight sends to
+    /// internal events, which leaves the clocks unchanged; the detectors
+    /// read the session's truth columns and, for a regular class, its
+    /// delivered and in-flight messages, so a channel predicate sees the
+    /// sends in flight as they are.
+    pub fn verify(&self, rel: &ControlRelation) -> Result<(), VerifyError> {
         let _prof = pctl_prof::span("stream_verify");
-        let violation = self.regular_violation();
-        let sends = self.store.in_flight();
-        if sends > 0
-            && violation
-                .as_ref()
-                .is_some_and(RegularPredicate::uses_channels)
-        {
-            return Err(VerifyError::InFlight { sends });
-        }
-        let dep = self.snapshot();
-        match violation {
-            Some(v) => verify_regular(&dep, &v, rel, limit),
-            None => verify_disjunctive(&dep, &self.predicate(), rel, limit),
-        }
+        detect_under(&self.snapshot(), rel, |c| self.violation_in(c))
     }
 
     /// An immutable batch view of the current prefix (undelivered sends
@@ -356,6 +337,7 @@ impl StreamEngine {
 mod tests {
     use super::*;
     use crate::engine::PredicateEngine;
+    use crate::verify::verify_regular;
     use pctl_deposet::generator::{random_deposet, RandomConfig};
     use pctl_deposet::linearize;
 
@@ -396,7 +378,7 @@ mod tests {
             );
             assert_eq!(stream.store().intervals(), batch.intervals(), "seed {seed}");
             if let Ok(rel) = stream.control(opts) {
-                assert!(stream.verify(&rel, 500_000).is_ok(), "seed {seed}");
+                assert!(stream.verify(&rel).is_ok(), "seed {seed}");
             }
         }
     }
@@ -417,72 +399,97 @@ mod tests {
             if let Ok(rel) = stream.control(OfflineOptions::default()) {
                 let batch = PredicateEngine::new(&dep, pred);
                 assert_eq!(
-                    stream.verify(&rel, 500_000).is_ok(),
-                    batch.verify(&rel, 500_000).is_ok(),
+                    stream.verify(&rel).is_ok(),
+                    batch.verify(&rel).is_ok(),
                     "seed {seed}"
                 );
             }
         }
     }
 
-    /// `ok₀ ∧ ok₁ ∧ ChannelsEmpty` where P0 sets `ok` in the state after a
-    /// send that is still in flight: no cut of the session satisfies the
-    /// violation, but the snapshot turns the send into an internal event
-    /// and so has one. Verify refuses instead of judging the snapshot.
-    #[test]
-    fn verify_refuses_a_channel_predicate_with_sends_in_flight() {
-        let ok = || vec![("ok".to_string(), 1)];
-        let violation = |channels: bool| {
-            let mut terms = vec![RegularPredicate::conj_var(&[0, 1], "ok")];
-            if channels {
-                terms.push(RegularPredicate::ChannelsEmpty);
-            }
-            PredicateClass::regular(2, RegularPredicate::And(terms))
-        };
-        let ops = [
-            AppendOp::Send {
-                process: 0,
-                msg: 7,
-                tag: "m".into(),
-                updates: ok(),
-            },
-            AppendOp::Internal {
-                process: 1,
-                updates: ok(),
-            },
-        ];
-        let mut eng = StreamEngine::for_class(violation(true), None).unwrap();
-        for op in &ops {
+    /// A session of `ok₀ ∧ ok₁ ∧ ChannelsEmpty`, fed `ops`.
+    fn channel_session(ops: &[AppendOp]) -> StreamEngine {
+        let class = PredicateClass::regular(
+            2,
+            RegularPredicate::And(vec![
+                RegularPredicate::conj_var(&[0, 1], "ok"),
+                RegularPredicate::ChannelsEmpty,
+            ]),
+        );
+        let mut eng = StreamEngine::for_class(class, None).unwrap();
+        for op in ops {
             eng.apply(op).unwrap();
         }
+        eng
+    }
+
+    fn set_ok() -> Vec<(String, i64)> {
+        vec![("ok".to_string(), 1)]
+    }
+
+    fn send_from_p0(updates: Vec<(String, i64)>) -> AppendOp {
+        AppendOp::Send {
+            process: 0,
+            msg: 7,
+            tag: "m".into(),
+            updates,
+        }
+    }
+
+    /// P0 sets `ok` and then sends a message that is still in flight: the
+    /// cut before the send violates `ok₀ ∧ ok₁ ∧ ChannelsEmpty`, and verify
+    /// reports it for a relation that does not prevent it, and accepts the
+    /// relation control synthesizes.
+    #[test]
+    fn verify_reports_a_violation_with_a_send_in_flight() {
+        let mut eng = channel_session(&[
+            AppendOp::Internal {
+                process: 0,
+                updates: set_ok(),
+            },
+            send_from_p0(vec![]),
+            AppendOp::Internal {
+                process: 1,
+                updates: set_ok(),
+            },
+        ]);
+        assert_eq!(eng.store().in_flight(), 1);
+        let cut = GlobalState::from_indices(vec![1, 1]);
+        assert_eq!(eng.detect_violation(), Some(cut.clone()));
+        assert!(matches!(
+            eng.verify(&ControlRelation::empty()),
+            Err(VerifyError::Violation { state }) if state == cut
+        ));
+        let rel = eng.control(OfflineOptions::default()).unwrap();
+        assert!(!rel.is_empty());
+        assert!(eng.verify(&rel).is_ok());
+    }
+
+    /// P0 sets `ok` by a send that is still in flight: no cut of the
+    /// session satisfies `ok₀ ∧ ok₁ ∧ ChannelsEmpty`, so the empty relation
+    /// is sound and verifies. The snapshot alone turns the send into an
+    /// internal event and has a violating cut the session does not have.
+    #[test]
+    fn verify_accepts_a_sound_relation_with_a_send_in_flight() {
+        let mut eng = channel_session(&[
+            send_from_p0(set_ok()),
+            AppendOp::Internal {
+                process: 1,
+                updates: set_ok(),
+            },
+        ]);
         assert_eq!(eng.detect_violation(), None);
         let rel = eng.control(OfflineOptions::default()).unwrap();
-        let err = eng.verify(&rel, 1000).unwrap_err();
-        assert!(matches!(err, VerifyError::InFlight { sends: 1 }), "{err}");
-        assert!(err.to_string().contains("1 send(s) in flight"), "{err}");
-        // The snapshot's verdict is about a computation without the
-        // message: it finds the cut the session does not have.
-        let PredicateClass::Regular { violation: v, .. } = violation(true) else {
+        assert!(rel.is_empty());
+        assert!(eng.verify(&rel).is_ok());
+        let PredicateClass::Regular { violation, .. } = eng.predicate_class() else {
             unreachable!()
         };
         assert!(matches!(
-            verify_regular(&eng.snapshot(), &v, &rel, 1000),
+            verify_regular(&eng.snapshot(), &violation, &rel),
             Err(VerifyError::Violation { .. })
         ));
-        // Without a channel term the snapshot is exact, and verify answers.
-        let mut plain = StreamEngine::for_class(violation(false), None).unwrap();
-        for op in &ops {
-            plain.apply(op).unwrap();
-        }
-        assert_eq!(
-            plain.detect_violation(),
-            Some(GlobalState::from_indices(vec![1, 1]))
-        );
-        assert!(!matches!(
-            plain.verify(&ControlRelation::empty(), 1000),
-            Err(VerifyError::InFlight { .. })
-        ));
-        // Once the message lands, the session verifies as usual.
+        // Once the message lands, the cut past the receive violates.
         eng.apply(&AppendOp::Recv {
             process: 1,
             msg: 7,
@@ -495,7 +502,7 @@ mod tests {
             Some(GlobalState::from_indices(vec![1, 2]))
         );
         assert!(matches!(
-            eng.verify(&ControlRelation::empty(), 1000),
+            eng.verify(&ControlRelation::empty()),
             Err(VerifyError::Violation { state }) if state.indices() == [1, 2]
         ));
     }
@@ -513,6 +520,6 @@ mod tests {
         );
         assert_eq!(eng2.detect_violation(), None);
         let rel = eng2.control(OfflineOptions::default()).unwrap();
-        assert!(eng2.verify(&rel, 1000).is_ok());
+        assert!(eng2.verify(&rel).is_ok());
     }
 }

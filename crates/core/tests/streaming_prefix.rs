@@ -14,7 +14,8 @@
 //! linearizer itself.
 
 use pctl_core::offline::OfflineOptions;
-use pctl_core::{PredicateEngine, StreamEngine};
+use pctl_core::verify::VerifyError;
+use pctl_core::{ControlRelation, ControlledDeposet, PredicateEngine, StreamEngine};
 use pctl_deposet::generator::{random_deposet, RandomConfig};
 use pctl_deposet::lattice::consistent_global_states;
 use pctl_deposet::{
@@ -23,6 +24,9 @@ use pctl_deposet::{
     StateId,
 };
 use proptest::prelude::*;
+
+mod common;
+use common::{controlled_cuts, meet};
 
 fn arb_config() -> impl Strategy<Value = (RandomConfig, u64)> {
     (1usize..4, 0usize..20, 0u64..1_000_000).prop_map(|(n, events, seed)| {
@@ -48,7 +52,7 @@ fn all_state_ids<C: CausalStore + ?Sized>(c: &C) -> Vec<StateId> {
 /// store versus a fresh batch build over the same states/events.
 fn assert_prefix_equivalent(stream: &mut StreamEngine, batch: &Deposet, ctx: &str) {
     let store = stream.store();
-    let pred = stream.predicate();
+    let pred = DisjunctivePredicate::new(store.locals().to_vec());
     assert_eq!(store.process_count(), batch.process_count(), "{ctx}");
     let ids = all_state_ids(store);
     assert_eq!(ids, all_state_ids(batch), "{ctx}");
@@ -162,7 +166,8 @@ proptest! {
             prop_assert_eq!(stream.cache_hits(), hits_before + 3, "prefix {}", k + 1);
             // And the (possibly cached) answers equal a fresh batch build.
             let snap = stream.snapshot();
-            let eng = PredicateEngine::new(&snap, stream.predicate());
+            let pred = DisjunctivePredicate::new(stream.store().locals().to_vec());
+            let eng = PredicateEngine::new(&snap, pred);
             prop_assert_eq!(d1, eng.detect_violation(), "prefix {}", k + 1);
             prop_assert_eq!(c1, eng.control(opts), "prefix {}", k + 1);
             prop_assert_eq!(w1, eng.infeasibility_witness(), "prefix {}", k + 1);
@@ -209,7 +214,7 @@ proptest! {
                 "prefix {}: regular witness", k + 1
             );
             if let Ok(rel) = stream.control(opts) {
-                prop_assert!(stream.verify(&rel, 500_000).is_ok(), "prefix {}", k + 1);
+                prop_assert!(stream.verify(&rel).is_ok(), "prefix {}", k + 1);
             }
         }
     }
@@ -348,20 +353,64 @@ proptest! {
                 );
                 prop_assert_eq!(got.as_ref(), slice.min_cut(), "{}: prefix {}", violation, k);
                 let all = consistent_global_states(store, 50_000).unwrap();
-                let meet = all
-                    .iter()
-                    .filter(|g| satisfies_on_store(store, violation, g))
-                    .fold(None, |m: Option<Vec<u32>>, g| {
-                        Some(match m {
-                            None => g.indices().to_vec(),
-                            Some(m) => m.iter().zip(g.indices()).map(|(a, b)| *a.min(b)).collect(),
-                        })
-                    });
                 prop_assert_eq!(
-                    got.as_ref().map(|g| g.indices().to_vec()),
-                    meet,
+                    got,
+                    meet(all.iter().filter(|g| satisfies_on_store(store, violation, g))),
                     "{}: prefix {}: lattice meet", violation, k
                 );
+            }
+        }
+    }
+
+    /// Stream verify at every prefix, with sends in flight, gives the
+    /// lattice's verdict: for the session's own control output and a
+    /// random relation, under the regular violations above, it fails with
+    /// the least controlled cut that satisfies the violation by definition
+    /// (channels read off the session's message table), passes when there
+    /// is none, and refuses exactly the relations the batch store refuses.
+    /// The oracle cuts come from the snapshot's lattice walk and the
+    /// explicit closure of chains, delivered messages and control pairs.
+    #[test]
+    fn stream_verify_matches_the_lattice_with_sends_in_flight(
+        (cfg, seed) in arb_config(),
+        raw in proptest::collection::vec((0u64..1 << 32, 0u64..1 << 32), 0..4),
+    ) {
+        let dep = random_deposet(&cfg, seed);
+        let n = dep.process_count();
+        let violations = [
+            RegularPredicate::And(
+                (0..n).filter(|i| i % 2 == 0).map(|i| RegularPredicate::local(i, LocalPredicate::not_var("ok")))
+                    .chain([RegularPredicate::ChannelsEmpty]).collect(),
+            ),
+            RegularPredicate::ChannelsEmpty,
+        ];
+        let (init, ops) = linearize(&dep);
+        for violation in &violations {
+            let class = PredicateClass::regular(n as u32, violation.clone());
+            let mut stream = StreamEngine::for_class(class, Some(&init)).unwrap();
+            for k in 0..=ops.len() {
+                if k > 0 {
+                    stream.apply(&ops[k - 1]).unwrap();
+                }
+                let snap = stream.snapshot();
+                let ids: Vec<StateId> = snap.state_ids().collect();
+                let pick = |r: u64| ids[(r % ids.len() as u64) as usize];
+                let mut rels = vec![ControlRelation::from_pairs(raw.iter().map(|&(x, y)| (pick(x), pick(y))))];
+                rels.extend(stream.control(OfflineOptions::default()));
+                for rel in &rels {
+                    let got = stream.verify(rel);
+                    let accepted = ControlledDeposet::new(&snap, rel.clone()).is_ok();
+                    let cuts = controlled_cuts(&snap, rel).unwrap_or_default();
+                    let least = meet(cuts.iter().filter(|g| satisfies_on_store(stream.store(), violation, g)));
+                    match got {
+                        Err(VerifyError::Control(e)) => prop_assert!(!accepted, "{}: prefix {}: {}", violation, k, e),
+                        Ok(()) => prop_assert!(accepted && least.is_none(), "{}: prefix {}: passed {}", violation, k, rel),
+                        Err(VerifyError::Violation { state }) => {
+                            prop_assert!(accepted);
+                            prop_assert_eq!(Some(state), least, "{}: prefix {}: under {}", violation, k, rel);
+                        }
+                    }
+                }
             }
         }
     }

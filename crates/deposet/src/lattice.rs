@@ -8,11 +8,13 @@
 //! entry point, generic over [`CausalStore`]: it reads only `clock_entry`,
 //! so it runs unchanged over a batch [`Deposet`](crate::model::Deposet)
 //! and over a controlled computation whose store includes the control
-//! edges. (A control relation that orders *events* in a cycle leaves
-//! consistent cuts past that cycle which no run reaches; the walk does not
-//! visit them.) The lattice can be exponentially large; every entry point
-//! takes an explicit `limit` and fails softly when it is exceeded, which
-//! is how the NP-hardness of the general problem manifests operationally.
+//! edges (`ControlledDeposet::new` refuses a relation that orders *events*
+//! in a cycle, whose cuts past that cycle no run reaches). No user path
+//! walks the lattice: the detectors and verification are polynomial, and
+//! the walk is their test oracle. The lattice can be exponentially large;
+//! every entry point takes an explicit `limit` and fails softly when it is
+//! exceeded, which is how the NP-hardness of the general problem manifests
+//! operationally.
 
 use crate::causal::CausalStore;
 use crate::global::GlobalState;
@@ -104,8 +106,9 @@ pub fn count_consistent_global_states<C: CausalStore + ?Sized>(
 }
 
 /// Model-check a predicate over every consistent global state: returns all
-/// consistent global states where `pred` holds (used by detection and by
-/// exhaustive verification of control strategies on small instances).
+/// consistent global states where `pred` holds (a test oracle for the
+/// polynomial detectors and for verification of control strategies on
+/// small instances).
 pub fn find_all_consistent<C, F>(
     dep: &C,
     limit: usize,

@@ -78,10 +78,14 @@ pub fn least_satisfying_cut<C: CausalStore + ?Sized>(
     Slicer::new(store, conj, delivered, in_flight).least_cut()
 }
 
-/// [`least_satisfying_cut`] of a batch computation: validates process
-/// references and evaluates each conjunct only at the states the closure
-/// visits. A batch computation has no message in flight.
-pub fn least_satisfying_cut_of(
+/// [`least_satisfying_cut`] of a batch computation `dep` under the causal
+/// order of `order`: `dep` itself, or a store over the same states with
+/// more edges, such as `dep` under a control relation. Validates process
+/// references and evaluates each conjunct on `dep`'s states, only at the
+/// states the closure visits. A batch computation has no message in
+/// flight.
+pub fn least_satisfying_cut_of<C: CausalStore + ?Sized>(
+    order: &C,
     dep: &Deposet,
     violation: &RegularPredicate,
 ) -> Result<Option<GlobalState>, ClassError> {
@@ -92,7 +96,7 @@ pub fn least_satisfying_cut_of(
             .all(|c| c.eval(dep.state(s)))
     };
     Ok(least_satisfying_cut(
-        dep,
+        order,
         conj,
         &delivered_of(dep, violation),
         &[],
@@ -1024,7 +1028,9 @@ mod tests {
                 let want = reference_slice(dep, &conj, &delivered, &[]);
                 assert_same_slice(&got, &want, &what);
                 assert_eq!(
-                    least_satisfying_cut_of(dep, &violation).unwrap().as_ref(),
+                    least_satisfying_cut_of(dep, dep, &violation)
+                        .unwrap()
+                        .as_ref(),
                     want.min_cut(),
                     "{what}: lazily evaluated least cut"
                 );

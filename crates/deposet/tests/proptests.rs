@@ -463,7 +463,7 @@ proptest! {
         if let Some(m) = &meet {
             prop_assert!(satisfying.contains(&m), "meet {} must satisfy {}", m, violation);
         }
-        let least = pctl_deposet::least_satisfying_cut_of(&dep, &violation).unwrap();
+        let least = pctl_deposet::least_satisfying_cut_of(&dep, &dep, &violation).unwrap();
         prop_assert_eq!(&least, &meet, "closure ≠ lattice for {}", violation);
         let slice = SlicedDeposet::build(&dep, &violation).unwrap();
         prop_assert_eq!(slice.min_cut(), meet.as_ref(), "slice ≠ lattice for {}", violation);

@@ -174,11 +174,10 @@ impl Client {
         })
     }
 
-    /// Synthesize + exhaustively verify at the current prefix.
-    pub fn verify(&mut self, session: &str, limit: u64) -> std::io::Result<Response> {
+    /// Synthesize + verify at the current prefix.
+    pub fn verify(&mut self, session: &str) -> std::io::Result<Response> {
         self.request(Request::Verify {
             session: session.into(),
-            limit,
         })
     }
 

@@ -58,13 +58,12 @@ pub enum Request {
         /// Target session.
         session: String,
     },
-    /// Synthesize a control relation, then exhaustively verify it against
-    /// the current prefix (bounded lattice walk).
+    /// Synthesize a control relation, then verify it against the current
+    /// prefix (detection over the controlled store; exact, no budget). A
+    /// `limit` field sent by an older client is skipped.
     Verify {
         /// Target session.
         session: String,
-        /// Maximum consistent cuts to visit.
-        limit: u64,
     },
     /// Export the session's current prefix as batch trace JSON.
     Snapshot {
@@ -110,7 +109,7 @@ impl Request {
             | Request::Append { session, .. }
             | Request::Detect { session }
             | Request::Control { session }
-            | Request::Verify { session, .. }
+            | Request::Verify { session }
             | Request::Snapshot { session }
             | Request::Close { session }
             | Request::Trace { session }
@@ -210,7 +209,7 @@ pub enum Response {
     Verify {
         /// Whether a relation was synthesized and passed verification.
         ok: bool,
-        /// Verdict detail (violation/budget/infeasibility description).
+        /// Verdict detail (violation/infeasibility description).
         detail: String,
     },
     /// Answer to [`Request::Snapshot`]: the batch trace JSON.

@@ -189,7 +189,7 @@ const LATENCY_WINDOW: usize = 512;
 enum QueryKind {
     Detect,
     Control,
-    Verify(u64),
+    Verify,
     Snapshot,
     /// Snapshot the session's telemetry event ring.
     Trace,
@@ -1329,9 +1329,7 @@ fn dispatch_verb(req: Request, inner: &Arc<Inner>) -> (Response, bool) {
         Request::Append { session, op } => (handle_append(&session, op, inner), false),
         Request::Detect { session } => (query(&session, QueryKind::Detect, inner), false),
         Request::Control { session } => (query(&session, QueryKind::Control, inner), false),
-        Request::Verify { session, limit } => {
-            (query(&session, QueryKind::Verify(limit), inner), false)
-        }
+        Request::Verify { session } => (query(&session, QueryKind::Verify, inner), false),
         Request::Snapshot { session } => (query(&session, QueryKind::Snapshot, inner), false),
         Request::Trace { session } => (query(&session, QueryKind::Trace, inner), false),
         Request::Close { session } => (handle_close(&session, inner), false),
@@ -1891,23 +1889,18 @@ fn run_query(engine: &mut StreamEngine, kind: &QueryKind) -> Response {
                 },
             }
         }
-        QueryKind::Verify(limit) => {
+        QueryKind::Verify => {
             let _prof = pctl_prof::span("pctld_verify");
-            match engine.control(OfflineOptions::default()) {
-                Ok(rel) => match engine.verify(&rel, *limit as usize) {
-                    Ok(()) => Response::Verify {
-                        ok: true,
-                        detail: format!("relation of {} pairs verified", rel.len()),
-                    },
-                    Err(e) => Response::Verify {
-                        ok: false,
-                        detail: e.to_string(),
-                    },
-                },
-                Err(inf) => Response::Verify {
-                    ok: false,
-                    detail: inf.to_string(),
-                },
+            let verdict = match engine.control(OfflineOptions::default()) {
+                Ok(rel) => engine
+                    .verify(&rel)
+                    .map(|()| format!("relation of {} pairs verified", rel.len()))
+                    .map_err(|e| e.to_string()),
+                Err(inf) => Err(inf.to_string()),
+            };
+            Response::Verify {
+                ok: verdict.is_ok(),
+                detail: verdict.unwrap_or_else(|e| e),
             }
         }
         QueryKind::Snapshot => {

@@ -511,4 +511,32 @@ mod tests {
             );
         }
     }
+
+    /// The control relation `P1[1] C→ P0[2]`, `P0[2] C→ P3[1]` over the
+    /// message `P3[0] ; P1[1]` is acyclic on states but orders events in
+    /// a cycle. `ControlledDeposet::new` refuses it, and no replay realizes
+    /// it: every process stops short of its end.
+    #[test]
+    fn a_relation_ordering_events_in_a_cycle_deadlocks_the_replay() {
+        use pctl_causality::StateId;
+        use pctl_core::{ControlError, ControlledDeposet};
+        let mut b = DeposetBuilder::new(4);
+        for _ in 0..3 {
+            b.internal(0, &[]);
+        }
+        let t = b.send(3, "m");
+        b.recv(1, t, &[]);
+        b.internal(1, &[]);
+        let dep = b.finish().unwrap();
+        let rel = ControlRelation::from_pairs([
+            (StateId::new(1usize, 1), StateId::new(0usize, 2)),
+            (StateId::new(0usize, 2), StateId::new(3usize, 1)),
+        ]);
+        assert!(matches!(
+            ControlledDeposet::new(&dep, rel.clone()),
+            Err(ControlError::EventCycle { .. })
+        ));
+        let out = replay(&dep, &rel, &ReplayConfig::default());
+        assert!(!out.completed());
+    }
 }

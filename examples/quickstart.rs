@@ -52,10 +52,11 @@ fn main() {
     println!("synthesized control relation: {control}");
 
     // 5. Machine-checked soundness: every consistent global state of the
-    //    controlled computation satisfies the property.
-    verify_disjunctive(&computation, &safety, &control, 1_000_000)
-        .expect("control verifies exhaustively");
-    println!("exhaustive verification: OK");
+    //    controlled computation satisfies the property (violation
+    //    detection over the controlled computation; the last argument is
+    //    ignored).
+    verify_disjunctive(&computation, &safety, &control, 0).expect("control verifies");
+    println!("verification: OK");
 
     // 6. Active debugging: replay the computation under control. The
     //    control relation becomes real (simulated) control messages with

@@ -35,7 +35,8 @@ USAGE:
                [--naive] [--random-seed N]   (control relation JSON on stdout)
   pctl verify <trace.json> --control <control.json>
                (--at-least-one VAR | --at-least-one-not VAR |
-               --conjunct PROC:VAR ...) [--limit N]
+               --conjunct PROC:VAR ... [--channels-empty])
+               (exact: detection over the controlled computation)
   pctl replay <trace.json> [--control <control.json>]
               [--at-least-one VAR | --at-least-one-not VAR]
               [--trace-out <chrome.json>] [--events-out <run.jsonl>]
@@ -84,7 +85,7 @@ USAGE:
   pctl stream <trace.json> --addr HOST:PORT
               (--at-least-one VAR | --at-least-one-not VAR |
                --conjunct PROC:VAR ...)
-              [--session NAME] [--limit N] [--keep-open]
+              [--session NAME] [--keep-open]
               (stream the trace into a daemon session event by event, then
                ask it to detect/control/verify at the final prefix; progress
                — events sent, Busy bounces, append p50 — goes to stderr)
@@ -119,7 +120,7 @@ const ACCEPTED_FLAGS: &[(&str, &str)] = &[
     ),
     (
         "verify",
-        "at-least-one at-least-one-not conjunct channels-empty control limit",
+        "at-least-one at-least-one-not conjunct channels-empty control",
     ),
     (
         "replay",
@@ -141,8 +142,7 @@ const ACCEPTED_FLAGS: &[(&str, &str)] = &[
     ),
     (
         "stream",
-        "at-least-one at-least-one-not conjunct channels-empty addr session limit \
-         keep-open",
+        "at-least-one at-least-one-not conjunct channels-empty addr session keep-open",
     ),
     ("top", "addr interval-ms once"),
     ("postmortem", ""),
@@ -444,17 +444,8 @@ fn cmd_verify(args: &Args) -> Result<(), String> {
     let class = predicate_class(args, &dep)?;
     let cpath = args.value("control")?.ok_or("verify: missing --control")?;
     let rel = load_control(cpath)?;
-    let limit = args.num("limit", 2_000_000usize)?;
-    if let PredicateClass::Regular { .. } = &class {
-        let eng = PredicateEngine::for_class(&dep, &class).map_err(|e| format!("{e}"))?;
-        eng.verify(&rel, limit).map_err(|e| format!("{e}"))?;
-        println!(
-            "OK: every consistent global state of the controlled computation satisfies the property"
-        );
-        return Ok(());
-    }
-    let pred = predicate(args, &dep)?;
-    verify_disjunctive(&dep, &pred, &rel, limit).map_err(|e| format!("{e}"))?;
+    let eng = PredicateEngine::for_class(&dep, &class).map_err(|e| format!("{e}"))?;
+    eng.verify(&rel).map_err(|e| format!("{e}"))?;
     println!(
         "OK: every consistent global state of the controlled computation satisfies the property"
     );
@@ -792,7 +783,6 @@ fn cmd_stream(args: &Args) -> Result<(), String> {
     let class = predicate_class(args, &dep)?;
     let addr = args.value("addr")?.ok_or("stream: missing --addr")?;
     let session = args.value("session")?.unwrap_or("cli").to_owned();
-    let limit: u64 = args.num("limit", 200_000u64)?;
     let mut client =
         pctld::Client::connect(addr).map_err(|e| format!("stream: connect {addr}: {e}"))?;
     let quiet = args.flag("quiet").is_some();
@@ -856,7 +846,7 @@ fn cmd_stream(args: &Args) -> Result<(), String> {
         other => return Err(format!("stream: unexpected control answer {other:?}")),
     }
     match client
-        .verify(&session, limit)
+        .verify(&session)
         .map_err(|e| format!("stream: {e}"))?
     {
         pctld::Response::Verify { ok, detail } => {

@@ -124,10 +124,7 @@ fn requests() -> Vec<RequestEnvelope> {
     reqs.extend([
         Request::Detect { session: s() },
         Request::Control { session: s() },
-        Request::Verify {
-            session: s(),
-            limit: 2_000_000,
-        },
+        Request::Verify { session: s() },
         Request::Snapshot { session: s() },
         Request::Close { session: s() },
         Request::Trace { session: s() },
@@ -478,6 +475,19 @@ fn unknown_fields_are_skipped_but_must_be_valid_json() {
     assert_eq!(
         serde_json::from_str::<RequestEnvelope>(line).unwrap().req,
         Request::Stats
+    );
+}
+
+/// `Verify` carried a `limit` until verification became exact; a frame from
+/// an older client still decodes, and the field is skipped.
+#[test]
+fn a_verify_frame_with_a_limit_still_decodes() {
+    let line = r#"{"seq":9,"req":{"Verify":{"session":"s1","limit":2000000}}}"#;
+    assert_eq!(
+        serde_json::from_str::<RequestEnvelope>(line).unwrap().req,
+        Request::Verify {
+            session: "s1".into()
+        }
     );
 }
 
