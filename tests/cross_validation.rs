@@ -1,6 +1,8 @@
 //! Cross-crate validation: the fast algorithms agree with the exhaustive
 //! oracles on randomized instances.
 
+mod common;
+
 use predicate_control::control::offline::{Engine, SelectPolicy};
 use predicate_control::control::verify::agrees_with_oracle;
 use predicate_control::deposet::generator::{
@@ -8,6 +10,8 @@ use predicate_control::deposet::generator::{
 };
 use predicate_control::deposet::sequences::find_satisfying_interleaving;
 use predicate_control::prelude::*;
+
+use common::lattice_violation;
 
 fn all_opts() -> Vec<OfflineOptions> {
     vec![
@@ -69,6 +73,8 @@ fn every_feasible_random_instance_verifies_exhaustively() {
             if let Ok(rel) = control_disjunctive(&dep, &pred, opts) {
                 verify_disjunctive(&dep, &pred, &rel, 3_000_000)
                     .unwrap_or_else(|e| panic!("seed {seed} opts {opts:?}: {e}"));
+                let bad = lattice_violation(&dep, &pred, &rel);
+                assert!(bad.is_none(), "seed {seed} opts {opts:?}: {bad:?} violates");
                 let structure = chain_structure(&dep, &pred, &rel);
                 assert!(structure.holds(), "seed {seed}: bad chain {structure:?}");
             }
@@ -132,6 +138,7 @@ fn strong_detector_matches_control_feasibility() {
 fn weak_detector_agrees_with_verification_failure() {
     // If GW finds no violation, the empty relation already verifies; if it
     // finds one, verification of the empty relation must fail at some cut.
+    // Both verdicts are held to the exhaustive walk of the lattice.
     for seed in 0..25u64 {
         let dep = random_deposet(
             &RandomConfig {
@@ -144,9 +151,11 @@ fn weak_detector_agrees_with_verification_failure() {
         );
         let pred = DisjunctivePredicate::at_least_one(3, "ok");
         let gw = detect_disjunctive_violation(&dep, &pred);
-        let empty_ok =
-            verify_disjunctive(&dep, &pred, &ControlRelation::empty(), 3_000_000).is_ok();
-        assert_eq!(gw.is_none(), empty_ok, "seed {seed}");
+        let empty = ControlRelation::empty();
+        let empty_ok = verify_disjunctive(&dep, &pred, &empty, 3_000_000).is_ok();
+        let walked_ok = lattice_violation(&dep, &pred, &empty).is_none();
+        assert_eq!(gw.is_none(), walked_ok, "seed {seed}");
+        assert_eq!(empty_ok, walked_ok, "seed {seed}");
     }
 }
 

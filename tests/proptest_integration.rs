@@ -7,6 +7,9 @@ use predicate_control::deposet::sequences::find_satisfying_interleaving;
 use predicate_control::prelude::*;
 use proptest::prelude::*;
 
+mod common;
+use common::lattice_violation;
+
 fn arb_world() -> impl Strategy<Value = (RandomConfig, u64)> {
     (2usize..5, 6usize..24, 0u64..100_000, 2u32..6).prop_map(|(n, ev, seed, flip)| {
         (
@@ -26,7 +29,8 @@ proptest! {
 
     /// Theorem 2 (soundness): whenever the off-line algorithm returns a
     /// relation, the controlled computation satisfies B on every consistent
-    /// global state — checked exhaustively.
+    /// global state: `verify_disjunctive` passes it, and so does the
+    /// exhaustive walk of the controlled lattice.
     #[test]
     fn theorem2_soundness((cfg, seed) in arb_world()) {
         let dep = random_deposet(&cfg, seed);
@@ -35,6 +39,8 @@ proptest! {
             let opts = OfflineOptions { policy: SelectPolicy::Random { seed }, engine };
             if let Ok(rel) = control_disjunctive(&dep, &pred, opts) {
                 prop_assert!(verify_disjunctive(&dep, &pred, &rel, 3_000_000).is_ok());
+                let bad = lattice_violation(&dep, &pred, &rel);
+                prop_assert!(bad.is_none(), "{:?} violates under {}", bad, rel);
             }
         }
     }
