@@ -34,7 +34,7 @@
 
 pub mod reduction;
 
-use pctl_core::ControlRelation;
+use pctl_core::{ControlRelation, ControlledDeposet};
 use pctl_deposet::{Deposet, EventKind, LocalState, ProcessId, Variables};
 use pctl_sim::{Ctx, DelayModel, Payload, Process, SimConfig, SimResult, Simulation, TimerId};
 use std::collections::{BTreeMap, HashSet};
@@ -299,7 +299,11 @@ impl ReplayOutcome {
 /// Re-execute `original` under `control` on the simulator.
 ///
 /// # Panics
-/// Panics if `control` references states outside `original`.
+/// Panics, with the [`pctl_core::ControlError`] text, if
+/// [`ControlledDeposet::new`] refuses `control` over `original`: a pair
+/// out of range, out of a final state or into an initial state, or a
+/// relation that interferes with causality or orders events in a cycle.
+/// Every relation it accepts replays to the end.
 pub fn replay(original: &Deposet, control: &ControlRelation, cfg: &ReplayConfig) -> ReplayOutcome {
     replay_recorded(original, control, cfg, Box::new(pctl_sim::NullRecorder))
 }
@@ -309,7 +313,7 @@ pub fn replay(original: &Deposet, control: &ControlRelation, cfg: &ReplayConfig)
 /// [`SimResult::recorder`] (snapshot it or flush to its sink).
 ///
 /// # Panics
-/// Panics if `control` references states outside `original`.
+/// As [`replay`].
 pub fn replay_recorded(
     original: &Deposet,
     control: &ControlRelation,
@@ -331,28 +335,13 @@ pub fn replay_recorded(
             ctrl_in: BTreeMap::new(),
         })
         .collect();
-    // Enforceability check: enforcement orders the event entering `y`
-    // after the event leaving `x`. Reject relations where base causality
-    // already has `pred(y) → succ(x)` — the event entering `y` would be
-    // needed (transitively) by `x`'s own exit, and the replay would
-    // deadlock. Also reject sources/targets with no such events.
-    for &(x, y) in control.pairs() {
-        assert!(
-            original.contains(x) && original.contains(y),
-            "control pair out of range"
-        );
-        assert!(
-            x != original.top(x.process),
-            "tuple source {x} is a final state: no event can carry its control message"
-        );
-        let entry_pred = y.predecessor().unwrap_or_else(|| {
-            panic!("tuple target {y} is an initial state: nothing can block before it")
-        });
-        let exit = x.successor();
-        assert!(
-            !original.precedes_eq(entry_pred, exit) || original.precedes(exit, entry_pred),
-            "tuple ({x}, {y}) is not enforceable: {y}'s entry event precedes {x}'s exit"
-        );
+    // Enforceability: the replay realizes exactly the relations a
+    // controlled deposet accepts. Enforcement orders the event entering
+    // `y` after the event leaving `x`, so a pair out of a final state or
+    // into an initial one, a cycle through `→`, or events ordered in a
+    // cycle would leave the replay short of its end.
+    if let Err(e) = ControlledDeposet::new(original, control.clone()) {
+        panic!("control relation is not enforceable: {e}");
     }
     for (idx, &(x, y)) in control.pairs().iter().enumerate() {
         scripts[x.process.index()]
@@ -514,12 +503,12 @@ mod tests {
 
     /// The control relation `P1[1] C→ P0[2]`, `P0[2] C→ P3[1]` over the
     /// message `P3[0] ; P1[1]` is acyclic on states but orders events in
-    /// a cycle. `ControlledDeposet::new` refuses it, and no replay realizes
-    /// it: every process stops short of its end.
+    /// a cycle, so no replay realizes it: the replay refuses it, as
+    /// `ControlledDeposet::new` does.
     #[test]
-    fn a_relation_ordering_events_in_a_cycle_deadlocks_the_replay() {
+    #[should_panic(expected = "not enforceable: control relation orders events in a cycle")]
+    fn a_relation_ordering_events_in_a_cycle_is_refused() {
         use pctl_causality::StateId;
-        use pctl_core::{ControlError, ControlledDeposet};
         let mut b = DeposetBuilder::new(4);
         for _ in 0..3 {
             b.internal(0, &[]);
@@ -532,11 +521,15 @@ mod tests {
             (StateId::new(1usize, 1), StateId::new(0usize, 2)),
             (StateId::new(0usize, 2), StateId::new(3usize, 1)),
         ]);
-        assert!(matches!(
-            ControlledDeposet::new(&dep, rel.clone()),
-            Err(ControlError::EventCycle { .. })
-        ));
-        let out = replay(&dep, &rel, &ReplayConfig::default());
-        assert!(!out.completed());
+        replay(&dep, &rel, &ReplayConfig::default());
+    }
+
+    #[test]
+    #[should_panic(expected = "not enforceable: control pair P0[2] C→ P1[1] leaves a final state")]
+    fn a_pair_out_of_a_final_state_is_refused() {
+        use pctl_causality::StateId;
+        let (dep, _) = mutex_trace();
+        let rel = ControlRelation::from_pairs([(StateId::new(0usize, 2), StateId::new(1usize, 1))]);
+        replay(&dep, &rel, &ReplayConfig::default());
     }
 }
