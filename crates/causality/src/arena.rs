@@ -299,19 +299,23 @@ pub fn csr_from_edges(rows: usize, edges: &[(u32, u32)]) -> (Vec<u32>, Vec<u32>)
         "edge count {} exceeds u32 addressing (max {MAX_ROWS})",
         edges.len()
     );
-    let mut off = vec![0u32; rows + 1];
+    // Counted two places up, the prefix sums leave `off[d + 1]` at the
+    // start of row `d`, which then serves as its fill cursor and ends at
+    // the start of row `d + 1`.
+    let mut off = vec![0u32; rows + 2];
     for &(dst, _) in edges {
-        off[dst as usize + 1] += 1;
+        off[dst as usize + 2] += 1;
     }
-    for r in 0..rows {
-        off[r + 1] += off[r];
+    for r in 2..rows + 2 {
+        off[r] += off[r - 1];
     }
     let mut src = vec![0u32; edges.len()];
-    let mut cursor: Vec<u32> = off[..rows].to_vec();
     for &(dst, s) in edges {
-        src[cursor[dst as usize] as usize] = s;
-        cursor[dst as usize] += 1;
+        let cursor = &mut off[dst as usize + 1];
+        src[*cursor as usize] = s;
+        *cursor += 1;
     }
+    off.truncate(rows + 1);
     (off, src)
 }
 

@@ -193,16 +193,26 @@ impl PeerSelect {
     /// draws one number from the run's RNG, uniform over the other `n − 1`
     /// processes.
     pub fn fill<M: Payload>(self, n: usize, ctx: &mut Ctx<'_, M>, out: &mut Vec<ProcessId>) {
-        let me = ctx.me().index();
         match self {
             PeerSelect::Broadcast => {
+                let me = ctx.me().index();
                 out.extend((0..n).filter(|&i| i != me).map(|i| ProcessId(i as u32)))
             }
-            PeerSelect::NextInRing => out.push(ProcessId(((me + 1) % n) as u32)),
+            single => out.push(single.pick(n, ctx).expect("one peer")),
+        }
+    }
+
+    /// The one peer a non-broadcast selection asks; `None` for
+    /// [`PeerSelect::Broadcast`].
+    pub fn pick<M: Payload>(self, n: usize, ctx: &mut Ctx<'_, M>) -> Option<ProcessId> {
+        let me = ctx.me().index();
+        match self {
+            PeerSelect::Broadcast => None,
+            PeerSelect::NextInRing => Some(ProcessId(((me + 1) % n) as u32)),
             PeerSelect::Random => {
                 // The k-th process other than `me`.
                 let k = ctx.rand_below((n - 1) as u64) as usize;
-                out.push(ProcessId((k + usize::from(k >= me)) as u32));
+                Some(ProcessId((k + usize::from(k >= me)) as u32))
             }
         }
     }

@@ -150,22 +150,27 @@ pub struct Host<C: Controller, W> {
     /// How a scapegoat picks its peers; `None` when the controller picks
     /// its own.
     select: Option<PeerSelect>,
+    /// The peers of a broadcast request; a single peer needs no buffer.
     peers: Vec<ProcessId>,
+    /// The controller's actions, applied and cleared after each call.
     out: Vec<Action<C::Msg>>,
     /// The live timer of each [`FtTimerKind`], by discriminant.
     timers: [Option<TimerId>; 3],
 }
 
 impl<C: Controller, W: Workload> Host<C, W> {
-    /// Host `ctrl` and `work` as one process of `n`.
+    /// Host `ctrl` and `work` as one process of `n`. The buffers are sized
+    /// from `n` here: a call's actions are at most a message to every
+    /// other process and a timer.
     pub fn new(ctrl: C, work: W, n: usize, select: Option<PeerSelect>) -> Self {
+        let broadcast = select == Some(PeerSelect::Broadcast);
         Host {
             ctrl,
             work,
             n,
             select,
-            peers: Vec::new(),
-            out: Vec::new(),
+            peers: Vec::with_capacity(if broadcast { n - 1 } else { 0 }),
+            out: Vec::with_capacity(n),
             timers: [None; 3],
         }
     }
@@ -205,11 +210,20 @@ impl<C: Controller, W: Workload> Host<C, W> {
 
     fn request(&mut self, ctx: &mut Ctx<'_, C::Msg>) {
         self.work.begin_request(ctx);
-        self.peers.clear();
-        if let Some(select) = self.select {
-            select.fill(self.n, ctx, &mut self.peers);
-        }
-        self.ctrl.request_false(&self.peers, &mut self.out);
+        let single;
+        let peers: &[ProcessId] = match self.select {
+            None => &[],
+            Some(PeerSelect::Broadcast) => {
+                self.peers.clear();
+                PeerSelect::Broadcast.fill(self.n, ctx, &mut self.peers);
+                &self.peers
+            }
+            Some(select) => {
+                single = select.pick(self.n, ctx);
+                single.as_slice()
+            }
+        };
+        self.ctrl.request_false(peers, &mut self.out);
         if !self.ctrl.is_blocked() {
             return self.work.enter_false(ctx);
         }

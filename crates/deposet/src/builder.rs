@@ -64,15 +64,43 @@ impl fmt::Display for BuildError {
 impl std::error::Error for BuildError {}
 
 /// Builder for [`Deposet`]s. See module docs.
+///
+/// Events are recorded into one log in recording order, each with the
+/// state it leaves; only the latest state of each process is kept apart.
+/// [`finish`](Self::finish) then lays every process's states and events
+/// out once, at their exact length. So recording allocates only to grow
+/// the log and the message list, and a run of `n` processes allocates
+/// `O(n)` times however its states fall on the processes.
 #[derive(Debug)]
 pub struct DeposetBuilder {
-    states: Vec<Vec<LocalState>>,
-    events: Vec<Vec<EventKind>>,
+    chains: Vec<Chain>,
+    log: Vec<Step>,
     messages: Vec<PendingMessage>,
-    /// One shared copy of each distinct message tag, so recording a send
-    /// allocates nothing once its tag has been seen.
-    tags: serde::Interner,
+    /// One shared copy of each distinct message tag and variable name, so
+    /// recording a send or a new variable allocates nothing once the name
+    /// has been seen.
+    names: serde::Interner,
     allow_in_flight: bool,
+}
+
+/// The recording position of one process.
+#[derive(Debug)]
+struct Chain {
+    /// The latest state.
+    current: LocalState,
+    /// The assignment held before the latest change (see
+    /// [`Variables::stepped`]).
+    previous: Variables,
+    /// Events recorded so far: the index of `current`.
+    events: usize,
+}
+
+/// One recorded event and the state it leaves.
+#[derive(Debug)]
+struct Step {
+    process: ProcessId,
+    event: EventKind,
+    before: LocalState,
 }
 
 #[derive(Debug)]
@@ -83,14 +111,26 @@ struct PendingMessage {
 }
 
 impl DeposetBuilder {
+    /// Room made at the start for each process's steps and sends, so a
+    /// short recording does not grow the log from one element; longer ones
+    /// grow it by doubling.
+    const STEPS_PER_PROCESS: usize = 16;
+    const MESSAGES_PER_PROCESS: usize = 8;
+
     /// A builder for `n` processes, each starting at an initial state `⊥ᵢ`
     /// with no variables set.
     pub fn new(n: usize) -> Self {
         DeposetBuilder {
-            states: (0..n).map(|_| vec![LocalState::default()]).collect(),
-            events: vec![Vec::new(); n],
-            messages: Vec::new(),
-            tags: serde::Interner::default(),
+            chains: (0..n)
+                .map(|_| Chain {
+                    current: LocalState::default(),
+                    previous: Variables::new(),
+                    events: 0,
+                })
+                .collect(),
+            log: Vec::with_capacity(Self::STEPS_PER_PROCESS * n),
+            messages: Vec::with_capacity(Self::MESSAGES_PER_PROCESS * n),
+            names: serde::Interner::default(),
             allow_in_flight: false,
         }
     }
@@ -99,8 +139,8 @@ impl DeposetBuilder {
     pub fn with_initial(initial: Vec<Variables>) -> Self {
         let n = initial.len();
         let mut b = DeposetBuilder::new(n);
-        for (p, vars) in initial.into_iter().enumerate() {
-            b.states[p][0] = LocalState::new(vars);
+        for (chain, vars) in b.chains.iter_mut().zip(initial) {
+            chain.current = LocalState::new(vars);
         }
         b
     }
@@ -115,32 +155,32 @@ impl DeposetBuilder {
 
     /// Number of processes.
     pub fn process_count(&self) -> usize {
-        self.states.len()
+        self.chains.len()
     }
 
     /// The id of the current (latest) state of process `p`.
     pub fn current(&self, p: impl Into<ProcessId>) -> StateId {
         let p = p.into();
-        StateId::new(p, (self.states[p.index()].len() - 1) as u32)
+        StateId::new(p, self.chains[p.index()].events as u32)
     }
 
     /// Read a variable in the current state of `p` (unset = `None`).
     pub fn var(&self, p: impl Into<ProcessId>, name: &str) -> Option<i64> {
         let p = p.into();
-        self.states[p.index()].last().unwrap().vars.get(name)
+        self.chains[p.index()].current.vars.get(name)
     }
 
     /// Set variables on the *initial* state of `p`. Panics if `p` already
     /// has events (the initial assignment would then be ambiguous).
     pub fn init_vars(&mut self, p: impl Into<ProcessId>, updates: &[(&str, i64)]) -> &mut Self {
         let p = p.into();
+        let chain = &mut self.chains[p.index()];
         assert!(
-            self.states[p.index()].len() == 1,
+            chain.events == 0,
             "init_vars must be called before any event on {p}"
         );
-        for (k, v) in updates {
-            self.states[p.index()][0].vars.set(k, *v);
-        }
+        let vars = &mut chain.current.vars;
+        *vars = vars.stepped(updates, &mut Variables::new(), &mut self.names);
         self
     }
 
@@ -148,19 +188,24 @@ impl DeposetBuilder {
     /// the paper's `a` … `f` in Figure 4).
     pub fn label(&mut self, p: impl Into<ProcessId>, label: impl Into<Box<str>>) -> &mut Self {
         let p = p.into();
-        self.states[p.index()].last_mut().unwrap().label = Some(label.into());
+        self.chains[p.index()].current.label = Some(label.into());
         self
     }
 
     fn push_state(&mut self, p: ProcessId, ev: EventKind, updates: &[(&str, i64)]) -> StateId {
-        let pi = p.index();
-        let mut next = LocalState::new(self.states[pi].last().unwrap().vars.clone());
-        for (k, v) in updates {
-            next.vars.set(k, *v);
-        }
-        self.states[pi].push(next);
-        self.events[pi].push(ev);
-        self.current(p)
+        let chain = &mut self.chains[p.index()];
+        let vars = chain
+            .current
+            .vars
+            .stepped(updates, &mut chain.previous, &mut self.names);
+        let before = std::mem::replace(&mut chain.current, LocalState::new(vars));
+        chain.events += 1;
+        self.log.push(Step {
+            process: p,
+            event: ev,
+            before,
+        });
+        StateId::new(p, chain.events as u32)
     }
 
     /// Append an internal event on `p`; the new state inherits the previous
@@ -187,7 +232,7 @@ impl DeposetBuilder {
         let from = self.current(p);
         let id = MsgId(self.messages.len() as u32);
         self.messages.push(PendingMessage {
-            tag: self.tags.intern(tag),
+            tag: self.names.intern(tag),
             from,
             to: None,
         });
@@ -220,65 +265,58 @@ impl DeposetBuilder {
     }
 
     /// Finalize: validate, compute vector clocks, and return the deposet.
+    ///
+    /// Each process's states and events are allocated once, at their
+    /// exact length, and filled from the log in recording order.
     pub fn finish(self) -> Result<Deposet, BuildError> {
-        let in_flight: Vec<MsgId> = self
-            .messages
-            .iter()
-            .enumerate()
-            .filter(|(_, m)| m.to.is_none())
-            .map(|(i, _)| MsgId(i as u32))
-            .collect();
-        let (mut states, mut events) = (self.states, self.events);
-        let mut messages = Vec::with_capacity(self.messages.len());
-        if in_flight.is_empty() {
-            for (i, m) in self.messages.into_iter().enumerate() {
-                messages.push(Message {
-                    id: MsgId(i as u32),
-                    tag: m.tag,
-                    from: m.from,
-                    to: m.to.expect("checked"),
-                });
-            }
-        } else if self.allow_in_flight {
-            // Drop in-flight messages: rewrite their send events to Internal
-            // and renumber the rest densely.
-            let mut remap = vec![u32::MAX; self.messages.len()];
-            let mut next = 0u32;
-            for (i, m) in self.messages.iter().enumerate() {
-                if m.to.is_some() {
-                    remap[i] = next;
-                    next += 1;
-                }
-            }
-            for ev in events.iter_mut() {
-                for e in ev.iter_mut() {
-                    match *e {
-                        EventKind::Send(m) if remap[m.index()] == u32::MAX => {
-                            *e = EventKind::Internal;
-                        }
-                        EventKind::Send(m) => *e = EventKind::Send(MsgId(remap[m.index()])),
-                        EventKind::Recv(m) => *e = EventKind::Recv(MsgId(remap[m.index()])),
-                        EventKind::Internal => {}
-                    }
-                }
-            }
-            for (i, m) in self.messages.into_iter().enumerate() {
-                if let Some(to) = m.to {
-                    messages.push(Message {
-                        id: MsgId(remap[i]),
-                        tag: m.tag,
-                        from: m.from,
-                        to,
-                    });
-                }
-            }
-        } else {
+        let delivered = self.messages.iter().filter(|m| m.to.is_some()).count();
+        if delivered < self.messages.len() && !self.allow_in_flight {
+            let in_flight = (self.messages.iter().enumerate())
+                .filter(|(_, m)| m.to.is_none())
+                .map(|(i, _)| MsgId(i as u32))
+                .collect();
             return Err(BuildError::InFlightMessages(in_flight));
         }
-        // `states` is moved as-is.
-        let states_taken = std::mem::take(&mut states);
-        let events_taken = std::mem::take(&mut events);
-        Deposet::from_parts(states_taken, events_taken, messages).map_err(BuildError::Invalid)
+        // Drop in-flight messages: their send events become Internal, and
+        // the rest are renumbered densely.
+        let dropping = delivered < self.messages.len();
+        let mut remap = Vec::with_capacity(if dropping { self.messages.len() } else { 0 });
+        let mut messages = Vec::with_capacity(delivered);
+        for m in self.messages {
+            let id = MsgId(messages.len() as u32);
+            if dropping {
+                remap.push(m.to.map(|_| id));
+            }
+            if let Some(to) = m.to {
+                messages.push(Message {
+                    id,
+                    tag: m.tag,
+                    from: m.from,
+                    to,
+                });
+            }
+        }
+        let renumber = |e: EventKind| match e {
+            _ if !dropping => e,
+            EventKind::Internal => e,
+            EventKind::Send(m) => remap[m.index()].map_or(EventKind::Internal, EventKind::Send),
+            EventKind::Recv(m) => EventKind::Recv(remap[m.index()].expect("received")),
+        };
+        let mut states: Vec<Vec<LocalState>> = (self.chains.iter())
+            .map(|c| Vec::with_capacity(c.events + 1))
+            .collect();
+        let mut events: Vec<Vec<EventKind>> = (self.chains.iter())
+            .map(|c| Vec::with_capacity(c.events))
+            .collect();
+        for step in self.log {
+            let p = step.process.index();
+            states[p].push(step.before);
+            events[p].push(renumber(step.event));
+        }
+        for (chain, states) in self.chains.into_iter().zip(&mut states) {
+            states.push(chain.current);
+        }
+        Deposet::from_parts(states, events, messages).map_err(BuildError::Invalid)
     }
 }
 
@@ -373,6 +411,42 @@ mod tests {
         assert_eq!(b.current(0), StateId::new(0usize, 1));
         assert_eq!(b.var(0, "x"), Some(9));
         assert_eq!(b.var(1, "x"), None);
+    }
+
+    #[test]
+    fn a_flag_toggled_beside_another_variable_keeps_every_value() {
+        // A crashed process carries `down` next to `cs`; the builder hands
+        // a toggled assignment back its earlier slice.
+        let mut b = DeposetBuilder::new(1);
+        b.init_vars(0, &[("cs", 0), ("down", 1)]);
+        let script: [&[(&str, i64)]; 6] = [
+            &[("down", 0)],
+            &[("cs", 1)],
+            &[],
+            &[("cs", 0)],
+            &[("cs", 1)],
+            &[("cs", 0), ("cs", 1)],
+        ];
+        for updates in script {
+            b.internal(0, updates);
+        }
+        let d = b.finish().unwrap();
+        let got: Vec<Vec<(&str, i64)>> = (d.states_of(ProcessId(0)).iter())
+            .map(|s| s.vars.iter().collect())
+            .collect();
+        let (cs, down) = (|v| ("cs", v), |v| ("down", v));
+        assert_eq!(
+            got,
+            [
+                [cs(0), down(1)],
+                [cs(0), down(0)],
+                [cs(1), down(0)],
+                [cs(1), down(0)],
+                [cs(0), down(0)],
+                [cs(1), down(0)],
+                [cs(1), down(0)],
+            ]
+        );
     }
 
     #[test]

@@ -67,28 +67,50 @@ pub struct Driver {
     cs: (u64, u64),
     requested_at: Option<SimTime>,
     /// This process's `enter_p{i}` / `exit_p{i}` sample keys, built once.
-    enter_key: String,
-    exit_key: String,
+    enter_key: StampKey,
+    exit_key: StampKey,
 }
 
-/// The sample keys stamping process `p`'s critical-section entries and
-/// exits.
-fn stamp_keys(p: usize) -> (String, String) {
-    (format!("enter_p{p}"), format!("exit_p{p}"))
+/// A `{name}_p{p}` sample key, formatted once into an inline buffer, so a
+/// driver allocates nothing for its keys.
+#[derive(Clone, Copy)]
+struct StampKey {
+    buf: [u8; 32],
+    len: usize,
+}
+
+impl StampKey {
+    fn new(name: &str, p: usize) -> Self {
+        use std::io::Write;
+        let mut buf = [0; 32];
+        let mut rest = &mut buf[..];
+        write!(rest, "{name}_p{p}").expect("a stamp key fits 32 bytes");
+        let len = 32 - rest.len();
+        StampKey { buf, len }
+    }
+
+    fn as_str(&self) -> &str {
+        std::str::from_utf8(&self.buf[..self.len]).expect("formatted from a str")
+    }
+}
+
+impl std::fmt::Debug for StampKey {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.as_str().fmt(f)
+    }
 }
 
 impl Driver {
     /// New driver for process `me`.
     pub fn new(me: ProcessId, cfg: &WorkloadConfig) -> Self {
-        let (enter_key, exit_key) = stamp_keys(me.index());
         Driver {
             phase: Phase::Thinking,
             entries_left: cfg.entries_per_process,
             think: cfg.think,
             cs: cfg.cs,
             requested_at: None,
-            enter_key,
-            exit_key,
+            enter_key: StampKey::new("enter", me.index()),
+            exit_key: StampKey::new("exit", me.index()),
         }
     }
 
@@ -126,7 +148,7 @@ impl Driver {
         ctx.trace_begin("cs");
         ctx.count("entries", 1);
         ctx.step(&[("cs", 1)]);
-        ctx.record(&self.enter_key, ctx.now().0);
+        ctx.record(self.enter_key.as_str(), ctx.now().0);
         let d = ctx.rand_range(self.cs.0, self.cs.1);
         ctx.set_timer(d);
     }
@@ -137,7 +159,7 @@ impl Driver {
         debug_assert_eq!(self.phase, Phase::InCs);
         ctx.trace_end("cs");
         ctx.step(&[("cs", 0)]);
-        ctx.record(&self.exit_key, ctx.now().0);
+        ctx.record(self.exit_key.as_str(), ctx.now().0);
         self.entries_left -= 1;
         self.start_thinking(ctx);
     }
@@ -156,7 +178,7 @@ impl Driver {
                 // timelines stay balanced.
                 ctx.trace_end("cs");
                 ctx.step(&[("cs", 0)]);
-                ctx.record(&self.exit_key, ctx.now().0);
+                ctx.record(self.exit_key.as_str(), ctx.now().0);
                 ctx.count("aborted_cs", 1);
                 self.entries_left -= 1;
                 self.start_thinking(ctx);

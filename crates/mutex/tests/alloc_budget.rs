@@ -3,20 +3,24 @@
 //!
 //! A counting `#[global_allocator]` (this binary only) counts the
 //! allocations made on the calling thread while a closure runs. The
-//! budgets pin the property DESIGN states for the record path — a
-//! simulated step allocates nothing in steady state — with room for each
-//! run's set-up (processes, mailboxes, the finished deposet's arrays) and
-//! the amortised growth of its vectors: an anti-token run of 8 processes
-//! and 12 entries records only ~260 states. The timing wheel gets its own
-//! budget, since its upper levels are touched by few of those runs, and so
-//! does the post-run audit, whose allocations must not grow with the run.
+//! budgets pin what DESIGN states for the record path: a simulated step
+//! allocates nothing in steady state, and a whole run allocates `O(n)`
+//! times for `n` processes. Each per-run buffer is sized once — the
+//! builder lays each process's states out at their exact length when the
+//! run finishes, the metric series share one pool, the hosts size their
+//! buffers from `n` — so an anti-token run of 8 processes and 12 entries,
+//! which records only ~260 states, makes well under one allocation per
+//! three states. The timing wheel gets its own budget, since its upper
+//! levels are touched by few of those runs, and so does the post-run
+//! audit, whose allocations must not grow with the run.
 //!
 //! The steady-state budget takes the difference of two run lengths, so
 //! set-up cancels and only what a step costs remains: the controllers push
 //! into their host's reused action buffer, and the fault-tolerant timers
-//! sit in fixed slots. Its fault-tolerant run has message loss but no
-//! crash: a crashed process records `down` next to `cs`, and a two-variable
-//! state is a heap vector, cloned on every later step (DESIGN §15).
+//! sit in fixed slots. Its fault-tolerant run has message loss and a crash:
+//! a crashed process records `down` next to `cs`, and the builder shares
+//! such a two-variable assignment between the states that hold it
+//! (DESIGN §15).
 
 use pctl_core::online::ft::FtParams;
 use pctl_core::online::PeerSelect;
@@ -97,21 +101,86 @@ fn per_state(run: impl Fn(&WorkloadConfig) -> pctl_sim::SimResult) -> f64 {
     allocs as f64 / states as f64
 }
 
-#[test]
-fn antitoken_runs_allocate_at_most_one_and_a_quarter_per_state() {
-    let plain = per_state(|cfg| run_antitoken(cfg, PeerSelect::NextInRing));
-    println!("anti-token: {plain:.3} allocations per recorded state");
-    assert!(plain <= 1.25, "{plain:.3} allocations per recorded state");
+/// The fault plan of the fault-tolerant cases: 5% message loss, and the
+/// initial scapegoat crashes at t = 25 and restarts 300 ticks later.
+fn loss_and_crash() -> FaultPlan {
+    FaultPlan::uniform_loss(0.05).with_crash(ProcessId(0), SimTime(25), Some(300))
 }
 
 #[test]
-fn fault_tolerant_runs_allocate_at_most_one_and_a_quarter_per_state() {
+fn antitoken_runs_allocate_at_most_three_tenths_per_state() {
+    let plain = per_state(|cfg| run_antitoken(cfg, PeerSelect::NextInRing));
+    println!("anti-token: {plain:.3} allocations per recorded state");
+    assert!(plain <= 0.3, "{plain:.3} allocations per recorded state");
+}
+
+#[test]
+fn fault_tolerant_runs_allocate_at_most_three_tenths_per_state() {
     let ft = per_state(|cfg| {
-        let plan = FaultPlan::uniform_loss(0.05).with_crash(ProcessId(0), SimTime(25), Some(300));
-        run_ft_antitoken(cfg, PeerSelect::NextInRing, FtParams::default(), plan)
+        run_ft_antitoken(
+            cfg,
+            PeerSelect::NextInRing,
+            FtParams::default(),
+            loss_and_crash(),
+        )
     });
     println!("fault-tolerant anti-token: {ft:.3} allocations per recorded state");
-    assert!(ft <= 1.25, "{ft:.3} allocations per recorded state");
+    assert!(ft <= 0.3, "{ft:.3} allocations per recorded state");
+}
+
+/// Allocations of one whole 12-entry run of `n` processes (seed 3), set-up
+/// and the finished deposet included, and their number per process.
+fn per_process(n: usize, run: impl Fn(&WorkloadConfig) -> pctl_sim::SimResult) -> (u64, f64) {
+    let cfg = WorkloadConfig {
+        processes: n,
+        ..workload(3)
+    };
+    let (r, allocs) = counted(|| run(&cfg));
+    assert_eq!(r.metrics.counter("entries"), n as u64 * 12);
+    (allocs, allocs as f64 / n as f64)
+}
+
+#[test]
+fn whole_runs_allocate_a_constant_per_process() {
+    // (name, runner, bound per process, bound per process added from
+    // n = 4 to n = 16)
+    type Run = fn(&WorkloadConfig) -> pctl_sim::SimResult;
+    let runs: [(&str, Run, f64, f64); 2] = [
+        (
+            "anti-token",
+            |cfg| run_antitoken(cfg, PeerSelect::NextInRing),
+            16.0,
+            8.0,
+        ),
+        (
+            "fault-tolerant anti-token",
+            |cfg| {
+                let plan = loss_and_crash();
+                run_ft_antitoken(cfg, PeerSelect::NextInRing, FtParams::default(), plan)
+            },
+            24.0,
+            10.0,
+        ),
+    ];
+    for (name, run, per, marginal) in runs {
+        let (small, small_per) = per_process(4, run);
+        println!("whole run, {name}, n = 4: {small} allocations ({small_per:.1} per process)");
+        let (large, large_per) = per_process(16, run);
+        let added = (large - small) as f64 / 12.0;
+        println!(
+            "whole run, {name}, n = 16: {large} allocations ({large_per:.1} per process, \
+             {added:.1} per process added since n = 4)"
+        );
+        assert!(
+            small_per <= per,
+            "{name}, n = 4: {small_per:.1} per process"
+        );
+        assert!(
+            large_per <= per,
+            "{name}, n = 16: {large_per:.1} per process"
+        );
+        assert!(added <= marginal, "{name}: {added:.1} per added process");
+    }
 }
 
 /// Allocations per recorded state added by growing one runner's run from
@@ -135,8 +204,12 @@ fn marginal_per_state(run: impl Fn(&WorkloadConfig) -> pctl_sim::SimResult) -> f
 fn steady_state_steps_allocate_nothing() {
     let plain = marginal_per_state(|cfg| run_antitoken(cfg, PeerSelect::NextInRing));
     let ft = marginal_per_state(|cfg| {
-        let plan = FaultPlan::uniform_loss(0.05);
-        run_ft_antitoken(cfg, PeerSelect::NextInRing, FtParams::default(), plan)
+        run_ft_antitoken(
+            cfg,
+            PeerSelect::NextInRing,
+            FtParams::default(),
+            loss_and_crash(),
+        )
     });
     println!("steady-state anti-token: {plain:.4} marginal allocations per recorded state");
     println!(
@@ -158,8 +231,12 @@ fn fault_tolerant_audit_allocates_per_process_not_per_state() {
             entries_per_process: entries,
             ..workload(3)
         };
-        let plan = FaultPlan::uniform_loss(0.05).with_crash(ProcessId(0), SimTime(25), Some(300));
-        let r = run_ft_antitoken(&cfg, PeerSelect::NextInRing, FtParams::default(), plan);
+        let r = run_ft_antitoken(
+            &cfg,
+            PeerSelect::NextInRing,
+            FtParams::default(),
+            loss_and_crash(),
+        );
         let ((report, concurrent), allocs) = counted(|| {
             (
                 sweep_faulty_run(&r.deposet, &witness),

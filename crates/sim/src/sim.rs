@@ -19,10 +19,11 @@
 //! generation-checked [`PayloadArena`], scheduling moves only `Copy` events
 //! through a hierarchical [`TimingWheel`], and execution proceeds in
 //! *timestep batches* — the wheel yields every event due at the earliest
-//! occupied time, deliveries are staged into per-process inboxes in global
-//! `(time, seq)` order, and the run queue then executes them in exactly
-//! that order. The end of a timestep is the paper's "controlled deadlock":
-//! nothing at time `t` remains runnable, so the wheel advances.
+//! occupied time, its events are staged into the run queue in global
+//! `(time, seq)` order (each delivery counted in its destination's mailbox
+//! depth), and the run queue then executes them in exactly that order.
+//! The end of a timestep is the paper's "controlled deadlock": nothing at
+//! time `t` remains runnable, so the wheel advances.
 //!
 //! The batch structure is an implementation detail, not a semantic change:
 //! dispatch order, RNG draw order, trace construction and metrics are
@@ -40,7 +41,6 @@ use pctl_obs::{Event, EventKind, NullRecorder, Recorder};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::Serialize;
-use std::collections::VecDeque;
 
 /// Messages exchanged by simulated processes.
 pub trait Payload: Clone + std::fmt::Debug + 'static {
@@ -234,10 +234,8 @@ pub struct SimResult {
     pub recorder: Box<dyn Recorder>,
     /// Engine accounting (arena/inbox/wheel gauges, batch shape).
     pub core: CoreStats,
-    /// Per-process down flags at the end of the run.
-    down: Vec<bool>,
-    /// Per-process "took part in the protocol" flags.
-    engaged: Vec<bool>,
+    /// Per-process engine state at the end of the run.
+    slots: Vec<Slot>,
 }
 
 impl SimResult {
@@ -255,9 +253,9 @@ impl SimResult {
             .map(|i| {
                 if self.done[i] {
                     ProcessOutcome::Done
-                } else if self.down[i] {
+                } else if self.slots[i].down {
                     ProcessOutcome::Down
-                } else if self.engaged[i] {
+                } else if self.slots[i].engaged {
                     ProcessOutcome::Blocked
                 } else {
                     ProcessOutcome::Inert
@@ -338,11 +336,24 @@ struct InFlight<M> {
     clock: Option<VectorClock>,
 }
 
+/// The engine's state of one process.
+#[derive(Clone, Copy, Debug, Default)]
+struct Slot {
+    /// Depth of the process's mailbox: deliveries routed into the current
+    /// timestep and not yet run. The run queue holds them in order.
+    staged: u32,
+    /// Bumped at each restart; timers of an older incarnation are stale.
+    incarnation: u32,
+    /// Crashed and not yet restarted.
+    down: bool,
+    /// Has sent, received, or armed a timer — the signal separating
+    /// [`ProcessOutcome::Blocked`] from [`ProcessOutcome::Inert`].
+    engaged: bool,
+}
+
 struct Inner<M> {
     wheel: TimingWheel<Ev>,
     arena: PayloadArena<InFlight<M>>,
-    /// Per-process mailbox of staged (routed, not yet executed) deliveries.
-    inboxes: Vec<VecDeque<MsgHandle>>,
     /// The current timestep's run queue. Zero-delay sends made *during*
     /// the batch append here (their seq is necessarily the largest yet, so
     /// appending preserves seq order).
@@ -360,17 +371,13 @@ struct Inner<M> {
     seq: u64,
     next_timer: u64,
     done: Vec<bool>,
-    /// Set when a process sends, receives, or arms a timer — the signal
-    /// separating [`ProcessOutcome::Blocked`] from [`ProcessOutcome::Inert`].
-    engaged: Vec<bool>,
+    slots: Vec<Slot>,
     faults: FaultPlan,
     // Dedicated fault-decision stream: fault sampling must not perturb the
     // main `rng` stream handlers draw from, or a fault plan would change
     // the base behavior it is supposed to perturb.
     frng: StdRng,
     faulty: bool,
-    down: Vec<bool>,
-    incarnation: Vec<u32>,
     // Telemetry. `rec` is a NullRecorder unless the run asked for tracing;
     // `recording` is its `enabled()`, read once at construction. `clocks`
     // (live Fidge–Mattern clocks, one per process) exist only while
@@ -405,16 +412,16 @@ impl<M: Payload> Inner<M> {
         }
     }
 
-    /// Stage one event of the current timestep: deliveries go into the
-    /// destination mailbox (bounded-inbox accounting happens here), and the
-    /// token joins the run queue.
+    /// Stage one event of the current timestep: the token joins the run
+    /// queue, and a delivery deepens its destination's mailbox
+    /// (bounded-inbox accounting happens here).
     fn route(&mut self, tok: Tok) {
-        if let Ev::Deliver { dst, handle } = tok.ev {
-            let inbox = &mut self.inboxes[dst.index()];
-            inbox.push_back(handle);
-            let depth = inbox.len() as u64;
+        if let Ev::Deliver { dst, .. } = tok.ev {
+            let staged = &mut self.slots[dst.index()].staged;
+            *staged += 1;
+            let depth = u64::from(*staged);
             self.stats.inbox_high_water = self.stats.inbox_high_water.max(depth);
-            if inbox.len() > self.inbox_capacity {
+            if depth > self.inbox_capacity as u64 {
                 self.stats.inbox_overflows += 1;
             }
         }
@@ -557,7 +564,7 @@ impl<M: Payload> Ctx<'_, M> {
     pub fn send(&mut self, to: ProcessId, msg: M) {
         let delay = self.inner.delay.sample(&mut self.inner.rng);
         let token = self.inner.builder.send_with(self.me, msg.tag(), &[]);
-        self.inner.engaged[self.me.index()] = true;
+        self.inner.slots[self.me.index()].engaged = true;
         self.inner.metrics.add("msgs_total", 1);
         if msg.is_control() {
             self.inner.metrics.add("msgs_ctrl", 1);
@@ -583,9 +590,9 @@ impl<M: Payload> Ctx<'_, M> {
             .next_timer
             .checked_add(1)
             .expect("timer id overflowed u64");
-        self.inner.engaged[self.me.index()] = true;
+        self.inner.slots[self.me.index()].engaged = true;
         let at = self.inner.now + delay;
-        let inc = self.inner.incarnation[self.me.index()];
+        let inc = self.inner.slots[self.me.index()].incarnation;
         self.inner.schedule(
             at,
             Ev::Timer {
@@ -764,8 +771,7 @@ impl<M: Payload> Simulation<M> {
             inner: Inner {
                 wheel: TimingWheel::new(0),
                 arena: PayloadArena::new(),
-                inboxes: (0..n).map(|_| VecDeque::new()).collect(),
-                run_queue: Vec::new(),
+                run_queue: Vec::with_capacity(n),
                 run_pos: 0,
                 in_batch: false,
                 inbox_capacity: config.inbox_capacity,
@@ -778,12 +784,10 @@ impl<M: Payload> Simulation<M> {
                 seq: 0,
                 next_timer: 0,
                 done: vec![false; n],
-                engaged: vec![false; n],
+                slots: vec![Slot::default(); n],
                 faults: config.faults.clone(),
                 frng: StdRng::seed_from_u64(config.seed ^ FAULT_STREAM_SALT),
                 faulty,
-                down: vec![false; n],
-                incarnation: vec![0; n],
                 rec: recorder,
                 recording,
                 clocks: if recording {
@@ -857,7 +861,7 @@ impl<M: Payload> Simulation<M> {
             self.dispatch(p, |p, ctx| p.on_start(ctx));
         }
         let mut dispatched = 0usize;
-        let mut batch: Vec<WheelEntry<Ev>> = Vec::new();
+        let mut batch: Vec<WheelEntry<Ev>> = Vec::with_capacity(n);
         let stopped = 'outer: loop {
             let Some(t) = self.inner.wheel.pop_batch(&mut batch) else {
                 break StopReason::Quiescent;
@@ -906,25 +910,24 @@ impl<M: Payload> Simulation<M> {
                 self.inner.now = t;
                 match tok.ev {
                     Ev::Deliver { dst, handle } => {
-                        let staged = self.inner.inboxes[dst.index()]
-                            .pop_front()
+                        let slot = &mut self.inner.slots[dst.index()];
+                        slot.staged = (slot.staged.checked_sub(1))
                             .expect("mailbox drained out of sync with run queue");
-                        debug_assert_eq!(staged, handle, "mailbox/run-queue coherence");
                         let InFlight {
                             src,
                             msg,
                             token,
                             flow,
                             clock,
-                        } = self.inner.arena.take(staged);
-                        if self.inner.down[dst.index()] {
+                        } = self.inner.arena.take(handle);
+                        if slot.down {
                             // Lost at a dead receiver; the unreceived token
                             // is rewritten to an internal event at finish().
                             self.inner.metrics.add("msgs_dropped", 1);
                             self.inner.rec_instant(dst, "msg_lost_receiver_down");
                             drop(token);
                         } else {
-                            self.inner.engaged[dst.index()] = true;
+                            slot.engaged = true;
                             self.inner.builder.recv(dst, token, &[]);
                             if self.inner.recording {
                                 if let Some(sender_clock) = &clock {
@@ -949,25 +952,25 @@ impl<M: Payload> Simulation<M> {
                     Ev::Timer { dst, id, inc } => {
                         // Stale timers (armed by a dead or pre-crash
                         // incarnation) are discarded silently.
-                        if !self.inner.down[dst.index()]
-                            && inc == self.inner.incarnation[dst.index()]
-                        {
-                            self.inner.engaged[dst.index()] = true;
+                        let slot = &mut self.inner.slots[dst.index()];
+                        if !slot.down && inc == slot.incarnation {
+                            slot.engaged = true;
                             self.dispatch(dst, |p, ctx| p.on_timer(id, ctx));
                         }
                     }
                     Ev::Crash { dst } => {
-                        if !self.inner.down[dst.index()] {
-                            self.inner.down[dst.index()] = true;
+                        if !self.inner.slots[dst.index()].down {
+                            self.inner.slots[dst.index()].down = true;
                             self.inner.metrics.add("crashes", 1);
                             self.inner.builder.internal(dst, &[("down", 1)]);
                             self.inner.rec_instant(dst, "crash");
                         }
                     }
                     Ev::Restart { dst } => {
-                        if self.inner.down[dst.index()] {
-                            self.inner.down[dst.index()] = false;
-                            self.inner.incarnation[dst.index()] += 1;
+                        let slot = &mut self.inner.slots[dst.index()];
+                        if slot.down {
+                            slot.down = false;
+                            slot.incarnation += 1;
                             self.inner.metrics.add("restarts", 1);
                             self.inner.builder.internal(dst, &[("down", 0)]);
                             self.inner.rec_instant(dst, "restart");
@@ -988,8 +991,7 @@ impl<M: Payload> Simulation<M> {
             mut stats,
             arena,
             wheel,
-            down,
-            engaged,
+            slots,
             ..
         } = self.inner;
         stats.events_dispatched = dispatched as u64;
@@ -1014,8 +1016,7 @@ impl<M: Payload> Simulation<M> {
             stopped,
             recorder: rec,
             core: stats,
-            down,
-            engaged,
+            slots,
         }
     }
 }
