@@ -108,6 +108,17 @@ pub fn read_run(exited_ok: bool, stdout: &str) -> Result<RunLine, String> {
     })
 }
 
+/// Serialize a report as one JSON line, validated by parsing it back.
+///
+/// # Panics
+/// Panics if the line does not round-trip.
+pub fn json_line<T: Serialize + Deserialize + PartialEq + std::fmt::Debug>(report: &T) -> String {
+    let json = serde_json::to_string(report).expect("report serializes");
+    let back: T = serde_json::from_str(&json).expect("report JSON parses back");
+    assert_eq!(&back, report, "report JSON must round-trip losslessly");
+    json
+}
+
 /// A metric's verdict.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Verdict {
@@ -618,7 +629,7 @@ mod tests {
         // B's times are multiplied, its throughput divided.
         assert!(slowed.metrics[0].b.1 > clean.metrics[0].b.1);
         assert!(slowed.metrics[1].b.1 < clean.metrics[1].b.1);
-        let back: AbReport = serde_json::from_str(&crate::report::json_line(&slowed)).unwrap();
+        let back: AbReport = serde_json::from_str(&json_line(&slowed)).unwrap();
         assert_eq!(back, slowed);
         let table = slowed.render();
         let rows = table
@@ -773,7 +784,7 @@ mod tests {
         assert!(table.contains(row), "{table}");
         assert!(table.contains("| – | – | – |\n"), "{table}");
         assert!(table.contains("not reached (0 on every run): sim.run_us"));
-        let back: AbReport = serde_json::from_str(&crate::report::json_line(&r)).unwrap();
+        let back: AbReport = serde_json::from_str(&json_line(&r)).unwrap();
         assert_eq!(back, r);
     }
 }

@@ -16,7 +16,7 @@
 //! differently by the sides (`pctl_bench::ab::AbReport::of`). Exits 1 on a
 //! usage error.
 
-use pctl_bench::ab::{read_run, AbReport, RunLine, PAIRS};
+use pctl_bench::ab::{json_line, read_run, AbReport, RunLine, PAIRS};
 use std::process::{Command, ExitCode};
 
 const USAGE: &str = "usage: ab <A> <B> [--inject-slowdown PCT] -- <args…>";
@@ -85,6 +85,6 @@ fn main() -> ExitCode {
     println!("A: {}\nB: {}", sides[0], sides[1]);
     println!("args: {}\n", args.join(" "));
     print!("{}", report.render());
-    println!("{}", pctl_bench::report::json_line(&report));
+    println!("{}", json_line(&report));
     ExitCode::from(if report.regressions > 0 { 2 } else { 0 })
 }

@@ -14,10 +14,10 @@
 //! The figure binaries run on one thread, seeds in order, so every table
 //! but its timing columns is fixed by its seeds.
 //!
-//! `bench_suite` records the perf trajectory for what the repository
-//! benchmark (`perfbench/`) does not measure; its report schema is
-//! [`report`], and its last stdout line declares how each of its numbers
-//! is judged. `ab` is the regression gate: it runs two builds of
+//! `bench_suite` measures what the repository benchmark (`perfbench/`)
+//! does not judge case by case: it prints its in-run A/B verdicts and a
+//! last stdout line that declares how each of its numbers is judged, and
+//! writes no report. `ab` is the regression gate: it runs two builds of
 //! `bench_suite` or perfbench interleaved and judges every metric they
 //! print with [`ab`], by the run line's declarations or else
 //! `BENCHMARK.json`'s. Over traced perfbench runs its table is the layer
@@ -27,7 +27,6 @@
 #![forbid(unsafe_code)]
 
 pub mod ab;
-pub mod report;
 
 use pctl_obs::stats::nearest_rank;
 use std::fmt::Display;

@@ -25,9 +25,10 @@
 //!
 //! Queries run over the store through the [`CausalStore`] trait — the same
 //! monomorphised Lemma 2 / control / detection code paths as the batch
-//! engine. `verify`, which needs full event/message structure, goes through
-//! [`SessionStore::snapshot`] (an honest batch rebuild; verification is
-//! lattice-exhaustive anyway).
+//! engine. `verify` needs the control relation's arrows in the clocks, so
+//! it goes through [`SessionStore::snapshot`] (an honest batch rebuild):
+//! it runs the same polynomial detection over the controlled store of
+//! that snapshot, with no lattice walk.
 
 use crate::causal::CausalStore;
 use crate::event::{EventKind, Message};
