@@ -137,6 +137,7 @@ impl<'r> EngineTrace<'r> {
                 name: name.to_owned(),
                 kind,
                 clock: None,
+                state: None,
             });
         }
     }

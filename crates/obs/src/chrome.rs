@@ -263,6 +263,7 @@ mod tests {
                 name: "cs".into(),
                 kind: EventKind::SpanBegin,
                 clock: Some(vec![1, 0]),
+                state: None,
             },
             Event {
                 ts: 2,
@@ -270,6 +271,7 @@ mod tests {
                 name: "req".into(),
                 kind: EventKind::MsgSend { id: 0, to: 1 },
                 clock: Some(vec![2, 0]),
+                state: None,
             },
             Event {
                 ts: 5,
@@ -277,6 +279,7 @@ mod tests {
                 name: "req".into(),
                 kind: EventKind::MsgRecv { id: 0, from: 0 },
                 clock: Some(vec![2, 1]),
+                state: None,
             },
             Event::counter(5, 1, "ok", 1),
             Event {
@@ -285,6 +288,7 @@ mod tests {
                 name: "cs".into(),
                 kind: EventKind::SpanEnd,
                 clock: None,
+                state: None,
             },
             Event::instant(7, 1, "watchdog"),
         ]
@@ -304,6 +308,7 @@ mod tests {
             name: "cs".into(),
             kind: EventKind::SpanBegin,
             clock: None,
+            state: None,
         }];
         let json = chrome_trace(&events, &[]);
         let err = validate_chrome_trace(&json).unwrap_err();
@@ -318,6 +323,7 @@ mod tests {
             name: "req".into(),
             kind: EventKind::MsgRecv { id: 3, from: 1 },
             clock: None,
+            state: None,
         }];
         let json = chrome_trace(&events, &[]);
         let err = validate_chrome_trace(&json).unwrap_err();
@@ -334,6 +340,7 @@ mod tests {
                 name: "req".into(),
                 kind: EventKind::MsgRecv { id: 3, from: 1 },
                 clock: None,
+                state: None,
             },
             Event {
                 ts: 1,
@@ -341,6 +348,7 @@ mod tests {
                 name: "req".into(),
                 kind: EventKind::MsgSend { id: 4, to: 1 },
                 clock: None,
+                state: None,
             },
             Event {
                 ts: 2,
@@ -348,6 +356,7 @@ mod tests {
                 name: "req".into(),
                 kind: EventKind::MsgRecv { id: 4, from: 0 },
                 clock: None,
+                state: None,
             },
             Event::instant(3, 0, "mark"),
         ];

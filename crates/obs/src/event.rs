@@ -57,6 +57,9 @@ pub struct Event {
     pub kind: EventKind,
     /// Vector-clock annotation, when the emitter maintains one.
     pub clock: Option<Vec<u32>>,
+    /// Index of the state this event annotates on its lane's process.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
+    pub state: Option<u32>,
 }
 
 impl Event {
@@ -68,6 +71,7 @@ impl Event {
             name: name.to_owned(),
             kind: EventKind::Instant,
             clock: None,
+            state: None,
         }
     }
 
@@ -79,6 +83,7 @@ impl Event {
             name: name.to_owned(),
             kind: EventKind::Counter { value },
             clock: None,
+            state: None,
         }
     }
 
@@ -101,6 +106,7 @@ mod tests {
             name: "req".into(),
             kind: EventKind::MsgSend { id: 7, to: 1 },
             clock: Some(vec![1, 0, 2]),
+            state: Some(4),
         };
         let json = serde_json::to_string(&ev).unwrap();
         let back: Event = serde_json::from_str(&json).unwrap();

@@ -47,6 +47,7 @@ mod tests {
                 name: "req".into(),
                 kind: EventKind::MsgSend { id: 0, to: 0 },
                 clock: None,
+                state: None,
             },
             Event::counter(4, 0, "cs", 1),
         ];

@@ -235,6 +235,7 @@ mod tests {
             name: "m".into(),
             kind: EventKind::MsgRecv { id: 9, from: 0 },
             clock: Some(vec![1, 1]),
+            state: None,
         });
         assert_eq!(r.written(), 2);
         assert!(r.error().is_none());

@@ -294,6 +294,7 @@ mod tests {
                 name: "cs".into(),
                 kind: EventKind::SpanBegin,
                 clock: None,
+                state: None,
             },
             Event {
                 ts: 12,
@@ -301,6 +302,7 @@ mod tests {
                 name: "req".into(),
                 kind: EventKind::MsgSend { id: 1, to: 0 },
                 clock: None,
+                state: None,
             },
             Event {
                 ts: 17,
@@ -308,6 +310,7 @@ mod tests {
                 name: "req".into(),
                 kind: EventKind::MsgRecv { id: 1, from: 1 },
                 clock: None,
+                state: None,
             },
             Event {
                 ts: 25,
@@ -315,6 +318,7 @@ mod tests {
                 name: "cs".into(),
                 kind: EventKind::SpanEnd,
                 clock: None,
+                state: None,
             },
             Event {
                 ts: 30,
@@ -322,6 +326,7 @@ mod tests {
                 name: "req".into(),
                 kind: EventKind::MsgSend { id: 2, to: 0 },
                 clock: None,
+                state: None,
             },
         ];
         let st = EventStats::from_events(&events);
@@ -369,6 +374,7 @@ mod tests {
                 name: "cs".into(),
                 kind: EventKind::SpanBegin,
                 clock: None,
+                state: None,
             },
             Event {
                 ts: 25,
@@ -376,6 +382,7 @@ mod tests {
                 name: "cs".into(),
                 kind: EventKind::SpanEnd,
                 clock: None,
+                state: None,
             },
             Event::instant(30, 1, "crash"),
         ];

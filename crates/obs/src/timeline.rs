@@ -59,6 +59,7 @@ pub fn deposet_events(dep: &Deposet, control: &[(StateId, StateId)]) -> Vec<Even
                 to: m.to.process.index() as u32,
             },
             clock: Some(dep.clock(m.from).entries().to_vec()),
+            state: None,
         });
         events.push(Event {
             ts: m.to.idx() as u64,
@@ -69,6 +70,7 @@ pub fn deposet_events(dep: &Deposet, control: &[(StateId, StateId)]) -> Vec<Even
                 from: m.from.process.index() as u32,
             },
             clock: Some(dep.clock(m.to).entries().to_vec()),
+            state: None,
         });
     }
     let flow_base = dep.messages().len() as u64;
@@ -83,6 +85,7 @@ pub fn deposet_events(dep: &Deposet, control: &[(StateId, StateId)]) -> Vec<Even
                 to: y.process.index() as u32,
             },
             clock: Some(dep.clock(*x).entries().to_vec()),
+            state: None,
         });
         events.push(Event {
             ts: y.idx() as u64,
@@ -93,6 +96,7 @@ pub fn deposet_events(dep: &Deposet, control: &[(StateId, StateId)]) -> Vec<Even
                 from: x.process.index() as u32,
             },
             clock: Some(dep.clock(*y).entries().to_vec()),
+            state: None,
         });
     }
     events.sort_by_key(|e| e.ts);

@@ -1666,6 +1666,7 @@ impl WorkerTelemetry {
             name: name.to_owned(),
             kind,
             clock: None,
+            state: None,
         });
         for (var, value) in updates {
             ring.record(Event::counter(ts, lane, var, *value));

@@ -428,12 +428,21 @@ impl<M: Payload> Inner<M> {
         self.run_queue.push(tok);
     }
 
+    /// Index of `p`'s current state: the state an event on `p`'s lane
+    /// names, unless it is a send.
+    fn state(&self, p: ProcessId) -> Option<u32> {
+        Some(self.builder.current(p).index)
+    }
+
     /// Record an instant event on `p`'s lane, stamped with its live clock.
     fn rec_instant(&mut self, p: ProcessId, name: &str) {
         if self.recording {
             let clock = self.clocks[p.index()].entries().to_vec();
-            self.rec
-                .record(Event::instant(self.now.0, lane(p), name).with_clock(clock));
+            let ev = Event::instant(self.now.0, lane(p), name).with_clock(clock);
+            self.rec.record(Event {
+                state: self.state(p),
+                ..ev
+            });
         }
     }
 
@@ -466,6 +475,9 @@ impl<M: Payload> Inner<M> {
                 to: lane(dst),
             },
             clock: Some(clock.entries().to_vec()),
+            // The send's source state: `send_with` has already moved `src`
+            // past it.
+            state: Some(self.builder.current(src).index - 1),
         });
         (flow, Some(clock))
     }
@@ -614,11 +626,11 @@ impl<M: Payload> Ctx<'_, M> {
         if self.inner.recording {
             self.inner.clocks[self.me.index()].tick(self.me);
             let clock = self.inner.clocks[self.me.index()].entries().to_vec();
+            let state = self.inner.state(self.me);
             for (name, value) in updates {
-                self.inner.rec.record(
-                    Event::counter(self.inner.now.0, lane(self.me), name, *value)
-                        .with_clock(clock.clone()),
-                );
+                let ev = Event::counter(self.inner.now.0, lane(self.me), name, *value)
+                    .with_clock(clock.clone());
+                self.inner.rec.record(Event { state, ..ev });
             }
         }
     }
@@ -704,6 +716,7 @@ impl<M: Payload> Ctx<'_, M> {
                 name: name.to_owned(),
                 kind: EventKind::SpanBegin,
                 clock: Some(clock),
+                state: self.inner.state(self.me),
             });
         }
     }
@@ -718,6 +731,7 @@ impl<M: Payload> Ctx<'_, M> {
                 name: name.to_owned(),
                 kind: EventKind::SpanEnd,
                 clock: Some(clock),
+                state: self.inner.state(self.me),
             });
         }
     }
@@ -727,9 +741,11 @@ impl<M: Payload> Ctx<'_, M> {
     pub fn trace_counter(&mut self, name: &str, value: i64) {
         if self.inner.recording {
             let clock = self.inner.clocks[self.me.index()].entries().to_vec();
-            self.inner.rec.record(
-                Event::counter(self.inner.now.0, lane(self.me), name, value).with_clock(clock),
-            );
+            let ev = Event::counter(self.inner.now.0, lane(self.me), name, value).with_clock(clock);
+            self.inner.rec.record(Event {
+                state: self.inner.state(self.me),
+                ..ev
+            });
         }
     }
 }
@@ -944,6 +960,7 @@ impl<M: Payload> Simulation<M> {
                                         from: lane(src),
                                     },
                                     clock: Some(entries),
+                                    state: self.inner.state(dst),
                                 });
                             }
                             self.dispatch(dst, |p, ctx| p.on_message(src, msg, ctx));

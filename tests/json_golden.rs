@@ -154,6 +154,7 @@ fn events() -> Vec<Event> {
             name: "cs".into(),
             kind: EventKind::SpanBegin,
             clock: Some(vec![0, 1, 0]),
+            state: None,
         },
         Event {
             ts: 3,
@@ -161,6 +162,7 @@ fn events() -> Vec<Event> {
             name: "cs".into(),
             kind: EventKind::SpanEnd,
             clock: Some(vec![0, 2, 0]),
+            state: None,
         },
         Event::counter(4, 2, "queue", -5),
         Event {
@@ -169,6 +171,7 @@ fn events() -> Vec<Event> {
             name: "token".into(),
             kind: EventKind::MsgSend { id: 11, to: 2 },
             clock: None,
+            state: None,
         },
         Event {
             ts: 6,
@@ -176,6 +179,7 @@ fn events() -> Vec<Event> {
             name: "token".into(),
             kind: EventKind::MsgRecv { id: 11, from: 0 },
             clock: Some(vec![3, 2, 1]),
+            state: None,
         },
     ]
 }
