@@ -21,7 +21,7 @@
 //! Each timed case gives one reading, the wall time of at least 50 ms of
 //! its work at full size: its chunk count times its fastest chunk, where a
 //! chunk is a fixed share of the case's repetitions. The four cases run
-//! their chunks in [`ROUNDS`] interleaved rounds, so that a spell in which
+//! their chunks in `ROUNDS` interleaved rounds, so that a spell in which
 //! the host runs this process slower covers some chunks of every case, not
 //! all of one (EXPERIMENTS "One benchmark harness"). The last stdout line
 //! is one JSON object, `{"metrics": {NAME: {"value", "unit", "better",
