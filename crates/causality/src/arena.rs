@@ -2,7 +2,7 @@
 //! computation.
 //!
 //! The naive representation of a computation's Fidge–Mattern clocks is
-//! `Vec<Vec<VectorClock>>` — one heap allocation per *state*. The DP that
+//! one owned `Vec<u32>` per *state* — one heap allocation each. The DP that
 //! assigns clocks then clones a full clock per state (and one more per
 //! receive), so constructing a computation with `S` states over `n`
 //! processes costs `O(S)` allocator round-trips and `O(n·S)` copied words
@@ -23,14 +23,14 @@
 
 use crate::ids::ProcessId;
 use crate::order::Causality;
-use crate::vclock::VectorClock;
 use std::fmt;
 
 /// A borrowed vector-clock value: one row of a [`ClockArena`].
 ///
-/// Supports the same read API as [`VectorClock`] (`get`, `entries`,
-/// comparison) without owning storage. Two refs compare equal iff their
-/// component vectors are equal, regardless of which arena they borrow from.
+/// Reads one clock (`get`, `entries`) and compares two clock values
+/// (`dominated_by`, `causality`) without owning storage. Two refs compare
+/// equal iff their component vectors are equal, regardless of which arena
+/// they borrow from.
 #[derive(Clone, Copy, PartialEq, Eq)]
 pub struct ClockRef<'a> {
     entries: &'a [u32],
@@ -67,11 +67,6 @@ impl<'a> ClockRef<'a> {
         self.entries
     }
 
-    /// Copy into an owned [`VectorClock`].
-    pub fn to_owned_clock(&self) -> VectorClock {
-        VectorClock::from_entries(self.entries.to_vec())
-    }
-
     /// `self ≤ other` component-wise.
     pub fn dominated_by(&self, other: &ClockRef<'_>) -> bool {
         self.entries.len() == other.entries.len()
@@ -101,12 +96,6 @@ impl fmt::Debug for ClockRef<'_> {
             write!(f, "{e}")?;
         }
         write!(f, "⟩")
-    }
-}
-
-impl PartialEq<VectorClock> for ClockRef<'_> {
-    fn eq(&self, other: &VectorClock) -> bool {
-        self.entries == other.entries()
     }
 }
 
@@ -437,10 +426,9 @@ mod tests {
         a.tick(1, ProcessId(0));
         a.merge_row(1, 0); // no-op: row1 already ≥ row0
         assert_eq!(a.row(0), a.row(1));
-        assert_eq!(a.row(0), VectorClock::from_entries(vec![1, 0]));
+        assert_eq!(a.row(0), ClockRef::new(&[1, 0]));
         assert_eq!(a.row(0).causality(&a.row(1)), Causality::Equal);
-        let owned = a.row(0).to_owned_clock();
-        assert_eq!(owned.entries(), &[1, 0]);
+        assert_eq!(a.row(0).entries(), &[1, 0]);
         assert_eq!(format!("{:?}", a.row(0)), "⟨1,0⟩");
     }
 

@@ -4,13 +4,13 @@
 //! provides the vocabulary used by every other crate:
 //!
 //! * typed identifiers for processes, local states and messages ([`ids`]);
-//! * Fidge–Mattern [vector clocks](vclock::VectorClock) and
-//!   [Lamport clocks](lamport::LamportClock), the mechanisms used to answer
-//!   `s → t` ("s causally precedes t", Lamport's *happened-before* relation)
-//!   in O(1) / O(n);
-//! * a columnar [clock arena](arena::ClockArena) that stores every clock of
-//!   a computation in one flat `u32` allocation, plus the shared
-//!   [clock fill](arena::fill_clocks) computation stores build on;
+//! * a columnar [clock arena](arena::ClockArena) that stores the
+//!   Fidge–Mattern vector clock of every state of a computation in one flat
+//!   `u32` allocation — the one clock store of the workspace, which answers
+//!   `s → t` ("s causally precedes t", Lamport's *happened-before*
+//!   relation) in O(1) — plus the shared [clock fill](arena::fill_clocks)
+//!   computation stores build on, and [`ClockRef`] comparisons of two clock
+//!   values;
 //! * a small directed-graph toolkit ([`graph`]) with Kahn topological sort,
 //!   cycle extraction and bitset transitive closure. These are used to check
 //!   that a control relation `C→` does not *interfere* with `→` (i.e. the
@@ -30,13 +30,9 @@
 pub mod arena;
 pub mod graph;
 pub mod ids;
-pub mod lamport;
 pub mod order;
-pub mod vclock;
 
 pub use arena::{ClockArena, ClockRef};
 pub use graph::{CycleError, Dag};
 pub use ids::{MsgId, ProcessId, StateId};
-pub use lamport::LamportClock;
 pub use order::Causality;
-pub use vclock::VectorClock;

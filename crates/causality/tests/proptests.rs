@@ -3,7 +3,7 @@
 //! Property-based tests for the causality substrate.
 
 use pctl_causality::arena::{csr_from_edges, fill_clocks};
-use pctl_causality::{Causality, ClockArena, Dag, ProcessId, VectorClock};
+use pctl_causality::{Causality, ClockArena, ClockRef, Dag, ProcessId};
 use proptest::prelude::*;
 
 /// A random DAG given as edges (u, v) with u < v, guaranteeing acyclicity.
@@ -171,13 +171,17 @@ proptest! {
     fn vclock_merge_is_lub(a in proptest::collection::vec(0u32..50, 1..8)) {
         let n = a.len();
         let b: Vec<u32> = a.iter().map(|x| x.wrapping_mul(7) % 50).collect();
-        let va = VectorClock::from_entries(a.clone());
-        let vb = VectorClock::from_entries(b.clone());
-        let mut m = va.clone();
-        m.merge(&vb);
+        // Rows 0 and 1 hold a and b (merged into zeroed rows); row 2
+        // becomes their merge.
+        let mut arena = ClockArena::zeroed(n, 3);
+        arena.merge_from(0, &a);
+        arena.merge_from(1, &b);
+        arena.copy_row(2, 0);
+        arena.merge_row(2, 1);
+        let m = arena.row(2);
         // merge is an upper bound
-        prop_assert!(va.dominated_by(&m));
-        prop_assert!(vb.dominated_by(&m));
+        prop_assert!(arena.row(0).dominated_by(&m));
+        prop_assert!(arena.row(1).dominated_by(&m));
         // and the least one
         for i in 0..n {
             prop_assert_eq!(m.entries()[i], a[i].max(b[i]));
@@ -187,21 +191,26 @@ proptest! {
     #[test]
     fn vclock_causality_antisymmetric(a in proptest::collection::vec(0u32..10, 1..6)) {
         let b: Vec<u32> = a.iter().rev().cloned().collect();
-        let va = VectorClock::from_entries(a);
-        let vb = VectorClock::from_entries(b);
+        let (va, vb) = (ClockRef::new(&a), ClockRef::new(&b));
         let fwd = va.causality(&vb);
         let bwd = vb.causality(&va);
         prop_assert_eq!(fwd, bwd.reverse());
+        // `dominated_by` is the component-wise order, and `Before` is
+        // strict domination.
+        let le = a.iter().zip(&b).all(|(x, y)| x <= y);
+        prop_assert_eq!(va.dominated_by(&vb), le);
+        prop_assert_eq!(fwd == Causality::Before, le && a != b);
     }
 
     #[test]
     fn tick_strictly_advances(mut entries in proptest::collection::vec(0u32..100, 1..6), which in 0usize..6) {
         let which = which % entries.len();
-        let before = VectorClock::from_entries(entries.clone());
+        let mut arena = ClockArena::zeroed(entries.len(), 2);
+        arena.merge_from(0, &entries);
+        arena.copy_row(1, 0);
+        arena.tick(1, ProcessId(which as u32));
         entries[which] += 1;
-        let mut after = before.clone();
-        after.tick(ProcessId(which as u32));
-        prop_assert_eq!(after.entries(), entries.as_slice());
-        prop_assert_eq!(before.causality(&after), Causality::Before);
+        prop_assert_eq!(arena.row(1).entries(), entries.as_slice());
+        prop_assert_eq!(arena.row(0).causality(&arena.row(1)), Causality::Before);
     }
 }

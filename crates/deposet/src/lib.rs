@@ -66,4 +66,4 @@ pub use state::{LocalState, Variables};
 pub use store::IntervalIndex;
 
 // Re-export the id types for downstream convenience.
-pub use pctl_causality::{MsgId, ProcessId, StateId, VectorClock};
+pub use pctl_causality::{MsgId, ProcessId, StateId};

@@ -28,10 +28,10 @@ use pctl_core::verify::sweep_faulty_run;
 use pctl_deposet::generator::{pipelined_workload, CsConfig};
 use pctl_deposet::{trace, LocalPredicate};
 use pctl_mutex::driver::{max_concurrent, WorkloadConfig};
-use pctl_mutex::{run_antitoken, run_ft_antitoken};
+use pctl_mutex::{run_antitoken, run_antitoken_recorded, run_ft_antitoken};
 use pctl_sim::scenarios::ring_flood;
 use pctl_sim::wheel::{TimingWheel, WheelEntry};
-use pctl_sim::{DelayModel, FaultPlan, ProcessId, SimConfig, SimTime};
+use pctl_sim::{DelayModel, FaultPlan, ProcessId, Recorder, RingRecorder, SimConfig, SimTime};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -126,6 +126,33 @@ fn fault_tolerant_runs_allocate_at_most_three_tenths_per_state() {
     });
     println!("fault-tolerant anti-token: {ft:.3} allocations per recorded state");
     assert!(ft <= 0.3, "{ft:.3} allocations per recorded state");
+}
+
+#[test]
+fn recorded_runs_allocate_once_per_event() {
+    // What recording adds to a run, per recorded event: the event's name.
+    // The sink is built outside the count, and reading the events back
+    // (which stamps their clocks) is not counted.
+    let (mut added, mut events) = (0, 0);
+    for seed in 1..=4 {
+        let cfg = workload(seed);
+        let (plain, plain_allocs) = counted(|| run_antitoken(&cfg, PeerSelect::NextInRing));
+        let rec: Box<dyn Recorder> = Box::new(RingRecorder::new(1 << 16));
+        let (r, allocs) = counted(|| run_antitoken_recorded(&cfg, PeerSelect::NextInRing, rec));
+        assert_eq!(
+            trace::to_json(&r.deposet),
+            trace::to_json(&plain.deposet),
+            "seed {seed}"
+        );
+        added += allocs - plain_allocs;
+        events += r.events().len() as u64;
+    }
+    let per_event = added as f64 / events as f64;
+    println!("recorded anti-token: {per_event:.3} allocations per recorded event");
+    assert!(
+        per_event <= 1.1,
+        "{per_event:.3} allocations per recorded event"
+    );
 }
 
 /// Allocations of one whole 12-entry run of `n` processes (seed 3), set-up

@@ -20,12 +20,11 @@
 
 use pctl_core::online::ft::{ft_phased_system, FtParams};
 use pctl_core::online::{phased_system, PeerSelect, Phase};
-use pctl_deposet::trace;
+use pctl_deposet::{trace, StateId};
 use pctl_mutex::{run_antitoken, run_ft_antitoken, run_multi_antitoken, WorkloadConfig};
-use pctl_mutex::{run_antitoken_recorded, run_ft_antitoken_recorded};
 use pctl_sim::{
-    DelayModel, EventKind, FaultPlan, LinkFaults, Payload, Process, ProcessId, RingRecorder,
-    SimConfig, SimResult, SimTime, Simulation,
+    DelayModel, FaultPlan, LinkFaults, Payload, Process, ProcessId, RingRecorder, SimConfig,
+    SimResult, SimTime, Simulation,
 };
 
 /// FNV-1a 64-bit — dependency-free stable hash for the deposet trace JSON.
@@ -54,26 +53,17 @@ fn fingerprint(r: &SimResult) -> String {
 }
 
 /// [`fingerprint`] plus the recorded telemetry stream (hash and length of
-/// its `Debug` form, as it read before events named their states).
+/// its `Debug` form). The stream must join the deposet first: every event
+/// names a state of its lane and carries that state's clock.
 fn recorded_fingerprint(r: &SimResult) -> String {
-    #[derive(Debug)]
-    #[allow(dead_code)] // read through `Debug` only
-    struct Event {
-        ts: u64,
-        lane: u32,
-        name: String,
-        kind: EventKind,
-        clock: Option<Vec<u32>>,
+    let events = r.events();
+    for ev in &events {
+        let lane = ProcessId(ev.lane);
+        let k = ev.state.expect("simulator events name their state");
+        assert!((k as usize) < r.deposet.len_of(lane), "{ev:?}");
+        let clock = r.deposet.clock(StateId::new(lane, k));
+        assert_eq!(ev.clock.as_deref(), Some(clock.entries()), "{ev:?}");
     }
-    let events: Vec<Event> = (r.events().into_iter())
-        .map(|e| Event {
-            ts: e.ts,
-            lane: e.lane,
-            name: e.name,
-            kind: e.kind,
-            clock: e.clock,
-        })
-        .collect();
     let events = format!("{events:?}");
     format!(
         "{}events fnv1a={:016x} len={}\n",
@@ -218,143 +208,4 @@ fn multi_antitoken_matches_golden() {
     assert!(!r.deadlocked());
     assert!(r.metrics.counter("handover_retries") > 0);
     check("multi_antitoken", &fingerprint(&r));
-}
-
-/// Compare each recorded event's live clock with the deposet's clock of the
-/// state the event names. Returns (events, events whose clock differs from
-/// the named state's, events whose clock is no state's on their lane).
-///
-/// The live clock ticks on sends, receives and steps, but not on the crash
-/// and restart states the simulator records, and it starts at zero where
-/// the arena counts the initial state. So the arena clock of the named
-/// state must equal the live clock plus, in every component `q`, the
-/// crash and restart states among the first `arena[q]` states of `q` —
-/// plus the lane's own unit, except at a send, whose live clock is read
-/// after its tick and names the state before it.
-fn live_against_arena(r: &SimResult) -> (usize, usize, usize) {
-    let dep = &r.deposet;
-    // unticked[q][k]: crash and restart states among the first k states of q.
-    let unticked: Vec<Vec<u32>> = (dep.processes())
-        .map(|q| {
-            let states = dep.states_of(q);
-            let mut count = vec![0u32; states.len() + 1];
-            for k in 0..states.len() {
-                let entered_by_fault =
-                    k > 0 && states[k].vars.get("down") != states[k - 1].vars.get("down");
-                count[k + 1] = count[k] + u32::from(entered_by_fault);
-            }
-            count
-        })
-        .collect();
-    let events = r.events();
-    let (mut differ, mut nowhere) = (0, 0);
-    for ev in &events {
-        let live = ev.clock.as_ref().expect("simulator events carry clocks");
-        let state = ev.state.expect("simulator events name a state");
-        let arena = dep.clock(pctl_deposet::StateId::new(ProcessId(ev.lane), state));
-        // The live clock in the arena's convention.
-        let mut plain = live.clone();
-        if !matches!(ev.kind, EventKind::MsgSend { .. }) {
-            plain[ev.lane as usize] += 1;
-        }
-        differ += usize::from(arena.entries() != &plain[..]);
-        let lane = ProcessId(ev.lane);
-        nowhere += usize::from(
-            (0..dep.len_of(lane) as u32)
-                .all(|k| dep.clock(pctl_deposet::StateId::new(lane, k)).entries() != &plain[..]),
-        );
-        let expected: Vec<u32> = (plain.iter().enumerate())
-            .map(|(q, &e)| e + unticked[q][arena.entries()[q] as usize])
-            .collect();
-        assert_eq!(arena.entries(), &expected[..], "{ev:?}");
-    }
-    (events.len(), differ, nowhere)
-}
-
-#[test]
-fn live_clocks_are_the_arena_clocks_of_the_named_states() {
-    let recorded = || Box::new(RingRecorder::new(1 << 20));
-    let mut runs: Vec<(String, SimResult, bool)> = Vec::new();
-    for (select, seed) in [
-        (PeerSelect::NextInRing, 0xD51A_BE14),
-        (PeerSelect::Random, 0xD51A_BE15),
-        (PeerSelect::Broadcast, 0xD51A_BE16),
-    ] {
-        let config = SimConfig {
-            seed,
-            delay: DelayModel::Uniform { min: 1, max: 20 },
-            ..SimConfig::default()
-        };
-        let r = run_recorded(phased_system(4, phase_scripts(4), select), config);
-        runs.push((format!("phased_system {select:?}"), r, false));
-    }
-    let faults = FaultPlan {
-        default_link: LinkFaults {
-            drop_p: 0.08,
-            dup_p: 0.08,
-            extra_delay_max: 0,
-        },
-        ..FaultPlan::default()
-    }
-    .with_crash(ProcessId(1), SimTime(60), Some(200));
-    let config = SimConfig {
-        seed: 0xD51A_BE17,
-        delay: DelayModel::Fixed(5),
-        faults,
-        ..SimConfig::default()
-    };
-    let procs = ft_phased_system(
-        4,
-        phase_scripts(4),
-        PeerSelect::NextInRing,
-        FtParams::default(),
-    );
-    runs.push((
-        "ft_phased_system_faulty".into(),
-        run_recorded(procs, config),
-        true,
-    ));
-    for seed in 1..=3 {
-        let cfg = WorkloadConfig {
-            processes: 8,
-            entries_per_process: 12,
-            seed,
-            ..WorkloadConfig::default()
-        };
-        let ft = |plan: FaultPlan| {
-            run_ft_antitoken_recorded(
-                &cfg,
-                PeerSelect::NextInRing,
-                FtParams::default(),
-                plan,
-                recorded(),
-            )
-        };
-        runs.push((
-            format!("anti-token seed {seed}"),
-            run_antitoken_recorded(&cfg, PeerSelect::NextInRing, recorded()),
-            false,
-        ));
-        runs.push((
-            format!("ft anti-token 5% loss seed {seed}"),
-            ft(FaultPlan::uniform_loss(0.05)),
-            false,
-        ));
-        let crash = FaultPlan::uniform_loss(0.05).with_crash(ProcessId(0), SimTime(25), Some(300));
-        runs.push((
-            format!("ft anti-token 5% loss + crash seed {seed}"),
-            ft(crash),
-            true,
-        ));
-    }
-    for (name, r, crashes) in &runs {
-        let (events, differ, nowhere) = live_against_arena(r);
-        println!(
-            "{name}: {differ} of {events} events differ from their named state, \
-             {nowhere} match no state on their lane"
-        );
-        if !crashes {
-            assert_eq!(differ, 0, "{name}");
-        }
-    }
 }

@@ -39,11 +39,12 @@ pub enum EventKind {
 /// One record of the structured event log.
 ///
 /// `ts` is monotonic per lane (simulated ticks for simulator events,
-/// microseconds for wall-clock engine phases). `clock` is the emitting
-/// process's vector clock *at the event*, maintained by the instrumented
-/// runtime; along any single lane it never decreases, and across lanes it
-/// orders exactly the events that are causally ordered — the property the
-/// trace-export tests assert.
+/// microseconds for wall-clock engine phases). A simulator or deposet event
+/// names the `state` it annotates on its lane's process, and its `clock` is
+/// that state's Fidge–Mattern clock, read from the deposet
+/// ([`timeline::stamp_clocks`](crate::timeline::stamp_clocks)): one clock
+/// store, so the telemetry orders exactly the events the computation's `→`
+/// orders — the property the trace-export tests assert.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Event {
     /// Monotonic timestamp.
@@ -55,9 +56,12 @@ pub struct Event {
     pub name: String,
     /// What this record marks.
     pub kind: EventKind,
-    /// Vector-clock annotation, when the emitter maintains one.
+    /// The clock of the named state, once read from the deposet.
     pub clock: Option<Vec<u32>>,
-    /// Index of the state this event annotates on its lane's process.
+    /// Index of the state this event annotates on its lane's process: a
+    /// receive names the state after it, a send its source state (the one
+    /// before it), a variable update the new state, anything else the
+    /// current state. `None` for events outside a computation.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub state: Option<u32>,
 }
@@ -86,12 +90,6 @@ impl Event {
             state: None,
         }
     }
-
-    /// Attach a vector-clock annotation.
-    pub fn with_clock(mut self, clock: Vec<u32>) -> Self {
-        self.clock = Some(clock);
-        self
-    }
 }
 
 #[cfg(test)]
@@ -118,6 +116,7 @@ mod tests {
         let ev = Event::instant(0, 0, "x");
         let json = serde_json::to_string(&ev).unwrap();
         assert!(!json.contains("clock"), "{json}");
+        assert!(!json.contains("state"), "{json}");
         let back: Event = serde_json::from_str(&json).unwrap();
         assert_eq!(back, ev);
     }

@@ -40,7 +40,11 @@ mod tests {
     #[test]
     fn jsonl_roundtrip() {
         let events = vec![
-            Event::instant(1, 0, "crash").with_clock(vec![2, 0]),
+            Event {
+                clock: Some(vec![2, 0]),
+                state: Some(1),
+                ..Event::instant(1, 0, "crash")
+            },
             Event {
                 ts: 3,
                 lane: 1,

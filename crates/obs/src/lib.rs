@@ -5,9 +5,11 @@
 //! harness — can emit a structured stream of [`Event`]s through a
 //! [`Recorder`]. The stream is *itself causally ordered*: events carry the
 //! emitting lane (process), a monotonic timestamp, and (for simulated
-//! distributed runs) a Fidge–Mattern vector-clock annotation, so the
-//! telemetry of a distributed run can be audited with the same
-//! happened-before machinery the paper applies to the computation it
+//! distributed runs and deposet timelines) the state of the computation
+//! they annotate, whose Fidge–Mattern vector clock is read from the
+//! deposet ([`timeline::stamp_clocks`]) — the computation's one clock
+//! store. So the telemetry of a distributed run can be audited with the
+//! same happened-before machinery the paper applies to the computation it
 //! debugs.
 //!
 //! Three sinks cover the use cases:
@@ -18,7 +20,8 @@
 //! * [`RingRecorder`] — bounded in-memory buffer (drop-oldest), for tests
 //!   and for post-run export.
 //! * [`JsonlRecorder`] — streams one JSON object per line to any
-//!   `io::Write`; [`jsonl::parse`] reads the log back.
+//!   `io::Write` as events happen (states named, clocks not yet read);
+//!   [`jsonl::parse`] reads the log back.
 //!
 //! [`chrome`] renders an event log (or, via [`timeline`], a raw deposet)
 //! as Chrome `trace_event` JSON: open the file in `chrome://tracing` or

@@ -11,8 +11,15 @@ use std::io::Write;
 /// records — recording is strictly observational, so a run with a
 /// [`NullRecorder`] is bit-identical to an uninstrumented one.
 ///
-/// Recorders are `Send`: simulation results (which own their sink) cross
-/// thread boundaries when scenario sweeps fan out over scoped workers.
+/// Recorders are `Send` so that a simulation result, which owns its sink,
+/// stays `Send`: a run made on one thread can hand its result to another.
+/// Every sink here owns plain data, so the bound costs nothing.
+///
+/// Sinks receive events as they happen, before the run's deposet exists:
+/// a simulator event names its `state` but carries no `clock` yet.
+/// [`snapshot`](Recorder::snapshot) returns them so; a simulation result's
+/// `events()` reads each named state's clock from the finished deposet
+/// ([`timeline::stamp_clocks`](crate::timeline::stamp_clocks)).
 pub trait Recorder: Send {
     /// Whether this sink wants events at all. Fixed for the sink's
     /// lifetime: a simulation reads it once, when it is built.
@@ -115,6 +122,12 @@ impl Recorder for RingRecorder {
 }
 
 /// Streams one JSON object per line to a writer (see [`crate::jsonl`]).
+///
+/// Lines are written as events happen, so a simulator event's line has its
+/// `state` but no `clock`: the clock store is the deposet, finished only
+/// when the run ends. Stamp the clocks from it
+/// ([`timeline::stamp_clocks`](crate::timeline::stamp_clocks)) after
+/// reading the log back, or record into a [`RingRecorder`] instead.
 pub struct JsonlRecorder<W: Write> {
     out: W,
     written: u64,

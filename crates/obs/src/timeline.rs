@@ -6,16 +6,28 @@
 //! timestamp = state index, a variable's value over its process's state
 //! sequence = a counter track (a boolean predicate variable renders as a
 //! truth interval), message `m.from ; m.to` = a flow arrow, and a forced-
-//! before pair `x C→ y` = a flow arrow named `C→`. Every event carries the
-//! Fidge–Mattern clock of the state it annotates.
+//! before pair `x C→ y` = a flow arrow named `C→`. Every event names the
+//! state it annotates and carries that state's Fidge–Mattern clock, read
+//! from the deposet by [`stamp_clocks`].
 
 use crate::event::{Event, EventKind};
-use pctl_causality::StateId;
-use pctl_deposet::Deposet;
+use pctl_deposet::{Deposet, ProcessId, StateId};
 
 /// Lane names for a deposet timeline: one per process.
 pub fn lane_names(dep: &Deposet) -> Vec<String> {
     (0..dep.process_count()).map(|p| format!("p{p}")).collect()
+}
+
+/// Set each event's `clock` to the deposet's clock of the state it names
+/// (lane = process, [`Event::state`] = index); events naming no state are
+/// left as they are. This is the one place telemetry clocks come from.
+pub fn stamp_clocks(dep: &Deposet, events: &mut [Event]) {
+    for ev in events {
+        if let Some(k) = ev.state {
+            let clock = dep.clock(StateId::new(ProcessId(ev.lane), k));
+            ev.clock = Some(clock.entries().to_vec());
+        }
+    }
 }
 
 /// Convert a deposet to an event log.
@@ -23,83 +35,45 @@ pub fn lane_names(dep: &Deposet) -> Vec<String> {
 /// `control` is a slice of forced-before pairs to overlay as `C→` arrows
 /// (pass `ControlRelation::pairs()`; empty for an uncontrolled trace).
 pub fn deposet_events(dep: &Deposet, control: &[(StateId, StateId)]) -> Vec<Event> {
+    // An event of `kind` at state `s`, whose index is also its timestamp.
+    let at = |s: StateId, name: &str, kind: EventKind| Event {
+        ts: u64::from(s.index),
+        lane: s.process.0,
+        name: name.to_owned(),
+        kind,
+        clock: None,
+        state: Some(s.index),
+    };
     let mut events = Vec::new();
     for p in dep.processes() {
-        let lane = p.index() as u32;
         let states = dep.states_of(p);
         for (k, st) in states.iter().enumerate() {
             let id = StateId::new(p, k as u32);
-            let clock = dep.clock(id).entries().to_vec();
             if let Some(label) = &st.label {
-                events.push(
-                    Event::instant(k as u64, lane, &format!("state {label}"))
-                        .with_clock(clock.clone()),
-                );
+                events.push(at(id, &format!("state {label}"), EventKind::Instant));
             }
             // Emit a counter sample only when the variable changes (or on
             // the initial state), so constant variables cost one event.
             for (name, value) in st.vars.iter() {
                 let changed = k == 0 || states[k - 1].vars.get(name) != Some(value);
                 if changed {
-                    events.push(
-                        Event::counter(k as u64, lane, name, value).with_clock(clock.clone()),
-                    );
+                    events.push(at(id, name, EventKind::Counter { value }));
                 }
             }
         }
     }
-    for m in dep.messages() {
-        let flow = m.id.index() as u64;
-        events.push(Event {
-            ts: m.from.idx() as u64,
-            lane: m.from.process.index() as u32,
-            name: m.tag.to_string(),
-            kind: EventKind::MsgSend {
-                id: flow,
-                to: m.to.process.index() as u32,
-            },
-            clock: Some(dep.clock(m.from).entries().to_vec()),
-            state: None,
-        });
-        events.push(Event {
-            ts: m.to.idx() as u64,
-            lane: m.to.process.index() as u32,
-            name: m.tag.to_string(),
-            kind: EventKind::MsgRecv {
-                id: flow,
-                from: m.from.process.index() as u32,
-            },
-            clock: Some(dep.clock(m.to).entries().to_vec()),
-            state: None,
-        });
-    }
-    let flow_base = dep.messages().len() as u64;
-    for (i, (x, y)) in control.iter().enumerate() {
-        let flow = flow_base + i as u64;
-        events.push(Event {
-            ts: x.idx() as u64,
-            lane: x.process.index() as u32,
-            name: "C→".into(),
-            kind: EventKind::MsgSend {
-                id: flow,
-                to: y.process.index() as u32,
-            },
-            clock: Some(dep.clock(*x).entries().to_vec()),
-            state: None,
-        });
-        events.push(Event {
-            ts: y.idx() as u64,
-            lane: y.process.index() as u32,
-            name: "C→".into(),
-            kind: EventKind::MsgRecv {
-                id: flow,
-                from: x.process.index() as u32,
-            },
-            clock: Some(dep.clock(*y).entries().to_vec()),
-            state: None,
-        });
+    let arrows = (dep.messages().iter())
+        .map(|m| (m.from, m.to, &*m.tag))
+        .chain(control.iter().map(|&(x, y)| (x, y, "C→")));
+    for (flow, (x, y, name)) in arrows.enumerate() {
+        let id = flow as u64;
+        let to = y.process.0;
+        events.push(at(x, name, EventKind::MsgSend { id, to }));
+        let from = x.process.0;
+        events.push(at(y, name, EventKind::MsgRecv { id, from }));
     }
     events.sort_by_key(|e| e.ts);
+    stamp_clocks(dep, &mut events);
     events
 }
 
@@ -127,8 +101,8 @@ mod tests {
     #[test]
     fn control_pairs_become_flow_arrows() {
         let dep = scenarios::replicated_servers().deposet;
-        let x = StateId::new(pctl_causality::ProcessId(0), 1);
-        let y = StateId::new(pctl_causality::ProcessId(1), 1);
+        let x = StateId::new(ProcessId(0), 1);
+        let y = StateId::new(ProcessId(1), 1);
         let events = deposet_events(&dep, &[(x, y)]);
         let arrows: Vec<_> = events.iter().filter(|e| e.name == "C→").collect();
         assert_eq!(arrows.len(), 2);

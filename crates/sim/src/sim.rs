@@ -35,9 +35,8 @@ use crate::faults::{CrashPhase, FaultPlan};
 use crate::metrics::Metrics;
 use crate::time::SimTime;
 use crate::wheel::{TimingWheel, WheelEntry};
-use pctl_causality::VectorClock;
 use pctl_deposet::{Deposet, DeposetBuilder, MsgToken, ProcessId};
-use pctl_obs::{Event, EventKind, NullRecorder, Recorder};
+use pctl_obs::{timeline, Event, EventKind, NullRecorder, Recorder};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::Serialize;
@@ -283,9 +282,12 @@ impl SimResult {
             .collect()
     }
 
-    /// Snapshot of the recorded telemetry (empty for null/streaming sinks).
+    /// Snapshot of the recorded telemetry (empty for null/streaming sinks),
+    /// each event stamped with the deposet's clock of the state it names.
     pub fn events(&self) -> Vec<Event> {
-        self.recorder.snapshot()
+        let mut events = self.recorder.snapshot();
+        timeline::stamp_clocks(&self.deposet, &mut events);
+        events
     }
 }
 
@@ -323,17 +325,13 @@ struct Tok {
 }
 
 /// Everything a message carries besides its scheduling key: the payload,
-/// its trace token, and telemetry baggage. Lives in the arena from send to
-/// delivery.
+/// its trace token, and the telemetry flow id pairing its delivery with
+/// its send event. Lives in the arena from send to delivery.
 struct InFlight<M> {
     src: ProcessId,
     msg: M,
     token: MsgToken,
-    // Telemetry-only fields: the flow id pairing this delivery with its
-    // send event, and the sender's vector clock at the send (present only
-    // when recording).
     flow: u64,
-    clock: Option<VectorClock>,
 }
 
 /// The engine's state of one process.
@@ -379,14 +377,13 @@ struct Inner<M> {
     frng: StdRng,
     faulty: bool,
     // Telemetry. `rec` is a NullRecorder unless the run asked for tracing;
-    // `recording` is its `enabled()`, read once at construction. `clocks`
-    // (live Fidge–Mattern clocks, one per process) exist only while
-    // recording, and they and `next_flow` are only advanced then, so a
+    // `recording` is its `enabled()`, read once at construction. Events
+    // name the builder's states and carry no clock (the finished deposet
+    // supplies it), and `next_flow` advances only while recording, so a
     // disabled recorder leaves the run bit-identical — none of this ever
     // touches `rng`/`frng`.
     rec: Box<dyn Recorder>,
     recording: bool,
-    clocks: Vec<VectorClock>,
     next_flow: u64,
 }
 
@@ -428,62 +425,48 @@ impl<M: Payload> Inner<M> {
         self.run_queue.push(tok);
     }
 
-    /// Index of `p`'s current state: the state an event on `p`'s lane
-    /// names, unless it is a send.
-    fn state(&self, p: ProcessId) -> Option<u32> {
-        Some(self.builder.current(p).index)
+    /// Record an event on `p`'s lane naming `p`'s state `state`.
+    fn rec_at(&mut self, p: ProcessId, state: u32, name: &str, kind: EventKind) {
+        self.rec.record(Event {
+            ts: self.now.0,
+            lane: lane(p),
+            name: name.to_owned(),
+            kind,
+            clock: None,
+            state: Some(state),
+        });
     }
 
-    /// Record an instant event on `p`'s lane, stamped with its live clock.
-    fn rec_instant(&mut self, p: ProcessId, name: &str) {
+    /// Record an event on `p`'s lane naming `p`'s current state.
+    fn rec(&mut self, p: ProcessId, name: &str, kind: EventKind) {
         if self.recording {
-            let clock = self.clocks[p.index()].entries().to_vec();
-            let ev = Event::instant(self.now.0, lane(p), name).with_clock(clock);
-            self.rec.record(Event {
-                state: self.state(p),
-                ..ev
-            });
+            self.rec_at(p, self.builder.current(p).index, name, kind);
         }
     }
 
-    /// Telemetry for one message copy leaving `src`: advance the sender's
-    /// clock, allocate a flow id, and emit the send event. Returns the
-    /// `(flow, clock)` pair the matching [`Ev::Deliver`] must carry;
-    /// `(0, None)` when recording is off.
-    fn rec_send(
-        &mut self,
-        src: ProcessId,
-        dst: ProcessId,
-        tag: &str,
-    ) -> (u64, Option<VectorClock>) {
+    /// Telemetry for one message copy leaving `src`, just recorded by the
+    /// builder: allocate a flow id and emit the send event, which names the
+    /// send's source state. Returns the flow id the matching
+    /// [`Ev::Deliver`] must carry; 0 when recording is off.
+    fn rec_send(&mut self, src: ProcessId, dst: ProcessId, tag: &str) -> u64 {
         if !self.recording {
-            return (0, None);
+            return 0;
         }
-        self.clocks[src.index()].tick(src);
         let flow = self.next_flow;
         self.next_flow = self
             .next_flow
             .checked_add(1)
             .expect("flow id overflowed u64");
-        let clock = self.clocks[src.index()].clone();
-        self.rec.record(Event {
-            ts: self.now.0,
-            lane: lane(src),
-            name: tag.to_owned(),
-            kind: EventKind::MsgSend {
-                id: flow,
-                to: lane(dst),
-            },
-            clock: Some(clock.entries().to_vec()),
-            // The send's source state: `send_with` has already moved `src`
-            // past it.
-            state: Some(self.builder.current(src).index - 1),
-        });
-        (flow, Some(clock))
+        let kind = EventKind::MsgSend {
+            id: flow,
+            to: lane(dst),
+        };
+        // `send_with` has already moved `src` past the source state.
+        self.rec_at(src, self.builder.current(src).index - 1, tag, kind);
+        flow
     }
 
     /// Park an in-flight payload in the arena and schedule its delivery.
-    #[allow(clippy::too_many_arguments)]
     fn schedule_delivery(
         &mut self,
         src: ProcessId,
@@ -492,21 +475,18 @@ impl<M: Payload> Inner<M> {
         token: MsgToken,
         at: SimTime,
         flow: u64,
-        clock: Option<VectorClock>,
     ) {
         let handle = self.arena.alloc(InFlight {
             src,
             msg,
             token,
             flow,
-            clock,
         });
         self.schedule(at, Ev::Deliver { dst, handle });
     }
 
     /// Faulty-path continuation of [`Ctx::send`]: the send event is already
     /// traced and counted; decide the message's fate in the network.
-    #[allow(clippy::too_many_arguments)]
     fn send_faulty(
         &mut self,
         src: ProcessId,
@@ -515,11 +495,10 @@ impl<M: Payload> Inner<M> {
         token: MsgToken,
         at: SimTime,
         flow: u64,
-        clock: Option<VectorClock>,
     ) {
         if self.faults.severed(src, dst, self.now) {
             self.metrics.add("msgs_dropped", 1);
-            self.rec_instant(src, "msg_severed");
+            self.rec(src, "msg_severed", EventKind::Instant);
             // Dropping the token leaves the send in-flight; the builder
             // rewrites it to an internal event at finish().
             drop(token);
@@ -528,7 +507,7 @@ impl<M: Payload> Inner<M> {
         let link = self.faults.link(src, dst).clone();
         if link.drop_p > 0.0 && self.frng.gen_bool(link.drop_p) {
             self.metrics.add("msgs_dropped", 1);
-            self.rec_instant(src, "msg_dropped");
+            self.rec(src, "msg_dropped", EventKind::Instant);
             return;
         }
         let mut at = at;
@@ -540,17 +519,17 @@ impl<M: Payload> Inner<M> {
             // every received message to have a matching send, so channel
             // duplication appears in the deposet as a second send by `src`.
             let token2 = self.builder.send_with(src, msg.tag(), &[]);
-            let (flow2, clock2) = self.rec_send(src, dst, msg.tag());
+            let flow2 = self.rec_send(src, dst, msg.tag());
             let mut at2 = self.now + self.delay.sample(&mut self.frng);
             if link.extra_delay_max > 0 {
                 at2 += self.frng.gen_range(0..=link.extra_delay_max);
             }
             self.metrics.add("msgs_duplicated", 1);
-            self.rec_instant(src, "msg_duplicated");
+            self.rec(src, "msg_duplicated", EventKind::Instant);
             let msg2 = msg.clone();
-            self.schedule_delivery(src, dst, msg2, token2, at2, flow2, clock2);
+            self.schedule_delivery(src, dst, msg2, token2, at2, flow2);
         }
-        self.schedule_delivery(src, dst, msg, token, at, flow, clock);
+        self.schedule_delivery(src, dst, msg, token, at, flow);
     }
 }
 
@@ -583,15 +562,14 @@ impl<M: Payload> Ctx<'_, M> {
         } else {
             self.inner.metrics.add("msgs_app", 1);
         }
-        let (flow, clock) = self.inner.rec_send(self.me, to, msg.tag());
+        let flow = self.inner.rec_send(self.me, to, msg.tag());
         let at = self.inner.now + delay;
         if !self.inner.faulty {
             self.inner
-                .schedule_delivery(self.me, to, msg, token, at, flow, clock);
+                .schedule_delivery(self.me, to, msg, token, at, flow);
             return;
         }
-        self.inner
-            .send_faulty(self.me, to, msg, token, at, flow, clock);
+        self.inner.send_faulty(self.me, to, msg, token, at, flow);
     }
 
     /// Set a timer `delay` ticks from now.
@@ -622,15 +600,11 @@ impl<M: Payload> Ctx<'_, M> {
     /// variables (and so predicate truth intervals) render as step
     /// functions in the exported timeline.
     pub fn step(&mut self, updates: &[(&str, i64)]) {
-        self.inner.builder.internal(self.me, updates);
+        let state = self.inner.builder.internal(self.me, updates).index;
         if self.inner.recording {
-            self.inner.clocks[self.me.index()].tick(self.me);
-            let clock = self.inner.clocks[self.me.index()].entries().to_vec();
-            let state = self.inner.state(self.me);
             for (name, value) in updates {
-                let ev = Event::counter(self.inner.now.0, lane(self.me), name, *value)
-                    .with_clock(clock.clone());
-                self.inner.rec.record(Event { state, ..ev });
+                let kind = EventKind::Counter { value: *value };
+                self.inner.rec_at(self.me, state, name, kind);
             }
         }
     }
@@ -690,8 +664,9 @@ impl<M: Payload> Ctx<'_, M> {
     // ---- telemetry ----
     //
     // All trace_* calls are no-ops under a disabled recorder. They annotate
-    // the run (protocol decisions, blocked windows, custom samples) without
-    // advancing the process's clock — annotations are not model events.
+    // the run (protocol decisions, blocked windows, custom samples) at the
+    // process's current state without adding one — annotations are not
+    // model events.
 
     /// Whether a live recorder is attached. Use to skip building expensive
     /// event names on the fast path.
@@ -701,52 +676,25 @@ impl<M: Payload> Ctx<'_, M> {
 
     /// Record a point-in-time occurrence on this process's lane.
     pub fn trace_instant(&mut self, name: &str) {
-        self.inner.rec_instant(self.me, name);
+        self.inner.rec(self.me, name, EventKind::Instant);
     }
 
     /// Open a named span on this process's lane (e.g. a blocked wait or a
     /// critical section). Close it with [`Ctx::trace_end`]; same-name spans
     /// nest.
     pub fn trace_begin(&mut self, name: &str) {
-        if self.inner.recording {
-            let clock = self.inner.clocks[self.me.index()].entries().to_vec();
-            self.inner.rec.record(Event {
-                ts: self.inner.now.0,
-                lane: lane(self.me),
-                name: name.to_owned(),
-                kind: EventKind::SpanBegin,
-                clock: Some(clock),
-                state: self.inner.state(self.me),
-            });
-        }
+        self.inner.rec(self.me, name, EventKind::SpanBegin);
     }
 
     /// Close the innermost open span with this name on this process's lane.
     pub fn trace_end(&mut self, name: &str) {
-        if self.inner.recording {
-            let clock = self.inner.clocks[self.me.index()].entries().to_vec();
-            self.inner.rec.record(Event {
-                ts: self.inner.now.0,
-                lane: lane(self.me),
-                name: name.to_owned(),
-                kind: EventKind::SpanEnd,
-                clock: Some(clock),
-                state: self.inner.state(self.me),
-            });
-        }
+        self.inner.rec(self.me, name, EventKind::SpanEnd);
     }
 
     /// Record a sampled value on this process's lane (renders as a counter
     /// track).
     pub fn trace_counter(&mut self, name: &str, value: i64) {
-        if self.inner.recording {
-            let clock = self.inner.clocks[self.me.index()].entries().to_vec();
-            let ev = Event::counter(self.inner.now.0, lane(self.me), name, value).with_clock(clock);
-            self.inner.rec.record(Event {
-                state: self.inner.state(self.me),
-                ..ev
-            });
-        }
+        self.inner.rec(self.me, name, EventKind::Counter { value });
     }
 }
 
@@ -806,11 +754,6 @@ impl<M: Payload> Simulation<M> {
                 faulty,
                 rec: recorder,
                 recording,
-                clocks: if recording {
-                    vec![VectorClock::zero(n); n]
-                } else {
-                    Vec::new()
-                },
                 next_flow: 0,
             },
             config,
@@ -934,35 +877,22 @@ impl<M: Payload> Simulation<M> {
                             msg,
                             token,
                             flow,
-                            clock,
                         } = self.inner.arena.take(handle);
                         if slot.down {
                             // Lost at a dead receiver; the unreceived token
                             // is rewritten to an internal event at finish().
                             self.inner.metrics.add("msgs_dropped", 1);
-                            self.inner.rec_instant(dst, "msg_lost_receiver_down");
+                            self.inner
+                                .rec(dst, "msg_lost_receiver_down", EventKind::Instant);
                             drop(token);
                         } else {
                             slot.engaged = true;
                             self.inner.builder.recv(dst, token, &[]);
-                            if self.inner.recording {
-                                if let Some(sender_clock) = &clock {
-                                    self.inner.clocks[dst.index()].merge(sender_clock);
-                                }
-                                self.inner.clocks[dst.index()].tick(dst);
-                                let entries = self.inner.clocks[dst.index()].entries().to_vec();
-                                self.inner.rec.record(Event {
-                                    ts: self.inner.now.0,
-                                    lane: lane(dst),
-                                    name: msg.tag().to_owned(),
-                                    kind: EventKind::MsgRecv {
-                                        id: flow,
-                                        from: lane(src),
-                                    },
-                                    clock: Some(entries),
-                                    state: self.inner.state(dst),
-                                });
-                            }
+                            let kind = EventKind::MsgRecv {
+                                id: flow,
+                                from: lane(src),
+                            };
+                            self.inner.rec(dst, msg.tag(), kind);
                             self.dispatch(dst, |p, ctx| p.on_message(src, msg, ctx));
                         }
                     }
@@ -980,7 +910,7 @@ impl<M: Payload> Simulation<M> {
                             self.inner.slots[dst.index()].down = true;
                             self.inner.metrics.add("crashes", 1);
                             self.inner.builder.internal(dst, &[("down", 1)]);
-                            self.inner.rec_instant(dst, "crash");
+                            self.inner.rec(dst, "crash", EventKind::Instant);
                         }
                     }
                     Ev::Restart { dst } => {
@@ -990,7 +920,7 @@ impl<M: Payload> Simulation<M> {
                             slot.incarnation += 1;
                             self.inner.metrics.add("restarts", 1);
                             self.inner.builder.internal(dst, &[("down", 0)]);
-                            self.inner.rec_instant(dst, "restart");
+                            self.inner.rec(dst, "restart", EventKind::Instant);
                             self.dispatch(dst, |p, ctx| p.on_restart(ctx));
                         }
                     }

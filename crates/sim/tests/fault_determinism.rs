@@ -133,16 +133,21 @@ proptest! {
 
     /// Attaching a telemetry recorder must not perturb the run: the traced
     /// deposet, metrics, and outcome stay byte-identical whether recording
-    /// is off (NullRecorder) or on (RingRecorder). Telemetry clocks and
-    /// flow ids never touch the simulation's RNG streams.
+    /// is off (NullRecorder) or on (RingRecorder). Telemetry flow ids never
+    /// touch the simulation's RNG streams. Every recorded event names a
+    /// state of its lane's process, and along a lane the named states never
+    /// decrease — crash and restart states included.
     #[test]
     fn recording_never_perturbs_the_run(
         seed in 0u64..1_000_000,
         drop_pct in 0u32..35,
         dup_pct in 0u32..35,
         extra in 0u64..20,
+        crash_sel in 0u32..4,
+        crash_at in 1u64..80,
+        restart_sel in 0u32..3,
     ) {
-        let plan = FaultPlan {
+        let mut plan = FaultPlan {
             default_link: LinkFaults {
                 drop_p: f64::from(drop_pct) / 100.0,
                 dup_p: f64::from(dup_pct) / 100.0,
@@ -150,11 +155,27 @@ proptest! {
             },
             ..FaultPlan::default()
         };
+        if crash_sel > 0 {
+            let restart = (restart_sel > 0).then(|| u64::from(restart_sel) * 50);
+            plan = plan.with_crash(ProcessId(crash_sel - 1), SimTime(crash_at), restart);
+        }
         let plain = run(seed, plan.clone());
         let recorded = run_with(seed, plan.clone(), Box::new(RingRecorder::new(1 << 16)));
         prop_assert_eq!(fingerprint(&plain), fingerprint(&recorded));
         // And the recorder actually captured the run's telemetry.
-        prop_assert!(!recorded.events().is_empty());
+        let events = recorded.events();
+        prop_assert!(!events.is_empty());
+        let mut last = vec![0u32; recorded.deposet.process_count()];
+        for ev in &events {
+            let lane = ev.lane as usize;
+            let state = ev.state.expect("simulator events name a state");
+            prop_assert!(
+                (state as usize) < recorded.deposet.len_of(ProcessId(ev.lane)),
+                "{:?}", ev
+            );
+            prop_assert!(state >= last[lane], "lane {} went back: {:?}", lane, ev);
+            last[lane] = state;
+        }
 
         // The hot-path profiler is equally observational: a run with
         // `pctl_prof` enabled (spans + gauges firing in deposet

@@ -72,7 +72,7 @@ pub use pctld;
 
 /// Everything a typical debugging session needs.
 pub mod prelude {
-    pub use pctl_causality::{MsgId, ProcessId, StateId, VectorClock};
+    pub use pctl_causality::{MsgId, ProcessId, StateId};
     pub use pctl_core::cnf_control::{control_cnf, mutually_separated, CnfPredicate};
     pub use pctl_core::online::ft::{FtController, FtParams};
     pub use pctl_core::online::{Controller, PeerSelect, Phase, ScapegoatController};

@@ -1,12 +1,13 @@
 //! End-to-end observability: recorded simulator runs round-trip through
-//! the JSONL log format, carry causally consistent vector clocks, and
-//! export valid Chrome `trace_event` JSON.
+//! the JSONL log format, name deposet states and carry those states'
+//! vector clocks (crashes included), and export valid Chrome `trace_event`
+//! JSON.
 
 use predicate_control::deposet::generator::{cs_workload, CsConfig};
 use predicate_control::obs::{chrome, jsonl, stats::EventStats, timeline};
 use predicate_control::prelude::*;
 
-fn recorded_kmutex_run() -> Vec<Event> {
+fn recorded_kmutex_sim() -> predicate_control::sim::SimResult {
     let cfg = WorkloadConfig {
         processes: 4,
         entries_per_process: 4,
@@ -19,9 +20,37 @@ fn recorded_kmutex_run() -> Vec<Event> {
         Box::new(RingRecorder::new(1 << 18)),
     );
     assert!(!r.deadlocked());
-    let events = r.events();
+    r
+}
+
+fn recorded_kmutex_run() -> Vec<Event> {
+    let events = recorded_kmutex_sim().events();
     assert!(!events.is_empty(), "recorded run must produce telemetry");
     events
+}
+
+/// A fault-tolerant anti-token run under 5% message loss, whose initial
+/// scapegoat crashes at t = 25 and restarts 300 ticks later.
+fn recorded_ft_crash_sim() -> predicate_control::sim::SimResult {
+    let cfg = WorkloadConfig {
+        processes: 4,
+        entries_per_process: 6,
+        seed: 3,
+        ..Default::default()
+    };
+    let plan = FaultPlan::uniform_loss(0.05).with_crash(ProcessId(0), SimTime(25), Some(300));
+    let r = run_ft_antitoken_recorded(
+        &cfg,
+        pctl_core::online::PeerSelect::NextInRing,
+        FtParams::default(),
+        plan,
+        Box::new(RingRecorder::new(1 << 18)),
+    );
+    assert!(!r.deadlocked());
+    assert_eq!(r.metrics.counter("crashes"), 1);
+    assert_eq!(r.metrics.counter("restarts"), 1);
+    assert!(r.metrics.counter("msgs_dropped") > 0);
+    r
 }
 
 #[test]
@@ -33,60 +62,94 @@ fn recorded_run_round_trips_through_jsonl() {
 }
 
 #[test]
-fn vector_clocks_are_monotone_per_lane_and_tick_on_own_component() {
-    let events = recorded_kmutex_run();
-    let mut last: std::collections::BTreeMap<u32, Vec<u32>> = Default::default();
-    let mut clocked = 0usize;
-    for ev in &events {
-        let Some(clock) = &ev.clock else { continue };
-        clocked += 1;
-        if let Some(prev) = last.get(&ev.lane) {
-            assert_eq!(prev.len(), clock.len());
-            assert!(
-                prev.iter().zip(clock).all(|(a, b)| a <= b),
-                "lane {} clock went backwards: {prev:?} -> {clock:?}",
-                ev.lane
+fn telemetry_joins_the_deposet_crashes_included() {
+    for r in [recorded_kmutex_sim(), recorded_ft_crash_sim()] {
+        let dep = &r.deposet;
+        let events = r.events();
+        let mut sends: std::collections::BTreeMap<u64, StateId> = Default::default();
+        let mut matched = 0usize;
+        for ev in &events {
+            let lane = ProcessId(ev.lane);
+            let state = StateId::new(lane, ev.state.expect("simulator events name a state"));
+            assert_eq!(
+                ev.clock.as_deref(),
+                Some(dep.clock(state).entries()),
+                "{ev:?}"
             );
-            // The lane's own component strictly advances whenever the clock
-            // changes at all.
-            if prev != clock {
-                assert!(
-                    prev[ev.lane as usize] < clock[ev.lane as usize],
-                    "lane {} advanced without ticking its own component",
-                    ev.lane
-                );
+            match ev.kind {
+                EventKind::MsgSend { id, .. } => {
+                    sends.insert(id, state);
+                }
+                EventKind::MsgRecv { id, .. } => {
+                    matched += 1;
+                    assert!(dep.precedes(sends[&id], state), "flow {id}: {ev:?}");
+                }
+                _ => {}
             }
         }
-        last.insert(ev.lane, clock.clone());
+        assert!(matched > 0, "the protocol exchanged messages");
     }
-    assert!(clocked > 0, "simulator events must carry vector clocks");
+}
+
+#[test]
+fn vector_clocks_are_monotone_per_lane_and_tick_on_own_component() {
+    for r in [recorded_kmutex_sim(), recorded_ft_crash_sim()] {
+        let events = r.events();
+        let mut last: std::collections::BTreeMap<u32, Vec<u32>> = Default::default();
+        let mut clocked = 0usize;
+        for ev in &events {
+            let Some(clock) = &ev.clock else { continue };
+            clocked += 1;
+            if let Some(prev) = last.get(&ev.lane) {
+                assert_eq!(prev.len(), clock.len());
+                assert!(
+                    prev.iter().zip(clock).all(|(a, b)| a <= b),
+                    "lane {} clock went backwards: {prev:?} -> {clock:?}",
+                    ev.lane
+                );
+                // The lane's own component strictly advances whenever the
+                // clock changes at all.
+                if prev != clock {
+                    assert!(
+                        prev[ev.lane as usize] < clock[ev.lane as usize],
+                        "lane {} advanced without ticking its own component",
+                        ev.lane
+                    );
+                }
+            }
+            last.insert(ev.lane, clock.clone());
+        }
+        assert!(clocked > 0, "simulator events must carry vector clocks");
+    }
 }
 
 #[test]
 fn message_sends_happen_before_their_receives() {
-    let events = recorded_kmutex_run();
-    let mut sends: std::collections::BTreeMap<u64, &Event> = Default::default();
-    let mut matched = 0usize;
-    for ev in &events {
-        match ev.kind {
-            EventKind::MsgSend { id, .. } => {
-                sends.insert(id, ev);
+    for r in [recorded_kmutex_sim(), recorded_ft_crash_sim()] {
+        let events = r.events();
+        let mut sends: std::collections::BTreeMap<u64, &Event> = Default::default();
+        let mut matched = 0usize;
+        for ev in &events {
+            match ev.kind {
+                EventKind::MsgSend { id, .. } => {
+                    sends.insert(id, ev);
+                }
+                EventKind::MsgRecv { id, .. } => {
+                    let send = sends[&id];
+                    matched += 1;
+                    assert!(send.ts <= ev.ts, "recv before its send");
+                    let (sc, rc) = (send.clock.as_ref().unwrap(), ev.clock.as_ref().unwrap());
+                    // The receive's clock strictly dominates the send's.
+                    assert!(
+                        sc.iter().zip(rc).all(|(a, b)| a <= b) && sc != rc,
+                        "flow {id}: send clock {sc:?} not < recv clock {rc:?}"
+                    );
+                }
+                _ => {}
             }
-            EventKind::MsgRecv { id, .. } => {
-                let send = sends[&id];
-                matched += 1;
-                assert!(send.ts <= ev.ts, "recv before its send");
-                let (sc, rc) = (send.clock.as_ref().unwrap(), ev.clock.as_ref().unwrap());
-                // The receive's clock dominates the send's (merge + tick).
-                assert!(
-                    sc.iter().zip(rc).all(|(a, b)| a <= b) && sc != rc,
-                    "flow {id}: send clock {sc:?} not < recv clock {rc:?}"
-                );
-            }
-            _ => {}
         }
+        assert!(matched > 0, "the protocol exchanged control messages");
     }
-    assert!(matched > 0, "the protocol exchanged control messages");
 }
 
 #[test]
